@@ -1,0 +1,7 @@
+"""Puts the checkout's latref sources and the benchmark modules on sys.path."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
