@@ -73,8 +73,6 @@ def gate_param_count(latent_channels: int, latent_len: int) -> int:
 class GateDecision:
     hard: int  # forward value of the decision
     soft: float  # process probability used on the backward path
-    logits: np.ndarray  # pre-noise gate body output, shape (2,)
-    gumbel_used: bool
     st: Tensor | None = None  # straight-through scalar, train mode only
 
 
@@ -87,25 +85,18 @@ def gate_logits(v: Tensor, gate: GateParams) -> Tensor:
     return conv1d(h, gate.proj2.w, gate.proj2.b, stride=1, padding="valid")  # (2, 1)
 
 
-def gate_forward(v: Tensor, gate: GateParams, mode: str, rng=None, force: int | None = None) -> GateDecision:
+def gate_forward(v: Tensor, gate: GateParams, mode: str, rng=None) -> GateDecision:
     """One gate evaluation.
 
     Train mode draws Gumbel noise from ``rng`` and returns a straight-through
     scalar in ``st``; inference is deterministic with ``soft == hard``.
-    ``force`` bypasses the sampled decision (degenerate-gate probes).
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown gate mode {mode!r}")
-    if force is not None:
-        if force not in (0, 1):
-            raise ValueError(f"forced decision must be 0 or 1, got {force}")
-        return GateDecision(hard=force, soft=float(force), logits=np.zeros(2),
-                            gumbel_used=False, st=Tensor(float(force)))
     z = gate_logits(v, gate)
-    logits = z.data[:, 0].copy()
     if mode == "infer":
-        hard = int(np.argmax(logits))
-        return GateDecision(hard=hard, soft=float(hard), logits=logits, gumbel_used=False)
+        hard = int(np.argmax(z.data[:, 0]))
+        return GateDecision(hard=hard, soft=float(hard))
     if rng is None:
         raise ValueError("train-mode gating needs an rng")
     u = np.clip(rng.random(2), 1e-12, 1.0 - 1e-12)
@@ -116,24 +107,20 @@ def gate_forward(v: Tensor, gate: GateParams, mode: str, rng=None, force: int | 
     soft_t = sum_all(slice_rows(p, 1, 2))
     soft = float(soft_t.data)
     st = Tensor(float(hard) - soft) + soft_t  # forward = hard, gradient = d soft
-    return GateDecision(hard=hard, soft=soft, logits=logits, gumbel_used=True, st=st)
+    return GateDecision(hard=hard, soft=soft, st=st)
 
 
-def gated_step(v: Tensor, block, gate: GateParams, mode: str, rng=None,
-               force: int | None = None) -> tuple[Tensor, GateDecision]:
-    """One gated refinement step: B(v) if the decision is 1, v if 0."""
-    d = gate_forward(v, gate, mode, rng, force)
-    if mode == "infer":
-        out = apply_block(v, block) if d.hard else v
-        return out, d
+def gated_step(v: Tensor, block, gate: GateParams, rng) -> tuple[Tensor, GateDecision]:
+    """One train-mode gated refinement step: B(v) if the decision is 1, v if 0,
+    as a straight-through blend."""
+    d = gate_forward(v, gate, "train", rng)
     bv = apply_block(v, block)
     out = mul(bv, d.st) + mul(v, sub(1.0, d.st))
     return out, d
 
 
 def adaptive_separate(v: Tensor, config: SeparationConfig, params: ModelParams,
-                      gate: GateParams, mode: str, rng=None, force: int | None = None,
-                      early_exit: bool = True):
+                      gate: GateParams, mode: str, rng=None, early_exit: bool = True):
     """Run the gated refinement loop.
 
     Train mode evaluates all N scheduled steps and returns g as a
@@ -148,7 +135,7 @@ def adaptive_separate(v: Tensor, config: SeparationConfig, params: ModelParams,
     if mode == "infer":
         g = 0
         for bi in schedule:
-            d = gate_forward(v, gate, "infer", force=force)
+            d = gate_forward(v, gate, "infer")
             if early_exit:
                 if d.hard == 0:
                     break
@@ -166,7 +153,7 @@ def adaptive_separate(v: Tensor, config: SeparationConfig, params: ModelParams,
         raise ValueError(f"unknown gate mode {mode!r}")
     g_acc = None
     for bi in schedule:
-        v, d = gated_step(v, params.blocks[bi], gate, "train", rng, force)
+        v, d = gated_step(v, params.blocks[bi], gate, rng)
         g_acc = d.st if g_acc is None else g_acc + d.st
     return v, g_acc
 

@@ -49,19 +49,15 @@ def _as_1d(x, name: str) -> np.ndarray:
     return arr
 
 
-def si_sdr(est, ref, zero_mean: bool = False) -> SISDRResult:
+def si_sdr(est, ref) -> SISDRResult:
     """Scale-invariant SDR of ``est`` against ``ref`` in dB, clamped to +/-100.
 
-    ``zero_mean`` subtracts each signal's mean first; the default follows
-    the plain projection formula with no centering.
+    The plain projection formula, with no centering.
     """
     e = _as_1d(est, "est")
     s = _as_1d(ref, "ref")
     if e.shape != s.shape:
         raise ValueError(f"length mismatch: est {e.shape} vs ref {s.shape}")
-    if zero_mean:
-        e = e - e.mean()
-        s = s - s.mean()
     ref_power = float(s @ s)
     if ref_power == 0.0:
         raise ValueError("zero reference signal")
@@ -85,14 +81,11 @@ def _clamp_scalar(x: Tensor, lo: float, hi: float) -> Tensor:
     return relu(sub(capped, lo)) + lo
 
 
-def _neg_sisdr_term(est_row: Tensor, ref_row: np.ndarray, zero_mean: bool) -> Tensor:
+def _neg_sisdr_term(est_row: Tensor, ref_row: np.ndarray) -> Tensor:
     """Differentiable -SI-SDR of one estimate row against one reference row."""
     ref_row = ref_row.reshape(1, -1)
     if est_row.shape != ref_row.shape:
         raise ValueError(f"length mismatch: est {est_row.shape} vs ref {ref_row.shape}")
-    if zero_mean:
-        est_row = sub(est_row, mul(sum_all(est_row), 1.0 / est_row.size))
-        ref_row = ref_row - ref_row.mean()
     ref_power = float(np.sum(ref_row * ref_row))
     if ref_power == 0.0:
         raise ValueError("zero reference signal")
@@ -107,7 +100,7 @@ def _neg_sisdr_term(est_row: Tensor, ref_row: np.ndarray, zero_mean: bool) -> Te
     return -_clamp_scalar(db, -CLAMP_DB, CLAMP_DB)
 
 
-def neg_sisdr_loss(ests, refs, zero_mean: bool = False) -> Tensor:
+def neg_sisdr_loss(ests, refs) -> Tensor:
     """Mean over sources of the negative SI-SDR, as a differentiable scalar.
 
     ``ests`` is an S x T tensor (or 1-D for a single source); ``refs`` is a
@@ -123,12 +116,12 @@ def neg_sisdr_loss(ests, refs, zero_mean: bool = False) -> Tensor:
     S = ests.shape[0]
     acc = None
     for j in range(S):
-        term = _neg_sisdr_term(slice_rows(ests, j, j + 1), refs_arr[j], zero_mean)
+        term = _neg_sisdr_term(slice_rows(ests, j, j + 1), refs_arr[j])
         acc = term if acc is None else acc + term
     return mul(acc, 1.0 / S)
 
 
-def pit_loss(ests, refs, speech_count: int, zero_mean: bool = False) -> PITResult:
+def pit_loss(ests, refs, speech_count: int) -> PITResult:
     """Permutation-invariant mean negative SI-SDR over speech sources.
 
     The first ``speech_count`` rows are matched by exhaustive search over
@@ -148,8 +141,8 @@ def pit_loss(ests, refs, speech_count: int, zero_mean: bool = False) -> PITResul
     pair = {}
     for i in range(speech_count):
         for j in range(speech_count):
-            pair[(i, j)] = _neg_sisdr_term(est_rows[i], refs_arr[j], zero_mean)
-    tail = [_neg_sisdr_term(est_rows[j], refs_arr[j], zero_mean) for j in range(speech_count, S)]
+            pair[(i, j)] = _neg_sisdr_term(est_rows[i], refs_arr[j])
+    tail = [_neg_sisdr_term(est_rows[j], refs_arr[j]) for j in range(speech_count, S)]
     best = None
     for perm in itertools.permutations(range(speech_count)):
         acc = None
@@ -165,9 +158,9 @@ def pit_loss(ests, refs, speech_count: int, zero_mean: bool = False) -> PITResul
     return PITResult(loss=best[1], permutation=best[2])
 
 
-def si_sdr_improvement(est, ref, mix, zero_mean: bool = False) -> float:
+def si_sdr_improvement(est, ref, mix) -> float:
     """SI-SDR gain of ``est`` over using the raw mixture as the estimate."""
-    return si_sdr(est, ref, zero_mean).value_db - si_sdr(mix, ref, zero_mean).value_db
+    return si_sdr(est, ref).value_db - si_sdr(mix, ref).value_db
 
 
 def best_speech_permutation(ests: np.ndarray, refs: np.ndarray, speech_count: int) -> tuple:

@@ -33,6 +33,7 @@ from .diffcore import (
 from .diffcore import concat_rows, mul
 
 _CKPT_MAGIC = b"LRCKPT01"
+_CKPT_FORMAT = 1
 
 
 @dataclass
@@ -376,22 +377,17 @@ def separate(v: Tensor, config: SeparationConfig, params: ModelParams,
 
 
 def mask_and_decode(v_enc: Tensor, s_latent: Tensor, stage: int, params: ModelParams,
-                    out_length: int | None = None, mask_override=None) -> Tensor:
+                    out_length: int | None = None) -> Tensor:
     """Estimate masks from the latent and decode each source from v_enc.
 
-    Returns num_sources x T.  ``out_length`` fixes T (default L * enc_stride);
-    ``mask_override`` substitutes a fixed mask array for the mask net, which
-    tests use to probe the decode path.
+    Returns num_sources x T.  ``out_length`` fixes T (default L * enc_stride).
     """
     cfg = params.config
     if not 0 <= stage < len(params.mask_nets):
         raise ValueError(f"stage {stage} out of range for {len(params.mask_nets)} head pairs")
     mn = params.mask_nets[stage]
     dec = params.decoders[stage]
-    if mask_override is None:
-        m = relu(conv1d(s_latent, mn.w, mn.b, stride=1))
-    else:
-        m = mask_override if isinstance(mask_override, Tensor) else Tensor(mask_override)
+    m = relu(conv1d(s_latent, mn.w, mn.b, stride=1))
     S, B, L = cfg.num_sources, cfg.enc_bases, v_enc.shape[1]
     if m.shape != (S * B, L):
         raise ValueError(f"mask shape {m.shape} does not match ({S * B}, {L})")
@@ -449,7 +445,7 @@ def save_checkpoint(path, params: ModelParams, extra_tensors=None, meta=None) ->
     if extra_tensors:
         named = named + sorted(extra_tensors.items())
     header = {
-        "format": 1,
+        "format": _CKPT_FORMAT,
         "config": config_to_dict(params.config),
         "stages": len(params.mask_nets),
         "meta": meta or {},
@@ -479,6 +475,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             raise ValueError(f"{path} is not a model checkpoint (bad magic {magic!r})")
         hlen = int.from_bytes(fh.read(8), "little")
         header = json.loads(fh.read(hlen).decode())
+        if header.get("format") != _CKPT_FORMAT:
+            raise ValueError(f"checkpoint {path} has format {header.get('format')!r}, "
+                             f"this reader supports {_CKPT_FORMAT}")
         arrays = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])
@@ -487,6 +486,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             if len(buf) != 8 * n_elems:
                 raise ValueError(f"truncated checkpoint {path}: tensor {entry['name']}")
             arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"checkpoint {path} has trailing bytes after the last tensor")
     config = config_from_dict(header["config"])
     params = init_params(config, np.random.default_rng(0), stages=header.get("stages", 1))
     extra = {}

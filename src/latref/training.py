@@ -1,11 +1,12 @@
 """Optimization drivers: end-to-end training, progressive freeze-training,
-and joint gate fine-tuning, plus the analytic backward-memory model.
+and joint gate fine-tuning, plus the backward-memory account.
 
 Freezing works through ``requires_grad``: frozen tensors never cause ops to
 be taped, so a frozen prefix costs no activation memory and its parameters
-are bit-identical after any number of steps.  The memory model in
-``memory_account`` mirrors the taped op sequence exactly (same shapes, same
-op count), which a test pins against the tape's own accounting.
+are bit-identical after any number of steps.  ``memory_account`` counts the
+activations from a taped trace of the real forward ops, so it follows any
+change to what the model tapes; a test pins it against a full training
+forward.
 
 Determinism contract: one generator drives shuffling, chunk offsets,
 augmentation, and Gumbel draws in a fixed order, so a seed reproduces
@@ -23,8 +24,10 @@ from .diffcore import Tape, Tensor, backward
 from .gating import GateParams, adaptive_separate, gate_named_parameters, gate_penalty
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
+    BlockSpec,
     ModelParams,
     SeparationConfig,
+    apply_sub_block,
     clone_params,
     count_params,
     encode,
@@ -360,7 +363,7 @@ def finetune_gate(params: ModelParams, gate: GateParams, train_set, val_set,
 
 
 # ---------------------------------------------------------------------------
-# Analytic backward-memory model
+# Backward-memory account
 
 
 @dataclass
@@ -379,74 +382,52 @@ class MemoryReport:
                 + self.optimizer_state_bytes + self.activation_bytes_backward)
 
 
-def _ceil_div_len(L: int, stride: int) -> int:
-    return -(-L // stride)
-
-
-def _sub_block_elems(C: int, n_scales: int, L: int) -> int:
-    """Taped output elements of one sub-block pass at latent length L."""
-    lengths = [L]
-    for _ in range(n_scales):
-        lengths.append(_ceil_div_len(lengths[-1], 2))
-    e = 0
-    for i in range(n_scales):
-        e += 3 * C * lengths[i + 1]  # conv, prelu, norm
-    for idx in range(n_scales):
-        target = lengths[n_scales - 1 - idx]
-        e += 4 * C * target  # upsample, conv, prelu, norm
-        if n_scales - 2 - idx >= 0:
-            e += C * target  # skip addition
-    e += 2 * C * L  # projection conv and residual add
-    return e
-
-
-def _encode_elems(config: SeparationConfig, L: int) -> int:
-    return 2 * config.enc_bases * L + config.latent_channels * L
-
-
-def _heads_elems(config: SeparationConfig, L: int, T: int) -> int:
-    S, B = config.num_sources, config.enc_bases
-    mask = 2 * S * B * L
-    per_source = 2 * B * L + T
-    return mask + S * per_source + S * T
+def _taped(fn, *args, **kwargs):
+    """(result, output elements taped) of one call of ``fn`` on a fresh tape."""
+    with Tape() as tape:
+        out = fn(*args, **kwargs)
+    return out, tape.recorded_output_elems()
 
 
 def memory_account(config: SeparationConfig, batch_size: int, T: int,
                    stage: int | None = None) -> MemoryReport:
-    """Analytic bytes for one backward pass.
+    """Bytes for one backward pass.
 
     ``stage=None`` accounts full end-to-end training; ``stage=i`` accounts
     progressive stage i, where everything before block i is frozen and only
     hands over its final latent and the maskable encoding.
+
+    Activations are counted from a taped trace of the real ``encode``, one
+    ``apply_sub_block`` and ``mask_and_decode`` on zero-valued inputs.  Every
+    sub-block of a config has the same shapes, so one traced sub-block times
+    the schedule gives the block totals.
     """
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")
-    C, B = config.latent_channels, config.enc_bases
+    if stage is not None and not 0 <= stage < len(config.blocks):
+        raise ValueError(f"stage {stage} out of range for {len(config.blocks)} blocks")
     L = config.latent_length(T)
     counts = count_params(config, stages=len(config.blocks) if stage is not None else 1)
-    block_elems = [
-        config.blocks[i].sub_blocks * _sub_block_elems(C, config.sub_scales, L)
-        for i in range(len(config.blocks))
-    ]
+    one = init_params(replace(config, blocks=[BlockSpec()]), np.random.default_rng(0))
+    (v_enc, v), encode_elems = _taped(encode, Tensor(np.zeros((1, T))), one)
+    _, sub_block_elems = _taped(apply_sub_block, v, one.blocks[0][0])
+    _, heads_elems = _taped(mask_and_decode, v_enc, v, 0, one, out_length=T)
+    block_elems = [bs.sub_blocks * sub_block_elems for bs in config.blocks]
     if stage is None:
-        act = _encode_elems(config, L)
-        act += sum(block_elems[bs_i] * bs.iterations
-                   for bs_i, bs in enumerate(config.blocks))
-        act += _heads_elems(config, L, T)
+        act = encode_elems + heads_elems + sum(
+            n * bs.iterations for n, bs in zip(block_elems, config.blocks))
         boundary = 0
         head_pairs = 1
         trainable_scalars = counts.encoder + sum(counts.blocks) + counts.mask_net + counts.decoder
         frozen_scalars = 0
     else:
-        if not 0 <= stage < len(config.blocks):
-            raise ValueError(f"stage {stage} out of range for {len(config.blocks)} blocks")
         own = block_elems[stage] * config.blocks[stage].iterations
-        act = own + _heads_elems(config, L, T)
+        act = own + heads_elems
         if stage == 0:
-            act += _encode_elems(config, L)
+            act += encode_elems
             boundary = 0
         else:
-            boundary = C * L + B * L
+            boundary = v_enc.size + v.size
             act += boundary
         head_pairs = len(config.blocks)
         trainable_scalars = counts.blocks[stage] + counts.mask_net + counts.decoder

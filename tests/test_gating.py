@@ -45,12 +45,20 @@ def biased_gate(latent_channels, L, bias):
     return gate
 
 
+# Gumbel noise from uniform draws clipped to [1e-12, 1 - 1e-12] lies in
+# [-3.4, 27.7], so logits 100 apart decide the same way in train and infer
+# mode, and the straight-through value is exactly 0 or 1.
+ALWAYS_SKIP = [50.0, -50.0]
+ALWAYS_PROCESS = [-50.0, 50.0]
+
+
 class TestGateForward:
     def test_infer_skip_on_dominant_first_logit(self):
         gate = biased_gate(4, 16, [3.0, -1.0])
-        d = gate_forward(Tensor(np.zeros((4, 16))), gate, "infer")
-        assert d.hard == 0 and d.soft == 0.0 and not d.gumbel_used
-        np.testing.assert_allclose(d.logits, [3.0, -1.0])
+        v = Tensor(np.zeros((4, 16)))
+        d = gate_forward(v, gate, "infer")
+        assert d.hard == 0 and d.soft == 0.0 and d.st is None
+        np.testing.assert_allclose(gate_logits(v, gate).data[:, 0], [3.0, -1.0])
 
     def test_infer_process_on_dominant_second_logit(self):
         gate = biased_gate(4, 16, [-1.0, 3.0])
@@ -61,10 +69,11 @@ class TestGateForward:
         cfg, params, gate = small_setup()
         v = Tensor(np.random.default_rng(1).normal(size=(4, 16)))
         first = gate_forward(v, gate, "infer")
+        first_logits = gate_logits(v, gate).data
         for _ in range(5):
             again = gate_forward(v, gate, "infer")
             assert again.hard == first.hard
-            assert np.array_equal(again.logits, first.logits)
+            assert np.array_equal(gate_logits(v, gate).data, first_logits)
 
     def test_train_mode_draw_statistics_at_even_logits(self):
         gate = biased_gate(2, 4, [0.0, 0.0])
@@ -79,7 +88,6 @@ class TestGateForward:
         d = gate_forward(v, gate, "train", np.random.default_rng(3))
         assert d.hard in (0, 1)
         assert 0.0 < d.soft < 1.0
-        assert d.gumbel_used
         assert d.st is not None and float(d.st.data) == float(d.hard)
 
     def test_length_mismatch_rejected(self):
@@ -100,29 +108,29 @@ class TestGateForward:
 
 class TestGatedStep:
     def test_forced_skip_returns_input_bit_exactly(self):
-        cfg, params, gate = small_setup()
+        cfg, params, _ = small_setup()
+        gate = biased_gate(4, 16, ALWAYS_SKIP)
         v = Tensor(np.random.default_rng(4).normal(size=(4, 16)))
-        out, d = gated_step(v, params.blocks[0], gate, "infer", force=0)
-        assert out is v
-        out_t, _ = gated_step(v, params.blocks[0], gate, "train",
-                              np.random.default_rng(0), force=0)
-        assert np.array_equal(out_t.data, v.data)
+        for seed in range(20):
+            out, d = gated_step(v, params.blocks[0], gate, np.random.default_rng(seed))
+            assert d.hard == 0 and float(d.st.data) == 0.0
+            assert np.array_equal(out.data, v.data)
 
     def test_forced_process_matches_block(self):
-        cfg, params, gate = small_setup()
+        cfg, params, _ = small_setup()
+        gate = biased_gate(4, 16, ALWAYS_PROCESS)
         v = Tensor(np.random.default_rng(5).normal(size=(4, 16)))
         expected = apply_block(v, params.blocks[0])
-        out, _ = gated_step(v, params.blocks[0], gate, "infer", force=1)
-        assert np.array_equal(out.data, expected.data)
-        out_t, _ = gated_step(v, params.blocks[0], gate, "train",
-                              np.random.default_rng(0), force=1)
-        assert np.array_equal(out_t.data, expected.data)
+        for seed in range(20):
+            out, d = gated_step(v, params.blocks[0], gate, np.random.default_rng(seed))
+            assert d.hard == 1 and float(d.st.data) == 1.0
+            assert np.array_equal(out.data, expected.data)
 
     def test_gate_gradient_nonzero_when_block_changes_latent(self):
         cfg, params, gate = small_setup(seed=6)
         v = Tensor(np.random.default_rng(7).normal(size=(4, 16)))
         with Tape() as tape:
-            out, d = gated_step(v, params.blocks[0], gate, "train", np.random.default_rng(8))
+            out, d = gated_step(v, params.blocks[0], gate, np.random.default_rng(8))
             loss = sum_all(mul(out, out))
         backward(tape, loss)
         grads = [t.grad for _, t in gate_named_parameters(gate)]
@@ -149,18 +157,26 @@ class TestGatedStep:
 
 class TestAdaptiveSeparate:
     def test_forced_process_equals_full_depth(self):
-        cfg, params, gate = small_setup()
+        cfg, params, _ = small_setup()
+        gate = biased_gate(4, 16, ALWAYS_PROCESS)
         v = Tensor(np.random.default_rng(11).normal(size=(4, 16)))
-        out, g = adaptive_separate(v, cfg, params, gate, "infer", force=1)
+        out, g = adaptive_separate(v, cfg, params, gate, "infer")
         assert g == 4
         assert np.array_equal(out.data, separate(v, cfg, params).data)
+        out_t, g_t = adaptive_separate(v, cfg, params, gate, "train", np.random.default_rng(0))
+        assert float(g_t.data) == 4.0
+        assert np.array_equal(out_t.data, out.data)
 
     def test_forced_skip_is_identity(self):
-        cfg, params, gate = small_setup()
+        cfg, params, _ = small_setup()
+        gate = biased_gate(4, 16, ALWAYS_SKIP)
         v = Tensor(np.random.default_rng(12).normal(size=(4, 16)))
-        out, g = adaptive_separate(v, cfg, params, gate, "infer", force=0)
+        out, g = adaptive_separate(v, cfg, params, gate, "infer")
         assert g == 0
         assert out is v
+        out_t, g_t = adaptive_separate(v, cfg, params, gate, "train", np.random.default_rng(0))
+        assert float(g_t.data) == 0.0
+        assert np.array_equal(out_t.data, v.data)
 
     def test_early_exit_matches_full_evaluation(self, monkeypatch):
         cfg, params, gate = small_setup(seed=13)

@@ -186,8 +186,9 @@ class TestMaskAndDecode:
         rng = np.random.default_rng(18)
         v_enc = Tensor(np.abs(rng.normal(size=(8, 16))))
         lat = Tensor(rng.normal(size=(8, 16)))
-        ones = np.ones((cfg.num_sources * cfg.enc_bases, 16))
-        out = mask_and_decode(v_enc, lat, 0, params, mask_override=ones)
+        params.mask_nets[0].w.data[...] = 0.0
+        params.mask_nets[0].b.data[...] = 1.0  # mask = relu(0 * lat + 1) = 1
+        out = mask_and_decode(v_enc, lat, 0, params)
         dec = params.decoders[0]
         direct = transposed_conv1d(v_enc, dec.w, dec.b, stride=cfg.enc_stride,
                                    padding="same", out_length=160, allow_gaps=True)
@@ -202,8 +203,9 @@ class TestMaskAndDecode:
         rng = np.random.default_rng(20)
         v_enc = Tensor(np.abs(rng.normal(size=(8, 16))))
         lat = Tensor(rng.normal(size=(8, 16)))
-        zeros = np.zeros((cfg.num_sources * cfg.enc_bases, 16))
-        out = mask_and_decode(v_enc, lat, 0, params, mask_override=zeros)
+        params.mask_nets[0].w.data[...] = 0.0
+        params.mask_nets[0].b.data[...] = 0.0  # mask = relu(0 * lat + 0) = 0
+        out = mask_and_decode(v_enc, lat, 0, params)
         assert np.array_equal(out.data, np.full((2, 160), 0.75))
 
     def test_default_preset_output_length(self):
@@ -314,6 +316,22 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(toy_config(), np.random.default_rng(32)))
+        raw = path.read_bytes()
+        assert raw.count(b'"format":1') == 1
+        path.write_bytes(raw.replace(b'"format":1', b'"format":2'))
+        with pytest.raises(ValueError, match="format 2"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(toy_config(), np.random.default_rng(33)))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(path)
 
 

@@ -410,33 +410,39 @@ def test_progressive_histories_cover_all_epochs():
 # memory accounting
 
 
-def glue_forward_elems(config, stage, depth):
-    """Taped output elements of one real forward at T=160."""
+MEMORY_CONFIGS = {
+    # latent length 40, halved to 20 and 10
+    "toy": (toy_config(iterations=2, num_blocks=2), 160),
+    # odd T; six scales take the latent length 41 down to 21, 11, 6, 3, 2, 1
+    "odd_deep": (SeparationConfig(enc_bases=12, enc_kernel=8, enc_stride=4,
+                                  latent_channels=6, num_sources=3,
+                                  blocks=[BlockSpec(sub_blocks=2, iterations=2),
+                                          BlockSpec(sub_blocks=1, iterations=3)],
+                                  sub_scales=6, sub_kernel=3), 161),
+}
+
+
+@pytest.mark.parametrize("config_name", sorted(MEMORY_CONFIGS))
+@pytest.mark.parametrize("stage", [None, 0, 1], ids=["e2e", "stage0", "stage1"])
+def test_memory_model_matches_tape(stage, config_name):
+    """The account equals what one real training forward tapes."""
+    config, T = MEMORY_CONFIGS[config_name]
+    report = memory_account(config, batch_size=1, T=T, stage=stage)
     params = init_params(config, np.random.default_rng(0),
                          stages=len(config.blocks) if stage is not None else 1)
-    if stage is not None:
-        apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
-        head = stage
+    if stage is None:
+        head, depth = 0, None
     else:
-        head = 0
-    mix = np.random.default_rng(1).normal(size=160)
+        apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
+        head, depth = stage, sum(bs.iterations for bs in config.blocks[:stage + 1])
+    mix = np.random.default_rng(1).normal(size=T)
     with Tape() as tape:
         run_model(mix, params, stage=head, depth=depth)
-    return tape.recorded_output_elems()
-
-
-def test_memory_model_matches_tape_end_to_end():
-    config = toy_config(iterations=2)
-    report = memory_account(config, batch_size=1, T=160, stage=None)
-    assert report.boundary_elems == 0
-    assert glue_forward_elems(config, None, None) == report.activation_elems
-
-
-def test_memory_model_matches_tape_frozen_stage():
-    config = toy_config(num_blocks=2)
-    report = memory_account(config, batch_size=1, T=160, stage=1)
-    recorded = glue_forward_elems(config, 1, 2)
-    assert recorded == report.activation_elems - report.boundary_elems
+    # a frozen prefix tapes nothing; the account adds the two tensors it hands over
+    assert tape.recorded_output_elems() == report.activation_elems - report.boundary_elems
+    L = config.latent_length(T)
+    handed_over = 0 if stage in (None, 0) else (config.enc_bases + config.latent_channels) * L
+    assert report.boundary_elems == handed_over
 
 
 def test_memory_stage_roughly_halves_activations():
