@@ -25,6 +25,7 @@ from .gating import gate_from_arrays, gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
     BlockSpec,
+    LoadedCheckpoint,
     SeparationConfig,
     config_from_dict,
     config_to_dict,
@@ -98,6 +99,15 @@ class ExperimentConfig:
             raise ValueError(
                 f"model.num_sources {self.model.num_sources} does not fit task {self.task!r} (needs {expected})"
             )
+        chunk = self.train.chunk_len
+        if self.mode == "adaptive" and chunk is not None:
+            # the gate's second conv spans the dataset's latent length exactly
+            got, want = self.model.latent_length(chunk), _gate_latent_len(self)
+            if got != want:
+                raise ValueError(
+                    f"train.chunk_len {chunk} gives latent length {got}, but adaptive mode "
+                    f"needs the dataset's latent length {want}"
+                )
 
 
 def _strict_section(d: dict, cls, path: str):
@@ -220,14 +230,14 @@ def quartile_analysis(results):
     return bins
 
 
-def _model_row(cfg: ExperimentConfig, mean_sisdri: float, mean_g) -> dict:
-    counts = count_params(cfg.model, stages=len(cfg.model.blocks) if cfg.mode == "progressive" else 1)
-    mem = memory_account(cfg.model, batch_size=1, T=cfg.dataset.spec.num_samples,
-                         stage=None if cfg.mode != "progressive" else len(cfg.model.blocks) - 1)
+def _model_row(cfg: ExperimentConfig, model: SeparationConfig, mean_sisdri: float, mean_g) -> dict:
+    counts = count_params(model, stages=len(model.blocks) if cfg.mode == "progressive" else 1)
+    mem = memory_account(model, batch_size=1, T=cfg.dataset.spec.num_samples,
+                         stage=None if cfg.mode != "progressive" else len(model.blocks) - 1)
     return {
-        "blocks": len(cfg.model.blocks),
-        "sub_blocks": cfg.model.blocks[0].sub_blocks,
-        "iters": [bs.iterations for bs in cfg.model.blocks],
+        "blocks": len(model.blocks),
+        "sub_blocks": model.blocks[0].sub_blocks,
+        "iters": [bs.iterations for bs in model.blocks],
         "params": counts.total,
         "memory_bytes": mem.total_bytes,
         "mean_sisdri": mean_sisdri,
@@ -237,18 +247,26 @@ def _model_row(cfg: ExperimentConfig, mean_sisdri: float, mean_g) -> dict:
     }
 
 
-def eval_model(cfg: ExperimentConfig, params, gate=None, passthrough: bool = False) -> dict:
-    """Score the test split; returns the full report mapping."""
+def eval_model(cfg: ExperimentConfig, loaded: LoadedCheckpoint | None) -> dict:
+    """Score the test split; returns the full report mapping.
+
+    A checkpoint runs with the head, depth and gate stored in it, and the
+    report row describes its config.  ``None`` scores the mixture itself as
+    every estimate (passthrough).
+    """
     splits = _splits(cfg)
+    if loaded is not None:
+        meta = loaded.meta
+        gate = gate_from_arrays(loaded.extra_tensors) if meta.get("mode") == "adaptive" else None
+        stage, depth = meta.get("stage", 0), meta.get("depth")
     per_sample = []
     for sample in splits.test:
-        if passthrough:
-            ests = np.tile(sample.mixture, (sample.sources.shape[0], 1))
-            g = None
-            sisdri = eval_speech_sisdri(ests, sample.sources, sample.mixture, sample.speech_count)
+        if loaded is None:
+            ests, g = np.tile(sample.mixture, (sample.sources.shape[0], 1)), None
         else:
-            out, g = run_model(sample.mixture, params, stage=0, gate=gate)
-            sisdri = eval_speech_sisdri(out.data, sample.sources, sample.mixture, sample.speech_count)
+            out, g = run_model(sample.mixture, loaded.params, stage=stage, depth=depth, gate=gate)
+            ests = out.data
+        sisdri = eval_speech_sisdri(ests, sample.sources, sample.mixture, sample.speech_count)
         per_sample.append({
             "snr_db": sample.metadata["noise_snr_db"],
             "sisdri": sisdri,
@@ -258,12 +276,12 @@ def eval_model(cfg: ExperimentConfig, params, gate=None, passthrough: bool = Fal
     gs = [r["g"] for r in per_sample if r["g"] is not None]
     mean_g = float(np.mean(gs)) if gs else None
     report = {
-        "row": _model_row(cfg, mean_sisdri, mean_g),
+        "row": _model_row(cfg, cfg.model if loaded is None else loaded.config, mean_sisdri, mean_g),
         "per_sample": per_sample,
         "quartiles": quartile_analysis(
             [(r["snr_db"], r["sisdri"], r["g"]) for r in per_sample]
         ) if len(per_sample) >= 4 else [],
-        "passthrough": passthrough,
+        "passthrough": loaded is None,
     }
     return report
 
@@ -406,15 +424,18 @@ def _cmd_finetune_gate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_eval(cfg: ExperimentConfig, out: Path, passthrough: bool) -> int:
-    if passthrough:
-        report = eval_model(cfg, None, passthrough=True)
-    else:
+    loaded = None
+    if not passthrough:
         ckpt_path = out / "model.ckpt"
         if not ckpt_path.exists():
             raise FileNotFoundError(f"no checkpoint at {ckpt_path}; train first or pass --passthrough")
         loaded = load_checkpoint(ckpt_path)
-        gate = gate_from_arrays(loaded.extra_tensors) if loaded.meta.get("mode") == "adaptive" else None
-        report = eval_model(cfg, loaded.params, gate=gate)
+        want, got = config_to_dict(cfg.model), config_to_dict(loaded.config)
+        for key in sorted(want):
+            if want[key] != got[key]:
+                raise ValueError(f"checkpoint {ckpt_path} has model.{key} = {got[key]!r}, "
+                                 f"but the config has {want[key]!r}")
+    report = eval_model(cfg, loaded)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     text = render_table([report["row"]])
     if report["quartiles"]:
@@ -444,7 +465,7 @@ def _cmd_gradcheck() -> int:
 def run(command: str, config_path=None, seed: int | None = None, out=None,
         passthrough: bool = False) -> int:
     """Execute one CLI command; raises on invalid input, returns exit code."""
-    if command == "gradcheck" and config_path is None:
+    if command == "gradcheck":
         return _cmd_gradcheck()
     if command == "report" and config_path is None:
         return _cmd_report(Path(out))
@@ -464,8 +485,6 @@ def run(command: str, config_path=None, seed: int | None = None, out=None,
         return _cmd_eval(cfg, out_dir, passthrough)
     if command == "report":
         return _cmd_report(out_dir)
-    if command == "gradcheck":
-        return _cmd_gradcheck()
     raise ValueError(f"unknown command {command!r}")
 
 

@@ -65,10 +65,6 @@ def gate_from_arrays(arrays: dict) -> GateParams:
     )
 
 
-def gate_param_count(latent_channels: int, latent_len: int) -> int:
-    return (2 * latent_channels + 2) + 2 + (2 * 2 * latent_len + 2)
-
-
 @dataclass
 class GateDecision:
     hard: int  # forward value of the decision

@@ -16,6 +16,7 @@ No timestamps anywhere, so identical states serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,44 +260,16 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    """Deep copy preserving the aliasing structure between blocks."""
-    copies: dict[int, Tensor] = {}
+    """Deep copy preserving the aliasing structure and each ``requires_grad``.
 
-    def cp(t: Tensor | None):
-        if t is None:
-            return None
-        got = copies.get(id(t))
-        if got is None:
-            got = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            copies[id(t)] = got
-        return got
-
-    def cp_conv(c: ConvParams) -> ConvParams:
-        return ConvParams(w=cp(c.w), b=cp(c.b))
-
-    def cp_sub(sb: SubBlockParams) -> SubBlockParams:
-        return SubBlockParams(
-            down=[ScaleParams(cp_conv(s.conv), cp(s.slope), NormParams(cp(s.norm.gamma), cp(s.norm.beta))) for s in sb.down],
-            up=[ScaleParams(cp_conv(s.conv), cp(s.slope), NormParams(cp(s.norm.gamma), cp(s.norm.beta))) for s in sb.up],
-            proj=cp_conv(sb.proj),
-        )
-
-    block_copies: dict[int, list[SubBlockParams]] = {}
-    blocks = []
-    for block in params.blocks:
-        got = block_copies.get(id(block))
-        if got is None:
-            got = [cp_sub(sb) for sb in block]
-            block_copies[id(block)] = got
-        blocks.append(got)
-    return ModelParams(
-        config=params.config,
-        encoder=cp_conv(params.encoder),
-        bottleneck=cp_conv(params.bottleneck),
-        blocks=blocks,
-        mask_nets=[cp_conv(m) for m in params.mask_nets],
-        decoders=[cp_conv(d) for d in params.decoders],
-    )
+    The copy is a fresh tree of the same config and head count, drawn from a
+    private generator and then overwritten name by name.
+    """
+    copy = init_params(params.config, np.random.default_rng(0), stages=len(params.mask_nets))
+    for (_, src), (_, dst) in zip(named_parameters(params), named_parameters(copy), strict=True):
+        dst.data[...] = src.data
+        dst.requires_grad = src.requires_grad
+    return copy
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +393,14 @@ class ParamCounts:
 
 
 def count_params(config: SeparationConfig, stages: int = 1) -> ParamCounts:
-    """Exact trainable-scalar counts; iteration counts never enter."""
-    B, K, C = config.enc_bases, config.enc_kernel, config.latent_channels
-    ks, S = config.sub_kernel, config.num_sources
-    encoder = (B * 1 * K + B) + (C * B * 1 + C)
-    per_scale = C * C * ks + C + C + 2 * C  # conv w+b, slope, norm affine
-    sub_total = 2 * config.sub_scales * per_scale + C * C
-    blocks = []
-    for bs in config.blocks:
-        blocks.append(0 if bs.shares_params_with is not None else bs.sub_blocks * sub_total)
-    mask_net = S * B * C + S * B
-    decoder = B * 1 * K + 1
-    return ParamCounts(encoder=encoder, blocks=blocks, mask_net=mask_net,
-                       decoder=decoder, stages=stages)
+    """Exact trainable-scalar counts of a fresh tree, by top-level name;
+    iteration counts never enter."""
+    sizes = Counter()
+    for name, t in named_parameters(init_params(config, np.random.default_rng(0), stages=stages)):
+        sizes[name.split(".")[0]] += t.size
+    return ParamCounts(encoder=sizes["encoder"] + sizes["bottleneck"],
+                       blocks=[sizes[f"block{i}"] for i in range(len(config.blocks))],
+                       mask_net=sizes["mask0"], decoder=sizes["dec0"], stages=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +442,19 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         if magic != _CKPT_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint (bad magic {magic!r})")
         hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode())
+        blob = fh.read(hlen)
+        if len(blob) != hlen:
+            raise ValueError(f"truncated checkpoint {path}: header has {len(blob)} of {hlen} bytes")
+        try:
+            header = json.loads(blob.decode())
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"checkpoint {path} has a malformed header: {e}") from e
         if header.get("format") != _CKPT_FORMAT:
             raise ValueError(f"checkpoint {path} has format {header.get('format')!r}, "
                              f"this reader supports {_CKPT_FORMAT}")
+        for key in ("config", "tensors"):
+            if key not in header:
+                raise ValueError(f"checkpoint {path} header has no {key!r} key")
         arrays = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])

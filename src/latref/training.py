@@ -6,7 +6,9 @@ be taped, so a frozen prefix costs no activation memory and its parameters
 are bit-identical after any number of steps.  ``memory_account`` counts the
 activations from a taped trace of the real forward ops, so it follows any
 change to what the model tapes; a test pins it against a full training
-forward.
+forward.  Its trainable/frozen split, like parameter counts and stage
+snapshots (``clone_params``), comes from ``named_parameters`` of a real
+tree and the stage freeze mask, never from a hand-kept copy of the tree.
 
 Determinism contract: one generator drives shuffling, chunk offsets,
 augmentation, and Gumbel draws in a fixed order, so a seed reproduces
@@ -24,12 +26,10 @@ from .diffcore import Tape, Tensor, backward
 from .gating import GateParams, adaptive_separate, gate_named_parameters, gate_penalty
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
-    BlockSpec,
     ModelParams,
     SeparationConfig,
     apply_sub_block,
     clone_params,
-    count_params,
     encode,
     init_params,
     mask_and_decode,
@@ -301,14 +301,12 @@ def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
 
 
 def train_end_to_end(params: ModelParams, train_set, val_set, cfg: TrainConfig,
-                     stage: int = 0, depth: int | None = None,
                      freeze: FreezeMask | None = None, rng=None):
     """Train the whole chain against the permutation-invariant loss.
 
     Returns the per-epoch history; parameters update in place.
     """
-    return _train_loop(params, train_set, val_set, cfg, stage=stage, depth=depth,
-                       freeze=freeze, rng=rng)
+    return _train_loop(params, train_set, val_set, cfg, freeze=freeze, rng=rng)
 
 
 @dataclass
@@ -397,29 +395,30 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     progressive stage i, where everything before block i is frozen and only
     hands over its final latent and the maskable encoding.
 
-    Activations are counted from a taped trace of the real ``encode``, one
-    ``apply_sub_block`` and ``mask_and_decode`` on zero-valued inputs.  Every
+    Parameter scalars are the ``named_parameters`` of a fresh tree, split by
+    the ``stage_freeze_mask`` training applies.  Activations are counted
+    from a taped trace of the real ``encode``, one ``apply_sub_block`` and
+    ``mask_and_decode`` on that tree with zero-valued inputs.  Every
     sub-block of a config has the same shapes, so one traced sub-block times
     the schedule gives the block totals.
     """
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")
-    if stage is not None and not 0 <= stage < len(config.blocks):
-        raise ValueError(f"stage {stage} out of range for {len(config.blocks)} blocks")
+    freeze = None if stage is None else stage_freeze_mask(config, stage)
     L = config.latent_length(T)
-    counts = count_params(config, stages=len(config.blocks) if stage is not None else 1)
-    one = init_params(replace(config, blocks=[BlockSpec()]), np.random.default_rng(0))
-    (v_enc, v), encode_elems = _taped(encode, Tensor(np.zeros((1, T))), one)
-    _, sub_block_elems = _taped(apply_sub_block, v, one.blocks[0][0])
-    _, heads_elems = _taped(mask_and_decode, v_enc, v, 0, one, out_length=T)
+    head_pairs = 1 if stage is None else len(config.blocks)
+    params = init_params(config, np.random.default_rng(0), stages=head_pairs)
+    (v_enc, v), encode_elems = _taped(encode, Tensor(np.zeros((1, T))), params)
+    _, sub_block_elems = _taped(apply_sub_block, v, params.blocks[0][0])
+    _, heads_elems = _taped(mask_and_decode, v_enc, v, 0, params, out_length=T)
+    trainable, frozen = apply_freeze(named_parameters(params), freeze)
+    trainable_scalars = sum(t.size for _, t in trainable)
+    frozen_scalars = sum(t.size for _, t in frozen)
     block_elems = [bs.sub_blocks * sub_block_elems for bs in config.blocks]
     if stage is None:
         act = encode_elems + heads_elems + sum(
             n * bs.iterations for n, bs in zip(block_elems, config.blocks))
         boundary = 0
-        head_pairs = 1
-        trainable_scalars = counts.encoder + sum(counts.blocks) + counts.mask_net + counts.decoder
-        frozen_scalars = 0
     else:
         own = block_elems[stage] * config.blocks[stage].iterations
         act = own + heads_elems
@@ -429,11 +428,6 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
         else:
             boundary = v_enc.size + v.size
             act += boundary
-        head_pairs = len(config.blocks)
-        trainable_scalars = counts.blocks[stage] + counts.mask_net + counts.decoder
-        if stage == 0:
-            trainable_scalars += counts.encoder
-        frozen_scalars = counts.total - trainable_scalars
     return MemoryReport(
         trainable_param_bytes=8 * trainable_scalars,
         frozen_param_bytes=8 * frozen_scalars,

@@ -15,6 +15,9 @@ from latref.cli import (
     run,
     save_config,
 )
+from latref.data import build_splits
+from latref.sepmodel import load_checkpoint
+from latref.training import evaluate
 
 
 def tiny_mapping(tmp_path, mode="end_to_end", task="separation", **over):
@@ -98,6 +101,16 @@ def test_task_model_mismatch_rejected(tmp_path):
 def test_bad_mode_rejected(tmp_path):
     with pytest.raises(ValueError, match="mode"):
         config_from_mapping(tiny_mapping(tmp_path, mode="sideways"))
+
+
+def test_adaptive_chunk_len_must_keep_latent_length(tmp_path):
+    m = tiny_mapping(tmp_path, mode="adaptive")  # 400 samples, stride 4: latent length 100
+    m["train"]["chunk_len"] = 80
+    with pytest.raises(ValueError, match="chunk_len 80 gives latent length 20.*100"):
+        config_from_mapping(m)
+    m["train"]["chunk_len"] = 397
+    assert config_from_mapping(m).train.chunk_len == 397
+    config_from_mapping(tiny_mapping(tmp_path, train={"chunk_len": 80}))
 
 
 def test_missing_config_file():
@@ -224,6 +237,36 @@ def test_progressive_command_writes_stages(tmp_path):
     assert stages == [0, 1]
 
 
+def test_progressive_eval_runs_stored_head_and_depth(tmp_path):
+    m = tiny_mapping(tmp_path, mode="progressive")
+    m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1},
+                            {"sub_blocks": 1, "iterations": 1}]
+    m["train"]["epochs"] = 2
+    path = write_config(tmp_path, m)
+    run("train-progressive", path)
+    assert run("eval", path) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
+    assert (loaded.meta["stage"], loaded.meta["depth"]) == (1, 2)
+    ds = load_config(path).dataset
+    test = build_splits(ds.spec, ds.num_train, ds.num_val, ds.num_test).test
+    expected, _ = evaluate(loaded.params, test, stage=1, depth=2)
+    assert report["row"]["mean_sisdri"] == expected
+    assert report["row"]["blocks"] == 2
+
+
+def test_eval_rejects_checkpoint_of_other_model(tmp_path, capsys):
+    m = tiny_mapping(tmp_path)
+    run("train", write_config(tmp_path, m))
+    m["model"]["latent_channels"] = 5
+    path = write_config(tmp_path, m)
+    with pytest.raises(ValueError, match="model.latent_channels = 6.*5"):
+        run("eval", path)
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert main(["eval", "--config", path]) == 2
+    assert "latent_channels" in capsys.readouterr().err
+
+
 def test_finetune_gate_command(tmp_path):
     m = tiny_mapping(tmp_path, mode="adaptive")
     m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 3}]
@@ -288,6 +331,13 @@ def test_gradcheck_suite_under_tolerance():
 def test_main_gradcheck_exit_zero(capsys):
     assert main(["gradcheck"]) == 0
     assert "max relative gradient error" in capsys.readouterr().out
+
+
+def test_gradcheck_ignores_config(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_mapping(tmp_path))
+    assert main(["gradcheck", "--config", path]) == 0
+    assert "max relative gradient error" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_invalid_config_exits_nonzero(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Separation model tests: shape contracts, residual identity, weight
 sharing, parameter accounting, and checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,32 @@ class TestCheckpoint:
         assert raw.count(b'"format":1') == 1
         path.write_bytes(raw.replace(b'"format":1', b'"format":2'))
         with pytest.raises(ValueError, match="format 2"):
+            load_checkpoint(path)
+
+    def test_header_cut_short_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(toy_config(), np.random.default_rng(34)))
+        raw = path.read_bytes()
+        # the file ends 30 bytes into the header's JSON
+        path.write_bytes(raw[:16 + 30])
+        with pytest.raises(ValueError, match=r"model\.ckpt: header has 30 of"):
+            load_checkpoint(path)
+        # the length field agrees, but the JSON stops after 30 bytes
+        path.write_bytes(raw[:8] + (30).to_bytes(8, "little") + raw[16:16 + 30])
+        with pytest.raises(ValueError, match=r"model\.ckpt has a malformed header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["tensors", "config"])
+    def test_header_missing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(toy_config(), np.random.default_rng(35)))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + hlen])
+        del header[key]
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen:])
+        with pytest.raises(ValueError, match=f"model\\.ckpt header has no '{key}' key"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

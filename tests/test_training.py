@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import latref.training as training
 from latref.data import MixtureSpec, build_splits
 from latref.diffcore import Tape, Tensor
 from latref.sepmodel import (
@@ -279,6 +280,25 @@ def test_one_epoch_smoke():
     assert np.isfinite(rec["train_loss"])
     assert np.isfinite(rec["val_sisdri"])
     assert "mean_g" not in rec
+
+
+def test_chunk_len_trains_on_chunks(monkeypatch):
+    """Training items are cut to chunk_len; validation keeps full-length items."""
+    splits = toy_splits()  # 400-sample items
+    seen = []
+    real = training.run_model
+
+    def spy(mixture, params, **kw):
+        seen.append((kw.get("gate_mode", "infer"), mixture.shape[-1]))
+        return real(mixture, params, **kw)
+
+    monkeypatch.setattr(training, "run_model", spy)
+    params = init_params(toy_config(), np.random.default_rng(0))
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0, chunk_len=96)
+    history = train_end_to_end(params, splits.train, splits.val, cfg)
+    assert np.isfinite(history[0]["train_loss"])
+    assert [n for mode, n in seen if mode == "train"] == [96] * len(splits.train)
+    assert [n for mode, n in seen if mode == "infer"] == [400] * len(splits.val)
 
 
 def test_training_is_deterministic():
