@@ -230,10 +230,20 @@ def quartile_analysis(results):
     return bins
 
 
-def _model_row(cfg: ExperimentConfig, model: SeparationConfig, mean_sisdri: float, mean_g) -> dict:
-    counts = count_params(model, stages=len(model.blocks) if cfg.mode == "progressive" else 1)
+def _model_row(cfg: ExperimentConfig, loaded: LoadedCheckpoint | None, mean_sisdri: float,
+               mean_g) -> dict:
+    """Report row of the checkpoint's model: its config, head count and mode.
+
+    Passthrough (``loaded`` None) describes the config file's model.
+    """
+    if loaded is None:
+        model, mode = cfg.model, cfg.mode
+        stages = len(model.blocks) if mode == "progressive" else 1
+    else:
+        model, mode, stages = loaded.config, loaded.meta["mode"], len(loaded.params.mask_nets)
+    counts = count_params(model, stages=stages)
     mem = memory_account(model, batch_size=1, T=cfg.dataset.spec.num_samples,
-                         stage=None if cfg.mode != "progressive" else len(model.blocks) - 1)
+                         stage=None if mode != "progressive" else len(model.blocks) - 1)
     return {
         "blocks": len(model.blocks),
         "sub_blocks": model.blocks[0].sub_blocks,
@@ -242,7 +252,7 @@ def _model_row(cfg: ExperimentConfig, model: SeparationConfig, mean_sisdri: floa
         "memory_bytes": mem.total_bytes,
         "mean_sisdri": mean_sisdri,
         "mean_g": mean_g,
-        "mode": cfg.mode,
+        "mode": mode,
         "task": cfg.task,
     }
 
@@ -276,7 +286,7 @@ def eval_model(cfg: ExperimentConfig, loaded: LoadedCheckpoint | None) -> dict:
     gs = [r["g"] for r in per_sample if r["g"] is not None]
     mean_g = float(np.mean(gs)) if gs else None
     report = {
-        "row": _model_row(cfg, cfg.model if loaded is None else loaded.config, mean_sisdri, mean_g),
+        "row": _model_row(cfg, loaded, mean_sisdri, mean_g),
         "per_sample": per_sample,
         "quartiles": quartile_analysis(
             [(r["snr_db"], r["sisdri"], r["g"]) for r in per_sample]

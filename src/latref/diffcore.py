@@ -10,6 +10,12 @@ op whose inputs require gradients appends a backward closure to the tape;
 vector-Jacobian products.  With no tape active, ops run as pure forwards,
 which is what inference uses.
 
+Memory follows the taped op outputs.  A backward closure keeps only small
+statistics beside its inputs, which are already on the tape, and recomputes
+masks and normalised values from them.  The reverse sweep frees each
+output's gradient as soon as its closure has consumed it, and ``.grad`` is
+set on leaves only.
+
 Everything is float64 and single-threaded numpy, so repeated evaluation of
 the same graph on the same inputs is bit-identical.
 """
@@ -28,8 +34,9 @@ class Tensor:
 
     ``data`` is treated as read-only by the ops; the only sanctioned in-place
     mutation is an optimizer updating leaf parameters between tapes.  After
-    :func:`backward`, ``grad`` holds an array of the same shape (zeros if the
-    tensor did not influence the loss).
+    :func:`backward`, a leaf's ``grad`` holds an array of the same shape
+    (zeros if the tensor did not influence the loss); an op output's stays
+    None.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -152,9 +159,13 @@ def _unbroadcast(g, shape):
 def backward(tape: Tape, loss: Tensor) -> None:
     """Replay ``tape`` in reverse from a scalar ``loss``.
 
-    Sets ``.grad`` on every requires_grad tensor the tape touched; tensors
-    that did not influence the loss get zeros.  Repeated appearances of the
-    same tensor (weight sharing) accumulate.
+    Sets ``.grad`` on every leaf the tape touched: a requires_grad input that
+    no op on the tape produced.  Leaves that did not influence the loss get
+    zeros, and repeated appearances of the same leaf (weight sharing)
+    accumulate.  An op output's gradient is complete once its node is
+    reached, since every consumer comes later on the tape; it is freed right
+    after the node's closure has run, and the output's ``.grad`` stays None.
+    The tape itself is left intact.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("backward expects a Tensor loss")
@@ -162,7 +173,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for out, inputs, vjp in reversed(tape._nodes):
-        g = grads.get(id(out))
+        g = grads.pop(id(out), None)
         if g is None:
             continue
         for t, gt in zip(inputs, vjp(g)):
@@ -170,11 +181,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 continue
             acc = grads.get(id(t))
             grads[id(t)] = gt if acc is None else acc + gt
-    assigned = set()
-    for out, inputs, _ in tape._nodes:
-        for t in (out, *inputs):
-            if t.requires_grad and id(t) not in assigned:
-                assigned.add(id(t))
+    done = {id(out) for out, _, _ in tape._nodes}  # op outputs, then each leaf once set
+    for _, inputs, _ in tape._nodes:
+        for t in inputs:
+            if t.requires_grad and id(t) not in done:
+                done.add(id(t))
                 g = grads.get(id(t))
                 t.grad = g if g is not None else np.zeros_like(t.data)
 
@@ -229,10 +240,8 @@ def relu(x) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
     def make():
-        mask = x.data > 0
-
         def vjp(g):
-            return (np.where(mask, g, 0.0),)
+            return (np.where(x.data > 0, g, 0.0),)
 
         return vjp
 
@@ -255,17 +264,16 @@ def prelu(x, slope) -> Tensor:
         s = slope.data.reshape((-1,) + (1,) * (x.ndim - 1))
     else:
         raise ValueError(f"prelu slope must be scalar or 1-D, got shape {slope.data.shape}")
-    neg = np.minimum(x.data, 0.0)
-    out = np.maximum(x.data, 0.0) + s * neg
+    out = np.maximum(x.data, 0.0) + s * np.minimum(x.data, 0.0)
 
     def make():
-        pos_mask = x.data > 0
-
+        # The mask and the negative part are recomputed from x, which the
+        # tape holds anyway, rather than kept as two more x-sized arrays.
         def vjp(g):
-            gx = np.where(pos_mask, g, g * s) if x.requires_grad else None
+            gx = np.where(x.data > 0, g, g * s) if x.requires_grad else None
             gs = None
             if slope.requires_grad:
-                prod = g * neg
+                prod = g * np.minimum(x.data, 0.0)
                 if slope.ndim == 0:
                     gs = np.asarray(prod.sum())
                 else:
@@ -356,11 +364,13 @@ def global_layer_norm(x, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gamma.data[:, None] * xhat + beta.data[:, None]
+    out = gamma.data[:, None] * (xc * inv) + beta.data[:, None]
 
     def make():
+        # Only the C x 1 statistics are kept; xhat is recomputed by the
+        # forward's own ops, so it is bit-identical to the forward's.
         def vjp(g):
+            xhat = (x.data - mu) * inv
             ggamma = (g * xhat).sum(axis=1) if gamma.requires_grad else None
             gbeta = g.sum(axis=1) if beta.requires_grad else None
             gx = None
@@ -437,17 +447,28 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     inputs = (x, w) if b is None else (x, w, b)
 
     def make():
+        # Tap k of output column j reads input sample j*stride + k - left.
+        # Per tap, the columns whose sample lies in x (not in the padding)
+        # form a stride-spaced run; the vjp works on those runs of x itself,
+        # so neither the padded input nor its windows outlive the forward.
+        runs = []  # (tap, its output columns, the input samples they read)
+        for k in range(K):
+            j0 = max(0, -((k - left) // stride))
+            j1 = min(Tp, (T - 1 + left - k) // stride + 1)
+            if j1 > j0:
+                i0 = j0 * stride + k - left
+                runs.append((k, slice(j0, j1), slice(i0, i0 + (j1 - j0 - 1) * stride + 1, stride)))
+
         def vjp(g):
             gx = gw = gb = None
             if w.requires_grad:
-                gw = np.tensordot(g, win, axes=((1,), (1,)))  # (Cout, Cin, K)
+                gw = np.zeros(w.data.shape)
+                for k, cols, samples in runs:
+                    gw[:, :, k] = g[:, cols] @ x.data[:, samples].T
             if x.requires_grad:
-                tmp = np.tensordot(w.data, g, axes=((0,), (0,)))  # (Cin, K, Tp)
-                gpad = np.zeros_like(xpad)
-                hi = stride * (Tp - 1) + 1
-                for k in range(K):
-                    gpad[:, k:k + hi:stride] += tmp[:, k, :]
-                gx = gpad[:, left:left + T] if (left or right) else gpad
+                gx = np.zeros(x.data.shape)
+                for k, cols, samples in runs:
+                    gx[:, samples] += w.data[:, :, k].T @ g[:, cols]
             if b is not None and b.requires_grad:
                 gb = g.sum(axis=1)
             return (gx, gw) if b is None else (gx, gw, gb)

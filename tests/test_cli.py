@@ -16,8 +16,8 @@ from latref.cli import (
     save_config,
 )
 from latref.data import build_splits
-from latref.sepmodel import load_checkpoint
-from latref.training import evaluate
+from latref.sepmodel import count_params, load_checkpoint
+from latref.training import evaluate, memory_account
 
 
 def tiny_mapping(tmp_path, mode="end_to_end", task="separation", **over):
@@ -253,6 +253,23 @@ def test_progressive_eval_runs_stored_head_and_depth(tmp_path):
     expected, _ = evaluate(loaded.params, test, stage=1, depth=2)
     assert report["row"]["mean_sisdri"] == expected
     assert report["row"]["blocks"] == 2
+
+
+def test_eval_row_describes_checkpoint_not_config_mode(tmp_path):
+    m = tiny_mapping(tmp_path, mode="progressive")
+    m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1},
+                            {"sub_blocks": 1, "iterations": 1}]
+    m["train"]["epochs"] = 2
+    run("train-progressive", write_config(tmp_path, m))
+    m["mode"] = "end_to_end"
+    path = write_config(tmp_path, m)
+    assert run("eval", path) == 0
+    row = json.loads((tmp_path / "out" / "report.json").read_text())["row"]
+    loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
+    assert row["mode"] == "progressive"
+    assert row["params"] == count_params(loaded.config, stages=2).total
+    T = load_config(path).dataset.spec.num_samples
+    assert row["memory_bytes"] == memory_account(loaded.config, 1, T, stage=1).total_bytes
 
 
 def test_eval_rejects_checkpoint_of_other_model(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import latref.training as training
 from latref.data import MixtureSpec, build_splits
-from latref.diffcore import Tape, Tensor
+from latref.diffcore import Tape, Tensor, backward
+from latref.losses import pit_loss
 from latref.sepmodel import (
     BlockSpec,
     SeparationConfig,
@@ -463,6 +466,45 @@ def test_memory_model_matches_tape(stage, config_name):
     L = config.latent_length(T)
     handed_over = 0 if stage in (None, 0) else (config.enc_bases + config.latent_channels) * L
     assert report.boundary_elems == handed_over
+
+
+def desk_config(blocks):
+    """The README desk model: 64 bases, kernel 16, stride 8, C=32, 3 scales."""
+    return SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8, latent_channels=32,
+                            num_sources=3, blocks=blocks, sub_scales=3, sub_kernel=5)
+
+
+@pytest.mark.parametrize("stage", [None, 1], ids=["e2e", "stage1"])
+def test_training_item_peak_memory_tracks_account(stage):
+    """One training item's forward and backward peaks near the taped activations.
+
+    Gradients of op outputs are freed as the reverse sweep consumes them, and
+    backward closures keep no input-sized copies, so what stays above the
+    account is the sweep's gradient frontier and the leaves' gradients.
+    """
+    if stage is None:
+        config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
+        head, depth = 0, None
+    else:
+        config = desk_config([BlockSpec(sub_blocks=2, iterations=2),
+                              BlockSpec(sub_blocks=2, iterations=2)])
+        head, depth = stage, 4
+    T = 2000
+    params = init_params(config, np.random.default_rng(0), stages=1 if stage is None else 2)
+    if stage is not None:
+        apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
+    sources = np.random.default_rng(1).normal(size=(3, T))
+    account = memory_account(config, batch_size=1, T=T, stage=stage).activation_bytes_backward
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            ests, _ = run_model(sources.sum(axis=0), params, stage=head, depth=depth)
+            loss = pit_loss(ests, sources, 2).loss
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * account, f"peak {peak / account:.2f}x the account"
 
 
 def test_memory_stage_roughly_halves_activations():
