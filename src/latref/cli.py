@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import MixtureSpec, build_splits
-from .diffcore import Tensor, conv1d, grad_check, mean_all, prelu, relu, softmax
-from .diffcore import global_layer_norm, mul, sum_all, transposed_conv1d, upsample_nearest
+from .diffcore import Tensor, conv1d, grad_check, masked_decode, mean_all, mul, prelu, prelu_norm
+from .diffcore import relu, softmax, sum_all, transposed_conv1d, upsample_nearest
 from .gating import gate_from_arrays, gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
@@ -352,7 +352,7 @@ def gradcheck_suite(rng=None) -> float:
         (lambda: mean_all(softmax(x, axis=0) * y), [x, y]),
         (lambda: mean_all(conv1d(x, w, b, stride=2)), [x, w, b]),
         (lambda: mean_all(transposed_conv1d(x, tw, stride=2)), [x, tw]),
-        (lambda: mean_all(mul(global_layer_norm(x, gamma, beta), y)), [x, gamma, beta]),
+        (lambda: mean_all(mul(prelu_norm(x, slope, gamma, beta), y)), [x, slope, gamma, beta]),
         (lambda: mean_all(mul(upsample_nearest(x, 16), upsample_nearest(y, 16))), [x, y]),
         (lambda: sum_all(mul(x, x)), [x]),
     ]
@@ -375,6 +375,15 @@ def gradcheck_suite(rng=None) -> float:
 
     leaves = [p for _, p in named_parameters(params)]
     errs.append(grad_check(full, leaves))
+
+    # drawn last, so the test points above stay where they were
+    z, dw, db = t((6, 7)), t((3, 1, 4), 0.5), t(1)  # 2 sources' masks over x's 3 rows
+
+    def decoded():
+        out = masked_decode(z, x, dw, db, 3, 20)
+        return sum_all(mul(out, out))
+
+    errs.append(grad_check(decoded, [z, x, dw, db]))
     return max(errs)
 
 

@@ -1,8 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-The op set is exactly what the separation stack needs: 1-D convolution and
-its adjoint, a handful of elementwise/reduction ops, nearest-neighbour
-upsampling, and row slicing/concatenation for multi-source plumbing.
+The op set is exactly what the separation stack needs:
+
+- elementwise and reductions: ``add``, ``sub``, ``mul``, ``relu``,
+  ``prelu``, ``softmax``, ``log``, ``sum_all``, ``mean_all``;
+- ``prelu_norm``: PReLU fused with per-channel normalisation, one node per
+  sub-block scale;
+- ``conv1d`` and its adjoint ``transposed_conv1d``, nearest-neighbour
+  ``upsample_nearest``, ``reshape`` and ``slice_rows``;
+- ``masked_decode``: ReLU of the mask logits, masking of the encoding and
+  one transposed conv per source, fused into one node.
 
 Forward computation is plain numpy.  While a :class:`Tape` is active, every
 op whose inputs require gradients appends a backward closure to the tape;
@@ -10,11 +17,12 @@ op whose inputs require gradients appends a backward closure to the tape;
 vector-Jacobian products.  With no tape active, ops run as pure forwards,
 which is what inference uses.
 
-Memory follows the taped op outputs.  A backward closure keeps only small
-statistics beside its inputs, which are already on the tape, and recomputes
-masks and normalised values from them.  The reverse sweep frees each
-output's gradient as soon as its closure has consumed it, and ``.grad`` is
-set on leaves only.
+Memory follows the taped op outputs.  A backward closure (vjp) reads only
+its op's inputs, which are taped outputs or leaves, and C x 1 statistics;
+masks, normalised values and the fused ops' inner results are recomputed
+from those inputs.  So counting taped outputs counts what a backward pass
+keeps.  The reverse sweep frees each output's gradient as soon as its
+closure has consumed it, and ``.grad`` is set on leaves only.
 
 Everything is float64 and single-threaded numpy, so repeated evaluation of
 the same graph on the same inputs is bit-identical.
@@ -346,46 +354,60 @@ def mean_all(x) -> Tensor:
     return _finish(out, (x,), make)
 
 
-def global_layer_norm(x, gamma, beta, eps: float = NORM_EPS) -> Tensor:
-    """Per-channel standardisation over the time axis with learnable affine.
+def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
+    """PReLU, then per-channel standardisation over time with a learnable affine.
 
-    ``x`` is C x T; statistics are taken along axis 1 independently per
-    channel, then scaled by ``gamma`` and shifted by ``beta`` (both shape C).
+    ``x`` is C x T and ``slope``, ``gamma``, ``beta`` have shape C.  The PReLU
+    output h = max(0, x) + slope * min(0, x) is standardised along axis 1
+    independently per channel, then scaled by ``gamma`` and shifted by
+    ``beta``.  One node is taped; h is never kept.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    x, slope = _as_tensor(x), _as_tensor(slope)
+    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 2:
-        raise ValueError(f"global_layer_norm expects a 2-D input, got shape {x.data.shape}")
+        raise ValueError(f"prelu_norm expects a 2-D input, got shape {x.data.shape}")
     C = x.data.shape[0]
-    if gamma.data.shape != (C,) or beta.data.shape != (C,):
-        raise ValueError(
-            f"affine params must have shape ({C},), got {gamma.data.shape} and {beta.data.shape}"
-        )
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = gamma.data[:, None] * (xc * inv) + beta.data[:, None]
+    shapes = (slope.data.shape, gamma.data.shape, beta.data.shape)
+    if any(shape != (C,) for shape in shapes):
+        raise ValueError(f"slope and affine params must have shape ({C},), got {shapes}")
+    s = slope.data[:, None]
+    h = np.maximum(x.data, 0.0)
+    h += s * np.minimum(x.data, 0.0)
+    mu = h.mean(axis=1, keepdims=True)
+    h -= mu
+    inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + eps)
+    h *= inv
+    h *= gamma.data[:, None]
+    h += beta.data[:, None]
 
     def make():
-        # Only the C x 1 statistics are kept; xhat is recomputed by the
-        # forward's own ops, so it is bit-identical to the forward's.
+        # Only the C x 1 statistics are kept; the PReLU output and xhat are
+        # recomputed from x by the forward's own ops, so they are
+        # bit-identical to the forward's.
         def vjp(g):
-            xhat = (x.data - mu) * inv
+            xhat = np.maximum(x.data, 0.0)
+            xhat += s * np.minimum(x.data, 0.0)
+            xhat -= mu
+            xhat *= inv
             ggamma = (g * xhat).sum(axis=1) if gamma.requires_grad else None
             gbeta = g.sum(axis=1) if beta.requires_grad else None
-            gx = None
-            if x.requires_grad:
+            gx = gs = None
+            if x.requires_grad or slope.requires_grad:
                 gh = g * gamma.data[:, None]
-                gx = inv * (
+                gh = inv * (
                     gh
                     - gh.mean(axis=1, keepdims=True)
                     - xhat * (gh * xhat).mean(axis=1, keepdims=True)
                 )
-            return (gx, ggamma, gbeta)
+                if x.requires_grad:
+                    gx = np.where(x.data > 0, gh, gh * s)
+                if slope.requires_grad:
+                    gs = (gh * np.minimum(x.data, 0.0)).sum(axis=1)
+            return (gx, gs, ggamma, gbeta)
 
         return vjp
 
-    return _finish(out, (x, gamma, beta), make)
+    return _finish(h, (x, slope, gamma, beta), make)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +464,7 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     if b is not None:
         if b.data.shape != (w.data.shape[0],):
             raise ValueError(f"bias shape {b.data.shape} does not match {w.data.shape[0]} out channels")
-        out = out + b.data[:, None]
+        out += b.data[:, None]
 
     inputs = (x, w) if b is None else (x, w, b)
 
@@ -476,6 +498,16 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
         return vjp
 
     return _finish(out, inputs, make)
+
+
+def _overlap_windows(g, full_len: int, left: int, K: int, stride: int):
+    """Cout x L x K view of an output gradient ``g``, placed back into the
+    uncropped overlap-add of length ``full_len`` at offset ``left``: window l
+    holds the samples input column l's kernel copy was added to."""
+    n = min(g.shape[1], full_len - left)
+    gfull = np.zeros((g.shape[0], full_len))
+    gfull[:, left:left + n] = g[:, :n]
+    return sliding_window_view(gfull, K, axis=1)[:, ::stride, :]
 
 
 def transposed_conv1d(
@@ -540,17 +572,13 @@ def transposed_conv1d(
     if b is not None:
         if b.data.shape != (Cout,):
             raise ValueError(f"bias shape {b.data.shape} does not match {Cout} out channels")
-        out = out + b.data[:, None]
+        out += b.data[:, None]
 
     inputs = (v, w) if b is None else (v, w, b)
 
     def make():
-        n_copy = min(T_out, full_len - left)
-
         def vjp(g):
-            gfull = np.zeros((Cout, full_len))
-            gfull[:, left:left + n_copy] = g[:, :n_copy]
-            gwin = sliding_window_view(gfull, K, axis=1)[:, ::stride, :]  # (Cout, L, K)
+            gwin = _overlap_windows(g, full_len, left, K, stride)  # (Cout, L, K)
             gv = gw = gb = None
             if v.requires_grad:
                 gv = np.tensordot(w.data, gwin, axes=((1, 2), (0, 2)))  # (Cin, L)
@@ -621,27 +649,66 @@ def slice_rows(x, start: int, stop: int) -> Tensor:
     return _finish(out, (x,), make)
 
 
-def concat_rows(parts) -> Tensor:
-    """Concatenate tensors along axis 0."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat_rows needs at least one tensor")
-    out = np.concatenate([p.data for p in parts], axis=0)
+def masked_decode(z, v_enc, w, b, stride: int, out_length: int) -> Tensor:
+    """Decode every source from ``v_enc`` under the ReLU of its mask logits.
+
+    ``z`` is (S * B) x L, row block s holding source s's mask logits z_s;
+    ``v_enc`` is B x L, ``w`` is B x Cout x K and ``b`` has shape Cout.  Row
+    block s of the (S * Cout) x out_length result is the "same" transposed
+    conv (gaps allowed) of relu(z_s) * v_enc.  One node is taped, and both
+    passes work one source at a time, so no S x B x L array is ever built.
+    """
+    z, v_enc, w, b = (_as_tensor(t) for t in (z, v_enc, w, b))
+    if z.ndim != 2 or v_enc.ndim != 2:
+        raise ValueError(f"masked_decode expects 2-D inputs, got {z.data.shape} and {v_enc.data.shape}")
+    B, L = v_enc.data.shape
+    if z.data.shape[0] == 0 or z.data.shape[0] % B or z.data.shape[1] != L:
+        raise ValueError(f"mask logits of shape {z.data.shape} are not whole {B} x {L} source blocks")
+    S = z.data.shape[0] // B
+    Cout, K = w.data.shape[1:]
+    rows = [slice(s * B, (s + 1) * B) for s in range(S)]
+    out = np.empty((S * Cout, out_length))
+    masked = np.empty((B, L))  # reused, so one source's product is alive at a time
+    for s in range(S):
+        np.maximum(z.data[rows[s]], 0.0, out=masked)
+        masked *= v_enc.data
+        # Plain arrays in, so this call tapes nothing.
+        out[s * Cout:(s + 1) * Cout] = transposed_conv1d(
+            masked, w.data, b.data, stride=stride, padding="same",
+            out_length=out_length, allow_gaps=True).data
 
     def make():
-        sizes = [p.data.shape[0] for p in parts]
+        _, left, _ = _same_geometry(out_length, K, stride)
+        full_len = (L - 1) * stride + K
 
         def vjp(g):
-            grads = []
-            off = 0
-            for p, sz in zip(parts, sizes):
-                grads.append(g[off:off + sz] if p.requires_grad else None)
-                off += sz
-            return tuple(grads)
+            gz = np.zeros(z.data.shape) if z.requires_grad else None
+            gv_enc = gw = gb = None
+            # Sources in reverse: the terms of w, b and v_enc then add up in
+            # the order backward adds those of one taped op per source, so
+            # an item's gradients equal that graph's bit for bit.
+            for s in reversed(range(S)):
+                gs = g[s * Cout:(s + 1) * Cout]
+                gwin = _overlap_windows(gs, full_len, left, K, stride)  # (Cout, L, K)
+                mask = np.maximum(z.data[rows[s]], 0.0)
+                if w.requires_grad:
+                    gws = np.tensordot(mask * v_enc.data, gwin, axes=((1,), (1,)))
+                    gw = gws if gw is None else gw + gws
+                if b.requires_grad:
+                    gbs = gs.sum(axis=1)
+                    gb = gbs if gb is None else gb + gbs
+                if z.requires_grad or v_enc.requires_grad:
+                    gmasked = np.tensordot(w.data, gwin, axes=((1, 2), (0, 2)))  # (B, L)
+                    if z.requires_grad:
+                        gz[rows[s]] = np.where(mask > 0, gmasked * v_enc.data, 0.0)
+                    if v_enc.requires_grad:
+                        gvs = gmasked * mask
+                        gv_enc = gvs if gv_enc is None else gv_enc + gvs
+            return (gz, gv_enc, gw, gb)
 
         return vjp
 
-    return _finish(out, tuple(parts), make)
+    return _finish(out, (z, v_enc, w, b), make)
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffcore import (
-    Tensor,
-    conv1d,
-    global_layer_norm,
-    prelu,
-    relu,
-    slice_rows,
-    transposed_conv1d,
-    upsample_nearest,
-)
-from .diffcore import concat_rows, mul
+from .diffcore import Tensor, conv1d, masked_decode, prelu_norm, relu, upsample_nearest
 
 _CKPT_MAGIC = b"LRCKPT01"
 _CKPT_FORMAT = 1
@@ -168,6 +158,16 @@ def _uniform(rng, shape, fan_in) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
+class _ZeroDraws:
+    """Generator stand-in for ``init_params`` trees that are only counted or
+    traced, never trained: every draw is a read-only zero view, so the tree
+    has a real tree's names, shapes and aliasing but no weights are drawn or
+    stored."""
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
 def _param(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
@@ -295,8 +295,7 @@ def apply_sub_block(v: Tensor, sb: SubBlockParams) -> Tensor:
     downs = []
     for sc in sb.down:
         h = conv1d(h, sc.conv.w, sc.conv.b, stride=2)
-        h = prelu(h, sc.slope)
-        h = global_layer_norm(h, sc.norm.gamma, sc.norm.beta)
+        h = prelu_norm(h, sc.slope, sc.norm.gamma, sc.norm.beta)
         downs.append(h)
         lengths.append(h.shape[1])
     u = downs[-1]
@@ -305,8 +304,7 @@ def apply_sub_block(v: Tensor, sb: SubBlockParams) -> Tensor:
         target = lengths[n - 1 - idx]
         u = upsample_nearest(u, target)
         u = conv1d(u, sc.conv.w, sc.conv.b, stride=1)
-        u = prelu(u, sc.slope)
-        u = global_layer_norm(u, sc.norm.gamma, sc.norm.beta)
+        u = prelu_norm(u, sc.slope, sc.norm.gamma, sc.norm.beta)
         skip = n - 2 - idx
         if skip >= 0:
             u = u + downs[skip]
@@ -360,19 +358,12 @@ def mask_and_decode(v_enc: Tensor, s_latent: Tensor, stage: int, params: ModelPa
         raise ValueError(f"stage {stage} out of range for {len(params.mask_nets)} head pairs")
     mn = params.mask_nets[stage]
     dec = params.decoders[stage]
-    m = relu(conv1d(s_latent, mn.w, mn.b, stride=1))
+    z = conv1d(s_latent, mn.w, mn.b, stride=1)
     S, B, L = cfg.num_sources, cfg.enc_bases, v_enc.shape[1]
-    if m.shape != (S * B, L):
-        raise ValueError(f"mask shape {m.shape} does not match ({S * B}, {L})")
+    if z.shape != (S * B, L):
+        raise ValueError(f"mask shape {z.shape} does not match ({S * B}, {L})")
     T = L * cfg.enc_stride if out_length is None else out_length
-    outs = []
-    for s in range(S):
-        masked = mul(v_enc, slice_rows(m, s * B, (s + 1) * B))
-        outs.append(
-            transposed_conv1d(masked, dec.w, dec.b, stride=cfg.enc_stride,
-                              padding="same", out_length=T, allow_gaps=True)
-        )
-    return concat_rows(outs)
+    return masked_decode(z, v_enc, dec.w, dec.b, cfg.enc_stride, T)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +387,7 @@ def count_params(config: SeparationConfig, stages: int = 1) -> ParamCounts:
     """Exact trainable-scalar counts of a fresh tree, by top-level name;
     iteration counts never enter."""
     sizes = Counter()
-    for name, t in named_parameters(init_params(config, np.random.default_rng(0), stages=stages)):
+    for name, t in named_parameters(init_params(config, _ZeroDraws(), stages=stages)):
         sizes[name.split(".")[0]] += t.size
     return ParamCounts(encoder=sizes["encoder"] + sizes["bottleneck"],
                        blocks=[sizes[f"block{i}"] for i in range(len(config.blocks))],

@@ -28,6 +28,7 @@ from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
     ModelParams,
     SeparationConfig,
+    _ZeroDraws,
     apply_sub_block,
     clone_params,
     encode,
@@ -396,18 +397,19 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     hands over its final latent and the maskable encoding.
 
     Parameter scalars are the ``named_parameters`` of a fresh tree, split by
-    the ``stage_freeze_mask`` training applies.  Activations are counted
-    from a taped trace of the real ``encode``, one ``apply_sub_block`` and
-    ``mask_and_decode`` on that tree with zero-valued inputs.  Every
-    sub-block of a config has the same shapes, so one traced sub-block times
-    the schedule gives the block totals.
+    the ``stage_freeze_mask`` training applies; its weights are zero views,
+    never drawn.  Activations are counted from a taped trace of the real
+    ``encode``, one ``apply_sub_block`` and ``mask_and_decode`` on that tree
+    with zero-valued inputs.  Every sub-block of a config has the same
+    shapes, so one traced sub-block times the schedule gives the block
+    totals.
     """
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")
     freeze = None if stage is None else stage_freeze_mask(config, stage)
     L = config.latent_length(T)
     head_pairs = 1 if stage is None else len(config.blocks)
-    params = init_params(config, np.random.default_rng(0), stages=head_pairs)
+    params = init_params(config, _ZeroDraws(), stages=head_pairs)
     (v_enc, v), encode_elems = _taped(encode, Tensor(np.zeros((1, T))), params)
     _, sub_block_elems = _taped(apply_sub_block, v, params.blocks[0][0])
     _, heads_elems = _taped(mask_and_decode, v_enc, v, 0, params, out_length=T)

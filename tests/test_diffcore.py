@@ -14,14 +14,14 @@ from latref.diffcore import (
     Tensor,
     add,
     backward,
-    concat_rows,
     conv1d,
-    global_layer_norm,
     grad_check,
     log,
+    masked_decode,
     mean_all,
     mul,
     prelu,
+    prelu_norm,
     relu,
     slice_rows,
     softmax,
@@ -259,6 +259,91 @@ class TestConv1dVjp:
         assert grad_check(f, params) < 1e-4
 
 
+# (S, B, L, K, stride, out_length) of masked_decode cases
+DECODE_CASES = [
+    (3, 4, 6, 4, 2, 12),  # out_length = L * stride
+    (2, 3, 7, 4, 3, 20),  # out_length not a multiple of the stride
+    (2, 3, 4, 3, 5, 18),  # stride > K leaves gaps, and 18 is not a multiple of 5
+]
+
+
+class TestFusedOps:
+    """prelu_norm and masked_decode each tape one node in place of a chain of
+    ops; their forwards equal that chain bit for bit."""
+
+    @staticmethod
+    def norm_inputs():
+        rng = np.random.default_rng(41)
+        return (rng.normal(size=(3, 10)) + 0.05, np.array([0.25, 0.6, -0.1]),
+                rng.normal(size=3) + 1.0, rng.normal(size=3))
+
+    @staticmethod
+    def decode_inputs(S, B, L, K, stride, out_length):
+        rng = np.random.default_rng(S * 1000 + L * 10 + stride)
+        return (rng.normal(size=(S * B, L)), np.abs(rng.normal(size=(B, L))),
+                rng.normal(size=(B, 1, K)), rng.normal(size=1))
+
+    def test_prelu_norm_matches_chain(self):
+        x, s, gamma, beta = self.norm_inputs()
+        h = np.maximum(x, 0.0) + s[:, None] * np.minimum(x, 0.0)
+        xc = h - h.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + dc.NORM_EPS)
+        expected = gamma[:, None] * (xc * inv) + beta[:, None]
+        out = prelu_norm(Tensor(x), Tensor(s), Tensor(gamma), Tensor(beta))
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("S,B,L,K,stride,out_length", DECODE_CASES)
+    def test_masked_decode_matches_chain(self, S, B, L, K, stride, out_length):
+        z, v_enc, w, b = self.decode_inputs(S, B, L, K, stride, out_length)
+        m = np.maximum(z, 0.0)
+        expected = np.concatenate([
+            transposed_conv1d(v_enc * m[s * B:(s + 1) * B], w, b, stride=stride,
+                              out_length=out_length, allow_gaps=True).data
+            for s in range(S)])
+        out = masked_decode(Tensor(z), Tensor(v_enc), Tensor(w), Tensor(b), stride, out_length)
+        assert out.shape == (S, out_length)
+        assert out.data.tobytes() == expected.tobytes()
+
+    def test_each_tapes_one_node(self):
+        x, s, gamma, beta = (Tensor(a, requires_grad=True) for a in self.norm_inputs())
+        z, v_enc, w, b = (Tensor(a, requires_grad=True)
+                          for a in self.decode_inputs(*DECODE_CASES[1]))
+        with Tape() as tape:
+            h = prelu_norm(x, s, gamma, beta)
+        assert len(tape) == 1 and tape.recorded_output_elems() == h.size
+        with Tape() as tape:
+            out = masked_decode(z, v_enc, w, b, 3, 20)
+        assert len(tape) == 1 and tape.recorded_output_elems() == out.size == 2 * 20
+
+    @pytest.mark.parametrize("off", [None, 0, 1, 2, 3])
+    def test_prelu_norm_grad_check(self, off):
+        ts = [Tensor(a, requires_grad=i != off) for i, a in enumerate(self.norm_inputs())]
+        y = Tensor(np.random.default_rng(42).normal(size=(3, 10)))
+        assert grad_check(lambda: sum_all(mul(prelu_norm(*ts), y)),
+                          [t for t in ts if t.requires_grad]) < 1e-4
+        if off is not None:
+            assert ts[off].grad is None
+
+    @pytest.mark.parametrize("off", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("S,B,L,K,stride,out_length", DECODE_CASES)
+    def test_masked_decode_grad_check(self, S, B, L, K, stride, out_length, off):
+        arrays = self.decode_inputs(S, B, L, K, stride, out_length)
+        ts = [Tensor(a, requires_grad=i != off) for i, a in enumerate(arrays)]
+
+        def f():
+            out = masked_decode(*ts, stride, out_length)
+            return sum_all(mul(out, out))
+
+        assert grad_check(f, [t for t in ts if t.requires_grad]) < 1e-4
+        if off is not None:
+            assert ts[off].grad is None
+
+    def test_masked_decode_rejects_partial_source_block(self):
+        with pytest.raises(ValueError, match="source blocks"):
+            masked_decode(Tensor(np.zeros((5, 4))), Tensor(np.zeros((2, 4))),
+                          Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros(1)), 2, 8)
+
+
 class TestElementwise:
     def test_prelu_worked_example(self):
         out = prelu(Tensor(np.array([-4.0])), Tensor(np.array(0.25)))
@@ -283,10 +368,11 @@ class TestElementwise:
         with pytest.raises(ValueError, match="empty"):
             softmax(Tensor(np.zeros((0, 3))), axis=0)
 
-    def test_global_layer_norm_statistics(self):
+    def test_prelu_norm_statistics(self):
+        # slope 1 makes the PReLU the identity, leaving a plain channel norm
         rng = np.random.default_rng(4)
         x = rng.normal(loc=3.0, scale=2.0, size=(4, 64))
-        out = global_layer_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        out = prelu_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data.mean(axis=1), np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=1), np.ones(4), atol=1e-4)
 
@@ -300,8 +386,7 @@ class TestElementwise:
         x = rng.normal(size=(6, 4))
         t = Tensor(x)
         parts = [slice_rows(t, i, i + 2) for i in range(0, 6, 2)]
-        out = concat_rows(parts)
-        assert np.array_equal(out.data, x)
+        assert np.array_equal(np.concatenate([p.data for p in parts]), x)
 
     def test_broadcasting_add(self):
         a = Tensor(np.ones((3, 4)))
@@ -360,12 +445,12 @@ class TestBackward:
         x = Tensor(rng.normal(size=(2, 16)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
         with Tape() as tape:
-            h = global_layer_norm(relu(conv1d(x, w, stride=2)), Tensor(np.ones(3)),
-                                  Tensor(np.zeros(3)))
+            h = prelu_norm(conv1d(x, w, stride=2), Tensor(np.full(3, 0.25)),
+                           Tensor(np.ones(3)), Tensor(np.zeros(3)))
             loss = mean_all(mul(h, h))
         before = (len(tape), tape.recorded_output_elems())
         backward(tape, loss)
-        assert (len(tape), tape.recorded_output_elems()) == before == (5, 4 * 3 * 8 + 1)
+        assert (len(tape), tape.recorded_output_elems()) == before == (4, 3 * 3 * 8 + 1)
 
     def test_shared_tensor_accumulates(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
@@ -422,8 +507,8 @@ class TestGradCheck:
         "name",
         [
             "add", "sub", "mul", "relu", "prelu", "softmax", "log",
-            "sum", "mean", "norm", "conv_same", "conv_valid",
-            "tconv_same", "tconv_valid", "upsample", "slice", "concat",
+            "sum", "mean", "norm", "prelu_norm", "conv_same", "conv_valid",
+            "tconv_same", "tconv_valid", "upsample", "slice", "masked_decode",
         ],
     )
     def test_each_op(self, name):
@@ -453,9 +538,16 @@ class TestGradCheck:
         elif name == "mean":
             f, ps = lambda: mul(mean_all(x), mean_all(x)), [x]
         elif name == "norm":
+            # slope 1: the PReLU is the identity, leaving the channel norm
             gamma = Tensor(rng.normal(size=2) + 1.0, requires_grad=True)
             beta = Tensor(rng.normal(size=2), requires_grad=True)
-            f, ps = lambda: sum_all(mul(global_layer_norm(x, gamma, beta), y)), [x, gamma, beta]
+            one = Tensor(np.ones(2))
+            f, ps = lambda: sum_all(mul(prelu_norm(x, one, gamma, beta), y)), [x, gamma, beta]
+        elif name == "prelu_norm":
+            s = Tensor(np.array([0.3, 0.7]), requires_grad=True)
+            gamma = Tensor(rng.normal(size=2) + 1.0, requires_grad=True)
+            beta = Tensor(rng.normal(size=2), requires_grad=True)
+            f, ps = lambda: sum_all(mul(prelu_norm(x, s, gamma, beta), y)), [x, s, gamma, beta]
         elif name == "conv_same":
             w = Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
             b = Tensor(rng.normal(size=3), requires_grad=True)
@@ -487,7 +579,11 @@ class TestGradCheck:
         elif name == "slice":
             f, ps = lambda: sum_all(mul(slice_rows(x, 0, 1), slice_rows(x, 1, 2))), [x]
         else:
-            f, ps = lambda: sum_all(mul(concat_rows([x, y]), concat_rows([y, x]))), [x, y]
+            # x is one source's mask logits over y's encoding of 2 bases
+            w = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
+            b = Tensor(rng.normal(size=1), requires_grad=True)
+            f, ps = lambda: sum_all(mul(masked_decode(x, y, w, b, 2, 23),
+                                        masked_decode(x, y, w, b, 2, 23))), [x, y, w, b]
         assert grad_check(f, ps) < 1e-4
 
     def test_composed_graph(self):
@@ -495,13 +591,14 @@ class TestGradCheck:
         x = Tensor(rng.normal(size=(1, 24)))
         w1 = Tensor(rng.normal(size=(3, 1, 5)) * 0.5, requires_grad=True)
         b1 = Tensor(np.zeros(3), requires_grad=True)
+        slope = Tensor(np.full(3, 0.25), requires_grad=True)
         gamma = Tensor(np.ones(3), requires_grad=True)
         beta = Tensor(np.zeros(3), requires_grad=True)
         w2 = Tensor(rng.normal(size=(3, 1, 5)) * 0.5, requires_grad=True)
 
         def f():
-            h = global_layer_norm(relu(conv1d(x, w1, b1, stride=2)), gamma, beta)
+            h = prelu_norm(conv1d(x, w1, b1, stride=2), slope, gamma, beta)
             y = transposed_conv1d(h, w2, stride=2)
             return mean_all(mul(y, y))
 
-        assert grad_check(f, [w1, b1, gamma, beta, w2]) < 1e-4
+        assert grad_check(f, [w1, b1, slope, gamma, beta, w2]) < 1e-4

@@ -2,11 +2,12 @@
 sharing, parameter accounting, and checkpoint round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latref.diffcore import Tensor, grad_check, mean_all, mul, transposed_conv1d
+from latref.diffcore import Tape, Tensor, grad_check, mean_all, mul, transposed_conv1d
 from latref.losses import pit_loss
 from latref.sepmodel import (
     BlockSpec,
@@ -225,7 +226,54 @@ class TestMaskAndDecode:
             mask_and_decode(Tensor(np.ones((8, 4))), Tensor(np.ones((8, 4))), 1, params)
 
 
+    @staticmethod
+    def desk_heads():
+        """The README desk model's heads on 1 s at 8 kHz: S=3, B=64, L=1000."""
+        cfg = SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8, latent_channels=32,
+                               num_sources=3, sub_scales=3, sub_kernel=5)
+        params = init_params(cfg, np.random.default_rng(36))
+        rng = np.random.default_rng(37)
+        L = cfg.latent_length(8000)
+        v_enc = Tensor(np.abs(rng.normal(size=(64, L))), requires_grad=True)
+        lat = Tensor(rng.normal(size=(32, L)), requires_grad=True)
+        return params, v_enc, lat
+
+    def test_tapes_mask_conv_and_one_decode_node(self):
+        params, v_enc, lat = self.desk_heads()
+        with Tape() as tape:
+            out = mask_and_decode(v_enc, lat, 0, params, out_length=8000)
+        assert len(tape) == 2
+        assert tape.recorded_output_elems() == 3 * 64 * 1000 + out.size == 3 * 64 * 1000 + 3 * 8000
+
+    def test_untaped_peak_holds_one_source_stack(self):
+        # The mask logits are one S x B x L array; a second one (a ReLU copy,
+        # an S-source masked product, or the conv bias added out of place)
+        # would take the peak past 2x.  What rides on top is one source's
+        # B x L product (1/S) and the decoder's per-source temporaries.
+        params, v_enc, lat = self.desk_heads()
+        stack_bytes = 8 * 3 * 64 * 1000
+        tracemalloc.start()
+        try:
+            mask_and_decode(v_enc, lat, 0, params, out_length=8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * stack_bytes, peak / stack_bytes
+
+
 class TestCountParams:
+    def test_draws_no_weights(self):
+        # test_07's end-to-end model holds 13.7M scalars (110 MB drawn)
+        cfg = SeparationConfig(blocks=[BlockSpec(sub_blocks=16)])
+        tracemalloc.start()
+        try:
+            counts = count_params(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.total == 13_737_089
+        assert peak <= 10e6, peak
+
     def test_iterations_do_not_change_counts(self):
         for n in (1, 2, 4, 8):
             cfg = toy_config(blocks=[BlockSpec(sub_blocks=1, iterations=n)])
