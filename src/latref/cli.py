@@ -3,6 +3,9 @@
 The config is one JSON file with nested sections (task, mode, model, train,
 dataset, finetune, output_dir).  Parsing is strict: an unknown key anywhere
 fails with its full path, so a typo cannot silently fall back to a default.
+``mode`` is the one regime switch: ``train`` runs the regime it names, the
+checkpoint records it, and ``eval`` runs the head, depth and gate the
+checkpoint holds.
 All artifacts (history, checkpoints, reports) are byte-deterministic for a
 given config and seed; nothing embeds a timestamp.
 """
@@ -21,12 +24,13 @@ import numpy as np
 from .data import MixtureSpec, build_splits
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mean_all, mul, prelu, prelu_norm
 from .diffcore import relu, softmax, sum_all, transposed_conv1d, upsample_nearest
-from .gating import gate_from_arrays, gate_named_parameters, init_gate
+from .gating import GateParams, gate_from_arrays, gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
     BlockSpec,
-    LoadedCheckpoint,
+    ModelParams,
     SeparationConfig,
+    _ZeroDraws,
     config_from_dict,
     config_to_dict,
     count_params,
@@ -37,6 +41,7 @@ from .sepmodel import (
 )
 from .training import (
     TrainConfig,
+    evaluate,
     finetune_gate,
     memory_account,
     run_model,
@@ -45,6 +50,7 @@ from .training import (
 )
 
 GRADCHECK_TOL = 1e-4
+MODES = ("end_to_end", "progressive", "adaptive")
 
 
 @dataclass
@@ -88,7 +94,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset is None:
             self.dataset = DataSection(spec=MixtureSpec(task=self.task))
-        if self.mode not in ("end_to_end", "progressive", "adaptive"):
+        if self.mode not in MODES:
             raise ValueError(f"mode must be end_to_end, progressive or adaptive, got {self.mode!r}")
         if self.task != self.dataset.spec.task:
             raise ValueError(
@@ -143,23 +149,6 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def config_to_mapping(cfg: ExperimentConfig) -> dict:
-    ds = dataclasses.asdict(cfg.dataset.spec)
-    ds["speaker_snr_range"] = list(cfg.dataset.spec.speaker_snr_range)
-    ds["noise_snr_range"] = list(cfg.dataset.spec.noise_snr_range)
-    ds.update(num_train=cfg.dataset.num_train, num_val=cfg.dataset.num_val,
-              num_test=cfg.dataset.num_test)
-    return {
-        "task": cfg.task,
-        "mode": cfg.mode,
-        "model": config_to_dict(cfg.model),
-        "train": dataclasses.asdict(cfg.train),
-        "dataset": ds,
-        "finetune": dataclasses.asdict(cfg.finetune),
-        "output_dir": cfg.output_dir,
-    }
-
-
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
@@ -173,18 +162,8 @@ def load_config(path) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_mapping(cfg), indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Artifacts
-
-
-def write_history(path, records) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def _splits(cfg: ExperimentConfig):
@@ -194,6 +173,66 @@ def _splits(cfg: ExperimentConfig):
 
 def _gate_latent_len(cfg: ExperimentConfig) -> int:
     return cfg.model.latent_length(cfg.dataset.spec.num_samples)
+
+
+@dataclass
+class TrainedModel:
+    """A checkpoint's model: its parameters, regime, and the head, depth and gate to run."""
+
+    params: ModelParams
+    mode: str
+    stage: int = 0
+    depth: int | None = None  # None runs the full schedule
+    gate: GateParams | None = None
+
+
+def write_model(path, cfg: ExperimentConfig, model: TrainedModel) -> None:
+    """The one checkpoint writer: meta keeps the mode, the task and a progressive
+    model's stage and depth; an adaptive model's gate goes in as ``gate.*`` tensors."""
+    meta = {"mode": model.mode, "task": cfg.task}
+    if model.mode == "progressive":
+        meta.update(stage=model.stage, depth=model.depth)
+    extras = None if model.gate is None else dict(gate_named_parameters(model.gate))
+    save_checkpoint(path, model.params, extra_tensors=extras, meta=meta)
+
+
+def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
+    """The one checkpoint reader: check ``path`` against ``cfg`` before any data
+    is built, so a checkpoint that cannot run fails with its file and key named."""
+    if not path.exists():
+        raise FileNotFoundError(f"no checkpoint at {path}; train first or pass --passthrough")
+    loaded = load_checkpoint(path)
+    want, got = config_to_dict(cfg.model), config_to_dict(loaded.config)
+    for key in sorted(want):
+        if want[key] != got[key]:
+            raise ValueError(f"checkpoint {path} has model.{key} = {got[key]!r}, "
+                             f"but the config has {want[key]!r}")
+    meta, allowed = loaded.meta, {"mode": MODES}
+    if meta.get("mode") == "progressive":
+        allowed.update(stage=range(len(loaded.params.mask_nets)),
+                       depth=range(cfg.model.total_steps() + 1))
+    for key, values in allowed.items():
+        if key not in meta:
+            raise ValueError(f"checkpoint {path} has no meta.{key}")
+        if isinstance(meta[key], float) or meta[key] not in values:
+            raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not in {values!r}")
+    model = TrainedModel(loaded.params, **{key: meta[key] for key in allowed})
+    L = _gate_latent_len(cfg)
+    gate_shapes = {} if model.mode != "adaptive" else {name: t.shape for name, t in
+                   gate_named_parameters(init_gate(cfg.model.latent_channels, L, _ZeroDraws()))}
+    for name, arr in sorted(loaded.extra_tensors.items()):
+        if name not in gate_shapes:
+            raise ValueError(f"checkpoint {path} has tensor {name}, "
+                             f"which no {model.mode} model holds")
+        if arr.shape != gate_shapes[name]:
+            raise ValueError(f"checkpoint {path} has {name} of shape {arr.shape}, but the "
+                             f"dataset's latent length {L} needs {gate_shapes[name]}")
+    if model.mode == "adaptive":
+        try:
+            model.gate = gate_from_arrays(loaded.extra_tensors)
+        except ValueError as e:
+            raise ValueError(f"checkpoint {path}: {e}") from e
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +269,24 @@ def quartile_analysis(results):
     return bins
 
 
-def _model_row(cfg: ExperimentConfig, loaded: LoadedCheckpoint | None, mean_sisdri: float,
+def _model_row(cfg: ExperimentConfig, model: TrainedModel | None, mean_sisdri: float,
                mean_g) -> dict:
-    """Report row of the checkpoint's model: its config, head count and mode.
+    """Report row of the model that ran: its config, head count and mode.
 
-    Passthrough (``loaded`` None) describes the config file's model.
+    Passthrough (``model`` None) describes the config file's model.
     """
-    if loaded is None:
-        model, mode = cfg.model, cfg.mode
-        stages = len(model.blocks) if mode == "progressive" else 1
+    if model is None:
+        config, mode = cfg.model, cfg.mode
+        heads = len(config.blocks) if mode == "progressive" else 1
     else:
-        model, mode, stages = loaded.config, loaded.meta["mode"], len(loaded.params.mask_nets)
-    counts = count_params(model, stages=stages)
-    mem = memory_account(model, batch_size=1, T=cfg.dataset.spec.num_samples,
-                         stage=None if mode != "progressive" else len(model.blocks) - 1)
+        config, mode, heads = model.params.config, model.mode, len(model.params.mask_nets)
+    counts = count_params(config, stages=heads)
+    mem = memory_account(config, batch_size=1, T=cfg.dataset.spec.num_samples,
+                         stage=len(config.blocks) - 1 if mode == "progressive" else None)
     return {
-        "blocks": len(model.blocks),
-        "sub_blocks": model.blocks[0].sub_blocks,
-        "iters": [bs.iterations for bs in model.blocks],
+        "blocks": len(config.blocks),
+        "sub_blocks": config.blocks[0].sub_blocks,
+        "iters": [bs.iterations for bs in config.blocks],
         "params": counts.total,
         "memory_bytes": mem.total_bytes,
         "mean_sisdri": mean_sisdri,
@@ -257,43 +296,32 @@ def _model_row(cfg: ExperimentConfig, loaded: LoadedCheckpoint | None, mean_sisd
     }
 
 
-def eval_model(cfg: ExperimentConfig, loaded: LoadedCheckpoint | None) -> dict:
+def eval_model(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
     """Score the test split; returns the full report mapping.
 
-    A checkpoint runs with the head, depth and gate stored in it, and the
-    report row describes its config.  ``None`` scores the mixture itself as
-    every estimate (passthrough).
+    A model runs with its own head, depth and gate, and the report row
+    describes it.  ``None`` scores the mixture itself as every estimate
+    (passthrough).
     """
-    splits = _splits(cfg)
-    if loaded is not None:
-        meta = loaded.meta
-        gate = gate_from_arrays(loaded.extra_tensors) if meta.get("mode") == "adaptive" else None
-        stage, depth = meta.get("stage", 0), meta.get("depth")
-    per_sample = []
-    for sample in splits.test:
-        if loaded is None:
-            ests, g = np.tile(sample.mixture, (sample.sources.shape[0], 1)), None
-        else:
-            out, g = run_model(sample.mixture, loaded.params, stage=stage, depth=depth, gate=gate)
-            ests = out.data
-        sisdri = eval_speech_sisdri(ests, sample.sources, sample.mixture, sample.speech_count)
-        per_sample.append({
-            "snr_db": sample.metadata["noise_snr_db"],
-            "sisdri": sisdri,
-            "g": g,
-        })
-    mean_sisdri = float(np.mean([r["sisdri"] for r in per_sample]))
-    gs = [r["g"] for r in per_sample if r["g"] is not None]
-    mean_g = float(np.mean(gs)) if gs else None
-    report = {
-        "row": _model_row(cfg, loaded, mean_sisdri, mean_g),
+    test = _splits(cfg).test
+    if model is None:
+        scores = [eval_speech_sisdri(np.tile(s.mixture, (s.sources.shape[0], 1)), s.sources,
+                                     s.mixture, s.speech_count) for s in test]
+        gs = [None] * len(test)
+    else:
+        scores, gs = evaluate(model.params, test, model.stage, model.depth, model.gate)
+    per_sample = [{"snr_db": s.metadata["noise_snr_db"], "sisdri": v, "g": g}
+                  for s, v, g in zip(test, scores, gs)]
+    gated = [g for g in gs if g is not None]
+    mean_g = float(np.mean(gated)) if gated else None
+    return {
+        "row": _model_row(cfg, model, float(np.mean(scores)), mean_g),
         "per_sample": per_sample,
         "quartiles": quartile_analysis(
             [(r["snr_db"], r["sisdri"], r["g"]) for r in per_sample]
         ) if len(per_sample) >= 4 else [],
-        "passthrough": loaded is None,
+        "passthrough": model is None,
     }
-    return report
 
 
 _COLUMNS = [
@@ -391,34 +419,8 @@ def gradcheck_suite(rng=None) -> float:
 # Commands
 
 
-def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
-    splits = _splits(cfg)
-    params = init_params(cfg.model, np.random.default_rng(cfg.train.seed))
-    history = train_end_to_end(params, splits.train, splits.val, cfg.train)
-    write_history(out / "history.jsonl", history)
-    save_checkpoint(out / "model.ckpt", params, meta={"mode": cfg.mode, "task": cfg.task})
-    return 0
-
-
-def _cmd_train_progressive(cfg: ExperimentConfig, out: Path) -> int:
-    splits = _splits(cfg)
-    results = train_progressive(cfg.model, splits.train, splits.val, cfg.train)
-    all_records = []
-    for res in results:
-        for rec in res.history:
-            all_records.append({**rec, "stage": res.stage})
-        save_checkpoint(out / f"stage{res.stage}.ckpt", res.params,
-                        meta={"mode": cfg.mode, "task": cfg.task, "stage": res.stage,
-                              "depth": res.depth})
-    write_history(out / "history.jsonl", all_records)
-    save_checkpoint(out / "model.ckpt", results[-1].params,
-                    meta={"mode": cfg.mode, "task": cfg.task, "stage": results[-1].stage,
-                          "depth": results[-1].depth})
-    return 0
-
-
-def _cmd_finetune_gate(cfg: ExperimentConfig, out: Path) -> int:
-    splits = _splits(cfg)
+def _train_adaptive(cfg: ExperimentConfig, splits):
+    """Pretrain end to end, then fine-tune model and gate jointly."""
     rng = np.random.default_rng(cfg.train.seed)
     params = init_params(cfg.model, rng)
     gate = init_gate(cfg.model.latent_channels, _gate_latent_len(cfg), rng)
@@ -435,26 +437,34 @@ def _cmd_finetune_gate(cfg: ExperimentConfig, out: Path) -> int:
                             penalty_target=cfg.finetune.penalty_target, rng=rng)
     records = [{**r, "phase": "pretrain"} for r in pre_hist]
     records += [{**r, "epoch": r["epoch"] + len(pre_hist), "phase": "finetune"} for r in ft_hist]
-    write_history(out / "history.jsonl", records)
-    extras = {name: t.data for name, t in gate_named_parameters(gate)}
-    save_checkpoint(out / "model.ckpt", params, extra_tensors=extras,
-                    meta={"mode": "adaptive", "task": cfg.task})
+    return records, TrainedModel(params, cfg.mode, gate=gate)
+
+
+def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
+    """Train in the regime ``cfg.mode`` names.  Writes history.jsonl and
+    model.ckpt, and a progressive run also stage<i>.ckpt per stage."""
+    splits = _splits(cfg)
+    if cfg.mode == "progressive":
+        results = train_progressive(cfg.model, splits.train, splits.val, cfg.train)
+        records = [{**rec, "stage": res.stage} for res in results for rec in res.history]
+        for res in results:
+            model = TrainedModel(res.params, cfg.mode, res.stage, res.depth)
+            write_model(out / f"stage{res.stage}.ckpt", cfg, model)
+    elif cfg.mode == "adaptive":
+        records, model = _train_adaptive(cfg, splits)
+    else:
+        params = init_params(cfg.model, np.random.default_rng(cfg.train.seed))
+        records = train_end_to_end(params, splits.train, splits.val, cfg.train)
+        model = TrainedModel(params, cfg.mode)
+    (out / "history.jsonl").write_text(
+        "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    write_model(out / "model.ckpt", cfg, model)
     return 0
 
 
 def _cmd_eval(cfg: ExperimentConfig, out: Path, passthrough: bool) -> int:
-    loaded = None
-    if not passthrough:
-        ckpt_path = out / "model.ckpt"
-        if not ckpt_path.exists():
-            raise FileNotFoundError(f"no checkpoint at {ckpt_path}; train first or pass --passthrough")
-        loaded = load_checkpoint(ckpt_path)
-        want, got = config_to_dict(cfg.model), config_to_dict(loaded.config)
-        for key in sorted(want):
-            if want[key] != got[key]:
-                raise ValueError(f"checkpoint {ckpt_path} has model.{key} = {got[key]!r}, "
-                                 f"but the config has {want[key]!r}")
-    report = eval_model(cfg, loaded)
+    model = None if passthrough else read_model(out / "model.ckpt", cfg)
+    report = eval_model(cfg, model)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     text = render_table([report["row"]])
     if report["quartiles"]:
@@ -496,10 +506,6 @@ def run(command: str, config_path=None, seed: int | None = None, out=None,
     out_dir.mkdir(parents=True, exist_ok=True)
     if command == "train":
         return _cmd_train(cfg, out_dir)
-    if command == "train-progressive":
-        return _cmd_train_progressive(cfg, out_dir)
-    if command == "finetune-gate":
-        return _cmd_finetune_gate(cfg, out_dir)
     if command == "eval":
         return _cmd_eval(cfg, out_dir, passthrough)
     if command == "report":
@@ -512,9 +518,8 @@ def main(argv=None) -> int:
         prog="latref",
         description="Iterative-refinement source separation experiments.",
     )
-    parser.add_argument("command",
-                        choices=["train", "train-progressive", "finetune-gate",
-                                 "eval", "report", "gradcheck"])
+    parser.add_argument("command", choices=["train", "eval", "report", "gradcheck"],
+                        help="train runs the regime the config's mode names")
     parser.add_argument("--config", help="path to the JSON experiment config")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the training and dataset seeds")

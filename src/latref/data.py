@@ -16,7 +16,6 @@ generate in parallel.
 
 from __future__ import annotations
 
-import json
 import wave
 from dataclasses import dataclass, field
 
@@ -193,13 +192,6 @@ def chunk_or_pad(x: np.ndarray, target_len: int, rng=None) -> np.ndarray:
     pad = np.zeros(x.shape[:-1] + (target_len,))
     pad[..., :T] = x
     return pad
-
-
-def write_manifest(samples: list[Sample], path) -> None:
-    """One JSON line of metadata per sample."""
-    with open(path, "w") as fh:
-        for s in samples:
-            fh.write(json.dumps(s.metadata, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

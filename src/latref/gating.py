@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import Tensor, conv1d, mul, prelu, slice_rows, softmax, sub, sum_all
-from .sepmodel import ConvParams, ModelParams, SeparationConfig, apply_block, _step_schedule
+from .sepmodel import ConvParams, ModelParams, SeparationConfig, _step_schedule, _ZeroDraws, apply_block
 
 
 @dataclass
@@ -52,17 +52,16 @@ def gate_named_parameters(gate: GateParams) -> list[tuple[str, Tensor]]:
 
 
 def gate_from_arrays(arrays: dict) -> GateParams:
-    """Rebuild gate parameters from checkpoint tensors named gate.*."""
-    needed = ["gate.proj1.w", "gate.proj1.b", "gate.slope", "gate.proj2.w", "gate.proj2.b"]
-    missing = [n for n in needed if n not in arrays]
+    """Rebuild gate parameters from checkpoint tensors named as in
+    ``gate_named_parameters``."""
+    gate = init_gate(1, 1, _ZeroDraws())
+    named = gate_named_parameters(gate)
+    missing = [n for n, _ in named if n not in arrays]
     if missing:
         raise ValueError(f"gate tensors missing from checkpoint: {missing}")
-    t = {n: Tensor(arrays[n], requires_grad=True) for n in needed}
-    return GateParams(
-        proj1=ConvParams(w=t["gate.proj1.w"], b=t["gate.proj1.b"]),
-        slope=t["gate.slope"],
-        proj2=ConvParams(w=t["gate.proj2.w"], b=t["gate.proj2.b"]),
-    )
+    for name, t in named:
+        t.data = np.asarray(arrays[name], dtype=np.float64)
+    return gate
 
 
 @dataclass

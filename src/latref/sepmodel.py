@@ -159,10 +159,10 @@ def _uniform(rng, shape, fan_in) -> np.ndarray:
 
 
 class _ZeroDraws:
-    """Generator stand-in for ``init_params`` trees that are only counted or
-    traced, never trained: every draw is a read-only zero view, so the tree
-    has a real tree's names, shapes and aliasing but no weights are drawn or
-    stored."""
+    """Generator stand-in for ``init_params``: every draw is a read-only zero
+    view, so the tree has a real tree's names, shapes and aliasing but no
+    weights are drawn or stored.  Counting and tracing use it as it is;
+    clones and checkpoint loads give each of its tensors new ``data``."""
 
     def uniform(self, low, high, size):
         return np.broadcast_to(0.0, size)
@@ -262,12 +262,12 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 def clone_params(params: ModelParams) -> ModelParams:
     """Deep copy preserving the aliasing structure and each ``requires_grad``.
 
-    The copy is a fresh tree of the same config and head count, drawn from a
-    private generator and then overwritten name by name.
+    The copy is a zero-view tree of the same config and head count whose
+    tensors then take a copy of the source's data, name by name.
     """
-    copy = init_params(params.config, np.random.default_rng(0), stages=len(params.mask_nets))
+    copy = init_params(params.config, _ZeroDraws(), stages=len(params.mask_nets))
     for (_, src), (_, dst) in zip(named_parameters(params), named_parameters(copy), strict=True):
-        dst.data[...] = src.data
+        dst.data = src.data.copy()
         dst.requires_grad = src.requires_grad
     return copy
 
@@ -440,36 +440,41 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             header = json.loads(blob.decode())
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise ValueError(f"checkpoint {path} has a malformed header: {e}") from e
-        if header.get("format") != _CKPT_FORMAT:
-            raise ValueError(f"checkpoint {path} has format {header.get('format')!r}, "
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != _CKPT_FORMAT:
+            raise ValueError(f"checkpoint {path} has format {fmt!r}, "
                              f"this reader supports {_CKPT_FORMAT}")
         for key in ("config", "tensors"):
             if key not in header:
                 raise ValueError(f"checkpoint {path} header has no {key!r} key")
         arrays = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+            try:
+                name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"checkpoint {path} has a malformed tensor entry {entry!r}") from e
             n_elems = int(np.prod(shape)) if shape else 1
             buf = fh.read(8 * n_elems)
             if len(buf) != 8 * n_elems:
-                raise ValueError(f"truncated checkpoint {path}: tensor {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                raise ValueError(f"truncated checkpoint {path}: tensor {name}")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"checkpoint {path} has trailing bytes after the last tensor")
-    config = config_from_dict(header["config"])
-    params = init_params(config, np.random.default_rng(0), stages=header.get("stages", 1))
-    extra = {}
-    model_names = dict(named_parameters(params))
-    for name, arr in arrays.items():
-        t = model_names.get(name)
-        if t is None:
-            extra[name] = arr
-            continue
-        if t.data.shape != arr.shape:
-            raise ValueError(f"checkpoint tensor {name} has shape {arr.shape}, expected {t.data.shape}")
-        t.data[...] = arr
-    missing = set(model_names) - set(arrays)
+    meta, stages = header.get("meta", {}), header.get("stages", 1)
+    if not isinstance(meta, dict) or not isinstance(stages, int):
+        raise ValueError(f"checkpoint {path} header needs an object 'meta' and an integer 'stages'")
+    try:
+        config = config_from_dict(header["config"])
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint {path} has an invalid model config: {e}") from e
+    params = init_params(config, _ZeroDraws(), stages=stages)
+    named = dict(named_parameters(params))
+    missing = set(named) - set(arrays)
     if missing:
         raise ValueError(f"checkpoint {path} is missing tensors: {sorted(missing)}")
-    return LoadedCheckpoint(config=config, params=params, extra_tensors=extra,
-                            meta=header.get("meta", {}))
+    for name, t in named.items():
+        arr = arrays.pop(name)
+        if t.shape != arr.shape:
+            raise ValueError(f"checkpoint tensor {name} has shape {arr.shape}, expected {t.shape}")
+        t.data = arr
+    return LoadedCheckpoint(config=config, params=params, extra_tensors=arrays, meta=meta)

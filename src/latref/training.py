@@ -213,19 +213,18 @@ def run_model(mixture, params: ModelParams, stage: int = 0, depth: int | None = 
     return ests, g
 
 
-def evaluate(params: ModelParams, val_set, stage: int = 0, depth: int | None = None,
+def evaluate(params: ModelParams, samples, stage: int = 0, depth: int | None = None,
              gate: GateParams | None = None):
-    """Mean validation SI-SDR improvement (and mean g when gated)."""
+    """Run each sample through ``run_model``; returns its speech SI-SDR
+    improvements and g values (each None without a gate), in sample order."""
     scores, gs = [], []
-    for sample in val_set:
+    for sample in samples:
         ests, g = run_model(sample.mixture, params, stage=stage, depth=depth, gate=gate)
         scores.append(
             eval_speech_sisdri(ests.data, sample.sources, sample.mixture, sample.speech_count)
         )
-        if g is not None:
-            gs.append(g)
-    mean_g = float(np.mean(gs)) if gs else None
-    return float(np.mean(scores)), mean_g
+        gs.append(g)
+    return scores, gs
 
 
 def _batch_items(samples, cfg: TrainConfig, rng):
@@ -288,15 +287,15 @@ def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
             grads, _ = clip_global_norm(grads, cfg.clip_norm)
             adam_step(state, trainable, grads, lr)
             losses.append(value)
-        val_sisdri, mean_g = evaluate(params, val_set, stage=stage, depth=depth, gate=gate)
+        scores, gs = evaluate(params, val_set, stage=stage, depth=depth, gate=gate)
         rec = {
             "epoch": epoch,
             "lr": lr,
             "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_sisdri": val_sisdri,
+            "val_sisdri": float(np.mean(scores)),
         }
-        if mean_g is not None:
-            rec["mean_g"] = mean_g
+        if gate is not None and gs:
+            rec["mean_g"] = float(np.mean(gs))
         history.append(rec)
     return history
 
@@ -352,12 +351,11 @@ def train_progressive(config: SeparationConfig, train_set, val_set, cfg: TrainCo
 
 
 def finetune_gate(params: ModelParams, gate: GateParams, train_set, val_set,
-                  cfg: TrainConfig, stage: int = 0, penalty_coef: float = 0.75,
+                  cfg: TrainConfig, penalty_coef: float = 0.75,
                   penalty_target: float = 3.0, rng=None):
     """Jointly train model and gate on separation loss plus the iteration
     penalty; history gains a mean inference-g column."""
-    return _train_loop(params, train_set, val_set, cfg, stage=stage, freeze=None,
-                       gate=gate, penalty_coef=penalty_coef,
+    return _train_loop(params, train_set, val_set, cfg, gate=gate, penalty_coef=penalty_coef,
                        penalty_target=penalty_target, rng=rng)
 
 

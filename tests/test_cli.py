@@ -1,22 +1,23 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from latref import cli, data
 from latref.cli import (
     ExperimentConfig,
     config_from_mapping,
-    config_to_mapping,
     gradcheck_suite,
     load_config,
     main,
     quartile_analysis,
     render_table,
     run,
-    save_config,
 )
 from latref.data import build_splits
-from latref.sepmodel import count_params, load_checkpoint
+from latref.gating import gate_named_parameters, init_gate
+from latref.sepmodel import count_params, init_params, load_checkpoint, save_checkpoint
 from latref.training import evaluate, memory_account
 
 
@@ -47,14 +48,6 @@ def write_config(tmp_path, mapping):
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-
-def test_config_round_trip(tmp_path):
-    cfg = config_from_mapping(tiny_mapping(tmp_path))
-    path = tmp_path / "echo.json"
-    save_config(cfg, path)
-    again = load_config(path)
-    assert again == cfg
 
 
 def test_config_defaults_fill_in():
@@ -229,7 +222,7 @@ def test_progressive_command_writes_stages(tmp_path):
                             {"sub_blocks": 1, "iterations": 1}]
     m["train"]["epochs"] = 2
     path = write_config(tmp_path, m)
-    assert run("train-progressive", path) == 0
+    assert run("train", path) == 0
     out = tmp_path / "out"
     assert (out / "stage0.ckpt").exists()
     assert (out / "stage1.ckpt").exists()
@@ -243,15 +236,16 @@ def test_progressive_eval_runs_stored_head_and_depth(tmp_path):
                             {"sub_blocks": 1, "iterations": 1}]
     m["train"]["epochs"] = 2
     path = write_config(tmp_path, m)
-    run("train-progressive", path)
+    run("train", path)
     assert run("eval", path) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
     assert (loaded.meta["stage"], loaded.meta["depth"]) == (1, 2)
     ds = load_config(path).dataset
     test = build_splits(ds.spec, ds.num_train, ds.num_val, ds.num_test).test
-    expected, _ = evaluate(loaded.params, test, stage=1, depth=2)
-    assert report["row"]["mean_sisdri"] == expected
+    scores, _ = evaluate(loaded.params, test, stage=1, depth=2)
+    assert report["row"]["mean_sisdri"] == float(np.mean(scores))
+    assert [r["sisdri"] for r in report["per_sample"]] == scores
     assert report["row"]["blocks"] == 2
 
 
@@ -260,7 +254,7 @@ def test_eval_row_describes_checkpoint_not_config_mode(tmp_path):
     m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1},
                             {"sub_blocks": 1, "iterations": 1}]
     m["train"]["epochs"] = 2
-    run("train-progressive", write_config(tmp_path, m))
+    run("train", write_config(tmp_path, m))
     m["mode"] = "end_to_end"
     path = write_config(tmp_path, m)
     assert run("eval", path) == 0
@@ -270,6 +264,88 @@ def test_eval_row_describes_checkpoint_not_config_mode(tmp_path):
     assert row["params"] == count_params(loaded.config, stages=2).total
     T = load_config(path).dataset.spec.num_samples
     assert row["memory_bytes"] == memory_account(loaded.config, 1, T, stage=1).total_bytes
+
+
+def test_train_on_progressive_config_trains_every_stage(tmp_path):
+    m = tiny_mapping(tmp_path, mode="progressive")
+    m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1},
+                            {"sub_blocks": 1, "iterations": 2}]
+    m["train"]["epochs"] = 2
+    path = write_config(tmp_path, m)
+    assert main(["train", "--config", path]) == 0
+    assert main(["eval", "--config", path]) == 0
+    row = json.loads((tmp_path / "out" / "report.json").read_text())["row"]
+    cfg = load_config(path)
+    assert row["mode"] == "progressive"
+    assert row["params"] == count_params(cfg.model, stages=2).total
+    T = cfg.dataset.spec.num_samples
+    assert row["memory_bytes"] == memory_account(cfg.model, 1, T, stage=1).total_bytes
+    assert load_checkpoint(tmp_path / "out" / "model.ckpt").meta == {
+        "mode": "progressive", "task": "separation", "stage": 1, "depth": 3}
+
+
+def _write_checkpoint(tmp_path, mode, meta, extras=None, heads=1):
+    """A config of ``mode`` and a model.ckpt of its model with the given
+    meta and extra tensors; returns the config path."""
+    m = tiny_mapping(tmp_path, mode=mode)
+    path = write_config(tmp_path, m)
+    params = init_params(load_config(path).model, np.random.default_rng(0), stages=heads)
+    (tmp_path / "out").mkdir()
+    save_checkpoint(tmp_path / "out" / "model.ckpt", params, extra_tensors=extras, meta=meta)
+    return path
+
+
+def _gate_arrays(latent_len):
+    # tiny_mapping's model has 6 latent channels; its dataset's latent length is 100
+    return {n: t.data for n, t in gate_named_parameters(
+        init_gate(6, latent_len, np.random.default_rng(1)))}
+
+
+_BAD_CHECKPOINTS = {
+    "no_mode": ("end_to_end", {"task": "separation"}, None, 1, "no meta.mode"),
+    "unknown_mode": ("end_to_end", {"mode": "sideways"}, None, 1, "meta.mode 'sideways'"),
+    "unknown_tensor": ("end_to_end", {"mode": "end_to_end"}, {"typo.w": np.zeros(3)}, 1,
+                       "typo.w, which no end_to_end model holds"),
+    "gate_without_adaptive": ("end_to_end", {"mode": "end_to_end"}, _gate_arrays(100), 1,
+                              "gate.proj1.b, which no end_to_end model holds"),
+    "adaptive_without_gate": ("adaptive", {"mode": "adaptive"}, None, 1,
+                              r"gate tensors missing.*gate.proj1.w"),
+    "gate_span": ("adaptive", {"mode": "adaptive"}, _gate_arrays(50), 1,
+                  r"gate.proj2.w of shape \(2, 2, 50\).*latent length 100"),
+    "progressive_no_depth": ("progressive", {"mode": "progressive", "stage": 0}, None, 1,
+                             "no meta.depth"),
+    "progressive_depth": ("progressive", {"mode": "progressive", "stage": 0, "depth": 5}, None, 1,
+                          r"meta.depth 5, not in range\(0, 2\)"),
+    "progressive_stage": ("progressive", {"mode": "progressive", "stage": 2, "depth": 1}, None, 2,
+                          r"meta.stage 2, not in range\(0, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINTS))
+def test_eval_rejects_bad_checkpoint_before_building_data(tmp_path, monkeypatch, capsys, case):
+    mode, meta, extras, heads, cause = _BAD_CHECKPOINTS[case]
+    path = _write_checkpoint(tmp_path, mode, meta, extras, heads)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("eval built the dataset before checking the checkpoint")
+
+    monkeypatch.setattr(data, "build_splits", no_data)
+    monkeypatch.setattr(cli, "build_splits", no_data)
+    assert main(["eval", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and "model.ckpt" in err
+    assert re.search(cause, err), err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train-progressive", "finetune-gate"])
+def test_removed_subcommands_are_usage_errors(tmp_path, capsys, command):
+    path = write_config(tmp_path, tiny_mapping(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_rejects_checkpoint_of_other_model(tmp_path, capsys):
@@ -290,7 +366,7 @@ def test_finetune_gate_command(tmp_path):
     m["train"]["epochs"] = 2
     m["finetune"] = {"epochs": 1}
     path = write_config(tmp_path, m)
-    assert run("finetune-gate", path) == 0
+    assert run("train", path) == 0
     lines = (tmp_path / "out" / "history.jsonl").read_text().strip().split("\n")
     recs = [json.loads(l) for l in lines]
     assert [r["phase"] for r in recs] == ["pretrain", "finetune"]
@@ -380,5 +456,3 @@ def test_main_train_and_eval(tmp_path):
 def test_experiment_config_direct_construction():
     cfg = ExperimentConfig()
     assert cfg.dataset.spec.task == "separation"
-    m = config_to_mapping(cfg)
-    assert config_from_mapping(m) == cfg

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from latref.data import (
     sample_rng,
     save_wav,
     synth_sources,
-    write_manifest,
 )
 
 
@@ -293,32 +290,6 @@ def test_chunk_multirow():
 def test_chunk_bad_target():
     with pytest.raises(ValueError, match="target length"):
         chunk_or_pad(np.zeros(4), 0)
-
-
-# ---------------------------------------------------------------------------
-# manifest
-
-
-def test_manifest_round_trip(tmp_path):
-    spec = short_spec(seed=7)
-    samples = make_dataset(spec, 3, "test")
-    path = tmp_path / "manifest.jsonl"
-    write_manifest(samples, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 3
-    rec = json.loads(lines[1])
-    assert rec["index"] == 1
-    assert rec["seed"] == [7, "test", 1]
-    assert "noise_snr_db" in rec
-
-
-def test_manifest_byte_deterministic(tmp_path):
-    spec = short_spec(seed=7)
-    samples = make_dataset(spec, 2, "train")
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_manifest(samples, p1)
-    write_manifest(samples, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,16 @@ class TestSharing:
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
 
+    def test_clone_owns_writable_data_and_keeps_requires_grad(self):
+        params = init_params(toy_config(), np.random.default_rng(38))
+        params.encoder.w.requires_grad = False
+        copy = clone_params(params)
+        for (_, ta), (_, tb) in zip(named_parameters(params), named_parameters(copy)):
+            assert tb.data.flags.writeable and not np.shares_memory(ta.data, tb.data)
+            assert tb.requires_grad == ta.requires_grad
+        copy.encoder.w.data[...] = 7.0
+        assert not np.any(params.encoder.w.data == 7.0)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -402,6 +412,42 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen:])
         with pytest.raises(ValueError, match=f"model\\.ckpt header has no '{key}' key"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda h: h["tensors"][0].pop("shape"), "malformed tensor entry"),
+        (lambda h: h.update(meta=3), "object 'meta'"),
+        (lambda h: h.update(stages="2"), "integer 'stages'"),
+        (lambda h: h["config"].update(blocks=7), "invalid model config"),
+    ], ids=["tensor_entry", "meta", "stages", "config"])
+    def test_malformed_header_values_rejected(self, tmp_path, edit, cause):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(toy_config(), np.random.default_rng(37)))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen:])
+        with pytest.raises(ValueError, match=f"model\\.ckpt.*{cause}"):
+            load_checkpoint(path)
+
+    def test_load_holds_one_copy_of_the_tensors(self, tmp_path):
+        # 1.7M scalars; drawing a throwaway tree before reading took ~2x
+        cfg = SeparationConfig(blocks=[BlockSpec(sub_blocks=2)])
+        params = init_params(cfg, np.random.default_rng(36))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        tensor_bytes = 8 * sum(t.size for _, t in named_parameters(params))
+        del params
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * tensor_bytes, peak / tensor_bytes
+        assert all(t.data.flags.writeable and t.requires_grad
+                   for _, t in named_parameters(loaded.params))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

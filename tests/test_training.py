@@ -6,7 +6,7 @@ import pytest
 import latref.training as training
 from latref.data import MixtureSpec, build_splits
 from latref.diffcore import Tape, Tensor, backward
-from latref.losses import pit_loss
+from latref.losses import eval_speech_sisdri, pit_loss
 from latref.sepmodel import (
     BlockSpec,
     SeparationConfig,
@@ -557,12 +557,16 @@ def test_memory_optimizer_state_is_two_copies():
     assert rep.optimizer_state_bytes == 2 * rep.trainable_param_bytes
 
 
-def test_evaluate_returns_mean_over_val():
+def test_evaluate_scores_each_sample():
     splits = toy_splits(n_train=2, n_val=3)
     params = init_params(toy_config(), np.random.default_rng(0))
-    score, mean_g = evaluate(params, splits.val)
-    assert np.isfinite(score)
-    assert mean_g is None
+    scores, gs = evaluate(params, splits.val)
+    assert len(scores) == 3 and all(np.isfinite(scores))
+    assert gs == [None, None, None]
+    for sample, score in zip(splits.val, scores):
+        ests, _ = run_model(sample.mixture, params)
+        assert score == eval_speech_sisdri(ests.data, sample.sources, sample.mixture,
+                                           sample.speech_count)
 
 
 # ---------------------------------------------------------------------------
