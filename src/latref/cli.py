@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MixtureSpec, build_splits
+from .data import MixtureSpec, build_splits, make_dataset
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mean_all, mul, prelu, prelu_norm
-from .diffcore import relu, softmax, sum_all, transposed_conv1d, upsample_nearest
+from .diffcore import relu, softmax, sum_all, transposed_conv1d, upsample_conv1d, upsample_nearest
 from .gating import GateParams, gate_from_arrays, gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"model.num_sources {self.model.num_sources} does not fit task {self.task!r} (needs {expected})"
             )
+        if self.mode == "adaptive":
+            self.finetune.resolve_epochs(self.train.epochs)  # raises if no pretraining is left
         chunk = self.train.chunk_len
         if self.mode == "adaptive" and chunk is not None:
             # the gate's second conv spans the dataset's latent length exactly
@@ -303,7 +305,7 @@ def eval_model(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
     describes it.  ``None`` scores the mixture itself as every estimate
     (passthrough).
     """
-    test = _splits(cfg).test
+    test = make_dataset(cfg.dataset.spec, cfg.dataset.num_test, "test")
     if model is None:
         scores = [eval_speech_sisdri(np.tile(s.mixture, (s.sources.shape[0], 1)), s.sources,
                                      s.mixture, s.speech_count) for s in test]
@@ -412,6 +414,12 @@ def gradcheck_suite(rng=None) -> float:
         return sum_all(mul(out, out))
 
     errs.append(grad_check(decoded, [z, x, dw, db]))
+
+    uw, ub = t((2, 3, 5), 0.5), t(2)  # x's 7 samples doubled to 13 and 14
+    for length in (13, 14):
+        errs.append(grad_check(
+            lambda n=length: sum_all(mul(upsample_conv1d(x, uw, ub, n),
+                                         upsample_conv1d(x, uw, ub, n))), [x, uw, ub]))
     return max(errs)
 
 

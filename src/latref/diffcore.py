@@ -8,6 +8,9 @@ The op set is exactly what the separation stack needs:
   sub-block scale;
 - ``conv1d`` and its adjoint ``transposed_conv1d``, nearest-neighbour
   ``upsample_nearest``, ``reshape`` and ``slice_rows``;
+- ``upsample_conv1d``: a x2 nearest upsample followed by a "same" conv,
+  run as one conv of the source whose two output phases interleave, one
+  node per sub-block up scale (``upsample_nearest`` is its reference);
 - ``masked_decode``: ReLU of the mask logits, masking of the encoding and
   one transposed conv per source, fused into one node.
 
@@ -22,7 +25,10 @@ its op's inputs, which are taped outputs or leaves, and C x 1 statistics;
 masks, normalised values and the fused ops' inner results are recomputed
 from those inputs.  So counting taped outputs counts what a backward pass
 keeps.  The reverse sweep frees each output's gradient as soon as its
-closure has consumed it, and ``.grad`` is set on leaves only.
+closure has consumed it, and ``.grad`` is set on leaves only.  A vjp masks
+by multiplying with the comparison (``g * (x > 0)``), never with
+``np.where``: a select branches on every element, which on mixed-sign
+activations costs several times the multiply.
 
 Everything is float64 and single-threaded numpy, so repeated evaluation of
 the same graph on the same inputs is bit-identical.
@@ -249,7 +255,7 @@ def relu(x) -> Tensor:
 
     def make():
         def vjp(g):
-            return (np.where(x.data > 0, g, 0.0),)
+            return (g * (x.data > 0),)
 
         return vjp
 
@@ -278,7 +284,7 @@ def prelu(x, slope) -> Tensor:
         # The mask and the negative part are recomputed from x, which the
         # tape holds anyway, rather than kept as two more x-sized arrays.
         def vjp(g):
-            gx = np.where(x.data > 0, g, g * s) if x.requires_grad else None
+            gx = g * _prelu_slopes(x.data, s) if x.requires_grad else None
             gs = None
             if slope.requires_grad:
                 prod = g * np.minimum(x.data, 0.0)
@@ -291,6 +297,24 @@ def prelu(x, slope) -> Tensor:
         return vjp
 
     return _finish(out, (x, slope), make)
+
+
+def _prelu_into(h, x, s):
+    """Add s * min(x, 0) to ``h`` (which holds max(x, 0)) in place, through
+    one temporary."""
+    neg = np.minimum(x, 0.0)
+    neg *= s
+    h += neg
+    return h
+
+
+def _prelu_slopes(x, s):
+    """d prelu / dx: 1 where x > 0, else the slope ``s`` (zero included).
+    Built as s * (x <= 0) + (x > 0), exact on both sides and free of the
+    data-dependent branches a select takes on mixed-sign input."""
+    out = s * (x <= 0)
+    out += x > 0
+    return out
 
 
 def softmax(x, axis: int) -> Tensor:
@@ -371,8 +395,7 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     if any(shape != (C,) for shape in shapes):
         raise ValueError(f"slope and affine params must have shape ({C},), got {shapes}")
     s = slope.data[:, None]
-    h = np.maximum(x.data, 0.0)
-    h += s * np.minimum(x.data, 0.0)
+    h = _prelu_into(np.maximum(x.data, 0.0), x.data, s)
     mu = h.mean(axis=1, keepdims=True)
     h -= mu
     inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + eps)
@@ -383,27 +406,33 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     def make():
         # Only the C x 1 statistics are kept; the PReLU output and xhat are
         # recomputed from x by the forward's own ops, so they are
-        # bit-identical to the forward's.
+        # bit-identical to the forward's.  With T samples per channel and
+        # gh = gamma * g, the norm's gradient
+        #   inv * (gh - mean(gh) - xhat * mean(gh * xhat))
+        # takes both means from the affine's row sums:
+        #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
+        T = x.data.shape[1]
+
         def vjp(g):
-            xhat = np.maximum(x.data, 0.0)
-            xhat += s * np.minimum(x.data, 0.0)
+            xhat = _prelu_into(np.maximum(x.data, 0.0), x.data, s)
             xhat -= mu
             xhat *= inv
-            ggamma = (g * xhat).sum(axis=1) if gamma.requires_grad else None
-            gbeta = g.sum(axis=1) if beta.requires_grad else None
+            gbeta = g.sum(axis=1)
+            ggamma = np.einsum("ct,ct->c", g, xhat)
             gx = gs = None
             if x.requires_grad or slope.requires_grad:
-                gh = g * gamma.data[:, None]
-                gh = inv * (
-                    gh
-                    - gh.mean(axis=1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=1, keepdims=True)
-                )
-                if x.requires_grad:
-                    gx = np.where(x.data > 0, gh, gh * s)
+                gh = xhat  # xhat's last use: overwrite it with the PReLU output's gradient
+                gh *= (-ggamma / T)[:, None]
+                gh += g
+                gh -= (gbeta / T)[:, None]
+                gh *= inv * gamma.data[:, None]
                 if slope.requires_grad:
-                    gs = (gh * np.minimum(x.data, 0.0)).sum(axis=1)
-            return (gx, gs, ggamma, gbeta)
+                    gs = np.einsum("ct,ct->c", gh, np.minimum(x.data, 0.0))
+                if x.requires_grad:
+                    gh *= _prelu_slopes(x.data, s)
+                    gx = gh
+            return (gx, gs, ggamma if gamma.requires_grad else None,
+                    gbeta if beta.requires_grad else None)
 
         return vjp
 
@@ -469,35 +498,50 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     inputs = (x, w) if b is None else (x, w, b)
 
     def make():
-        # Tap k of output column j reads input sample j*stride + k - left.
-        # Per tap, the columns whose sample lies in x (not in the padding)
-        # form a stride-spaced run; the vjp works on those runs of x itself,
-        # so neither the padded input nor its windows outlive the forward.
-        runs = []  # (tap, its output columns, the input samples they read)
-        for k in range(K):
-            j0 = max(0, -((k - left) // stride))
-            j1 = min(Tp, (T - 1 + left - k) // stride + 1)
-            if j1 > j0:
-                i0 = j0 * stride + k - left
-                runs.append((k, slice(j0, j1), slice(i0, i0 + (j1 - j0 - 1) * stride + 1, stride)))
+        runs = _tap_runs(T, K, stride, left, Tp)
 
         def vjp(g):
-            gx = gw = gb = None
-            if w.requires_grad:
-                gw = np.zeros(w.data.shape)
-                for k, cols, samples in runs:
-                    gw[:, :, k] = g[:, cols] @ x.data[:, samples].T
-            if x.requires_grad:
-                gx = np.zeros(x.data.shape)
-                for k, cols, samples in runs:
-                    gx[:, samples] += w.data[:, :, k].T @ g[:, cols]
-            if b is not None and b.requires_grad:
-                gb = g.sum(axis=1)
+            gx, gw = _conv_vjp(g, x.data, w.data, runs, x.requires_grad, w.requires_grad)
+            gb = g.sum(axis=1) if b is not None and b.requires_grad else None
             return (gx, gw) if b is None else (gx, gw, gb)
 
         return vjp
 
     return _finish(out, inputs, make)
+
+
+def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
+    """(tap, its output columns, the input samples they read) per tap of a conv.
+
+    Tap k of output column j reads input sample j*stride + k - left.  Per
+    tap, the columns whose sample lies in the T-sample input (not in the
+    padding) form a stride-spaced run; a vjp works on those runs of the
+    input itself, so neither the padded input nor its windows outlive the
+    forward.
+    """
+    runs = []
+    for k in range(K):
+        j0 = max(0, -((k - left) // stride))
+        j1 = min(Tp, (T - 1 + left - k) // stride + 1)
+        if j1 > j0:
+            i0 = j0 * stride + k - left
+            runs.append((k, slice(j0, j1), slice(i0, i0 + (j1 - j0 - 1) * stride + 1, stride)))
+    return runs
+
+
+def _conv_vjp(g, x, w, runs, need_x: bool, need_w: bool):
+    """(input gradient, weight gradient) of a conv's output gradient ``g``,
+    one matmul per tap run; each is None where not needed."""
+    gx = gw = None
+    if need_w:
+        gw = np.zeros(w.shape)
+        for k, cols, samples in runs:
+            gw[:, :, k] = g[:, cols] @ x[:, samples].T
+    if need_x:
+        gx = np.zeros(x.shape)
+        for k, cols, samples in runs:
+            gx[:, samples] += w[:, :, k].T @ g[:, cols]
+    return gx, gw
 
 
 def _overlap_windows(g, full_len: int, left: int, K: int, stride: int):
@@ -605,15 +649,118 @@ def upsample_nearest(x, length: int) -> Tensor:
     out = x.data[:, idx]
 
     def make():
-        # Each source column owns a contiguous run of output columns.
-        bounds = np.searchsorted(idx, np.arange(src))
+        # Each source column owns a contiguous run of output columns; its
+        # gradient gathers the runs' first columns, then adds each later one.
+        starts = np.searchsorted(idx, np.arange(src))
+        runs = np.diff(starts, append=length)
 
         def vjp(g):
-            return (np.add.reduceat(g, bounds, axis=1),)
+            gx = g[:, starts]
+            for r in range(1, int(runs.max())):
+                has = runs > r
+                gx[:, has] += g[:, starts[has] + r]
+            return (gx,)
 
         return vjp
 
     return _finish(out, (x,), make)
+
+
+def _phase_taps(K: int):
+    """Tap map of a stride-1 "same" K-tap conv over a x2 nearest upsample.
+
+    Output column 2m + p (phase p) of that conv reads source column
+    m + taps[p][k] - lp through tap k.  So each phase is one "same" conv of
+    the source with Kp taps, tap t summing the taps k with taps[p][k] == t,
+    whose own left padding is lp.  Returns (taps, Kp, lp).
+    """
+    left = (K - 1) // 2
+    lp = (left + 1) // 2
+    taps = [[(p + k - left) // 2 + lp for k in range(K)] for p in (0, 1)]
+    return taps, taps[1][-1] + 1, lp
+
+
+def _phase_weights(w, taps, Kp: int):
+    """2 Cout x Cin x Kp weights: phase 0's summed taps, then phase 1's."""
+    Cout, Cin, K = w.shape
+    pw = np.zeros((2, Cout, Cin, Kp))
+    for p in (0, 1):
+        for k in range(K):
+            pw[p, :, :, taps[p][k]] += w[:, :, k]
+    return pw.reshape(2 * Cout, Cin, Kp)
+
+
+def upsample_conv1d(u, w, b, length: int) -> Tensor:
+    """``conv1d(upsample_nearest(u, length), w, b)``, computed at the source rate.
+
+    ``u`` is Cin x src, ``w`` is Cout x Cin x K, ``b`` is Cout, and
+    ``length`` is 2 * src or 2 * src - 1.  Nearest upsampling repeats each
+    source column twice (the odd length drops the last copy), so each
+    output phase (even or odd columns) is a "same" conv of ``u`` itself with
+    summed taps; both phases run as one conv of 2 Cout channels, and the
+    odd length sums again the last outputs, which would read the dropped
+    copy.  One node is taped; its vjp rebuilds the phase weights from ``w``.
+    """
+    u, w, b = _as_tensor(u), _as_tensor(w), _as_tensor(b)
+    if u.ndim != 2 or w.ndim != 3:
+        raise ValueError(
+            f"upsample_conv1d expects 2-D input and 3-D weight, got {u.data.shape} and {w.data.shape}"
+        )
+    Cout, Cin, K = w.data.shape
+    src = u.data.shape[1]
+    if Cin != u.data.shape[0]:
+        raise ValueError(
+            f"upsample_conv1d channel mismatch: input shape {u.data.shape} vs weight shape {w.data.shape}"
+        )
+    if b.data.shape != (Cout,):
+        raise ValueError(f"bias shape {b.data.shape} does not match {Cout} out channels")
+    if src < 1 or length not in (2 * src - 1, 2 * src):
+        raise ValueError(f"upsample_conv1d doubles {src} samples to {2 * src - 1} or {2 * src}, "
+                         f"not {length}")
+    taps, Kp, lp = _phase_taps(K)
+    # Plain arrays in, so this call tapes nothing.
+    both = conv1d(u.data, _phase_weights(w.data, taps, Kp), np.concatenate((b.data, b.data))).data
+    out = np.empty((Cout, length))
+    out[:, 0::2] = both[:Cout]
+    out[:, 1::2] = both[Cout:, :length // 2]
+    # An odd length drops the copy of u[:, src - 1] at column `length`, which
+    # output j reads through tap length + left - j.  Those outputs are
+    # summed again over the columns they keep, so no tap cancels another.
+    left = (K - 1) // 2
+    dropped = range(max(0, length + left - K + 1), length) if length % 2 else range(0)
+    for j in dropped:
+        out[:, j] = b.data
+        for k in range(max(0, left - j), length + left - j):
+            out[:, j] += w.data[:, :, k] @ u.data[:, (j + k - left) // 2]
+
+    def make():
+        runs = _tap_runs(src, Kp, 1, lp, src)
+
+        def vjp(g):
+            gboth = np.zeros((2 * Cout, src))
+            gboth[:Cout] = g[:, 0::2]
+            gboth[Cout:, :length // 2] = g[:, 1::2]
+            gu, gpw = _conv_vjp(gboth, u.data, _phase_weights(w.data, taps, Kp), runs,
+                                u.requires_grad, w.requires_grad)
+            gw = gb = None
+            if w.requires_grad:
+                gpw = gpw.reshape(2, Cout, Cin, Kp)
+                gw = np.empty(w.data.shape)
+                for k in range(K):
+                    gw[:, :, k] = gpw[0, :, :, taps[0][k]] + gpw[1, :, :, taps[1][k]]
+            for j in dropped:  # the phase conv's vjp counted the dropped copy: take it out
+                k = length + left - j
+                if u.requires_grad:
+                    gu[:, src - 1] -= w.data[:, :, k].T @ g[:, j]
+                if w.requires_grad:
+                    gw[:, :, k] -= np.outer(g[:, j], u.data[:, src - 1])
+            if b.requires_grad:
+                gb = g.sum(axis=1)
+            return (gu, gw, gb)
+
+        return vjp
+
+    return _finish(out, (u, w, b), make)
 
 
 def reshape(x, shape) -> Tensor:
@@ -700,7 +847,8 @@ def masked_decode(z, v_enc, w, b, stride: int, out_length: int) -> Tensor:
                 if z.requires_grad or v_enc.requires_grad:
                     gmasked = np.tensordot(w.data, gwin, axes=((1, 2), (0, 2)))  # (B, L)
                     if z.requires_grad:
-                        gz[rows[s]] = np.where(mask > 0, gmasked * v_enc.data, 0.0)
+                        np.multiply(gmasked, v_enc.data, out=gz[rows[s]])
+                        gz[rows[s]] *= mask > 0
                     if v_enc.requires_grad:
                         gvs = gmasked * mask
                         gv_enc = gvs if gv_enc is None else gv_enc + gvs

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffcore import Tensor, conv1d, masked_decode, prelu_norm, relu, upsample_nearest
+from .diffcore import Tensor, conv1d, masked_decode, prelu_norm, relu, upsample_conv1d
 
 _CKPT_MAGIC = b"LRCKPT01"
 _CKPT_FORMAT = 1
@@ -302,8 +302,7 @@ def apply_sub_block(v: Tensor, sb: SubBlockParams) -> Tensor:
     n = len(sb.up)
     for idx, sc in enumerate(sb.up):
         target = lengths[n - 1 - idx]
-        u = upsample_nearest(u, target)
-        u = conv1d(u, sc.conv.w, sc.conv.b, stride=1)
+        u = upsample_conv1d(u, sc.conv.w, sc.conv.b, target)
         u = prelu_norm(u, sc.slope, sc.norm.gamma, sc.norm.beta)
         skip = n - 2 - idx
         if skip >= 0:

@@ -4,11 +4,12 @@ and joint gate fine-tuning, plus the backward-memory account.
 Freezing works through ``requires_grad``: frozen tensors never cause ops to
 be taped, so a frozen prefix costs no activation memory and its parameters
 are bit-identical after any number of steps.  ``memory_account`` counts the
-activations from a taped trace of the real forward ops, so it follows any
-change to what the model tapes; a test pins it against a full training
-forward.  Its trainable/frozen split, like parameter counts and stage
-snapshots (``clone_params``), comes from ``named_parameters`` of a real
-tree and the stage freeze mask, never from a hand-kept copy of the tree.
+activations from a taped trace of the real forward ops and the PIT loss, so
+it follows any change to what a training step tapes; a test pins it against
+a full training forward and its loss.  Its trainable/frozen split, like
+parameter counts and stage snapshots (``clone_params``), comes from
+``named_parameters`` of a real tree and the stage freeze mask, never from a
+hand-kept copy of the tree.
 
 Determinism contract: one generator drives shuffling, chunk offsets,
 augmentation, and Gumbel draws in a fixed order, so a seed reproduces
@@ -397,9 +398,11 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     Parameter scalars are the ``named_parameters`` of a fresh tree, split by
     the ``stage_freeze_mask`` training applies; its weights are zero views,
     never drawn.  Activations are counted from a taped trace of the real
-    ``encode``, one ``apply_sub_block`` and ``mask_and_decode`` on that tree
-    with zero-valued inputs.  Every sub-block of a config has the same
-    shapes, so one traced sub-block times the schedule gives the block
+    ``encode``, one ``apply_sub_block``, ``mask_and_decode`` and ``pit_loss``
+    on that tree with zero-valued inputs (the loss against all-ones
+    references, so it takes no log of zero), with ``num_sources - 1``
+    speech sources as both tasks have.  Every sub-block of a config has the
+    same shapes, so one traced sub-block times the schedule gives the block
     totals.
     """
     if batch_size < 1 or T < 1:
@@ -410,7 +413,10 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     params = init_params(config, _ZeroDraws(), stages=head_pairs)
     (v_enc, v), encode_elems = _taped(encode, Tensor(np.zeros((1, T))), params)
     _, sub_block_elems = _taped(apply_sub_block, v, params.blocks[0][0])
-    _, heads_elems = _taped(mask_and_decode, v_enc, v, 0, params, out_length=T)
+    ests, heads_elems = _taped(mask_and_decode, v_enc, v, 0, params, out_length=T)
+    S = config.num_sources
+    _, loss_elems = _taped(pit_loss, ests, np.ones((S, T)), S - 1)
+    heads_elems += loss_elems
     trainable, frozen = apply_freeze(named_parameters(params), freeze)
     trainable_scalars = sum(t.size for _, t in trainable)
     frozen_scalars = sum(t.size for _, t in frozen)

@@ -31,7 +31,8 @@ def tiny_mapping(tmp_path, mode="end_to_end", task="separation", **over):
             "blocks": [{"sub_blocks": 1, "iterations": 1}],
             "sub_scales": 2, "sub_kernel": 3,
         },
-        "train": {"epochs": 1, "batch_size": 2, "seed": 0},
+        # adaptive mode spends one epoch on the gate and needs one before it
+        "train": {"epochs": 2 if mode == "adaptive" else 1, "batch_size": 2, "seed": 0},
         "dataset": {"duration": 0.05, "task": task, "seed": 0,
                     "num_train": 2, "num_val": 2, "num_test": 4},
         "output_dir": str(tmp_path / "out"),
@@ -104,6 +105,26 @@ def test_adaptive_chunk_len_must_keep_latent_length(tmp_path):
     m["train"]["chunk_len"] = 397
     assert config_from_mapping(m).train.chunk_len == 397
     config_from_mapping(tiny_mapping(tmp_path, train={"chunk_len": 80}))
+
+
+@pytest.mark.parametrize("train,finetune", [(1, None), (3, 3), (4, 5)])
+def test_adaptive_finetune_epochs_rejected_before_building_data(
+        tmp_path, monkeypatch, capsys, train, finetune):
+    m = tiny_mapping(tmp_path, mode="adaptive")
+    m["train"]["epochs"] = train
+    if finetune is not None:
+        m["finetune"] = {"epochs": finetune}
+    path = write_config(tmp_path, m)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("train built the dataset before checking the config")
+
+    monkeypatch.setattr(cli, "build_splits", no_data)
+    assert main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert f"finetune.epochs {finetune or 1} leaves no pretraining epochs out of " \
+           f"train.epochs {train}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file():
@@ -451,6 +472,26 @@ def test_main_train_and_eval(tmp_path):
     path = write_config(tmp_path, tiny_mapping(tmp_path))
     assert main(["train", "--config", path]) == 0
     assert main(["eval", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("passthrough", [False, True])
+def test_eval_synthesises_only_the_test_split(tmp_path, monkeypatch, passthrough):
+    path = write_config(tmp_path, tiny_mapping(tmp_path))
+    if not passthrough:
+        run("train", path)
+    made = []
+    make_dataset = data.make_dataset
+
+    def counted(spec, count, split="train"):
+        made.append((split, count))
+        return make_dataset(spec, count, split)
+
+    monkeypatch.setattr(data, "make_dataset", counted)
+    monkeypatch.setattr(cli, "make_dataset", counted)
+    assert run("eval", path, passthrough=passthrough) == 0
+    assert made == [("test", 4)]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["per_sample"]) == 4
 
 
 def test_experiment_config_direct_construction():

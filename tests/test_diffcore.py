@@ -28,6 +28,7 @@ from latref.diffcore import (
     sub,
     sum_all,
     transposed_conv1d,
+    upsample_conv1d,
     upsample_nearest,
 )
 
@@ -344,6 +345,127 @@ class TestFusedOps:
                           Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros(1)), 2, 8)
 
 
+class TestUpsampleConv1d:
+    """upsample_conv1d runs conv1d over upsample_nearest at the source rate."""
+
+    @staticmethod
+    def inputs(src, K, seed=0):
+        rng = np.random.default_rng(seed * 1000 + src * 10 + K)
+        return rng.normal(size=(3, src)), rng.normal(size=(4, 3, K)), rng.normal(size=4)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("src", [1, 2, 5, 9])
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    def test_matches_chain(self, src, K, odd):
+        u, w, b = self.inputs(src, K)
+        length = 2 * src - odd
+        expected = conv1d(upsample_nearest(Tensor(u), length), Tensor(w), Tensor(b)).data
+        out = upsample_conv1d(Tensor(u), Tensor(w), Tensor(b), length)
+        assert out.shape == (4, length)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("needs", ["u,w,b", "u", "w", "b"])
+    @pytest.mark.parametrize("src,K,length", [(4, 5, 8), (4, 5, 7), (6, 4, 11), (3, 7, 5),
+                                              (5, 2, 9), (1, 3, 1)])
+    def test_grad_check(self, src, K, length, needs):
+        ts = [Tensor(a, requires_grad=name in needs.split(","))
+              for name, a in zip("uwb", self.inputs(src, K, seed=1))]
+
+        def f():
+            out = upsample_conv1d(*ts, length)
+            return sum_all(mul(out, out))
+
+        assert grad_check(f, [t for t in ts if t.requires_grad]) < 1e-4
+        for t in ts:
+            assert (t.grad is None) != t.requires_grad
+
+    @pytest.mark.parametrize("K,length", [(5, 7), (4, 8), (3, 11)])
+    def test_gradients_match_chain(self, K, length):
+        src = (length + 1) // 2
+        arrays = self.inputs(src, K, seed=2)
+        y = Tensor(np.random.default_rng(K).normal(size=(4, length)))
+
+        def grads(op):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            with Tape() as tape:
+                loss = sum_all(mul(op(*ts), y))
+            backward(tape, loss)
+            return [t.grad for t in ts]
+
+        fused = grads(lambda u, w, b: upsample_conv1d(u, w, b, length))
+        chain = grads(lambda u, w, b: conv1d(upsample_nearest(u, length), w, b))
+        for got, want in zip(fused, chain):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_tapes_one_node(self):
+        u, w, b = (Tensor(a, requires_grad=True) for a in self.inputs(5, 5))
+        with Tape() as tape:
+            out = upsample_conv1d(u, w, b, 9)
+        assert len(tape) == 1 and tape.recorded_output_elems() == out.size == 4 * 9
+
+    @pytest.mark.parametrize("length", [4, 7, 12, 20])
+    def test_rejects_other_lengths(self, length):
+        u, w, b = (Tensor(a) for a in self.inputs(5, 3))
+        with pytest.raises(ValueError, match=f"5 samples to 9 or 10, not {length}"):
+            upsample_conv1d(u, w, b, length)
+
+
+def prelu_norm_grads_oracle(x, s, gamma, g):
+    """prelu_norm's gradients by the textbook chain: mean-centred norm
+    gradient, then a select on the sign of x (zero takes the slope)."""
+    h = np.maximum(x, 0.0) + s[:, None] * np.minimum(x, 0.0)
+    xc = h - h.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + dc.NORM_EPS)
+    xhat = xc * inv
+    gh = g * gamma[:, None]
+    gh = inv * (gh - gh.mean(axis=1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+    gx = np.where(x > 0, gh, gh * s[:, None])
+    gs = (gh * np.minimum(x, 0.0)).sum(axis=1)
+    return gx, gs, (g * xhat).sum(axis=1), g.sum(axis=1)
+
+
+class TestMaskingGradients:
+    """Masking vjps multiply by the comparison: 0 or the slope side at x = 0
+    (relu's kink is in TestBackward)."""
+
+    def test_prelu_norm_matches_oracle(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(4, 50))
+        x[0] = 1e3 + rng.normal(size=50)  # mean 1e3 times the spread
+        x[1, ::5] = 0.0  # exact zeros take the slope side
+        s, gamma, beta = np.array([0.25, 0.6, -0.1, 0.0]), rng.normal(size=4) + 1.0, rng.normal(size=4)
+        g = rng.normal(size=(4, 50))
+        ts = [Tensor(a, requires_grad=True) for a in (x, s, gamma, beta)]
+        with Tape() as tape:
+            loss = sum_all(mul(prelu_norm(*ts), Tensor(g)))
+        backward(tape, loss)
+        for t, want in zip(ts, prelu_norm_grads_oracle(x, s, gamma, g)):
+            np.testing.assert_allclose(t.grad, want, rtol=1e-10, atol=0)
+
+    def test_prelu_zero_takes_slope(self):
+        x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
+        slope = Tensor(np.array(0.25), requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(prelu(x, slope))
+        backward(tape, loss)
+        assert np.array_equal(x.grad, [0.25, 0.25, 1.0])
+        assert slope.grad == -1.0
+
+    def test_masked_decode_gradient_zero_at_zero_logit(self):
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(4, 6))
+        z[:, ::2] = 0.0
+        ts = [Tensor(a, requires_grad=True) for a in
+              (z, np.abs(rng.normal(size=(2, 6))) + 0.1, rng.normal(size=(2, 1, 4)), np.zeros(1))]
+        with Tape() as tape:
+            out = masked_decode(*ts, 2, 12)
+            loss = sum_all(mul(out, out))
+        backward(tape, loss)
+        assert np.all(ts[0].grad[:, ::2] == 0.0)
+        assert np.all((ts[0].grad[:, 1::2] != 0.0) == (z[:, 1::2] > 0))
+
+
 class TestElementwise:
     def test_prelu_worked_example(self):
         out = prelu(Tensor(np.array([-4.0])), Tensor(np.array(0.25)))
@@ -381,6 +503,18 @@ class TestElementwise:
         out = upsample_nearest(x, 6)
         assert np.array_equal(out.data, np.array([[1.0, 1.0, 2.0, 2.0, 3.0, 3.0]]))
 
+    @pytest.mark.parametrize("src,length", [(3, 3), (3, 5), (4, 7), (5, 10), (3, 11), (7, 20)])
+    def test_upsample_nearest_vjp_sums_each_run(self, src, length):
+        rng = np.random.default_rng(length)
+        x = Tensor(rng.normal(size=(2, src)), requires_grad=True)
+        g = rng.normal(size=(2, length))
+        with Tape() as tape:
+            loss = sum_all(mul(upsample_nearest(x, length), Tensor(g)))
+        backward(tape, loss)
+        owner = (np.arange(length) * src) // length
+        expected = np.stack([g[:, owner == i].sum(axis=1) for i in range(src)], axis=1)
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-15, atol=1e-15)
+
     def test_slice_concat_round_trip(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 4))
@@ -403,11 +537,11 @@ class TestBackward:
         assert x.grad[0] == 6.0
 
     def test_relu_subgradient_at_kink(self):
-        x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
         with Tape() as tape:
             loss = sum_all(relu(x))
         backward(tape, loss)
-        assert np.array_equal(x.grad, np.array([0.0, 1.0]))
+        assert np.array_equal(x.grad, np.array([0.0, 0.0, 1.0]))
 
     def test_off_path_tensor_gets_zeros(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
@@ -508,7 +642,8 @@ class TestGradCheck:
         [
             "add", "sub", "mul", "relu", "prelu", "softmax", "log",
             "sum", "mean", "norm", "prelu_norm", "conv_same", "conv_valid",
-            "tconv_same", "tconv_valid", "upsample", "slice", "masked_decode",
+            "tconv_same", "tconv_valid", "upsample", "upsample_conv", "slice",
+            "masked_decode",
         ],
     )
     def test_each_op(self, name):
@@ -576,6 +711,11 @@ class TestGradCheck:
             )
         elif name == "upsample":
             f, ps = lambda: sum_all(mul(upsample_nearest(x, 20), upsample_nearest(x, 20))), [x]
+        elif name == "upsample_conv":
+            w = Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
+            b = Tensor(rng.normal(size=3), requires_grad=True)
+            y23 = Tensor(rng.normal(size=(3, 23)))
+            f, ps = lambda: sum_all(mul(upsample_conv1d(x, w, b, 23), y23)), [x, w, b]
         elif name == "slice":
             f, ps = lambda: sum_all(mul(slice_rows(x, 0, 1), slice_rows(x, 1, 2))), [x]
         else:

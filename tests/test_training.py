@@ -448,7 +448,7 @@ MEMORY_CONFIGS = {
 @pytest.mark.parametrize("config_name", sorted(MEMORY_CONFIGS))
 @pytest.mark.parametrize("stage", [None, 0, 1], ids=["e2e", "stage0", "stage1"])
 def test_memory_model_matches_tape(stage, config_name):
-    """The account equals what one real training forward tapes."""
+    """The account equals what one real training forward and its loss tape."""
     config, T = MEMORY_CONFIGS[config_name]
     report = memory_account(config, batch_size=1, T=T, stage=stage)
     params = init_params(config, np.random.default_rng(0),
@@ -458,9 +458,10 @@ def test_memory_model_matches_tape(stage, config_name):
     else:
         apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
         head, depth = stage, sum(bs.iterations for bs in config.blocks[:stage + 1])
-    mix = np.random.default_rng(1).normal(size=T)
+    sources = np.random.default_rng(1).normal(size=(config.num_sources, T))
     with Tape() as tape:
-        run_model(mix, params, stage=head, depth=depth)
+        ests, _ = run_model(sources.sum(axis=0), params, stage=head, depth=depth)
+        pit_loss(ests, sources, config.num_sources - 1)
     # a frozen prefix tapes nothing; the account adds the two tensors it hands over
     assert tape.recorded_output_elems() == report.activation_elems - report.boundary_elems
     L = config.latent_length(T)
