@@ -15,18 +15,25 @@ The op set is exactly what the separation stack needs:
   one transposed conv per source, fused into one node.
 
 Forward computation is plain numpy.  While a :class:`Tape` is active, every
-op whose inputs require gradients appends a backward closure to the tape;
+op whose inputs require gradients appends a node to the tape;
 :func:`backward` replays the tape in reverse execution order and accumulates
 vector-Jacobian products.  With no tape active, ops run as pure forwards,
 which is what inference uses.
 
-Memory follows the taped op outputs.  A backward closure (vjp) reads only
-its op's inputs, which are taped outputs or leaves, and C x 1 statistics;
-masks, normalised values and the fused ops' inner results are recomputed
-from those inputs.  So counting taped outputs counts what a backward pass
-keeps.  The reverse sweep frees each output's gradient as soon as its
-closure has consumed it, and ``.grad`` is set on leaves only.  A vjp masks
-by multiplying with the comparison (``g * (x > 0)``), never with
+Memory follows what the backward closures (vjps) read.  A node holds the
+arrays its vjp reads (its saved arrays) and nothing else: ``conv1d``,
+``upsample_conv1d``, ``transposed_conv1d``, ``prelu``, ``prelu_norm`` and
+``log`` keep their input, ``relu`` and ``softmax`` their output, ``mul``
+the other operand of each gradient it needs, ``masked_decode`` its logits
+and encoding, and the reshaping, slicing, summing and adding ops nothing.
+Masks, normalised values and the fused ops' inner results are recomputed
+from the saved arrays, and closures capture only shapes, flags and C x 1
+statistics, never a :class:`Tensor`.  So an op output that no vjp reads is
+freed as soon as the forward drops it, and the tape's held count
+(:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
+reverse sweep frees each output's gradient as soon as its node's vjp has
+consumed it, and ``.grad`` is set on leaves only.  A vjp masks by
+multiplying with the comparison (``g * (out > 0)``), never with
 ``np.where``: a select branches on every element, which on mixed-sign
 activations costs several times the multiply.
 
@@ -50,15 +57,16 @@ class Tensor:
     mutation is an optimizer updating leaf parameters between tapes.  After
     :func:`backward`, a leaf's ``grad`` holds an array of the same shape
     (zeros if the tensor did not influence the loss); an op output's stays
-    None.
+    None.  A taped op output carries its key on the tape that recorded it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._key = None  # (tape token, node position) of a taped op output
 
     @property
     def shape(self):
@@ -112,12 +120,21 @@ class Tape:
     """Execution-ordered record of differentiable ops.
 
     Use as a context manager around the forward pass.  Tapes nest; ops record
-    onto the innermost active tape only.  One tape per training step, one
-    writer thread: nothing here is locked.
+    onto the innermost active tape only, and a tensor another tape produced
+    counts as a leaf here.  One tape per training step, one writer thread:
+    nothing here is locked.
+
+    A node is (output element count, input refs, saved arrays, vjp).  An op
+    output's key is its node's position; an input ref is that key, the leaf
+    Tensor itself (so ``.grad`` can be set), or None when the input needs no
+    gradient.  The saved arrays are what the vjp reads, passed to it after
+    the output gradient; no op output is held otherwise.
     """
 
     def __init__(self):
-        self._nodes = []  # (out, inputs, vjp) in execution order
+        self._token = object()  # names the tape in keys without keeping it alive
+        self._nodes = []
+        self._held = {}  # id of a saved op-output array -> (producing node, elements)
 
     def __enter__(self):
         _TAPES.append(self)
@@ -133,7 +150,13 @@ class Tape:
 
     def recorded_output_elems(self) -> int:
         """Total element count over all op outputs on the tape."""
-        return int(sum(node[0].data.size for node in self._nodes))
+        return sum(node[0] for node in self._nodes)
+
+    def held_output_elems(self, start: int = 0, stop: int | None = None) -> int:
+        """Elements of the op outputs the tape holds for backward, each array
+        once, over those produced by nodes ``start`` to ``stop`` (exclusive)."""
+        stop = len(self._nodes) if stop is None else stop
+        return sum(n for node, n in self._held.values() if start <= node < stop)
 
 
 _TAPES: list[Tape] = []
@@ -147,13 +170,32 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _finish(out_data, inputs, make_vjp):
-    """Wrap op output; record a backward closure if anything needs grads."""
+def _finish(out_data, inputs, make_vjp, saved=()):
+    """Wrap op output; record a node if anything needs grads.
+
+    ``saved`` holds the arrays the vjp reads (None for one it does not
+    need); the vjp is called as ``vjp(g, *saved)``.
+    """
     tape = _active()
     if tape is None or not any(t.requires_grad for t in inputs):
         return Tensor(out_data)
     out = Tensor(out_data, requires_grad=True)
-    tape._nodes.append((out, inputs, make_vjp()))
+    token, pos = tape._token, len(tape._nodes)
+    out._key = (token, pos)
+    refs = tuple([None if not t.requires_grad
+                  else t._key[1] if t._key is not None and t._key[0] is token
+                  else t
+                  for t in inputs])
+    # An array saved again by a later node maps to the same entry.
+    for a in saved:
+        if a is out_data:
+            tape._held[id(a)] = (pos, a.size)
+        elif a is not None:
+            for t, ref in zip(inputs, refs):
+                if type(ref) is int and t.data is a:
+                    tape._held[id(a)] = (ref, a.size)
+                    break
+    tape._nodes.append((out_data.size, refs, saved, make_vjp()))
     return out
 
 
@@ -173,35 +215,46 @@ def _unbroadcast(g, shape):
 def backward(tape: Tape, loss: Tensor) -> None:
     """Replay ``tape`` in reverse from a scalar ``loss``.
 
-    Sets ``.grad`` on every leaf the tape touched: a requires_grad input that
-    no op on the tape produced.  Leaves that did not influence the loss get
-    zeros, and repeated appearances of the same leaf (weight sharing)
-    accumulate.  An op output's gradient is complete once its node is
-    reached, since every consumer comes later on the tape; it is freed right
-    after the node's closure has run, and the output's ``.grad`` stays None.
-    The tape itself is left intact.
+    Gradients are routed by key: an op output's node position, or the leaf
+    Tensor itself.  Sets ``.grad`` on every leaf the tape touched: a
+    requires_grad input that no op on the tape produced.  Leaves that did not
+    influence the loss get zeros, and repeated appearances of the same leaf
+    (weight sharing) accumulate.  An op output's gradient is complete once
+    its node is reached, since every consumer comes later on the tape; it is
+    freed right after the node's vjp has run, and the output's ``.grad``
+    stays None.  Terms are summed in reverse tape order: the second makes a
+    new array and later ones add into it in place, never into an array a
+    vjp returned (``add``'s vjp passes its ``g`` on).  The tape itself is
+    left intact.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("backward expects a Tensor loss")
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for out, inputs, vjp in reversed(tape._nodes):
-        g = grads.pop(id(out), None)
+    nodes = tape._nodes
+    on_tape = loss._key is not None and loss._key[0] is tape._token
+    grads = {loss._key[1] if on_tape else loss: np.ones_like(loss.data)}
+    owned = set()  # keys whose gradient is a sum backward allocated
+    for pos in range(len(nodes) - 1, -1, -1):
+        g = grads.pop(pos, None)
         if g is None:
             continue
-        for t, gt in zip(inputs, vjp(g)):
-            if gt is None or not t.requires_grad:
+        _, refs, saved, vjp = nodes[pos]
+        for ref, gt in zip(refs, vjp(g, *saved)):
+            if ref is None or gt is None:
                 continue
-            acc = grads.get(id(t))
-            grads[id(t)] = gt if acc is None else acc + gt
-    done = {id(out) for out, _, _ in tape._nodes}  # op outputs, then each leaf once set
-    for _, inputs, _ in tape._nodes:
-        for t in inputs:
-            if t.requires_grad and id(t) not in done:
-                done.add(id(t))
-                g = grads.get(id(t))
-                t.grad = g if g is not None else np.zeros_like(t.data)
+            acc = grads.get(ref)
+            if acc is None:
+                grads[ref] = gt
+            elif ref in owned:
+                grads[ref] += gt
+            else:
+                grads[ref] = acc + gt
+                owned.add(ref)
+    leaves = {ref: None for _, refs, _, _ in nodes for ref in refs if isinstance(ref, Tensor)}
+    for leaf in leaves:
+        g = grads.get(leaf)
+        leaf.grad = g if g is not None else np.zeros_like(leaf.data)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +266,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def make():
+        sa, sb = a.data.shape, b.data.shape
+
         def vjp(g):
-            return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+            return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
         return vjp
 
@@ -226,8 +281,10 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def make():
+        sa, sb = a.data.shape, b.data.shape
+
         def vjp(g):
-            return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
+            return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
         return vjp
 
@@ -237,16 +294,20 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
+    # Each operand's gradient reads the other operand, kept only if needed.
+    saved = (a.data if b.requires_grad else None, b.data if a.requires_grad else None)
 
     def make():
-        def vjp(g):
-            ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
-            gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        sa, sb = a.data.shape, b.data.shape
+
+        def vjp(g, a_data, b_data):
+            ga = None if b_data is None else _unbroadcast(g * b_data, sa)
+            gb = None if a_data is None else _unbroadcast(g * a_data, sb)
             return (ga, gb)
 
         return vjp
 
-    return _finish(out, (a, b), make)
+    return _finish(out, (a, b), make, saved)
 
 
 def relu(x) -> Tensor:
@@ -254,12 +315,12 @@ def relu(x) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
     def make():
-        def vjp(g):
-            return (g * (x.data > 0),)
+        def vjp(g, out):  # out > 0 exactly where x > 0
+            return (g * (out > 0),)
 
         return vjp
 
-    return _finish(out, (x,), make)
+    return _finish(out, (x,), make, (out,))
 
 
 def prelu(x, slope) -> Tensor:
@@ -281,22 +342,22 @@ def prelu(x, slope) -> Tensor:
     out = np.maximum(x.data, 0.0) + s * np.minimum(x.data, 0.0)
 
     def make():
-        # The mask and the negative part are recomputed from x, which the
-        # tape holds anyway, rather than kept as two more x-sized arrays.
-        def vjp(g):
-            gx = g * _prelu_slopes(x.data, s) if x.requires_grad else None
+        # The mask and the negative part are recomputed from x rather than
+        # kept as two more x-sized arrays.
+        need_x, need_s = x.requires_grad, slope.requires_grad
+        s_shape, axes = s.shape, tuple(range(1, x.ndim)) if slope.ndim else None
+
+        def vjp(g, x_data, slope_data):
+            gx = g * _prelu_slopes(x_data, slope_data.reshape(s_shape)) if need_x else None
             gs = None
-            if slope.requires_grad:
-                prod = g * np.minimum(x.data, 0.0)
-                if slope.ndim == 0:
-                    gs = np.asarray(prod.sum())
-                else:
-                    gs = prod.sum(axis=tuple(range(1, x.ndim)))
+            if need_s:
+                prod = g * np.minimum(x_data, 0.0)
+                gs = np.asarray(prod.sum()) if axes is None else prod.sum(axis=axes)
             return (gx, gs)
 
         return vjp
 
-    return _finish(out, (x, slope), make)
+    return _finish(out, (x, slope), make, (x.data, slope.data))
 
 
 def _prelu_into(h, x, s):
@@ -326,13 +387,13 @@ def softmax(x, axis: int) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
 
     def make():
-        def vjp(g):
+        def vjp(g, out):
             inner = (g * out).sum(axis=axis, keepdims=True)
             return (out * (g - inner),)
 
         return vjp
 
-    return _finish(out, (x,), make)
+    return _finish(out, (x,), make, (out,))
 
 
 def log(x) -> Tensor:
@@ -340,12 +401,12 @@ def log(x) -> Tensor:
     out = np.log(x.data)
 
     def make():
-        def vjp(g):
-            return (g / x.data,)
+        def vjp(g, x_data):
+            return (g / x_data,)
 
         return vjp
 
-    return _finish(out, (x,), make)
+    return _finish(out, (x,), make, (x.data,))
 
 
 def sum_all(x) -> Tensor:
@@ -353,8 +414,10 @@ def sum_all(x) -> Tensor:
     out = np.asarray(x.data.sum())
 
     def make():
+        shape = x.data.shape
+
         def vjp(g):
-            return (np.broadcast_to(g, x.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
 
         return vjp
 
@@ -368,10 +431,10 @@ def mean_all(x) -> Tensor:
     out = np.asarray(x.data.mean())
 
     def make():
-        inv = 1.0 / x.data.size
+        shape, inv = x.data.shape, 1.0 / x.data.size
 
         def vjp(g):
-            return (np.broadcast_to(g * inv, x.data.shape).copy(),)
+            return (np.broadcast_to(g * inv, shape).copy(),)
 
         return vjp
 
@@ -404,39 +467,40 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     h += beta.data[:, None]
 
     def make():
-        # Only the C x 1 statistics are kept; the PReLU output and xhat are
-        # recomputed from x by the forward's own ops, so they are
+        # Only x and the C x 1 statistics are kept; the PReLU output and xhat
+        # are recomputed from x by the forward's own ops, so they are
         # bit-identical to the forward's.  With T samples per channel and
         # gh = gamma * g, the norm's gradient
         #   inv * (gh - mean(gh) - xhat * mean(gh * xhat))
         # takes both means from the affine's row sums:
         #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
         T = x.data.shape[1]
+        need_x, need_s, need_gamma, need_beta = (t.requires_grad for t in (x, slope, gamma, beta))
 
-        def vjp(g):
-            xhat = _prelu_into(np.maximum(x.data, 0.0), x.data, s)
+        def vjp(g, x_data, slope_data, gamma_data):
+            s = slope_data[:, None]
+            xhat = _prelu_into(np.maximum(x_data, 0.0), x_data, s)
             xhat -= mu
             xhat *= inv
             gbeta = g.sum(axis=1)
             ggamma = np.einsum("ct,ct->c", g, xhat)
             gx = gs = None
-            if x.requires_grad or slope.requires_grad:
+            if need_x or need_s:
                 gh = xhat  # xhat's last use: overwrite it with the PReLU output's gradient
                 gh *= (-ggamma / T)[:, None]
                 gh += g
                 gh -= (gbeta / T)[:, None]
-                gh *= inv * gamma.data[:, None]
-                if slope.requires_grad:
-                    gs = np.einsum("ct,ct->c", gh, np.minimum(x.data, 0.0))
-                if x.requires_grad:
-                    gh *= _prelu_slopes(x.data, s)
+                gh *= inv * gamma_data[:, None]
+                if need_s:
+                    gs = np.einsum("ct,ct->c", gh, np.minimum(x_data, 0.0))
+                if need_x:
+                    gh *= _prelu_slopes(x_data, s)
                     gx = gh
-            return (gx, gs, ggamma if gamma.requires_grad else None,
-                    gbeta if beta.requires_grad else None)
+            return (gx, gs, ggamma if need_gamma else None, gbeta if need_beta else None)
 
         return vjp
 
-    return _finish(h, (x, slope, gamma, beta), make)
+    return _finish(h, (x, slope, gamma, beta), make, (x.data, slope.data, gamma.data))
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +563,17 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
 
     def make():
         runs = _tap_runs(T, K, stride, left, Tp)
+        shapes = (x.data.shape, w.data.shape)
+        need_b = b is not None and b.requires_grad
 
-        def vjp(g):
-            gx, gw = _conv_vjp(g, x.data, w.data, runs, x.requires_grad, w.requires_grad)
-            gb = g.sum(axis=1) if b is not None and b.requires_grad else None
-            return (gx, gw) if b is None else (gx, gw, gb)
+        def vjp(g, x_data, w_data):
+            gx, gw = _conv_vjp(g, x_data, w_data, runs, *shapes)
+            gb = g.sum(axis=1) if need_b else None
+            return (gx, gw, gb)  # without a bias, backward's zip drops gb
 
         return vjp
 
-    return _finish(out, inputs, make)
+    return _finish(out, inputs, make, _conv_saved(x, w))
 
 
 def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
@@ -529,16 +595,24 @@ def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
     return runs
 
 
-def _conv_vjp(g, x, w, runs, need_x: bool, need_w: bool):
+def _conv_saved(x: Tensor, w: Tensor):
+    """A conv's saved arrays: the weight gradient reads the input and the
+    input gradient the weight, so each is kept only if the other's gradient
+    is needed."""
+    return (x.data if w.requires_grad else None, w.data if x.requires_grad else None)
+
+
+def _conv_vjp(g, x, w, runs, x_shape, w_shape):
     """(input gradient, weight gradient) of a conv's output gradient ``g``,
-    one matmul per tap run; each is None where not needed."""
+    one matmul per tap run.  ``x`` and ``w`` are as :func:`_conv_saved`
+    keeps them; a gradient whose operand is None is None."""
     gx = gw = None
-    if need_w:
-        gw = np.zeros(w.shape)
+    if x is not None:
+        gw = np.zeros(w_shape)
         for k, cols, samples in runs:
             gw[:, :, k] = g[:, cols] @ x[:, samples].T
-    if need_x:
-        gx = np.zeros(x.shape)
+    if w is not None:
+        gx = np.zeros(x_shape)
         for k, cols, samples in runs:
             gx[:, samples] += w[:, :, k].T @ g[:, cols]
     return gx, gw
@@ -621,20 +695,22 @@ def transposed_conv1d(
     inputs = (v, w) if b is None else (v, w, b)
 
     def make():
-        def vjp(g):
+        need_b = b is not None and b.requires_grad
+
+        def vjp(g, v_data, w_data):
             gwin = _overlap_windows(g, full_len, left, K, stride)  # (Cout, L, K)
             gv = gw = gb = None
-            if v.requires_grad:
-                gv = np.tensordot(w.data, gwin, axes=((1, 2), (0, 2)))  # (Cin, L)
-            if w.requires_grad:
-                gw = np.tensordot(v.data, gwin, axes=((1,), (1,)))  # (Cin, Cout, K)
-            if b is not None and b.requires_grad:
+            if w_data is not None:
+                gv = np.tensordot(w_data, gwin, axes=((1, 2), (0, 2)))  # (Cin, L)
+            if v_data is not None:
+                gw = np.tensordot(v_data, gwin, axes=((1,), (1,)))  # (Cin, Cout, K)
+            if need_b:
                 gb = g.sum(axis=1)
-            return (gv, gw) if b is None else (gv, gw, gb)
+            return (gv, gw, gb)  # without a bias, backward's zip drops gb
 
         return vjp
 
-    return _finish(out, inputs, make)
+    return _finish(out, inputs, make, _conv_saved(v, w))
 
 
 def upsample_nearest(x, length: int) -> Tensor:
@@ -735,32 +811,33 @@ def upsample_conv1d(u, w, b, length: int) -> Tensor:
 
     def make():
         runs = _tap_runs(src, Kp, 1, lp, src)
+        u_shape, need_b = u.data.shape, b.requires_grad
 
-        def vjp(g):
+        def vjp(g, u_data, w_data):
             gboth = np.zeros((2 * Cout, src))
             gboth[:Cout] = g[:, 0::2]
             gboth[Cout:, :length // 2] = g[:, 1::2]
-            gu, gpw = _conv_vjp(gboth, u.data, _phase_weights(w.data, taps, Kp), runs,
-                                u.requires_grad, w.requires_grad)
+            pw = None if w_data is None else _phase_weights(w_data, taps, Kp)
+            gu, gpw = _conv_vjp(gboth, u_data, pw, runs, u_shape, (2 * Cout, Cin, Kp))
             gw = gb = None
-            if w.requires_grad:
+            if gpw is not None:
                 gpw = gpw.reshape(2, Cout, Cin, Kp)
-                gw = np.empty(w.data.shape)
+                gw = np.empty((Cout, Cin, K))
                 for k in range(K):
                     gw[:, :, k] = gpw[0, :, :, taps[0][k]] + gpw[1, :, :, taps[1][k]]
             for j in dropped:  # the phase conv's vjp counted the dropped copy: take it out
                 k = length + left - j
-                if u.requires_grad:
-                    gu[:, src - 1] -= w.data[:, :, k].T @ g[:, j]
-                if w.requires_grad:
-                    gw[:, :, k] -= np.outer(g[:, j], u.data[:, src - 1])
-            if b.requires_grad:
+                if gu is not None:
+                    gu[:, src - 1] -= w_data[:, :, k].T @ g[:, j]
+                if gw is not None:
+                    gw[:, :, k] -= np.outer(g[:, j], u_data[:, src - 1])
+            if need_b:
                 gb = g.sum(axis=1)
             return (gu, gw, gb)
 
         return vjp
 
-    return _finish(out, (u, w, b), make)
+    return _finish(out, (u, w, b), make, _conv_saved(u, w))
 
 
 def reshape(x, shape) -> Tensor:
@@ -769,8 +846,10 @@ def reshape(x, shape) -> Tensor:
     out = x.data.reshape(shape).copy()
 
     def make():
+        x_shape = x.data.shape
+
         def vjp(g):
-            return (g.reshape(x.data.shape),)
+            return (g.reshape(x_shape),)
 
         return vjp
 
@@ -786,8 +865,10 @@ def slice_rows(x, start: int, stop: int) -> Tensor:
     out = x.data[start:stop].copy()
 
     def make():
+        x_shape = x.data.shape
+
         def vjp(g):
-            gx = np.zeros_like(x.data)
+            gx = np.zeros(x_shape)
             gx[start:stop] = g
             return (gx,)
 
@@ -827,9 +908,10 @@ def masked_decode(z, v_enc, w, b, stride: int, out_length: int) -> Tensor:
     def make():
         _, left, _ = _same_geometry(out_length, K, stride)
         full_len = (L - 1) * stride + K
+        need_z, need_v, need_w, need_b = (t.requires_grad for t in (z, v_enc, w, b))
 
-        def vjp(g):
-            gz = np.zeros(z.data.shape) if z.requires_grad else None
+        def vjp(g, z_data, v_data, w_data):
+            gz = np.zeros(z_data.shape) if need_z else None
             gv_enc = gw = gb = None
             # Sources in reverse: the terms of w, b and v_enc then add up in
             # the order backward adds those of one taped op per source, so
@@ -837,26 +919,26 @@ def masked_decode(z, v_enc, w, b, stride: int, out_length: int) -> Tensor:
             for s in reversed(range(S)):
                 gs = g[s * Cout:(s + 1) * Cout]
                 gwin = _overlap_windows(gs, full_len, left, K, stride)  # (Cout, L, K)
-                mask = np.maximum(z.data[rows[s]], 0.0)
-                if w.requires_grad:
-                    gws = np.tensordot(mask * v_enc.data, gwin, axes=((1,), (1,)))
+                mask = np.maximum(z_data[rows[s]], 0.0)
+                if need_w:
+                    gws = np.tensordot(mask * v_data, gwin, axes=((1,), (1,)))
                     gw = gws if gw is None else gw + gws
-                if b.requires_grad:
+                if need_b:
                     gbs = gs.sum(axis=1)
                     gb = gbs if gb is None else gb + gbs
-                if z.requires_grad or v_enc.requires_grad:
-                    gmasked = np.tensordot(w.data, gwin, axes=((1, 2), (0, 2)))  # (B, L)
-                    if z.requires_grad:
-                        np.multiply(gmasked, v_enc.data, out=gz[rows[s]])
+                if need_z or need_v:
+                    gmasked = np.tensordot(w_data, gwin, axes=((1, 2), (0, 2)))  # (B, L)
+                    if need_z:
+                        np.multiply(gmasked, v_data, out=gz[rows[s]])
                         gz[rows[s]] *= mask > 0
-                    if v_enc.requires_grad:
+                    if need_v:
                         gvs = gmasked * mask
                         gv_enc = gvs if gv_enc is None else gv_enc + gvs
             return (gz, gv_enc, gw, gb)
 
         return vjp
 
-    return _finish(out, (z, v_enc, w, b), make)
+    return _finish(out, (z, v_enc, w, b), make, (z.data, v_enc.data, w.data))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ and joint gate fine-tuning, plus the backward-memory account.
 Freezing works through ``requires_grad``: frozen tensors never cause ops to
 be taped, so a frozen prefix costs no activation memory and its parameters
 are bit-identical after any number of steps.  ``memory_account`` counts the
-activations from a taped trace of the real forward ops and the PIT loss, so
-it follows any change to what a training step tapes; a test pins it against
-a full training forward and its loss.  Its trainable/frozen split, like
-parameter counts and stage snapshots (``clone_params``), comes from
-``named_parameters`` of a real tree and the stage freeze mask, never from a
-hand-kept copy of the tree.
+activations a backward pass holds, from a taped trace of the real forward
+ops and the PIT loss, so it follows any change to what a training step
+keeps; a test pins it against a full training forward and its loss.  Its
+trainable/frozen split, like parameter counts and stage snapshots
+(``clone_params``), comes from ``named_parameters`` of a real tree and the
+stage freeze mask, never from a hand-kept copy of the tree.
 
 Determinism contract: one generator drives shuffling, chunk offsets,
 augmentation, and Gumbel draws in a fixed order, so a seed reproduces
@@ -380,13 +380,6 @@ class MemoryReport:
                 + self.optimizer_state_bytes + self.activation_bytes_backward)
 
 
-def _taped(fn, *args, **kwargs):
-    """(result, output elements taped) of one call of ``fn`` on a fresh tape."""
-    with Tape() as tape:
-        out = fn(*args, **kwargs)
-    return out, tape.recorded_output_elems()
-
-
 def memory_account(config: SeparationConfig, batch_size: int, T: int,
                    stage: int | None = None) -> MemoryReport:
     """Bytes for one backward pass.
@@ -397,13 +390,15 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
 
     Parameter scalars are the ``named_parameters`` of a fresh tree, split by
     the ``stage_freeze_mask`` training applies; its weights are zero views,
-    never drawn.  Activations are counted from a taped trace of the real
-    ``encode``, one ``apply_sub_block``, ``mask_and_decode`` and ``pit_loss``
-    on that tree with zero-valued inputs (the loss against all-ones
-    references, so it takes no log of zero), with ``num_sources - 1``
-    speech sources as both tasks have.  Every sub-block of a config has the
-    same shapes, so one traced sub-block times the schedule gives the block
-    totals.
+    never drawn.  Activations are the op outputs a backward pass holds,
+    counted on one tape over the real ``encode``, one ``apply_sub_block``,
+    ``mask_and_decode`` and ``pit_loss`` on that tree with zero-valued inputs
+    (the loss against all-ones references, so it takes no log of zero), with
+    ``num_sources - 1`` speech sources as both tasks have.  Each held array
+    counts once, in the segment whose op produced it: ``v_enc`` is read by
+    both the bottleneck and the decoder, and a sub-block's output by
+    whatever comes next.  Every sub-block of a config has the same shapes,
+    so one traced sub-block times the schedule gives the block totals.
     """
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")
@@ -411,12 +406,16 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     L = config.latent_length(T)
     head_pairs = 1 if stage is None else len(config.blocks)
     params = init_params(config, _ZeroDraws(), stages=head_pairs)
-    (v_enc, v), encode_elems = _taped(encode, Tensor(np.zeros((1, T))), params)
-    _, sub_block_elems = _taped(apply_sub_block, v, params.blocks[0][0])
-    ests, heads_elems = _taped(mask_and_decode, v_enc, v, 0, params, out_length=T)
     S = config.num_sources
-    _, loss_elems = _taped(pit_loss, ests, np.ones((S, T)), S - 1)
-    heads_elems += loss_elems
+    with Tape() as tape:
+        v_enc, v = encode(Tensor(np.zeros((1, T))), params)
+        encoded = len(tape)
+        v = apply_sub_block(v, params.blocks[0][0])
+        refined = len(tape)
+        pit_loss(mask_and_decode(v_enc, v, 0, params, out_length=T), np.ones((S, T)), S - 1)
+    encode_elems = tape.held_output_elems(0, encoded)
+    sub_block_elems = tape.held_output_elems(encoded, refined)
+    heads_elems = tape.held_output_elems(refined)
     trainable, frozen = apply_freeze(named_parameters(params), freeze)
     trainable_scalars = sum(t.size for _, t in trainable)
     frozen_scalars = sum(t.size for _, t in frozen)

@@ -1,6 +1,7 @@
 """Tests for the reverse-mode core: op forwards against naive oracles,
 adjoint identities, and finite-difference gradient checks."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -742,3 +743,155 @@ class TestGradCheck:
             return mean_all(mul(y, y))
 
         assert grad_check(f, [w1, b1, slope, gamma, beta, w2]) < 1e-4
+
+
+def closure_leaks(vjp):
+    """What a vjp's closure captures beyond shapes, flags and C x 1
+    statistics: any Tensor, and any array with more than one column."""
+    leaks = []
+    stack = [cell.cell_contents for cell in vjp.__closure__ or ()]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, Tensor):
+            leaks.append(value)
+        elif isinstance(value, np.ndarray) and value.ndim > 1 and value.shape[1] > 1:
+            leaks.append(value.shape)
+    return leaks
+
+
+def tape_leaks(tape):
+    return [(pos, leak) for pos, (_, _, _, vjp) in enumerate(tape._nodes)
+            for leak in closure_leaks(vjp)]
+
+
+class TestTapeHoldsWhatBackwardReads:
+    """A node keeps the arrays its vjp reads and nothing else: no closure
+    captures a Tensor, gradients route by key, and an op output no vjp reads
+    is freed with its last reference."""
+
+    def test_gradcheck_suite_closures_capture_no_tensor(self, monkeypatch):
+        from latref import cli
+
+        tapes = []
+
+        def tape_only(f, params, eps=1e-5):
+            with Tape() as tape:
+                f()
+            tapes.append(tape)
+            return 0.0
+
+        monkeypatch.setattr(cli, "grad_check", tape_only)
+        cli.gradcheck_suite()
+        assert tapes and all(len(t) for t in tapes)
+        for tape in tapes:
+            assert tape_leaks(tape) == []
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["e2e", "gate"])
+    def test_desk_training_tape_closures_capture_no_tensor(self, gated):
+        from latref.gating import gate_penalty, init_gate
+        from latref.losses import pit_loss
+        from latref.sepmodel import BlockSpec, SeparationConfig, init_params
+        from latref.training import run_model
+
+        config = SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8, latent_channels=32,
+                                  num_sources=3, blocks=[BlockSpec(sub_blocks=2, iterations=4)],
+                                  sub_scales=3, sub_kernel=5)
+        rng = np.random.default_rng(3)
+        T = 800
+        params = init_params(config, rng)
+        gate = init_gate(32, config.latent_length(T), rng) if gated else None
+        sources = rng.normal(size=(3, T))
+        with Tape() as tape:
+            ests, g = run_model(sources.sum(axis=0), params, gate=gate, gate_mode="train", rng=rng)
+            loss = pit_loss(ests, sources, 2).loss
+            if gated:
+                loss = loss + gate_penalty(g)
+        ops = {vjp.__qualname__.split(".")[0] for _, _, _, vjp in tape._nodes}
+        assert {"conv1d", "prelu_norm", "upsample_conv1d", "masked_decode", "relu"} <= ops
+        assert not gated or {"softmax", "prelu", "slice_rows"} <= ops
+        assert tape_leaks(tape) == []
+
+    def test_gradients_route_by_key_when_ids_are_reused(self):
+        # Each conv output is freed as soon as relu has read it, and the leaf
+        # made next takes its id: routed by id(), that node would take the
+        # leaf's gradient as its own.
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(2, 9)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 2, 3)) * 0.5, requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        calls = []
+
+        def f():
+            out_ids, leaf_ids = [], []
+            h = x
+            for _ in range(6):
+                c = conv1d(h, w, b)
+                out_ids.append(id(c))
+                c = relu(c)
+                k = Tensor(np.array(0.5), requires_grad=True)
+                leaf_ids.append(id(k))
+                h = add(mul(c, k), x)
+            calls.append((out_ids, leaf_ids))
+            return sum_all(mul(h, h))
+
+        err = grad_check(f, [x, w, b])
+        out_ids, leaf_ids = calls[0]  # the taped call
+        assert set(out_ids) & set(leaf_ids)
+        assert err < 1e-4
+
+    def test_output_of_another_tape_is_a_leaf(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape():
+            h = mul(x, x)
+            with Tape() as inner:
+                loss = sum_all(mul(h, 3.0))
+        backward(inner, loss)
+        assert np.array_equal(h.grad, [3.0, 3.0]) and x.grad is None
+
+    def test_output_only_an_add_reads_is_freed(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(8, 4000)), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 8, 3)), requires_grad=True)
+        r = Tensor(rng.normal(size=(16, 4000)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                c = conv1d(x, w)
+                out = add(c, r)
+                nbytes = c.data.nbytes
+                before = tracemalloc.get_traced_memory()[0]
+                del c
+                after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert before - after >= nbytes == 16 * 4000 * 8
+        assert tape.held_output_elems() == 0  # the conv keeps x, a leaf
+        assert tape.recorded_output_elems() == 2 * out.size
+
+    def test_held_counts_each_array_once_by_producer(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(2, 10)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+        with Tape() as tape:
+            r = relu(x)  # keeps its output ...
+            h = conv1d(r, w)  # ... which the conv keeps as its input: counted once
+            s = softmax(h, 0)  # keeps its output
+            loss = sum_all(mul(s, s))  # mul(s, s) keeps s once more; sum_all nothing
+        backward(tape, loss)
+        assert len(tape) == 5
+        assert tape.held_output_elems() == r.size + s.size
+        assert tape.held_output_elems(0, 1) == r.size
+        assert tape.held_output_elems(1, 2) == 0  # the conv's output: only softmax reads h
+        assert tape.held_output_elems(2) == s.size
+
+    def test_accumulation_never_writes_into_a_passed_through_gradient(self):
+        # add's vjp hands its own output gradient to both inputs, so x's
+        # first term is the array the outer nodes' gradients are
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape() as tape:
+            h = add(x, x)
+            loss = sum_all(add(add(h, h), add(x, h)))
+        backward(tape, loss)
+        assert np.array_equal(x.grad, [7.0, 7.0])

@@ -2,10 +2,15 @@
 sharing, parameter accounting, and checkpoint round trips."""
 
 import json
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latref.diffcore import Tape, Tensor, grad_check, mean_all, mul, transposed_conv1d
 from latref.losses import pit_loss
@@ -455,6 +460,81 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """(params, extra tensors, meta) of a small model: 1-3 blocks, some
+    aliasing an earlier one, 1-3 head pairs, and JSON meta."""
+    blocks = []
+    for i in range(draw(st.integers(1, 3))):
+        share = draw(st.none() | st.integers(0, i - 1)) if i else None
+        sub_blocks = draw(st.integers(1, 2)) if share is None else blocks[share].sub_blocks
+        blocks.append(BlockSpec(sub_blocks, draw(st.integers(1, 3)), share))
+    config = SeparationConfig(
+        enc_bases=draw(st.integers(1, 4)), enc_kernel=draw(st.integers(1, 4)),
+        enc_stride=draw(st.integers(1, 3)), latent_channels=draw(st.integers(1, 3)),
+        num_sources=draw(st.integers(1, 3)), blocks=blocks,
+        sub_scales=draw(st.integers(1, 2)), sub_kernel=draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(config, rng, stages=draw(st.integers(1, 3)))
+    for _, t in named_parameters(params):
+        t.data = rng.normal(size=t.shape)
+    shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+    extra = {name: Tensor(rng.normal(size=shape)) for name, shape in draw(
+        st.dictionaries(st.sampled_from(["gate.a", "gate.b", "gate.c"]), shapes, max_size=3)).items()}
+    meta = draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4))
+    return params, extra, meta
+
+
+class TestCheckpointProperties:
+    @given(case=checkpoint_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip(self, case):
+        params, extra, meta = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, params, extra_tensors=extra, meta=meta)
+            loaded = load_checkpoint(path)
+        assert loaded.config == params.config
+        assert len(loaded.params.mask_nets) == len(loaded.params.decoders) == len(params.mask_nets)
+        assert loaded.meta == meta
+        got, want = named_parameters(loaded.params), named_parameters(params)
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+        for i, bs in enumerate(params.config.blocks):
+            if bs.shares_params_with is not None:
+                assert loaded.params.blocks[i] is loaded.params.blocks[bs.shares_params_with]
+        assert sorted(loaded.extra_tensors) == sorted(extra)
+        for name, t in extra.items():
+            arr = loaded.extra_tensors[name]
+            assert arr.shape == t.shape and arr.tobytes() == t.data.tobytes()
+
+    @given(case=checkpoint_cases(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cut_file_is_rejected_by_name(self, case, data):
+        params, extra, meta = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cut.ckpt"
+            save_checkpoint(path, params, extra_tensors=extra, meta=meta)
+            raw = path.read_bytes()
+            header_end = 16 + int.from_bytes(raw[8:16], "little")
+            # every cut in the magic and length fields, both ends of the header, and one drawn cut
+            cuts = {*range(17), header_end - 1, header_end,
+                    data.draw(st.integers(0, len(raw) - 1), label="cut")}
+            for n in sorted(cuts):
+                path.write_bytes(raw[:n])
+                with pytest.raises(ValueError, match=re.escape(str(path))):
+                    load_checkpoint(path)
 
 
 class TestEndToEndGradients:

@@ -448,7 +448,8 @@ MEMORY_CONFIGS = {
 @pytest.mark.parametrize("config_name", sorted(MEMORY_CONFIGS))
 @pytest.mark.parametrize("stage", [None, 0, 1], ids=["e2e", "stage0", "stage1"])
 def test_memory_model_matches_tape(stage, config_name):
-    """The account equals what one real training forward and its loss tape."""
+    """The account equals what one real training forward and its loss hold
+    for backward."""
     config, T = MEMORY_CONFIGS[config_name]
     report = memory_account(config, batch_size=1, T=T, stage=stage)
     params = init_params(config, np.random.default_rng(0),
@@ -463,7 +464,7 @@ def test_memory_model_matches_tape(stage, config_name):
         ests, _ = run_model(sources.sum(axis=0), params, stage=head, depth=depth)
         pit_loss(ests, sources, config.num_sources - 1)
     # a frozen prefix tapes nothing; the account adds the two tensors it hands over
-    assert tape.recorded_output_elems() == report.activation_elems - report.boundary_elems
+    assert tape.held_output_elems() == report.activation_elems - report.boundary_elems
     L = config.latent_length(T)
     handed_over = 0 if stage in (None, 0) else (config.enc_bases + config.latent_channels) * L
     assert report.boundary_elems == handed_over
@@ -477,11 +478,12 @@ def desk_config(blocks):
 
 @pytest.mark.parametrize("stage", [None, 1], ids=["e2e", "stage1"])
 def test_training_item_peak_memory_tracks_account(stage):
-    """One training item's forward and backward peaks near the taped activations.
+    """One training item's forward and backward peaks near the held activations.
 
-    Gradients of op outputs are freed as the reverse sweep consumes them, and
-    backward closures keep no input-sized copies, so what stays above the
-    account is the sweep's gradient frontier and the leaves' gradients.
+    The tape holds only what backward closures read, gradients of op outputs
+    are freed as the reverse sweep consumes them, and closures keep no
+    input-sized copies, so what stays above the account is the sweep's
+    gradient frontier, a vjp's temporaries and the leaves' gradients.
     """
     if stage is None:
         config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
