@@ -216,7 +216,10 @@ def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
     for key, values in allowed.items():
         if key not in meta:
             raise ValueError(f"checkpoint {path} has no meta.{key}")
-        if isinstance(meta[key], float) or meta[key] not in values:
+        # `in range` alone admits 1.0 and True, which compare equal to 1
+        if isinstance(values, range) and type(meta[key]) is not int:
+            raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not an integer")
+        if meta[key] not in values:
             raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not in {values!r}")
     model = TrainedModel(loaded.params, **{key: meta[key] for key in allowed})
     L = _gate_latent_len(cfg)
@@ -420,6 +423,13 @@ def gradcheck_suite(rng=None) -> float:
         errs.append(grad_check(
             lambda n=length: sum_all(mul(upsample_conv1d(x, uw, ub, n),
                                          upsample_conv1d(x, uw, ub, n))), [x, uw, ub]))
+
+    gw, gb = t((3, 2, 4), 0.5), t(2)  # stride 5 > K 4: zeros between the kernel copies
+    for padding in ("same", "valid"):
+        errs.append(grad_check(
+            lambda p=padding: sum_all(mul(transposed_conv1d(x, gw, gb, stride=5, padding=p),
+                                          transposed_conv1d(x, gw, gb, stride=5, padding=p))),
+            [x, gw, gb]))
     return max(errs)
 
 

@@ -6,13 +6,16 @@ The op set is exactly what the separation stack needs:
   ``prelu``, ``softmax``, ``log``, ``sum_all``, ``mean_all``;
 - ``prelu_norm``: PReLU fused with per-channel normalisation, one node per
   sub-block scale;
-- ``conv1d`` and its adjoint ``transposed_conv1d``, nearest-neighbour
-  ``upsample_nearest``, ``reshape`` and ``slice_rows``;
+- ``conv1d`` and its exact adjoint ``transposed_conv1d``, which share one
+  padding geometry and one windowing; a stride above the kernel leaves
+  zeros between the transposed conv's kernel copies;
+- nearest-neighbour ``upsample_nearest``, ``reshape`` and ``slice_rows``;
 - ``upsample_conv1d``: a x2 nearest upsample followed by a "same" conv,
   run as one conv of the source whose two output phases interleave, one
   node per sub-block up scale (``upsample_nearest`` is its reference);
 - ``masked_decode``: ReLU of the mask logits, masking of the encoding and
-  one transposed conv per source, fused into one node.
+  one transposed conv per source, fused into one node whose vjp runs the
+  transposed conv's own per source.
 
 Forward computation is plain numpy.  While a :class:`Tape` is active, every
 op whose inputs require gradients appends a node to the tape;
@@ -507,16 +510,53 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
 # Convolution and friends
 
 
-def _same_geometry(T: int, K: int, stride: int):
-    """Output length and symmetric zero-padding for stride-preserving conv.
+def _conv_geometry(T: int, K: int, stride: int, padding: str):
+    """(Tp, left, right): the output length and zero padding of a K-tap conv
+    over T samples.
 
-    Pads so the output length is exactly ceil(T / stride); the extra sample
-    of odd padding goes on the right.
+    "same" pads so the output length is exactly ceil(T / stride), the extra
+    sample of odd padding on the right; "valid" pads nothing and needs T >= K.
     """
-    Tp = -(-T // stride)
-    total = max(0, K + (Tp - 1) * stride - T)
-    left = total // 2
-    return Tp, left, total - left
+    if padding == "same":
+        Tp = -(-T // stride)
+        total = max(0, K + (Tp - 1) * stride - T)
+        return Tp, total // 2, total - total // 2
+    if padding == "valid":
+        if T < K:
+            raise ValueError(f"valid conv needs input length >= kernel, got T={T} K={K}")
+        return (T - K) // stride + 1, 0, 0
+    raise ValueError(f"unknown padding {padding!r}")
+
+
+def _conv_operands(name: str, x, w, b, stride: int, in_axis: int):
+    """``x``, ``w`` and ``b`` (or None) as tensors, after the checks every conv
+    makes: x is C x T, w is 3-D with C on axis ``in_axis`` and the out
+    channels on the other of its first two axes, b has one entry per out
+    channel, and the stride is positive."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 3:
+        raise ValueError(f"{name} expects 2-D input and 3-D weight, got {x.data.shape} and {w.data.shape}")
+    if w.data.shape[in_axis] != x.data.shape[0]:
+        raise ValueError(
+            f"{name} channel mismatch: input shape {x.data.shape} vs weight shape {w.data.shape}"
+        )
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    cout = w.data.shape[1 - in_axis]
+    if b is not None and b.data.shape != (cout,):
+        raise ValueError(f"bias shape {b.data.shape} does not match {cout} out channels")
+    return x, w, b
+
+
+def _windows(x, K: int, stride: int, left: int, right: int):
+    """C x Tp x K view of the stride-spaced K-sample windows of ``x`` after
+    zero-padding it by ``left`` and ``right`` samples."""
+    if left or right:
+        xpad = np.zeros((x.shape[0], x.shape[1] + left + right))
+        xpad[:, left:left + x.shape[1]] = x
+        x = xpad
+    return sliding_window_view(x, K, axis=1)[:, ::stride, :]
 
 
 def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
@@ -526,37 +566,12 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     padding "same" zero-pads symmetrically so the output length is
     ceil(T / stride); "valid" uses no padding and requires T >= K.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
-    b = _as_tensor(b) if b is not None else None
-    if x.ndim != 2 or w.ndim != 3:
-        raise ValueError(f"conv1d expects 2-D input and 3-D weight, got {x.data.shape} and {w.data.shape}")
-    if w.data.shape[1] != x.data.shape[0]:
-        raise ValueError(
-            f"conv1d channel mismatch: input shape {x.data.shape} vs weight shape {w.data.shape}"
-        )
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    K = w.data.shape[2]
-    T = x.data.shape[1]
-    if padding == "same":
-        Tp, left, right = _same_geometry(T, K, stride)
-    elif padding == "valid":
-        if T < K:
-            raise ValueError(f"valid conv needs input length >= kernel, got T={T} K={K}")
-        Tp = (T - K) // stride + 1
-        left = right = 0
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    if left or right:
-        xpad = np.zeros((x.data.shape[0], T + left + right))
-        xpad[:, left:left + T] = x.data
-    else:
-        xpad = x.data
-    win = sliding_window_view(xpad, K, axis=1)[:, ::stride, :]  # (Cin, Tp, K)
+    x, w, b = _conv_operands("conv1d", x, w, b, stride, 1)
+    K, T = w.data.shape[2], x.data.shape[1]
+    Tp, left, right = _conv_geometry(T, K, stride, padding)
+    win = _windows(x.data, K, stride, left, right)  # (Cin, Tp, K)
     out = np.tensordot(w.data, win, axes=((1, 2), (0, 2)))  # (Cout, Tp)
     if b is not None:
-        if b.data.shape != (w.data.shape[0],):
-            raise ValueError(f"bias shape {b.data.shape} does not match {w.data.shape[0]} out channels")
         out += b.data[:, None]
 
     inputs = (x, w) if b is None else (x, w, b)
@@ -583,7 +598,8 @@ def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
     tap, the columns whose sample lies in the T-sample input (not in the
     padding) form a stride-spaced run; a vjp works on those runs of the
     input itself, so neither the padded input nor its windows outlive the
-    forward.
+    forward, and :func:`transposed_conv1d` adds its kernel copies along
+    them straight into its output.
     """
     runs = []
     for k in range(K):
@@ -618,14 +634,16 @@ def _conv_vjp(g, x, w, runs, x_shape, w_shape):
     return gx, gw
 
 
-def _overlap_windows(g, full_len: int, left: int, K: int, stride: int):
-    """Cout x L x K view of an output gradient ``g``, placed back into the
-    uncropped overlap-add of length ``full_len`` at offset ``left``: window l
-    holds the samples input column l's kernel copy was added to."""
-    n = min(g.shape[1], full_len - left)
-    gfull = np.zeros((g.shape[0], full_len))
-    gfull[:, left:left + n] = g[:, :n]
-    return sliding_window_view(gfull, K, axis=1)[:, ::stride, :]
+def _tconv_vjp(g, v, w, K: int, stride: int, left: int, right: int):
+    """(input gradient, weight gradient) of a transposed conv's output
+    gradient ``g``: the conv of g in the forward's geometry, both contracted
+    from one view of g's windows, window l holding the samples input column
+    l's kernel copy landed on.  ``v`` and ``w`` are as :func:`_conv_saved`
+    keeps them; a gradient whose operand is None is None."""
+    gwin = _windows(g, K, stride, left, right)  # (Cout, L, K)
+    gv = None if w is None else np.tensordot(w, gwin, axes=((1, 2), (0, 2)))  # (Cin, L)
+    gw = None if v is None else np.tensordot(v, gwin, axes=((1,), (1,)))  # (Cin, Cout, K)
+    return gv, gw
 
 
 def transposed_conv1d(
@@ -635,61 +653,32 @@ def transposed_conv1d(
     stride: int = 1,
     padding: str = "same",
     out_length: int | None = None,
-    allow_gaps: bool = False,
 ) -> Tensor:
-    """Overlap-add of stride-spaced kernel copies; the exact adjoint of conv1d.
+    """The exact adjoint of conv1d: stride-spaced kernel copies, added up.
 
     ``v`` is Cin x L, ``w`` is Cin x Cout x K (input channels leading),
-    optional ``b`` is Cout.  padding "valid" keeps the full overlap-add of
-    length (L-1)*stride + K and is the adjoint of a valid conv.  padding
-    "same" crops with the same geometry conv1d pads with and yields
-    ``out_length`` samples (default L * stride), making it the adjoint of a
-    "same" conv over an out_length-sample input.
+    optional ``b`` is Cout.  The output is the input side of the conv1d with
+    this kernel, stride and padding whose output has L samples: its length
+    is ``out_length``, by default L * stride for "same" and the full
+    overlap-add (L-1)*stride + K for "valid", and must map back to L.
+    Input column l's kernel copy lands where that conv's output l reads;
+    the parts that fall in its padding are dropped, and samples no copy
+    reaches (stride > K leaves gaps) are zeros before the bias.
     """
-    v, w = _as_tensor(v), _as_tensor(w)
-    b = _as_tensor(b) if b is not None else None
-    if v.ndim != 2 or w.ndim != 3:
-        raise ValueError(
-            f"transposed_conv1d expects 2-D input and 3-D weight, got {v.data.shape} and {w.data.shape}"
-        )
-    if w.data.shape[0] != v.data.shape[0]:
-        raise ValueError(
-            f"transposed_conv1d channel mismatch: input shape {v.data.shape} vs weight shape {w.data.shape}"
-        )
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    K = w.data.shape[2]
-    if stride > K and not allow_gaps:
-        raise ValueError(f"stride {stride} > kernel {K} leaves gaps in the output; pass allow_gaps=True")
+    v, w, b = _conv_operands("transposed_conv1d", v, w, b, stride, 0)
+    Cout, K = w.data.shape[1:]
     L = v.data.shape[1]
-    Cout = w.data.shape[1]
-    full_len = (L - 1) * stride + K
+    if out_length is None:
+        out_length = L * stride if padding == "same" else (L - 1) * stride + K
+    Tp, left, right = _conv_geometry(out_length, K, stride, padding)
+    if Tp != L:
+        raise ValueError(f"a {padding!r} conv with kernel {K} and stride {stride} maps "
+                         f"out_length {out_length} to {Tp} samples, not the input's {L}")
     tmp = np.tensordot(w.data, v.data, axes=((0,), (0,)))  # (Cout, K, L)
-    full = np.zeros((Cout, full_len))
-    hi = stride * (L - 1) + 1
-    for k in range(K):
-        full[:, k:k + hi:stride] += tmp[:, k, :]
-    if padding == "valid":
-        if out_length is not None and out_length != full_len:
-            raise ValueError(f"valid transposed conv produces length {full_len}, not {out_length}")
-        out = full
-        left = 0
-        T_out = full_len
-    elif padding == "same":
-        T_out = L * stride if out_length is None else out_length
-        Tp, left, _right = _same_geometry(T_out, K, stride)
-        if Tp != L:
-            raise ValueError(
-                f"out_length {T_out} with stride {stride} implies {Tp} input samples, got {L}"
-            )
-        out = np.zeros((Cout, T_out))
-        n = min(T_out, full_len - left)
-        out[:, :n] = full[:, left:left + n]
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
+    out = np.zeros((Cout, out_length))
+    for k, cols, samples in _tap_runs(out_length, K, stride, left, L):
+        out[:, samples] += tmp[:, k, cols]
     if b is not None:
-        if b.data.shape != (Cout,):
-            raise ValueError(f"bias shape {b.data.shape} does not match {Cout} out channels")
         out += b.data[:, None]
 
     inputs = (v, w) if b is None else (v, w, b)
@@ -698,14 +687,8 @@ def transposed_conv1d(
         need_b = b is not None and b.requires_grad
 
         def vjp(g, v_data, w_data):
-            gwin = _overlap_windows(g, full_len, left, K, stride)  # (Cout, L, K)
-            gv = gw = gb = None
-            if w_data is not None:
-                gv = np.tensordot(w_data, gwin, axes=((1, 2), (0, 2)))  # (Cin, L)
-            if v_data is not None:
-                gw = np.tensordot(v_data, gwin, axes=((1,), (1,)))  # (Cin, Cout, K)
-            if need_b:
-                gb = g.sum(axis=1)
+            gv, gw = _tconv_vjp(g, v_data, w_data, K, stride, left, right)
+            gb = g.sum(axis=1) if need_b else None
             return (gv, gw, gb)  # without a bias, backward's zip drops gb
 
         return vjp
@@ -777,19 +760,9 @@ def upsample_conv1d(u, w, b, length: int) -> Tensor:
     odd length sums again the last outputs, which would read the dropped
     copy.  One node is taped; its vjp rebuilds the phase weights from ``w``.
     """
-    u, w, b = _as_tensor(u), _as_tensor(w), _as_tensor(b)
-    if u.ndim != 2 or w.ndim != 3:
-        raise ValueError(
-            f"upsample_conv1d expects 2-D input and 3-D weight, got {u.data.shape} and {w.data.shape}"
-        )
+    u, w, b = _conv_operands("upsample_conv1d", u, w, b, 1, 1)
     Cout, Cin, K = w.data.shape
     src = u.data.shape[1]
-    if Cin != u.data.shape[0]:
-        raise ValueError(
-            f"upsample_conv1d channel mismatch: input shape {u.data.shape} vs weight shape {w.data.shape}"
-        )
-    if b.data.shape != (Cout,):
-        raise ValueError(f"bias shape {b.data.shape} does not match {Cout} out channels")
     if src < 1 or length not in (2 * src - 1, 2 * src):
         raise ValueError(f"upsample_conv1d doubles {src} samples to {2 * src - 1} or {2 * src}, "
                          f"not {length}")
@@ -877,14 +850,24 @@ def slice_rows(x, start: int, stop: int) -> Tensor:
     return _finish(out, (x,), make)
 
 
+def _accumulate(acc, term):
+    """``acc + term``, added into ``acc`` in place; ``term`` if acc is None."""
+    if acc is None:
+        return term
+    acc += term
+    return acc
+
+
 def masked_decode(z, v_enc, w, b, stride: int, out_length: int) -> Tensor:
     """Decode every source from ``v_enc`` under the ReLU of its mask logits.
 
     ``z`` is (S * B) x L, row block s holding source s's mask logits z_s;
     ``v_enc`` is B x L, ``w`` is B x Cout x K and ``b`` has shape Cout.  Row
     block s of the (S * Cout) x out_length result is the "same" transposed
-    conv (gaps allowed) of relu(z_s) * v_enc.  One node is taped, and both
-    passes work one source at a time, so no S x B x L array is ever built.
+    conv of relu(z_s) * v_enc (a stride above K leaves zeros between the
+    kernel copies).  One node is taped, and both passes work one source at a
+    time, so no S x B x L array is ever built; the vjp is the transposed
+    conv's own, per source, followed by the mask's chain rule.
     """
     z, v_enc, w, b = (_as_tensor(t) for t in (z, v_enc, w, b))
     if z.ndim != 2 or v_enc.ndim != 2:
@@ -902,12 +885,10 @@ def masked_decode(z, v_enc, w, b, stride: int, out_length: int) -> Tensor:
         masked *= v_enc.data
         # Plain arrays in, so this call tapes nothing.
         out[s * Cout:(s + 1) * Cout] = transposed_conv1d(
-            masked, w.data, b.data, stride=stride, padding="same",
-            out_length=out_length, allow_gaps=True).data
+            masked, w.data, b.data, stride=stride, padding="same", out_length=out_length).data
 
     def make():
-        _, left, _ = _same_geometry(out_length, K, stride)
-        full_len = (L - 1) * stride + K
+        _, left, right = _conv_geometry(out_length, K, stride, "same")
         need_z, need_v, need_w, need_b = (t.requires_grad for t in (z, v_enc, w, b))
 
         def vjp(g, z_data, v_data, w_data):
@@ -918,22 +899,20 @@ def masked_decode(z, v_enc, w, b, stride: int, out_length: int) -> Tensor:
             # an item's gradients equal that graph's bit for bit.
             for s in reversed(range(S)):
                 gs = g[s * Cout:(s + 1) * Cout]
-                gwin = _overlap_windows(gs, full_len, left, K, stride)  # (Cout, L, K)
                 mask = np.maximum(z_data[rows[s]], 0.0)
+                gmasked, gws = _tconv_vjp(gs, mask * v_data if need_w else None,
+                                          w_data if need_z or need_v else None,
+                                          K, stride, left, right)  # (B, L), (B, Cout, K)
                 if need_w:
-                    gws = np.tensordot(mask * v_data, gwin, axes=((1,), (1,)))
-                    gw = gws if gw is None else gw + gws
+                    gw = _accumulate(gw, gws)
                 if need_b:
-                    gbs = gs.sum(axis=1)
-                    gb = gbs if gb is None else gb + gbs
-                if need_z or need_v:
-                    gmasked = np.tensordot(w_data, gwin, axes=((1, 2), (0, 2)))  # (B, L)
-                    if need_z:
-                        np.multiply(gmasked, v_data, out=gz[rows[s]])
-                        gz[rows[s]] *= mask > 0
-                    if need_v:
-                        gvs = gmasked * mask
-                        gv_enc = gvs if gv_enc is None else gv_enc + gvs
+                    gb = _accumulate(gb, gs.sum(axis=1))
+                if need_z:
+                    np.multiply(gmasked, v_data, out=gz[rows[s]])
+                    gz[rows[s]] *= mask > 0
+                if need_v:
+                    gmasked *= mask
+                    gv_enc = _accumulate(gv_enc, gmasked)
             return (gz, gv_enc, gw, gb)
 
         return vjp

@@ -339,6 +339,10 @@ _BAD_CHECKPOINTS = {
                           r"meta.depth 5, not in range\(0, 2\)"),
     "progressive_stage": ("progressive", {"mode": "progressive", "stage": 2, "depth": 1}, None, 2,
                           r"meta.stage 2, not in range\(0, 2\)"),
+    "progressive_bool": ("progressive", {"mode": "progressive", "stage": True, "depth": True},
+                         None, 2, "meta.stage True, not an integer"),
+    "progressive_float": ("progressive", {"mode": "progressive", "stage": 0, "depth": 1.0},
+                          None, 1, "meta.depth 1.0, not an integer"),
 }
 
 

@@ -142,13 +142,49 @@ class TestTransposedConv1d:
         out = transposed_conv1d(v, w, stride=2, padding="same")
         assert out.shape == (1, 12)
 
-    def test_gap_guard(self):
-        v = Tensor(np.zeros((1, 4)))
-        w = Tensor(np.zeros((1, 1, 2)))
-        with pytest.raises(ValueError, match="gap"):
-            transposed_conv1d(v, w, stride=3, padding="valid")
-        out = transposed_conv1d(v, w, stride=3, padding="valid", allow_gaps=True)
-        assert out.shape == (1, 11)
+    @pytest.mark.parametrize("K,stride,L,T", [(2, 3, 4, 10), (4, 5, 3, 12), (5, 6, 3, 14), (1, 4, 5, 17)])
+    def test_gaps_are_zeros(self, K, stride, L, T):
+        # stride > K: samples that no kernel copy reaches hold the bias alone
+        rng = np.random.default_rng(K * 10 + stride)
+        v, w, b = rng.normal(size=(2, L)), rng.normal(size=(2, 3, K)), rng.normal(size=3)
+        full = tconv1d_oracle(v, w, b, stride=stride)
+        out = transposed_conv1d(Tensor(v), Tensor(w), Tensor(b), stride=stride, padding="valid")
+        assert out.shape == full.shape == (3, (L - 1) * stride + K)
+        np.testing.assert_allclose(out.data, full, rtol=0, atol=1e-12)
+        gaps = np.arange(full.shape[1]) % stride >= K
+        assert gaps.any() and np.array_equal(out.data[:, gaps], np.repeat(b[:, None], gaps.sum(), 1))
+        # "same" crops the full overlap-add where a "same" conv over T samples pads
+        left = max(0, K + (L - 1) * stride - T) // 2
+        same = np.repeat(b[:, None], T, axis=1)
+        n = min(T, full.shape[1] - left)
+        same[:, :n] = full[:, left:left + n]
+        out = transposed_conv1d(Tensor(v), Tensor(w), Tensor(b), stride=stride, out_length=T)
+        np.testing.assert_allclose(out.data, same, rtol=0, atol=1e-12)
+
+    def test_valid_takes_any_length_its_conv_maps_back(self):
+        # a valid conv over 13 samples reads only the first 12; its adjoint's 13th is zero
+        rng = np.random.default_rng(4)
+        y, w = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(2, 3, 4)))
+        full = transposed_conv1d(y, w, stride=2, padding="valid").data
+        out = transposed_conv1d(y, w, stride=2, padding="valid", out_length=13).data
+        assert np.array_equal(out, np.concatenate([full, np.zeros((3, 1))], axis=1))
+        with pytest.raises(ValueError, match="out_length 14 to 6 samples, not the input's 5"):
+            transposed_conv1d(y, w, stride=2, padding="valid", out_length=14)
+
+    @pytest.mark.parametrize("needs", ["v", "w"])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_vjp_of_one_operand(self, padding, needs):
+        rng = np.random.default_rng(9)
+        v = Tensor(rng.normal(size=(2, 5)), requires_grad=needs == "v")
+        w = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=needs == "w")
+        b = Tensor(rng.normal(size=3))
+
+        def f():
+            h = transposed_conv1d(v, w, b, stride=2, padding=padding)
+            return sum_all(mul(h, h))
+
+        assert grad_check(f, [v if needs == "v" else w]) < 1e-4
+        assert (w if needs == "v" else v).grad is None
 
     @pytest.mark.parametrize("stride,K,T", [(1, 3, 11), (2, 4, 12), (3, 5, 13), (10, 21, 32)])
     def test_adjoint_identity_same(self, stride, K, T):
@@ -160,7 +196,7 @@ class TestTransposedConv1d:
         y = rng.normal(size=(Cout, -(-T // stride)))
         lhs = float(np.sum(conv1d(Tensor(x), Tensor(w), stride=stride, padding="same").data * y))
         xt = transposed_conv1d(
-            Tensor(y), Tensor(w), stride=stride, padding="same", out_length=T, allow_gaps=True
+            Tensor(y), Tensor(w), stride=stride, padding="same", out_length=T
         )
         rhs = float(np.sum(x * xt.data))
         assert abs(lhs - rhs) / max(1e-12, abs(lhs)) < 1e-10
@@ -192,7 +228,7 @@ class TestTransposedConv1d:
         y = rng.normal(size=(2, -(-T // stride)))
         lhs = float(np.sum(conv1d(Tensor(x), Tensor(w), stride=stride).data * y))
         xt = transposed_conv1d(
-            Tensor(y), Tensor(w), stride=stride, out_length=T, allow_gaps=True
+            Tensor(y), Tensor(w), stride=stride, out_length=T
         )
         rhs = float(np.sum(x * xt.data))
         assert abs(lhs - rhs) / max(1e-12, abs(lhs) + abs(rhs)) < 1e-10
@@ -232,8 +268,7 @@ class TestConv1dVjp:
         if "x" in needs:
             # <conv(x, w), y> = <x, conv_T(y, w)>, so the x-gradient is conv_T(y, w)
             adj = transposed_conv1d(Tensor(y), Tensor(w), stride=stride, padding=padding,
-                                    out_length=T if padding == "same" else None,
-                                    allow_gaps=True).data
+                                    out_length=T if padding == "same" else None).data
             expected = np.zeros_like(x)
             expected[:, :adj.shape[1]] = adj  # valid: samples past the last window get 0
             np.testing.assert_allclose(xt.grad, expected, rtol=1e-12, atol=1e-12)
@@ -300,7 +335,7 @@ class TestFusedOps:
         m = np.maximum(z, 0.0)
         expected = np.concatenate([
             transposed_conv1d(v_enc * m[s * B:(s + 1) * B], w, b, stride=stride,
-                              out_length=out_length, allow_gaps=True).data
+                              out_length=out_length).data
             for s in range(S)])
         out = masked_decode(Tensor(z), Tensor(v_enc), Tensor(w), Tensor(b), stride, out_length)
         assert out.shape == (S, out_length)

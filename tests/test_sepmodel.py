@@ -199,7 +199,7 @@ class TestMaskAndDecode:
         out = mask_and_decode(v_enc, lat, 0, params)
         dec = params.decoders[0]
         direct = transposed_conv1d(v_enc, dec.w, dec.b, stride=cfg.enc_stride,
-                                   padding="same", out_length=160, allow_gaps=True)
+                                   padding="same", out_length=160)
         assert out.shape == (2, 160)
         for s in range(2):
             assert np.array_equal(out.data[s], direct.data[0])
