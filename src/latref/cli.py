@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import MixtureSpec, build_splits, make_dataset
-from .diffcore import Tensor, conv1d, grad_check, masked_decode, mean_all, mul, prelu, prelu_norm
+from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu, prelu_norm
 from .diffcore import relu, softmax, sum_all, transposed_conv1d, upsample_conv1d, upsample_nearest
 from .gating import GateParams, gate_from_arrays, gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
@@ -63,6 +63,13 @@ class FinetuneConfig:
     lr_decay_factor: float = 1.0 / 3.0
     penalty_coef: float = 0.75
     penalty_target: float = 3.0
+
+    def __post_init__(self):
+        # the fine-tune runs under a TrainConfig with these values: check them as it does
+        TrainConfig(epochs=self.epochs, lr0=self.lr0, lr_decay_every=self.lr_decay_every,
+                    lr_decay_factor=self.lr_decay_factor)
+        if self.penalty_coef < 0:
+            raise ValueError(f"penalty_coef must be >= 0, got {self.penalty_coef}")
 
     def resolve_epochs(self, total: int) -> int:
         ft = self.epochs if self.epochs > 0 else max(1, round(total / 10))
@@ -380,13 +387,13 @@ def gradcheck_suite(rng=None) -> float:
     slope = t(3, 0.3)
     gamma, beta = t(3), t(3)
     checks = [
-        (lambda: mean_all(mul(x + y, x - y)), [x, y]),
-        (lambda: mean_all(relu(x) + prelu(x, slope)), [x, slope]),
-        (lambda: mean_all(softmax(x, axis=0) * y), [x, y]),
-        (lambda: mean_all(conv1d(x, w, b, stride=2)), [x, w, b]),
-        (lambda: mean_all(transposed_conv1d(x, tw, stride=2)), [x, tw]),
-        (lambda: mean_all(mul(prelu_norm(x, slope, gamma, beta), y)), [x, slope, gamma, beta]),
-        (lambda: mean_all(mul(upsample_nearest(x, 16), upsample_nearest(y, 16))), [x, y]),
+        (lambda: sum_all(mul(x + y, x - y)), [x, y]),
+        (lambda: sum_all(relu(x) + prelu(x, slope)), [x, slope]),
+        (lambda: sum_all(softmax(x, axis=0) * y), [x, y]),
+        (lambda: sum_all(conv1d(x, w, b, stride=2)), [x, w, b]),
+        (lambda: sum_all(transposed_conv1d(x, tw, stride=2)), [x, tw]),
+        (lambda: sum_all(mul(prelu_norm(x, slope, gamma, beta), y)), [x, slope, gamma, beta]),
+        (lambda: sum_all(mul(upsample_nearest(x, 16), upsample_nearest(y, 16))), [x, y]),
         (lambda: sum_all(mul(x, x)), [x]),
     ]
     for f, ps in checks:
@@ -430,6 +437,10 @@ def gradcheck_suite(rng=None) -> float:
             lambda p=padding: sum_all(mul(transposed_conv1d(x, gw, gb, stride=5, padding=p),
                                           transposed_conv1d(x, gw, gb, stride=5, padding=p))),
             [x, gw, gb]))
+
+    prefs = rng.normal(size=(3, 7))  # PIT over 2 speech rows given swapped, and a noise row
+    pests = Tensor(prefs[[1, 0, 2]] + 0.3 * rng.normal(size=(3, 7)), requires_grad=True)
+    errs.append(grad_check(lambda: pit_loss(pests, prefs, speech_count=2).loss, [pests]))
     return max(errs)
 
 

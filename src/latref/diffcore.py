@@ -3,13 +3,13 @@
 The op set is exactly what the separation stack needs:
 
 - elementwise and reductions: ``add``, ``sub``, ``mul``, ``relu``,
-  ``prelu``, ``softmax``, ``log``, ``sum_all``, ``mean_all``;
+  ``prelu``, ``softmax``, ``sum_all``;
 - ``prelu_norm``: PReLU fused with per-channel normalisation, one node per
   sub-block scale;
 - ``conv1d`` and its exact adjoint ``transposed_conv1d``, which share one
   padding geometry and one windowing; a stride above the kernel leaves
   zeros between the transposed conv's kernel copies;
-- nearest-neighbour ``upsample_nearest``, ``reshape`` and ``slice_rows``;
+- nearest-neighbour ``upsample_nearest`` and ``slice_rows``;
 - ``upsample_conv1d``: a x2 nearest upsample followed by a "same" conv,
   run as one conv of the source whose two output phases interleave, one
   node per sub-block up scale (``upsample_nearest`` is its reference);
@@ -25,10 +25,10 @@ which is what inference uses.
 
 Memory follows what the backward closures (vjps) read.  A node holds the
 arrays its vjp reads (its saved arrays) and nothing else: ``conv1d``,
-``upsample_conv1d``, ``transposed_conv1d``, ``prelu``, ``prelu_norm`` and
-``log`` keep their input, ``relu`` and ``softmax`` their output, ``mul``
-the other operand of each gradient it needs, ``masked_decode`` its logits
-and encoding, and the reshaping, slicing, summing and adding ops nothing.
+``upsample_conv1d``, ``transposed_conv1d``, ``prelu`` and ``prelu_norm``
+keep their input, ``relu`` and ``softmax`` their output, ``mul`` the other
+operand of each gradient it needs, ``masked_decode`` its logits and
+encoding, and the slicing, summing and adding ops nothing.
 Masks, normalised values and the fused ops' inner results are recomputed
 from the saved arrays, and closures capture only shapes, flags and C x 1
 statistics, never a :class:`Tensor`.  So an op output that no vjp reads is
@@ -109,14 +109,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def sum(self):
         return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
 
 
 class Tape:
@@ -399,19 +393,6 @@ def softmax(x, axis: int) -> Tensor:
     return _finish(out, (x,), make, (out,))
 
 
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.log(x.data)
-
-    def make():
-        def vjp(g, x_data):
-            return (g / x_data,)
-
-        return vjp
-
-    return _finish(out, (x,), make, (x.data,))
-
-
 def sum_all(x) -> Tensor:
     x = _as_tensor(x)
     out = np.asarray(x.data.sum())
@@ -421,23 +402,6 @@ def sum_all(x) -> Tensor:
 
         def vjp(g):
             return (np.broadcast_to(g, shape).copy(),)
-
-        return vjp
-
-    return _finish(out, (x,), make)
-
-
-def mean_all(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.size == 0:
-        raise ValueError("mean of an empty tensor")
-    out = np.asarray(x.data.mean())
-
-    def make():
-        shape, inv = x.data.shape, 1.0 / x.data.size
-
-        def vjp(g):
-            return (np.broadcast_to(g * inv, shape).copy(),)
 
         return vjp
 
@@ -811,22 +775,6 @@ def upsample_conv1d(u, w, b, length: int) -> Tensor:
         return vjp
 
     return _finish(out, (u, w, b), make, _conv_saved(u, w))
-
-
-def reshape(x, shape) -> Tensor:
-    """View with a new shape of the same total size."""
-    x = _as_tensor(x)
-    out = x.data.reshape(shape).copy()
-
-    def make():
-        x_shape = x.data.shape
-
-        def vjp(g):
-            return (g.reshape(x_shape),)
-
-        return vjp
-
-    return _finish(out, (x,), make)
 
 
 def slice_rows(x, start: int, stop: int) -> Tensor:

@@ -2,10 +2,13 @@
 
 Two routes on purpose.  :func:`si_sdr` is the evaluation metric: the direct
 formula on numpy floats, with explicit special cases and a hard clamp at
-+/- 100 dB.  :func:`neg_sisdr_loss` is the training loss: the same quantity
-built from taped ops, stabilised with a small epsilon relative to the
-reference power so that perfect reconstruction yields a finite -100 exactly
-at any signal scale, and clamped smoothly inside the +/- 100 dB band.
++/- 100 dB.  :func:`pit_loss` is the training loss: the same quantity
+stabilised with a small epsilon relative to the reference power, so that
+perfect reconstruction yields a finite -100 exactly at any signal scale,
+and clamped by ReLUs.  It is one taped node, whose forward runs every term
+as a graph of elementwise ops would, op for op, and whose vjp replays that
+graph's reverse sweep for the chosen terms from the saved estimates and
+references, so values and gradients are the graph's own.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tensor, log, mul, relu, reshape, slice_rows, sub, sum_all
+from .diffcore import Tensor, _finish
 
 CLAMP_DB = 100.0
 POWER_EPS = 1e-10
@@ -75,50 +78,101 @@ def si_sdr(est, ref) -> SISDRResult:
     return SISDRResult(db, rho)
 
 
-def _clamp_scalar(x: Tensor, lo: float, hi: float) -> Tensor:
-    # min(x, hi) = hi - relu(hi - x); max(., lo) = lo + relu(. - lo)
-    capped = sub(hi, relu(sub(hi, x)))
-    return relu(sub(capped, lo)) + lo
+def _neg_sisdr_term(e: np.ndarray, s: np.ndarray):
+    """-SI-SDR of the 1 x T estimate row ``e`` against the reference row ``s``.
 
-
-def _neg_sisdr_term(est_row: Tensor, ref_row: np.ndarray) -> Tensor:
-    """Differentiable -SI-SDR of one estimate row against one reference row."""
-    ref_row = ref_row.reshape(1, -1)
-    if est_row.shape != ref_row.shape:
-        raise ValueError(f"length mismatch: est {est_row.shape} vs ref {ref_row.shape}")
-    ref_power = float(np.sum(ref_row * ref_row))
-    if ref_power == 0.0:
+    Returns the value and the scalars the vjp reads: the reference power,
+    rho, the two stabilised powers and whether the dB value lies inside the
+    clamp.  The float ops, in their order, are those of the same term built
+    from elementwise ops on 1 x T rows, with the clamp built from ReLUs as
+    ``hi - relu(hi - x)``, then ``relu(. - lo) + lo``.
+    """
+    power = float(np.sum(s * s))
+    if power == 0.0:
         raise ValueError("zero reference signal")
-    ref_c = Tensor(ref_row)
-    rho = mul(sum_all(mul(est_row, ref_c)), 1.0 / ref_power)
-    target = mul(rho, ref_c)
-    err = sub(target, est_row)
-    floor = POWER_EPS * ref_power
-    num = sum_all(mul(target, target)) + floor
-    den = sum_all(mul(err, err)) + floor
-    db = mul(sub(log(num), log(den)), _LOG10_SCALE)
-    return -_clamp_scalar(db, -CLAMP_DB, CLAMP_DB)
+    rho = (e * s).sum() * (1.0 / power)
+    target = rho * s
+    err = target - e
+    floor = POWER_EPS * power
+    num = (target * target).sum() + floor
+    den = (err * err).sum() + floor
+    db = (np.log(num) - np.log(den)) * _LOG10_SCALE
+    r1 = np.maximum(CLAMP_DB - db, 0.0)
+    r2 = np.maximum((CLAMP_DB - r1) - -CLAMP_DB, 0.0)
+    return (r2 + -CLAMP_DB) * -1.0, (power, rho, num, den, r1 > 0 and r2 > 0)
+
+
+def _neg_sisdr_vjp(g, e: np.ndarray, s: np.ndarray, power, rho, num, den, inside):
+    """Gradient of one term with respect to ``e``, given the term's gradient
+    ``g``: the elementwise graph's reverse sweep, with target and error
+    recomputed from the rows.  Outside the clamp it is all zeros."""
+    gd = g * -1.0 * inside * _LOG10_SCALE  # through the negation, the clamp and the dB scale
+    target = rho * s
+    err = target - e
+    gerr = -gd / den * err
+    gerr = gerr + gerr  # err * err: one term per operand
+    gtarget = gd / num * target
+    gtarget = gtarget + gtarget + gerr
+    grho = (gtarget * s).sum(axis=(0, 1)) * (1.0 / power)
+    return -gerr + grho * s
+
+
+def _pit_node(ests: Tensor, refs: np.ndarray, speech_count: int):
+    """(loss, permutation) of :func:`pit_loss` over the S x T ``refs``, with
+    ``ests`` holding the same number of samples; one node is taped."""
+    rows = ests.data.reshape(refs.shape)
+    S = refs.shape[0]
+    # Pairwise speech terms are shared across permutations so each is
+    # computed once; floats then match a brute-force enumeration exactly.
+    terms = {(i, j): _neg_sisdr_term(rows[i:i + 1], refs[j:j + 1])
+             for i in range(speech_count) for j in range(speech_count)}
+    terms.update({(j, j): _neg_sisdr_term(rows[j:j + 1], refs[j:j + 1])
+                  for j in range(speech_count, S)})
+    best = None
+    for perm in itertools.permutations(range(speech_count)):
+        pairs = [(perm[j], j) for j in range(speech_count)]
+        pairs += [(j, j) for j in range(speech_count, S)]
+        acc = None
+        for pair in pairs:
+            value = terms[pair][0]
+            acc = value if acc is None else acc + value
+        loss = acc * (1.0 / S)
+        if best is None or loss < best[0]:
+            best = (loss, perm, pairs)
+    loss, perm, pairs = best
+    chosen = [(i, j, terms[(i, j)][1]) for i, j in pairs]
+
+    def make():
+        shape = ests.shape
+
+        def vjp(g, ests_data, refs_data):
+            g = g * (1.0 / S)  # the mean hands every term the same gradient
+            e = ests_data.reshape(refs_data.shape)
+            gx = np.zeros(e.shape)
+            for i, j, saved in chosen:
+                gx[i:i + 1] = _neg_sisdr_vjp(g, e[i:i + 1], refs_data[j:j + 1], *saved)
+            return (gx.reshape(shape),)
+
+        return vjp
+
+    return _finish(np.asarray(loss), (ests,), make, (ests.data, refs)), perm
 
 
 def neg_sisdr_loss(ests, refs) -> Tensor:
     """Mean over sources of the negative SI-SDR, as a differentiable scalar.
 
     ``ests`` is an S x T tensor (or 1-D for a single source); ``refs`` is a
-    matching array and is treated as constant.
+    matching array and is treated as constant.  Every row keeps its own
+    reference: this is :func:`pit_loss` with one speech source.
     """
     ests = ests if isinstance(ests, Tensor) else Tensor(ests)
-    refs_arr = np.asarray(getattr(refs, "data", refs), dtype=np.float64)
+    refs_arr = np.asarray(refs.data if isinstance(refs, Tensor) else refs, dtype=np.float64)
+    rows = ests.shape
     if ests.ndim == 1:
-        ests = reshape(ests, (1, -1))
-        refs_arr = refs_arr.reshape(1, -1)
-    if ests.shape != refs_arr.shape:
+        rows, refs_arr = (1,) + rows, refs_arr.reshape(1, -1)
+    if len(rows) != 2 or rows != refs_arr.shape:
         raise ValueError(f"shape mismatch: ests {ests.shape} vs refs {refs_arr.shape}")
-    S = ests.shape[0]
-    acc = None
-    for j in range(S):
-        term = _neg_sisdr_term(slice_rows(ests, j, j + 1), refs_arr[j])
-        acc = term if acc is None else acc + term
-    return mul(acc, 1.0 / S)
+    return _pit_node(ests, refs_arr, 1)[0]
 
 
 def pit_loss(ests, refs, speech_count: int) -> PITResult:
@@ -129,33 +183,14 @@ def pit_loss(ests, refs, speech_count: int) -> PITResult:
     assignment.  Ties prefer the identity permutation.
     """
     ests = ests if isinstance(ests, Tensor) else Tensor(ests)
-    refs_arr = np.asarray(getattr(refs, "data", refs), dtype=np.float64)
+    refs_arr = np.asarray(refs.data if isinstance(refs, Tensor) else refs, dtype=np.float64)
     if ests.ndim != 2 or ests.shape != refs_arr.shape:
         raise ValueError(f"shape mismatch: ests {ests.shape} vs refs {refs_arr.shape}")
     S = ests.shape[0]
     if not 0 < speech_count <= S:
         raise ValueError(f"speech_count {speech_count} out of range for {S} sources")
-    est_rows = [slice_rows(ests, i, i + 1) for i in range(S)]
-    # Pairwise speech terms are shared across permutations so each scalar is
-    # computed once; floats then match a brute-force enumeration exactly.
-    pair = {}
-    for i in range(speech_count):
-        for j in range(speech_count):
-            pair[(i, j)] = _neg_sisdr_term(est_rows[i], refs_arr[j])
-    tail = [_neg_sisdr_term(est_rows[j], refs_arr[j]) for j in range(speech_count, S)]
-    best = None
-    for perm in itertools.permutations(range(speech_count)):
-        acc = None
-        for j in range(speech_count):
-            term = pair[(perm[j], j)]
-            acc = term if acc is None else acc + term
-        for term in tail:
-            acc = acc + term
-        loss = mul(acc, 1.0 / S)
-        value = float(loss.data)
-        if best is None or value < best[0]:
-            best = (value, loss, perm)
-    return PITResult(loss=best[1], permutation=best[2])
+    loss, perm = _pit_node(ests, refs_arr, speech_count)
+    return PITResult(loss=loss, permutation=perm)
 
 
 def si_sdr_improvement(est, ref, mix) -> float:

@@ -393,8 +393,9 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     never drawn.  Activations are the op outputs a backward pass holds,
     counted on one tape over the real ``encode``, one ``apply_sub_block``,
     ``mask_and_decode`` and ``pit_loss`` on that tree with zero-valued inputs
-    (the loss against all-ones references, so it takes no log of zero), with
-    ``num_sources - 1`` speech sources as both tasks have.  Each held array
+    (the loss against all-ones references, since it rejects a zero one), with
+    ``num_sources - 1`` speech sources as both tasks have.  The loss is one
+    node that holds the decoded estimates, S x T per item.  Each held array
     counts once, in the segment whose op produced it: ``v_enc`` is read by
     both the bottleneck and the decoder, and a sub-block's output by
     whatever comes next.  Every sub-block of a config has the same shapes,

@@ -127,6 +127,28 @@ def test_adaptive_finetune_epochs_rejected_before_building_data(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("epochs", -3, "epochs must be >= 0, got -3"),
+    ("lr0", -1, "lr0 must be positive, got -1"),
+    ("lr_decay_every", 0, "lr_decay_every must be >= 1, got 0"),
+    ("lr_decay_factor", 0.0, "lr_decay_factor must be positive, got 0.0"),
+    ("penalty_coef", -0.5, "penalty_coef must be >= 0, got -0.5"),
+])
+def test_bad_finetune_value_rejected_before_building_data(
+        tmp_path, monkeypatch, capsys, key, value, message):
+    m = tiny_mapping(tmp_path, mode="adaptive")
+    m["finetune"] = {key: value}
+    path = write_config(tmp_path, m)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("train built the dataset before checking the config")
+
+    monkeypatch.setattr(cli, "build_splits", no_data)
+    assert main(["train", "--config", path]) == 2
+    assert f"invalid config section finetune: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file():
     with pytest.raises(FileNotFoundError, match="nope.json"):
         load_config("nope.json")

@@ -17,9 +17,7 @@ from latref.diffcore import (
     backward,
     conv1d,
     grad_check,
-    log,
     masked_decode,
-    mean_all,
     mul,
     prelu,
     prelu_norm,
@@ -32,6 +30,7 @@ from latref.diffcore import (
     upsample_conv1d,
     upsample_nearest,
 )
+from latref.losses import pit_loss
 
 
 def conv1d_oracle(x, w, b=None, stride=1, padding="same"):
@@ -617,7 +616,7 @@ class TestBackward:
         with Tape() as tape:
             h = prelu_norm(conv1d(x, w, stride=2), Tensor(np.full(3, 0.25)),
                            Tensor(np.ones(3)), Tensor(np.zeros(3)))
-            loss = mean_all(mul(h, h))
+            loss = sum_all(mul(h, h))
         before = (len(tape), tape.recorded_output_elems())
         backward(tape, loss)
         assert (len(tape), tape.recorded_output_elems()) == before == (4, 3 * 3 * 8 + 1)
@@ -649,7 +648,7 @@ class TestBackward:
         def run():
             with Tape() as tape:
                 h = relu(conv1d(x, w, stride=2))
-                loss = mean_all(mul(h, h))
+                loss = sum_all(mul(h, h))
             backward(tape, loss)
             return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
@@ -668,18 +667,19 @@ class TestGradCheck:
         assert err == 0.0
 
     def test_non_finite_reports_location(self):
-        x = Tensor(np.array([0.0]), requires_grad=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # x * x overflows to inf on both sides, so the central difference is nan
+        x = Tensor(np.array([1e200]), requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="parameter 0"):
-                grad_check(lambda: sum_all(log(x)), [x])
+                grad_check(lambda: sum_all(mul(x, x)), [x])
 
     @pytest.mark.parametrize(
         "name",
         [
-            "add", "sub", "mul", "relu", "prelu", "softmax", "log",
-            "sum", "mean", "norm", "prelu_norm", "conv_same", "conv_valid",
+            "add", "sub", "mul", "relu", "prelu", "softmax",
+            "sum", "norm", "prelu_norm", "conv_same", "conv_valid",
             "tconv_same", "tconv_valid", "upsample", "upsample_conv", "slice",
-            "masked_decode",
+            "masked_decode", "pit",
         ],
     )
     def test_each_op(self, name):
@@ -701,13 +701,8 @@ class TestGradCheck:
             f, ps = lambda: sum_all(mul(prelu(x, s), prelu(x, s))), [x, s]
         elif name == "softmax":
             f, ps = lambda: sum_all(mul(softmax(x, 0), y)), [x]
-        elif name == "log":
-            xp = Tensor(np.abs(rng.normal(size=(2, 8))) + 0.5, requires_grad=True)
-            f, ps = lambda: sum_all(mul(log(xp), log(xp))), [xp]
         elif name == "sum":
             f, ps = lambda: mul(sum_all(x), sum_all(x)), [x]
-        elif name == "mean":
-            f, ps = lambda: mul(mean_all(x), mean_all(x)), [x]
         elif name == "norm":
             # slope 1: the PReLU is the identity, leaving the channel norm
             gamma = Tensor(rng.normal(size=2) + 1.0, requires_grad=True)
@@ -754,6 +749,12 @@ class TestGradCheck:
             f, ps = lambda: sum_all(mul(upsample_conv1d(x, w, b, 23), y23)), [x, w, b]
         elif name == "slice":
             f, ps = lambda: sum_all(mul(slice_rows(x, 0, 1), slice_rows(x, 1, 2))), [x]
+        elif name == "pit":
+            # 2 speech rows given swapped, and a noise row kept on the identity
+            refs = rng.normal(size=(3, 12))
+            ests = Tensor(refs[[1, 0, 2]] + 0.3 * rng.normal(size=(3, 12)), requires_grad=True)
+            assert pit_loss(ests, refs, speech_count=2).permutation == (1, 0)
+            f, ps = lambda: pit_loss(ests, refs, speech_count=2).loss, [ests]
         else:
             # x is one source's mask logits over y's encoding of 2 bases
             w = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
@@ -775,7 +776,7 @@ class TestGradCheck:
         def f():
             h = prelu_norm(conv1d(x, w1, b1, stride=2), slope, gamma, beta)
             y = transposed_conv1d(h, w2, stride=2)
-            return mean_all(mul(y, y))
+            return sum_all(mul(y, y))
 
         assert grad_check(f, [w1, b1, slope, gamma, beta, w2]) < 1e-4
 

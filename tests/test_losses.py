@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latref.diffcore import Tensor, grad_check
+from latref.diffcore import Tape, Tensor, backward, grad_check, mul
 from latref.losses import (
+    CLAMP_DB,
+    POWER_EPS,
     best_speech_permutation,
     eval_speech_sisdri,
     neg_sisdr_loss,
@@ -181,6 +183,80 @@ class TestPitLoss:
     def test_speech_count_bounds(self):
         with pytest.raises(ValueError, match="speech_count"):
             pit_loss(Tensor(np.ones((2, 8))), np.ones((2, 8)), speech_count=3)
+
+
+def neg_sisdr_grad_closed_form(est, ref):
+    """Gradient of one term's -SI-SDR (dB) with respect to the estimate:
+    -(20 / ln 10) (t / (|t|^2 + eps) + (t - est) / (|t - est|^2 + eps)) with
+    t = rho ref, inside the clamp, and zero outside it."""
+    power = ref @ ref
+    eps = POWER_EPS * power
+    t = (est @ ref) / power * ref
+    num, den = t @ t + eps, (t - est) @ (t - est) + eps
+    if abs(10.0 * np.log10(num / den)) >= CLAMP_DB:
+        return np.zeros_like(est)
+    return -(20.0 / np.log(10.0)) * (t / num + (t - est) / den)
+
+
+def taped(loss_fn, ests):
+    """(tape, loss) of ``loss_fn`` on a leaf copy of ``ests``, swept backward."""
+    with Tape() as tape:
+        loss = loss_fn(ests)
+    backward(tape, loss)
+    return tape, loss
+
+
+class TestLossNode:
+    """The loss tapes one node, whose vjp is checked against the closed form."""
+
+    def test_each_loss_tapes_one_node(self):
+        rng = np.random.default_rng(40)
+        refs = rng.normal(size=(3, 30))
+        x = Tensor(rng.normal(size=(3, 30)), requires_grad=True)
+        for fn in (lambda e: pit_loss(e, refs, 2).loss, lambda e: neg_sisdr_loss(e, refs)):
+            tape, _ = taped(fn, x)
+            assert len(tape) == 1 and tape.recorded_output_elems() == 1
+            assert x.grad.shape == x.shape
+        flat = Tensor(refs[0] + rng.normal(size=30), requires_grad=True)
+        tape, _ = taped(lambda e: neg_sisdr_loss(e, refs[0]), flat)
+        assert len(tape) == 1
+        np.testing.assert_allclose(flat.grad, neg_sisdr_grad_closed_form(flat.data, refs[0]),
+                                   rtol=1e-9, atol=0)
+
+    def test_holds_the_estimates_and_nothing_of_the_references(self):
+        rng = np.random.default_rng(41)
+        refs = rng.normal(size=(3, 30))
+        x = Tensor(rng.normal(size=(3, 30)), requires_grad=True)
+        with Tape() as tape:
+            ests = mul(x, 2.0)  # an op output, which only the loss reads
+            pit_loss(ests, refs, 2)
+        assert len(tape) == 2
+        assert tape.held_output_elems() == tape.held_output_elems(0, 1) == ests.size
+        assert tape._nodes[1][2][1] is refs  # saved as given, not copied
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_matches_closed_form(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        refs = rng.normal(size=(3, 64)) * rng.uniform(0.1, 10.0)
+        ests = refs[[1, 0, 2]] + rng.uniform(0.05, 2.0) * rng.normal(size=(3, 64)) * np.std(refs)
+        x = Tensor(ests, requires_grad=True)
+        _, loss = taped(lambda e: pit_loss(e, refs, 2).loss, x)
+        assert pit_loss(ests, refs, 2).permutation == (1, 0)
+        assigned = (1, 0, 2)  # reference of each estimate row
+        expected = np.stack([neg_sisdr_grad_closed_form(ests[i], refs[j])
+                             for i, j in enumerate(assigned)]) / 3
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-9, atol=0)
+
+    def test_clamped_term_is_minus_100_with_zero_gradient(self):
+        rng = np.random.default_rng(61)
+        refs = rng.normal(size=(2, 40))
+        ests = np.stack([refs[0] * 3.0, refs[1] + rng.normal(size=40)])
+        x = Tensor(ests, requires_grad=True)
+        _, loss = taped(lambda e: pit_loss(e, refs, 1).loss, x)
+        assert pit_loss(ests[:1], refs[:1], 1).loss.item() == -100.0
+        assert np.all(x.grad[0] == 0.0)
+        np.testing.assert_allclose(x.grad[1], neg_sisdr_grad_closed_form(ests[1], refs[1]) / 2,
+                                   rtol=1e-9, atol=0)
 
 
 class TestImprovement:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latref.diffcore import Tape, Tensor, grad_check, mean_all, mul, transposed_conv1d
+from latref.diffcore import Tape, Tensor, grad_check, mul, sum_all, transposed_conv1d
 from latref.losses import pit_loss
 from latref.sepmodel import (
     BlockSpec,
@@ -549,7 +549,7 @@ class TestEndToEndGradients:
             v_enc, v = encode(x, params)
             lat = separate(v, cfg, params)
             ests = mask_and_decode(v_enc, lat, 0, params, out_length=320)
-            return mean_all(mul(ests, ests))
+            return sum_all(mul(ests, ests))
 
         err = grad_check(f, [t for _, t in named_parameters(params)])
         assert err < 1e-4
