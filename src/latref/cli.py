@@ -417,13 +417,7 @@ def gradcheck_suite(rng=None) -> float:
     errs.append(grad_check(full, leaves))
 
     # drawn last, so the test points above stay where they were
-    z, dw, db = t((6, 7)), t((3, 1, 4), 0.5), t(1)  # 2 sources' masks over x's 3 rows
-
-    def decoded():
-        out = masked_decode(z, x, dw, db, 3, 20)
-        return sum_all(mul(out, out))
-
-    errs.append(grad_check(decoded, [z, x, dw, db]))
+    z, dw, db = t((6, 7)), t((3, 1, 4), 0.5), t(1)  # z: a 6-channel latent over x's 7 samples
 
     uw, ub = t((2, 3, 5), 0.5), t(2)  # x's 7 samples doubled to 13 and 14
     for length in (13, 14):
@@ -441,6 +435,14 @@ def gradcheck_suite(rng=None) -> float:
     prefs = rng.normal(size=(3, 7))  # PIT over 2 speech rows given swapped, and a noise row
     pests = Tensor(prefs[[1, 0, 2]] + 0.3 * rng.normal(size=(3, 7)), requires_grad=True)
     errs.append(grad_check(lambda: pit_loss(pests, prefs, speech_count=2).loss, [pests]))
+
+    mw, mb = t((6, 6, 1), 0.5), t(6)  # the mask net: 2 sources' masks over x's 3 rows
+
+    def decoded():
+        out = masked_decode(z, mw, mb, x, dw, db, 3, 20)
+        return sum_all(mul(out, out))
+
+    errs.append(grad_check(decoded, [z, mw, mb, x, dw, db]))
     return max(errs)
 
 

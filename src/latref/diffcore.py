@@ -13,9 +13,10 @@ The op set is exactly what the separation stack needs:
 - ``upsample_conv1d``: a x2 nearest upsample followed by a "same" conv,
   run as one conv of the source whose two output phases interleave, one
   node per sub-block up scale (``upsample_nearest`` is its reference);
-- ``masked_decode``: ReLU of the mask logits, masking of the encoding and
-  one transposed conv per source, fused into one node whose vjp runs the
-  transposed conv's own per source.
+- ``masked_decode``: the mask net's conv, ReLU of its logits, masking of
+  the encoding and one transposed conv per source, fused into one node
+  whose vjp runs the transposed conv's own per source, then the mask
+  conv's own.
 
 Forward computation is plain numpy.  While a :class:`Tape` is active, every
 op whose inputs require gradients appends a node to the tape;
@@ -24,18 +25,23 @@ vector-Jacobian products.  With no tape active, ops run as pure forwards,
 which is what inference uses.
 
 Memory follows what the backward closures (vjps) read.  A node holds the
-arrays its vjp reads (its saved arrays) and nothing else: ``conv1d``,
-``upsample_conv1d``, ``transposed_conv1d``, ``prelu`` and ``prelu_norm``
-keep their input, ``relu`` and ``softmax`` their output, ``mul`` the other
-operand of each gradient it needs, ``masked_decode`` its logits and
-encoding, and the slicing, summing and adding ops nothing.
+arrays its vjp reads (its saved arrays) and nothing it can rebuild exactly
+from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d``,
+``prelu`` and ``prelu_norm`` keep their input, ``relu`` and ``softmax``
+their output, ``mul`` the other operand of each gradient it needs,
+``masked_decode`` the latent and the encoding (never the S x B x L
+logits), and the slicing, summing and adding ops nothing.  A conv whose
+input is a taped ``prelu_norm`` output keeps that output's recipe instead:
+the norm's own input and parameters and its C x 1 statistics, from which
+the sweep rebuilds the output bit for bit while the conv's vjp runs.
 Masks, normalised values and the fused ops' inner results are recomputed
 from the saved arrays, and closures capture only shapes, flags and C x 1
 statistics, never a :class:`Tensor`.  So an op output that no vjp reads is
 freed as soon as the forward drops it, and the tape's held count
 (:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
 reverse sweep frees each output's gradient as soon as its node's vjp has
-consumed it, and ``.grad`` is set on leaves only.  A vjp masks by
+consumed it and each node's saved arrays as soon as it reaches the node,
+and ``.grad`` is set on leaves only.  A vjp masks by
 multiplying with the comparison (``g * (out > 0)``), never with
 ``np.where``: a select branches on every element, which on mixed-sign
 activations costs several times the multiply.
@@ -47,7 +53,6 @@ the same graph on the same inputs is bit-identical.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Variance floor for the per-channel normalisation op.
 NORM_EPS = 1e-8
@@ -63,13 +68,14 @@ class Tensor:
     None.  A taped op output carries its key on the tape that recorded it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_key")
+    __slots__ = ("data", "requires_grad", "grad", "_key", "_recipe")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._key = None  # (tape token, node position) of a taped op output
+        self._recipe = None  # rebuilds ``data`` exactly from arrays its node holds
 
     @property
     def shape(self):
@@ -101,16 +107,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def sum(self):
-        return sum_all(self)
 
 
 class Tape:
@@ -125,13 +125,16 @@ class Tape:
     output's key is its node's position; an input ref is that key, the leaf
     Tensor itself (so ``.grad`` can be set), or None when the input needs no
     gradient.  The saved arrays are what the vjp reads, passed to it after
-    the output gradient; no op output is held otherwise.
+    the output gradient; no op output is held otherwise.  A saved entry may
+    instead be the recipe of a ``prelu_norm`` output (:class:`_Normalised`),
+    which the sweep builds into that array only while the vjp runs.
     """
 
     def __init__(self):
         self._token = object()  # names the tape in keys without keeping it alive
         self._nodes = []
         self._held = {}  # id of a saved op-output array -> (producing node, elements)
+        self._swept = False  # set by backward, which releases the saved arrays
 
     def __enter__(self):
         _TAPES.append(self)
@@ -150,8 +153,9 @@ class Tape:
         return sum(node[0] for node in self._nodes)
 
     def held_output_elems(self, start: int = 0, stop: int | None = None) -> int:
-        """Elements of the op outputs the tape holds for backward, each array
-        once, over those produced by nodes ``start`` to ``stop`` (exclusive)."""
+        """Elements of the op outputs the tape holds for backward (until the
+        sweep releases them), each array once, over those produced by nodes
+        ``start`` to ``stop`` (exclusive)."""
         stop = len(self._nodes) if stop is None else stop
         return sum(n for node, n in self._held.values() if start <= node < stop)
 
@@ -221,23 +225,30 @@ def backward(tape: Tape, loss: Tensor) -> None:
     freed right after the node's vjp has run, and the output's ``.grad``
     stays None.  Terms are summed in reverse tape order: the second makes a
     new array and later ones add into it in place, never into an array a
-    vjp returned (``add``'s vjp passes its ``g`` on).  The tape itself is
-    left intact.
+    vjp returned (``add``'s vjp passes its ``g`` on).  The sweep releases
+    each node's saved arrays as it reaches the node, so a tape is swept
+    once; its node and element counts stay as recorded.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("backward expects a Tensor loss")
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    if tape._swept:
+        raise ValueError("backward has already swept this tape; record the forward on a new one")
+    tape._swept = True
     nodes = tape._nodes
     on_tape = loss._key is not None and loss._key[0] is tape._token
     grads = {loss._key[1] if on_tape else loss: np.ones_like(loss.data)}
     owned = set()  # keys whose gradient is a sum backward allocated
     for pos in range(len(nodes) - 1, -1, -1):
+        n, refs, saved, vjp = nodes[pos]
+        nodes[pos] = (n, refs, None, vjp)  # this sweep is the saved arrays' last reader
         g = grads.pop(pos, None)
         if g is None:
             continue
-        _, refs, saved, vjp = nodes[pos]
-        for ref, gt in zip(refs, vjp(g, *saved)):
+        # A recipe is built into the array it stands for only while the vjp runs.
+        terms = vjp(g, *[a.build() if type(a) is _Normalised else a for a in saved])
+        for ref, gt in zip(refs, terms):
             if ref is None or gt is None:
                 continue
             acc = grads.get(ref)
@@ -430,8 +441,7 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     h -= mu
     inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + eps)
     h *= inv
-    h *= gamma.data[:, None]
-    h += beta.data[:, None]
+    _affine_into(h, gamma.data, beta.data)
 
     def make():
         # Only x and the C x 1 statistics are kept; the PReLU output and xhat
@@ -446,9 +456,7 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
 
         def vjp(g, x_data, slope_data, gamma_data):
             s = slope_data[:, None]
-            xhat = _prelu_into(np.maximum(x_data, 0.0), x_data, s)
-            xhat -= mu
-            xhat *= inv
+            xhat = _standardised(x_data, s, mu, inv)
             gbeta = g.sum(axis=1)
             ggamma = np.einsum("ct,ct->c", g, xhat)
             gx = gs = None
@@ -467,7 +475,43 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
 
         return vjp
 
-    return _finish(h, (x, slope, gamma, beta), make, (x.data, slope.data, gamma.data))
+    out = _finish(h, (x, slope, gamma, beta), make, (x.data, slope.data, gamma.data))
+    if out._key is not None:
+        out._recipe = _Normalised(x.data, slope.data, gamma.data, beta.data, mu, inv)
+    return out
+
+
+def _standardised(x, s, mu, inv):
+    """(PReLU(x) - mu) * inv by the forward's own in-place ops, so it equals
+    the forward's standardised value bit for bit."""
+    h = _prelu_into(np.maximum(x, 0.0), x, s)
+    h -= mu
+    h *= inv
+    return h
+
+
+def _affine_into(h, gamma, beta):
+    """h * gamma + beta per channel, in place."""
+    h *= gamma[:, None]
+    h += beta[:, None]
+    return h
+
+
+class _Normalised:
+    """The recipe of a taped ``prelu_norm`` output: its input, slope and
+    affine and the C x 1 statistics, every one an array its node or a
+    parameter already holds.  A conv whose input carries one saves it in
+    place of that C x T output, and :func:`backward` builds the output
+    again, bit for bit, just before the conv's vjp reads it."""
+
+    __slots__ = ("x", "slope", "gamma", "beta", "mu", "inv")
+
+    def __init__(self, x, slope, gamma, beta, mu, inv):
+        self.x, self.slope, self.gamma, self.beta, self.mu, self.inv = x, slope, gamma, beta, mu, inv
+
+    def build(self):
+        h = _standardised(self.x, self.slope[:, None], self.mu, self.inv)
+        return _affine_into(h, self.gamma, self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +564,11 @@ def _windows(x, K: int, stride: int, left: int, right: int):
         xpad = np.zeros((x.shape[0], x.shape[1] + left + right))
         xpad[:, left:left + x.shape[1]] = x
         x = xpad
-    return sliding_window_view(x, K, axis=1)[:, ::stride, :]
+    else:
+        x = np.ascontiguousarray(x)  # the view below needs one buffer
+    C, T = x.shape
+    s0, s1 = x.strides
+    return np.ndarray((C, (T - K) // stride + 1, K), x.dtype, x, 0, (s0, s1 * stride, s1))
 
 
 def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
@@ -531,10 +579,14 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     ceil(T / stride); "valid" uses no padding and requires T >= K.
     """
     x, w, b = _conv_operands("conv1d", x, w, b, stride, 1)
-    K, T = w.data.shape[2], x.data.shape[1]
+    Cout, _, K = w.data.shape
+    T = x.data.shape[1]
     Tp, left, right = _conv_geometry(T, K, stride, padding)
-    win = _windows(x.data, K, stride, left, right)  # (Cin, Tp, K)
-    out = np.tensordot(w.data, win, axes=((1, 2), (0, 2)))  # (Cout, Tp)
+    # One GEMM over the (Cin K) x Tp window matrix, run as tensordot runs it:
+    # a view where the windows' layout allows one (a 1 x 1, stride-1 conv of
+    # a contiguous input reads that input itself), else one copy.
+    col = _windows(x.data, K, stride, left, right).transpose(0, 2, 1).reshape(-1, Tp)
+    out = np.dot(w.data.reshape(Cout, -1), col)  # (Cout, Tp)
     if b is not None:
         out += b.data[:, None]
 
@@ -578,8 +630,9 @@ def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
 def _conv_saved(x: Tensor, w: Tensor):
     """A conv's saved arrays: the weight gradient reads the input and the
     input gradient the weight, so each is kept only if the other's gradient
-    is needed."""
-    return (x.data if w.requires_grad else None, w.data if x.requires_grad else None)
+    is needed.  An input that carries a recipe is kept as the recipe."""
+    kept = x.data if x._recipe is None else x._recipe
+    return (kept if w.requires_grad else None, w.data if x.requires_grad else None)
 
 
 def _conv_vjp(g, x, w, runs, x_shape, w_shape):
@@ -806,66 +859,97 @@ def _accumulate(acc, term):
     return acc
 
 
-def masked_decode(z, v_enc, w, b, stride: int, out_length: int) -> Tensor:
+def _masks(latent, mask_w, mask_b):
+    """Every source's mask, (S * B) x L: the ReLU of the mask net's conv of
+    ``latent``, rectified in place.  Plain arrays in, so the conv tapes
+    nothing."""
+    z = conv1d(latent, mask_w, mask_b).data
+    return np.maximum(z, 0.0, out=z)
+
+
+def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: int) -> Tensor:
     """Decode every source from ``v_enc`` under the ReLU of its mask logits.
 
-    ``z`` is (S * B) x L, row block s holding source s's mask logits z_s;
-    ``v_enc`` is B x L, ``w`` is B x Cout x K and ``b`` has shape Cout.  Row
-    block s of the (S * Cout) x out_length result is the "same" transposed
-    conv of relu(z_s) * v_enc (a stride above K leaves zeros between the
-    kernel copies).  One node is taped, and both passes work one source at a
-    time, so no S x B x L array is ever built; the vjp is the transposed
-    conv's own, per source, followed by the mask's chain rule.
+    The mask logits are the stride-1 "same" conv of ``latent`` (C x L) by
+    ``mask_w`` ((S * B) x C x Km) and ``mask_b`` (S * B), row block s
+    holding source s's B x L logits z_s; ``v_enc`` is B x L, ``w`` is
+    B x Cout x K and ``b`` has shape Cout.  Row block s of the
+    (S * Cout) x out_length result is the "same" transposed conv of
+    relu(z_s) * v_enc (a stride above K leaves zeros between the kernel
+    copies).  One node is taped, holding the latent, not the logits: the
+    forward makes the masks, masks the encoding in their place source by
+    source and drops them, and the vjp makes them again with the same conv.
+    The vjp is the transposed conv's own, per source, then the mask's chain
+    rule, written over that source's mask, then the mask conv's own.
     """
-    z, v_enc, w, b = (_as_tensor(t) for t in (z, v_enc, w, b))
-    if z.ndim != 2 or v_enc.ndim != 2:
-        raise ValueError(f"masked_decode expects 2-D inputs, got {z.data.shape} and {v_enc.data.shape}")
+    latent, mask_w, mask_b = _conv_operands("masked_decode", latent, mask_w, mask_b, 1, 1)
+    v_enc, w, b = _as_tensor(v_enc), _as_tensor(w), _as_tensor(b)
+    if v_enc.ndim != 2:
+        raise ValueError(f"masked_decode expects a 2-D encoding, got {v_enc.data.shape}")
     B, L = v_enc.data.shape
-    if z.data.shape[0] == 0 or z.data.shape[0] % B or z.data.shape[1] != L:
-        raise ValueError(f"mask logits of shape {z.data.shape} are not whole {B} x {L} source blocks")
-    S = z.data.shape[0] // B
+    SB = mask_w.data.shape[0]
+    if SB == 0 or SB % B or latent.data.shape[1] != L:
+        raise ValueError(f"a mask net of {SB} channels over {latent.data.shape[1]} samples is not "
+                         f"whole {B} x {L} source blocks")
+    S = SB // B
     Cout, K = w.data.shape[1:]
     rows = [slice(s * B, (s + 1) * B) for s in range(S)]
+    masks = _masks(latent.data, mask_w.data, mask_b.data)
     out = np.empty((S * Cout, out_length))
-    masked = np.empty((B, L))  # reused, so one source's product is alive at a time
     for s in range(S):
-        np.maximum(z.data[rows[s]], 0.0, out=masked)
-        masked *= v_enc.data
+        masked = masks[rows[s]]
+        masked *= v_enc.data  # in place: this source's mask is read no more
         # Plain arrays in, so this call tapes nothing.
         out[s * Cout:(s + 1) * Cout] = transposed_conv1d(
             masked, w.data, b.data, stride=stride, padding="same", out_length=out_length).data
 
-    def make():
-        _, left, right = _conv_geometry(out_length, K, stride, "same")
-        need_z, need_v, need_w, need_b = (t.requires_grad for t in (z, v_enc, w, b))
+    inputs = (latent, mask_w, mask_b, v_enc, w, b)
 
-        def vjp(g, z_data, v_data, w_data):
-            gz = np.zeros(z_data.shape) if need_z else None
+    def make():
+        Km = mask_w.data.shape[2]
+        _, mleft, _ = _conv_geometry(L, Km, 1, "same")
+        runs = _tap_runs(L, Km, 1, mleft, L)
+        shapes = (latent.data.shape, mask_w.data.shape)
+        _, left, right = _conv_geometry(out_length, K, stride, "same")
+        need_lat, need_mw, need_mb, need_v, need_w, need_b = (t.requires_grad for t in inputs)
+        need_z = need_lat or need_mw or need_mb
+
+        def vjp(g, lat_data, mw_data, mb_data, v_data, w_data):
+            gz = _masks(lat_data, mw_data, mb_data)  # each row block turns into its logit gradient
             gv_enc = gw = gb = None
             # Sources in reverse: the terms of w, b and v_enc then add up in
             # the order backward adds those of one taped op per source, so
             # an item's gradients equal that graph's bit for bit.
             for s in reversed(range(S)):
                 gs = g[s * Cout:(s + 1) * Cout]
-                mask = np.maximum(z_data[rows[s]], 0.0)
-                gmasked, gws = _tconv_vjp(gs, mask * v_data if need_w else None,
-                                          w_data if need_z or need_v else None,
+                mask = gz[rows[s]]
+                on = mask > 0
+                masked = None
+                if need_w:  # over the mask itself unless the v_enc gradient reads it later
+                    masked = np.multiply(mask, v_data, out=None if need_v else mask)
+                gmasked, gws = _tconv_vjp(gs, masked, w_data if need_z or need_v else None,
                                           K, stride, left, right)  # (B, L), (B, Cout, K)
+                masked = None
                 if need_w:
                     gw = _accumulate(gw, gws)
                 if need_b:
                     gb = _accumulate(gb, gs.sum(axis=1))
-                if need_z:
-                    np.multiply(gmasked, v_data, out=gz[rows[s]])
-                    gz[rows[s]] *= mask > 0
                 if need_v:
-                    gmasked *= mask
-                    gv_enc = _accumulate(gv_enc, gmasked)
-            return (gz, gv_enc, gw, gb)
+                    gv_enc = _accumulate(gv_enc, gmasked * mask)
+                if need_z:
+                    np.multiply(gmasked, v_data, out=mask)
+                    mask *= on
+                gmasked = None  # dropped before the next source's arrays are made
+            glat = gmw = gmb = None
+            if need_z:  # the mask conv's own vjp
+                glat, gmw = _conv_vjp(gz, lat_data if need_mw else None,
+                                      mw_data if need_lat else None, runs, *shapes)
+                gmb = gz.sum(axis=1) if need_mb else None
+            return (glat, gmw, gmb, gv_enc, gw, gb)
 
         return vjp
 
-    return _finish(out, (z, v_enc, w, b), make, (z.data, v_enc.data, w.data))
+    return _finish(out, inputs, make, (latent.data, mask_w.data, mask_b.data, v_enc.data, w.data))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class PITResult:
 
 
 def _as_1d(x, name: str) -> np.ndarray:
-    arr = np.asarray(getattr(x, "data", x), dtype=np.float64).reshape(-1)
+    arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
     return arr

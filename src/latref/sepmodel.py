@@ -357,12 +357,8 @@ def mask_and_decode(v_enc: Tensor, s_latent: Tensor, stage: int, params: ModelPa
         raise ValueError(f"stage {stage} out of range for {len(params.mask_nets)} head pairs")
     mn = params.mask_nets[stage]
     dec = params.decoders[stage]
-    z = conv1d(s_latent, mn.w, mn.b, stride=1)
-    S, B, L = cfg.num_sources, cfg.enc_bases, v_enc.shape[1]
-    if z.shape != (S * B, L):
-        raise ValueError(f"mask shape {z.shape} does not match ({S * B}, {L})")
-    T = L * cfg.enc_stride if out_length is None else out_length
-    return masked_decode(z, v_enc, dec.w, dec.b, cfg.enc_stride, T)
+    T = v_enc.shape[1] * cfg.enc_stride if out_length is None else out_length
+    return masked_decode(s_latent, mn.w, mn.b, v_enc, dec.w, dec.b, cfg.enc_stride, T)
 
 
 # ---------------------------------------------------------------------------

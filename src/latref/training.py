@@ -395,11 +395,15 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     ``mask_and_decode`` and ``pit_loss`` on that tree with zero-valued inputs
     (the loss against all-ones references, since it rejects a zero one), with
     ``num_sources - 1`` speech sources as both tasks have.  The loss is one
-    node that holds the decoded estimates, S x T per item.  Each held array
-    counts once, in the segment whose op produced it: ``v_enc`` is read by
-    both the bottleneck and the decoder, and a sub-block's output by
-    whatever comes next.  Every sub-block of a config has the same shapes,
-    so one traced sub-block times the schedule gives the block totals.
+    node that holds the decoded estimates, S x T per item; the heads are one
+    node that holds the latent and ``v_enc``, not the S x B x L mask logits.
+    A sub-block holds each norm's input and its skip sums, but no norm
+    output: a conv over one keeps the norm's recipe, which rebuilds it in
+    backward.  Each held array counts once, in the segment whose op produced
+    it: ``v_enc`` is read by both the bottleneck and the decoder, and a
+    sub-block's output by whatever comes next.  Every sub-block of a config
+    has the same shapes, so one traced sub-block times the schedule gives
+    the block totals.
     """
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")

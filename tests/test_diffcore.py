@@ -301,6 +301,19 @@ DECODE_CASES = [
     (2, 3, 7, 4, 3, 20),  # out_length not a multiple of the stride
     (2, 3, 4, 3, 5, 18),  # stride > K leaves gaps, and 18 is not a multiple of 5
 ]
+# The README desk model's heads on 1 s at 8 kHz, with its 32 latent channels
+DESK_DECODE = (3, 64, 1000, 16, 8, 8000)
+
+
+def masked_decode_chain(latent, mask_w, mask_b, v_enc, w, b, stride, out_length):
+    """The mask conv over all sources, ReLU, masking and one transposed conv
+    per source: the ops masked_decode fuses, on plain arrays."""
+    B = v_enc.shape[0]
+    m = np.maximum(conv1d(latent, mask_w, mask_b).data, 0.0)
+    return np.concatenate([
+        transposed_conv1d(v_enc * m[s * B:(s + 1) * B], w, b, stride=stride,
+                          out_length=out_length).data
+        for s in range(mask_w.shape[0] // B)])
 
 
 class TestFusedOps:
@@ -314,10 +327,11 @@ class TestFusedOps:
                 rng.normal(size=3) + 1.0, rng.normal(size=3))
 
     @staticmethod
-    def decode_inputs(S, B, L, K, stride, out_length):
+    def decode_inputs(S, B, L, K, stride, out_length, C=3):
+        """(latent, mask_w, mask_b, v_enc, w, b) of a C-channel latent."""
         rng = np.random.default_rng(S * 1000 + L * 10 + stride)
-        return (rng.normal(size=(S * B, L)), np.abs(rng.normal(size=(B, L))),
-                rng.normal(size=(B, 1, K)), rng.normal(size=1))
+        return (rng.normal(size=(C, L)), rng.normal(size=(S * B, C, 1)), rng.normal(size=S * B),
+                np.abs(rng.normal(size=(B, L))), rng.normal(size=(B, 1, K)), rng.normal(size=1))
 
     def test_prelu_norm_matches_chain(self):
         x, s, gamma, beta = self.norm_inputs()
@@ -329,26 +343,24 @@ class TestFusedOps:
         assert out.data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("S,B,L,K,stride,out_length", DECODE_CASES)
-    def test_masked_decode_matches_chain(self, S, B, L, K, stride, out_length):
-        z, v_enc, w, b = self.decode_inputs(S, B, L, K, stride, out_length)
-        m = np.maximum(z, 0.0)
-        expected = np.concatenate([
-            transposed_conv1d(v_enc * m[s * B:(s + 1) * B], w, b, stride=stride,
-                              out_length=out_length).data
-            for s in range(S)])
-        out = masked_decode(Tensor(z), Tensor(v_enc), Tensor(w), Tensor(b), stride, out_length)
+    def test_masked_decode_matches_chain(self, S, B, L, K, stride, out_length, C=3):
+        arrays = self.decode_inputs(S, B, L, K, stride, out_length, C)
+        expected = masked_decode_chain(*arrays, stride, out_length)
+        out = masked_decode(*(Tensor(a) for a in arrays), stride, out_length)
         assert out.shape == (S, out_length)
         assert out.data.tobytes() == expected.tobytes()
 
+    def test_masked_decode_matches_chain_at_desk_shape(self):
+        self.test_masked_decode_matches_chain(*DESK_DECODE, C=32)
+
     def test_each_tapes_one_node(self):
         x, s, gamma, beta = (Tensor(a, requires_grad=True) for a in self.norm_inputs())
-        z, v_enc, w, b = (Tensor(a, requires_grad=True)
-                          for a in self.decode_inputs(*DECODE_CASES[1]))
+        ts = [Tensor(a, requires_grad=True) for a in self.decode_inputs(*DECODE_CASES[1])]
         with Tape() as tape:
             h = prelu_norm(x, s, gamma, beta)
         assert len(tape) == 1 and tape.recorded_output_elems() == h.size
         with Tape() as tape:
-            out = masked_decode(z, v_enc, w, b, 3, 20)
+            out = masked_decode(*ts, 3, 20)
         assert len(tape) == 1 and tape.recorded_output_elems() == out.size == 2 * 20
 
     @pytest.mark.parametrize("off", [None, 0, 1, 2, 3])
@@ -360,7 +372,7 @@ class TestFusedOps:
         if off is not None:
             assert ts[off].grad is None
 
-    @pytest.mark.parametrize("off", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("off", [None, 0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("S,B,L,K,stride,out_length", DECODE_CASES)
     def test_masked_decode_grad_check(self, S, B, L, K, stride, out_length, off):
         arrays = self.decode_inputs(S, B, L, K, stride, out_length)
@@ -374,10 +386,80 @@ class TestFusedOps:
         if off is not None:
             assert ts[off].grad is None
 
+    def test_masked_decode_gradients_equal_the_chains(self):
+        # The chain tapes the mask conv and its ReLU, then per source a row
+        # slice, the masking and a transposed conv; backward adds their terms
+        # in the order the fused vjp does, so every gradient is equal.
+        arrays = self.decode_inputs(*DECODE_CASES[0])
+        y = np.random.default_rng(43).normal(size=(3, 12))
+
+        def chain_loss(latent, mask_w, mask_b, v_enc, w, b):
+            m = relu(conv1d(latent, mask_w, mask_b))
+            loss = None
+            for s in range(3):
+                out = transposed_conv1d(mul(slice_rows(m, 4 * s, 4 * s + 4), v_enc), w, b,
+                                        stride=2, out_length=12)
+                term = sum_all(mul(out, Tensor(y[s:s + 1])))
+                loss = term if loss is None else add(loss, term)
+            return loss
+
+        grads = []
+        for fused in (True, False):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            with Tape() as tape:
+                loss = sum_all(mul(masked_decode(*ts, 2, 12), Tensor(y))) if fused else chain_loss(*ts)
+            backward(tape, loss)
+            grads.append([t.grad for t in ts])
+        for fused, chain in zip(*grads):
+            assert np.array_equal(fused, chain)
+
     def test_masked_decode_rejects_partial_source_block(self):
         with pytest.raises(ValueError, match="source blocks"):
-            masked_decode(Tensor(np.zeros((5, 4))), Tensor(np.zeros((2, 4))),
+            masked_decode(Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 2, 1))),
+                          Tensor(np.zeros(5)), Tensor(np.zeros((2, 4))),
                           Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros(1)), 2, 8)
+
+    def test_conv_over_prelu_norm_holds_its_input_only(self):
+        # The conv keeps the norm's recipe, not its C x T output, and its
+        # vjp reads the output rebuilt bit for bit: the weight gradient
+        # equals that of the same conv over a leaf holding the output.
+        rng = np.random.default_rng(44)
+        x0 = Tensor(rng.normal(size=(2, 17)), requires_grad=True)
+        w0 = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+        s, gamma, beta = (Tensor(a, requires_grad=True) for a in
+                          (np.array([0.25, 0.6, -0.1]), rng.normal(size=3) + 1.0, rng.normal(size=3)))
+        w = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+        g = rng.normal(size=(4, 9))
+
+        def f():
+            x = conv1d(x0, w0)
+            return sum_all(mul(conv1d(prelu_norm(x, s, gamma, beta), w, stride=2), Tensor(g)))
+
+        with Tape() as tape:
+            x = conv1d(x0, w0)
+            h = prelu_norm(x, s, gamma, beta)
+            loss = sum_all(mul(conv1d(h, w, stride=2), Tensor(g)))
+        assert tape.held_output_elems() == x.size == 3 * 17
+        assert tape._nodes[2][2][0] is h._recipe and h._recipe.build().tobytes() == h.data.tobytes()
+        backward(tape, loss)
+        # conv1d's gradients by the textbook loops, then prelu_norm's oracle
+        hpad = np.zeros((3, 21))  # "same": 17 samples padded by 2 on each side
+        hpad[:, 2:19] = h.data
+        gw, ghpad = np.zeros((4, 3, 5)), np.zeros((3, 21))
+        for j in range(9):
+            gw += g[:, j, None, None] * hpad[None, :, 2 * j:2 * j + 5]
+            ghpad[:, 2 * j:2 * j + 5] += np.einsum("o,oik->ik", g[:, j], w.data)
+        np.testing.assert_allclose(w.grad, gw, rtol=1e-10, atol=1e-12)
+        for t, want in zip((s, gamma, beta), prelu_norm_grads_oracle(
+                x.data, s.data, gamma.data, ghpad[:, 2:19])[1:]):
+            np.testing.assert_allclose(t.grad, want, rtol=1e-10, atol=1e-12)
+        h_leaf = Tensor(h.data, requires_grad=True)
+        w_grad = w.grad
+        with Tape() as tape:
+            loss = sum_all(mul(conv1d(h_leaf, w, stride=2), Tensor(g)))
+        backward(tape, loss)
+        assert w.grad.tobytes() == w_grad.tobytes()
+        assert grad_check(f, [x0, w0, s, gamma, beta, w]) < 1e-4
 
 
 class TestUpsampleConv1d:
@@ -488,17 +570,20 @@ class TestMaskingGradients:
         assert slope.grad == -1.0
 
     def test_masked_decode_gradient_zero_at_zero_logit(self):
+        # zero latent columns and a zero mask bias make every logit there 0
         rng = np.random.default_rng(8)
-        z = rng.normal(size=(4, 6))
-        z[:, ::2] = 0.0
+        latent = rng.normal(size=(3, 6))
+        latent[:, ::2] = 0.0
         ts = [Tensor(a, requires_grad=True) for a in
-              (z, np.abs(rng.normal(size=(2, 6))) + 0.1, rng.normal(size=(2, 1, 4)), np.zeros(1))]
+              (latent, rng.normal(size=(4, 3, 1)), np.zeros(4),
+               np.abs(rng.normal(size=(2, 6))) + 0.1, rng.normal(size=(2, 1, 4)), np.zeros(1))]
         with Tape() as tape:
             out = masked_decode(*ts, 2, 12)
             loss = sum_all(mul(out, out))
         backward(tape, loss)
+        z = np.einsum("rc,ct->rt", ts[1].data[:, :, 0], latent)
         assert np.all(ts[0].grad[:, ::2] == 0.0)
-        assert np.all((ts[0].grad[:, 1::2] != 0.0) == (z[:, 1::2] > 0))
+        assert np.all(ts[0].grad[:, 1::2] != 0.0) and np.all(z[:, 1::2].max(axis=0) > 0)
 
 
 class TestElementwise:
@@ -756,11 +841,14 @@ class TestGradCheck:
             assert pit_loss(ests, refs, speech_count=2).permutation == (1, 0)
             f, ps = lambda: pit_loss(ests, refs, speech_count=2).loss, [ests]
         else:
-            # x is one source's mask logits over y's encoding of 2 bases
+            # x is the latent whose 1 x 1 conv gives one source's mask over
+            # y's encoding of 2 bases
             w = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
             b = Tensor(rng.normal(size=1), requires_grad=True)
-            f, ps = lambda: sum_all(mul(masked_decode(x, y, w, b, 2, 23),
-                                        masked_decode(x, y, w, b, 2, 23))), [x, y, w, b]
+            mw = Tensor(rng.normal(size=(2, 2, 1)), requires_grad=True)
+            mb = Tensor(rng.normal(size=2), requires_grad=True)
+            f, ps = lambda: sum_all(mul(masked_decode(x, mw, mb, y, w, b, 2, 23),
+                                        masked_decode(x, mw, mb, y, w, b, 2, 23))), [x, mw, mb, y, w, b]
         assert grad_check(f, ps) < 1e-4
 
     def test_composed_graph(self):
@@ -905,6 +993,29 @@ class TestTapeHoldsWhatBackwardReads:
         assert before - after >= nbytes == 16 * 4000 * 8
         assert tape.held_output_elems() == 0  # the conv keeps x, a leaf
         assert tape.recorded_output_elems() == 2 * out.size
+
+    def test_sweep_releases_saved_arrays_once(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(8, 4000)))
+        w = Tensor(rng.normal(size=(8, 8, 3)), requires_grad=True)
+        ones = Tensor(np.ones((8, 4000)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                h = relu(conv1d(x, w))  # relu keeps its output h, the second conv its input h
+                loss = sum_all(mul(conv1d(h, w), ones))
+            nbytes = h.data.nbytes
+            del h
+            before = tracemalloc.get_traced_memory()[0]
+            backward(tape, loss)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert before > nbytes > 10 * after  # h was held; after the sweep, w's gradient and no h
+        assert all(saved is None for _, _, saved, _ in tape._nodes)
+        assert (len(tape), tape.held_output_elems()) == (5, 8 * 4000)  # counts stay as recorded
+        with pytest.raises(ValueError, match="already swept"):
+            backward(tape, loss)
 
     def test_held_counts_each_array_once_by_producer(self):
         rng = np.random.default_rng(6)

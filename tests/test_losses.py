@@ -40,6 +40,15 @@ def si_sdr_direct(est, ref):
 
 
 class TestSiSdr:
+    def test_arrays_are_read_in_place(self):
+        # an ndarray's own ``data`` is its memoryview buffer, not the array
+        from latref.losses import _as_1d
+
+        a = np.array([[1.0, -2.0], [0.5, 3.0]])
+        assert _as_1d(a, "est").base is a
+        assert _as_1d(Tensor(a), "est").base is a
+        assert np.array_equal(_as_1d([1, 2], "est"), [1.0, 2.0])
+
     def test_scaled_copy_hits_upper_clamp(self):
         ref = np.array([1.0, -2.0, 0.5])
         res = si_sdr(2.0 * ref, ref)
