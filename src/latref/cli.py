@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MixtureSpec, build_splits, make_dataset
+from .data import MixtureSpec, build_splits, check_ints, make_dataset
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu, prelu_norm
 from .diffcore import relu, softmax, sum_all, transposed_conv1d, upsample_conv1d, upsample_nearest
 from .gating import GateParams, gate_from_arrays, gate_named_parameters, init_gate
@@ -86,6 +86,9 @@ class DataSection:
     num_train: int = 8
     num_val: int = 4
     num_test: int = 4
+
+    def __post_init__(self):
+        check_ints(self, ("num_train", "num_val", "num_test"))
 
 
 @dataclass
@@ -154,7 +157,10 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
     counts = {k: ds.pop(k) for k in ("num_train", "num_val", "num_test") if k in ds}
     ds.setdefault("task", task)
     spec = _strict_section(ds, MixtureSpec, "dataset")
-    kwargs["dataset"] = DataSection(spec=spec, **counts)
+    try:
+        kwargs["dataset"] = DataSection(spec=spec, **counts)
+    except ValueError as e:
+        raise ValueError(f"invalid config section dataset: {e}") from e
     return ExperimentConfig(**kwargs)
 
 

@@ -16,6 +16,7 @@ generate in parallel.
 
 from __future__ import annotations
 
+import numbers
 import wave
 from dataclasses import dataclass, field
 
@@ -32,6 +33,20 @@ NOISE_SMOOTH_WIN = 9
 _SPLIT_TAGS = {"train": 0, "val": 1, "test": 2}
 
 
+def check_ints(obj, names, optional=(), prefix: str = ""):
+    """Raise ValueError naming the first field of ``obj`` in ``names`` or
+    ``optional`` (which may also be None) that holds no integer.  A Python
+    or numpy integer passes and is stored as a Python int; a bool or a
+    float does not."""
+    for name in (*names, *optional):
+        value = getattr(obj, name)
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
+        setattr(obj, name, int(value))
+
+
 @dataclass
 class MixtureSpec:
     sample_rate: int = 8000
@@ -42,6 +57,7 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_ints(self, ("sample_rate", "seed"))
         self.speaker_snr_range = tuple(float(v) for v in self.speaker_snr_range)
         self.noise_snr_range = tuple(float(v) for v in self.noise_snr_range)
         if self.task not in ("separation", "enhancement"):

@@ -18,11 +18,15 @@ The op set is exactly what the separation stack needs:
   whose vjp runs the transposed conv's own per source, then the mask
   conv's own.
 
-Forward computation is plain numpy.  While a :class:`Tape` is active, every
-op whose inputs require gradients appends a node to the tape;
-:func:`backward` replays the tape in reverse execution order and accumulates
-vector-Jacobian products.  With no tape active, ops run as pure forwards,
-which is what inference uses.
+Every op is one function: it computes its output in plain numpy, defines
+its vector-Jacobian product (vjp) as a closure in its own body and hands
+both to :func:`_finish`.  While a :class:`Tape` is active, an op whose
+inputs require gradients records that vjp in a node; :func:`backward`
+replays the tape in reverse execution order and accumulates the vjps'
+terms.  With no tape active, ops run as pure forwards, which is what
+inference uses, and the closure is dropped unused.  What only the sweep
+needs (a conv's tap runs, ``masked_decode``'s geometry) is worked out
+inside the vjp, so neither an untaped call nor a node holds it.
 
 Memory follows what the backward closures (vjps) read.  A node holds the
 arrays its vjp reads (its saved arrays) and nothing it can rebuild exactly
@@ -121,7 +125,8 @@ class Tape:
     counts as a leaf here.  One tape per training step, one writer thread:
     nothing here is locked.
 
-    A node is (output element count, input refs, saved arrays, vjp).  An op
+    A node is (output element count, input refs, saved arrays, vjp), the
+    vjp being the closure the op passed to :func:`_finish`.  An op
     output's key is its node's position; an input ref is that key, the leaf
     Tensor itself (so ``.grad`` can be set), or None when the input needs no
     gradient.  The saved arrays are what the vjp reads, passed to it after
@@ -171,11 +176,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _finish(out_data, inputs, make_vjp, saved=()):
+def _finish(out_data, inputs, vjp, saved=()):
     """Wrap op output; record a node if anything needs grads.
 
-    ``saved`` holds the arrays the vjp reads (None for one it does not
-    need); the vjp is called as ``vjp(g, *saved)``.
+    ``vjp`` is the backward closure the op defined in its own body, recorded
+    as it is and called as ``vjp(g, *saved)``; ``saved`` holds the arrays
+    it reads (None for one it does not need).
     """
     tape = _active()
     if tape is None or not any(t.requires_grad for t in inputs):
@@ -196,7 +202,7 @@ def _finish(out_data, inputs, make_vjp, saved=()):
                 if type(ref) is int and t.data is a:
                     tape._held[id(a)] = (ref, a.size)
                     break
-    tape._nodes.append((out_data.size, refs, saved, make_vjp()))
+    tape._nodes.append((out_data.size, refs, saved, vjp))
     return out
 
 
@@ -272,31 +278,23 @@ def backward(tape: Tape, loss: Tensor) -> None:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
-    def make():
-        sa, sb = a.data.shape, b.data.shape
+    def vjp(g):
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
-        def vjp(g):
-            return (_unbroadcast(g, sa), _unbroadcast(g, sb))
-
-        return vjp
-
-    return _finish(out, (a, b), make)
+    return _finish(out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
-    def make():
-        sa, sb = a.data.shape, b.data.shape
+    def vjp(g):
+        return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
-        def vjp(g):
-            return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
-
-        return vjp
-
-    return _finish(out, (a, b), make)
+    return _finish(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -304,31 +302,24 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
     # Each operand's gradient reads the other operand, kept only if needed.
     saved = (a.data if b.requires_grad else None, b.data if a.requires_grad else None)
+    sa, sb = a.data.shape, b.data.shape
 
-    def make():
-        sa, sb = a.data.shape, b.data.shape
+    def vjp(g, a_data, b_data):
+        ga = None if b_data is None else _unbroadcast(g * b_data, sa)
+        gb = None if a_data is None else _unbroadcast(g * a_data, sb)
+        return (ga, gb)
 
-        def vjp(g, a_data, b_data):
-            ga = None if b_data is None else _unbroadcast(g * b_data, sa)
-            gb = None if a_data is None else _unbroadcast(g * a_data, sb)
-            return (ga, gb)
-
-        return vjp
-
-    return _finish(out, (a, b), make, saved)
+    return _finish(out, (a, b), vjp, saved)
 
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
 
-    def make():
-        def vjp(g, out):  # out > 0 exactly where x > 0
-            return (g * (out > 0),)
+    def vjp(g, out):  # out > 0 exactly where x > 0
+        return (g * (out > 0),)
 
-        return vjp
-
-    return _finish(out, (x,), make, (out,))
+    return _finish(out, (x,), vjp, (out,))
 
 
 def prelu(x, slope) -> Tensor:
@@ -348,24 +339,20 @@ def prelu(x, slope) -> Tensor:
     else:
         raise ValueError(f"prelu slope must be scalar or 1-D, got shape {slope.data.shape}")
     out = np.maximum(x.data, 0.0) + s * np.minimum(x.data, 0.0)
+    # The mask and the negative part are recomputed from x rather than kept
+    # as two more x-sized arrays.
+    need_x, need_s = x.requires_grad, slope.requires_grad
+    s_shape, axes = s.shape, tuple(range(1, x.ndim)) if slope.ndim else None
 
-    def make():
-        # The mask and the negative part are recomputed from x rather than
-        # kept as two more x-sized arrays.
-        need_x, need_s = x.requires_grad, slope.requires_grad
-        s_shape, axes = s.shape, tuple(range(1, x.ndim)) if slope.ndim else None
+    def vjp(g, x_data, slope_data):
+        gx = g * _prelu_slopes(x_data, slope_data.reshape(s_shape)) if need_x else None
+        gs = None
+        if need_s:
+            prod = g * np.minimum(x_data, 0.0)
+            gs = np.asarray(prod.sum()) if axes is None else prod.sum(axis=axes)
+        return (gx, gs)
 
-        def vjp(g, x_data, slope_data):
-            gx = g * _prelu_slopes(x_data, slope_data.reshape(s_shape)) if need_x else None
-            gs = None
-            if need_s:
-                prod = g * np.minimum(x_data, 0.0)
-                gs = np.asarray(prod.sum()) if axes is None else prod.sum(axis=axes)
-            return (gx, gs)
-
-        return vjp
-
-    return _finish(out, (x, slope), make, (x.data, slope.data))
+    return _finish(out, (x, slope), vjp, (x.data, slope.data))
 
 
 def _prelu_into(h, x, s):
@@ -394,29 +381,22 @@ def softmax(x, axis: int) -> Tensor:
     e = np.exp(z)
     out = e / e.sum(axis=axis, keepdims=True)
 
-    def make():
-        def vjp(g, out):
-            inner = (g * out).sum(axis=axis, keepdims=True)
-            return (out * (g - inner),)
+    def vjp(g, out):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - inner),)
 
-        return vjp
-
-    return _finish(out, (x,), make, (out,))
+    return _finish(out, (x,), vjp, (out,))
 
 
 def sum_all(x) -> Tensor:
     x = _as_tensor(x)
     out = np.asarray(x.data.sum())
+    shape = x.data.shape
 
-    def make():
-        shape = x.data.shape
+    def vjp(g):
+        return (np.broadcast_to(g, shape).copy(),)
 
-        def vjp(g):
-            return (np.broadcast_to(g, shape).copy(),)
-
-        return vjp
-
-    return _finish(out, (x,), make)
+    return _finish(out, (x,), vjp)
 
 
 def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
@@ -442,40 +422,36 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + eps)
     h *= inv
     _affine_into(h, gamma.data, beta.data)
+    # Only x and the C x 1 statistics are kept; the PReLU output and xhat are
+    # recomputed from x by the forward's own ops, so they are bit-identical
+    # to the forward's.  With T samples per channel and gh = gamma * g, the
+    # norm's gradient
+    #   inv * (gh - mean(gh) - xhat * mean(gh * xhat))
+    # takes both means from the affine's row sums:
+    #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
+    T = x.data.shape[1]
+    need_x, need_s, need_gamma, need_beta = (t.requires_grad for t in (x, slope, gamma, beta))
 
-    def make():
-        # Only x and the C x 1 statistics are kept; the PReLU output and xhat
-        # are recomputed from x by the forward's own ops, so they are
-        # bit-identical to the forward's.  With T samples per channel and
-        # gh = gamma * g, the norm's gradient
-        #   inv * (gh - mean(gh) - xhat * mean(gh * xhat))
-        # takes both means from the affine's row sums:
-        #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
-        T = x.data.shape[1]
-        need_x, need_s, need_gamma, need_beta = (t.requires_grad for t in (x, slope, gamma, beta))
+    def vjp(g, x_data, slope_data, gamma_data):
+        s = slope_data[:, None]
+        xhat = _standardised(x_data, s, mu, inv)
+        gbeta = g.sum(axis=1)
+        ggamma = np.einsum("ct,ct->c", g, xhat)
+        gx = gs = None
+        if need_x or need_s:
+            gh = xhat  # xhat's last use: overwrite it with the PReLU output's gradient
+            gh *= (-ggamma / T)[:, None]
+            gh += g
+            gh -= (gbeta / T)[:, None]
+            gh *= inv * gamma_data[:, None]
+            if need_s:
+                gs = np.einsum("ct,ct->c", gh, np.minimum(x_data, 0.0))
+            if need_x:
+                gh *= _prelu_slopes(x_data, s)
+                gx = gh
+        return (gx, gs, ggamma if need_gamma else None, gbeta if need_beta else None)
 
-        def vjp(g, x_data, slope_data, gamma_data):
-            s = slope_data[:, None]
-            xhat = _standardised(x_data, s, mu, inv)
-            gbeta = g.sum(axis=1)
-            ggamma = np.einsum("ct,ct->c", g, xhat)
-            gx = gs = None
-            if need_x or need_s:
-                gh = xhat  # xhat's last use: overwrite it with the PReLU output's gradient
-                gh *= (-ggamma / T)[:, None]
-                gh += g
-                gh -= (gbeta / T)[:, None]
-                gh *= inv * gamma_data[:, None]
-                if need_s:
-                    gs = np.einsum("ct,ct->c", gh, np.minimum(x_data, 0.0))
-                if need_x:
-                    gh *= _prelu_slopes(x_data, s)
-                    gx = gh
-            return (gx, gs, ggamma if need_gamma else None, gbeta if need_beta else None)
-
-        return vjp
-
-    out = _finish(h, (x, slope, gamma, beta), make, (x.data, slope.data, gamma.data))
+    out = _finish(h, (x, slope, gamma, beta), vjp, (x.data, slope.data, gamma.data))
     if out._key is not None:
         out._recipe = _Normalised(x.data, slope.data, gamma.data, beta.data, mu, inv)
     return out
@@ -590,21 +566,15 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     if b is not None:
         out += b.data[:, None]
 
-    inputs = (x, w) if b is None else (x, w, b)
+    x_shape, w_shape = x.data.shape, w.data.shape
+    need_b = b is not None and b.requires_grad
 
-    def make():
-        runs = _tap_runs(T, K, stride, left, Tp)
-        shapes = (x.data.shape, w.data.shape)
-        need_b = b is not None and b.requires_grad
+    def vjp(g, x_data, w_data):
+        gx, gw = _conv_vjp(g, x_data, w_data, x_shape, w_shape, stride, left)
+        gb = g.sum(axis=1) if need_b else None
+        return (gx, gw, gb)  # without a bias, backward's zip drops gb
 
-        def vjp(g, x_data, w_data):
-            gx, gw = _conv_vjp(g, x_data, w_data, runs, *shapes)
-            gb = g.sum(axis=1) if need_b else None
-            return (gx, gw, gb)  # without a bias, backward's zip drops gb
-
-        return vjp
-
-    return _finish(out, inputs, make, _conv_saved(x, w))
+    return _finish(out, (x, w) if b is None else (x, w, b), vjp, _conv_saved(x, w))
 
 
 def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
@@ -635,10 +605,13 @@ def _conv_saved(x: Tensor, w: Tensor):
     return (kept if w.requires_grad else None, w.data if x.requires_grad else None)
 
 
-def _conv_vjp(g, x, w, runs, x_shape, w_shape):
+def _conv_vjp(g, x, w, x_shape, w_shape, stride: int, left: int):
     """(input gradient, weight gradient) of a conv's output gradient ``g``,
-    one matmul per tap run.  ``x`` and ``w`` are as :func:`_conv_saved`
-    keeps them; a gradient whose operand is None is None."""
+    one matmul per tap run of the conv of an ``x_shape`` input by a
+    ``w_shape`` weight at this stride and left padding.  ``x`` and ``w`` are
+    as :func:`_conv_saved` keeps them; a gradient whose operand is None is
+    None."""
+    runs = _tap_runs(x_shape[1], w_shape[2], stride, left, g.shape[1])
     gx = gw = None
     if x is not None:
         gw = np.zeros(w_shape)
@@ -698,19 +671,14 @@ def transposed_conv1d(
     if b is not None:
         out += b.data[:, None]
 
-    inputs = (v, w) if b is None else (v, w, b)
+    need_b = b is not None and b.requires_grad
 
-    def make():
-        need_b = b is not None and b.requires_grad
+    def vjp(g, v_data, w_data):
+        gv, gw = _tconv_vjp(g, v_data, w_data, K, stride, left, right)
+        gb = g.sum(axis=1) if need_b else None
+        return (gv, gw, gb)  # without a bias, backward's zip drops gb
 
-        def vjp(g, v_data, w_data):
-            gv, gw = _tconv_vjp(g, v_data, w_data, K, stride, left, right)
-            gb = g.sum(axis=1) if need_b else None
-            return (gv, gw, gb)  # without a bias, backward's zip drops gb
-
-        return vjp
-
-    return _finish(out, inputs, make, _conv_saved(v, w))
+    return _finish(out, (v, w) if b is None else (v, w, b), vjp, _conv_saved(v, w))
 
 
 def upsample_nearest(x, length: int) -> Tensor:
@@ -724,22 +692,18 @@ def upsample_nearest(x, length: int) -> Tensor:
     idx = (np.arange(length) * src) // length
     out = x.data[:, idx]
 
-    def make():
+    def vjp(g):
         # Each source column owns a contiguous run of output columns; its
         # gradient gathers the runs' first columns, then adds each later one.
-        starts = np.searchsorted(idx, np.arange(src))
+        starts = np.searchsorted((np.arange(length) * src) // length, np.arange(src))
         runs = np.diff(starts, append=length)
+        gx = g[:, starts]
+        for r in range(1, int(runs.max())):
+            has = runs > r
+            gx[:, has] += g[:, starts[has] + r]
+        return (gx,)
 
-        def vjp(g):
-            gx = g[:, starts]
-            for r in range(1, int(runs.max())):
-                has = runs > r
-                gx[:, has] += g[:, starts[has] + r]
-            return (gx,)
-
-        return vjp
-
-    return _finish(out, (x,), make)
+    return _finish(out, (x,), vjp)
 
 
 def _phase_taps(K: int):
@@ -799,35 +763,31 @@ def upsample_conv1d(u, w, b, length: int) -> Tensor:
         for k in range(max(0, left - j), length + left - j):
             out[:, j] += w.data[:, :, k] @ u.data[:, (j + k - left) // 2]
 
-    def make():
-        runs = _tap_runs(src, Kp, 1, lp, src)
-        u_shape, need_b = u.data.shape, b.requires_grad
+    need_b = b.requires_grad
 
-        def vjp(g, u_data, w_data):
-            gboth = np.zeros((2 * Cout, src))
-            gboth[:Cout] = g[:, 0::2]
-            gboth[Cout:, :length // 2] = g[:, 1::2]
-            pw = None if w_data is None else _phase_weights(w_data, taps, Kp)
-            gu, gpw = _conv_vjp(gboth, u_data, pw, runs, u_shape, (2 * Cout, Cin, Kp))
-            gw = gb = None
-            if gpw is not None:
-                gpw = gpw.reshape(2, Cout, Cin, Kp)
-                gw = np.empty((Cout, Cin, K))
-                for k in range(K):
-                    gw[:, :, k] = gpw[0, :, :, taps[0][k]] + gpw[1, :, :, taps[1][k]]
-            for j in dropped:  # the phase conv's vjp counted the dropped copy: take it out
-                k = length + left - j
-                if gu is not None:
-                    gu[:, src - 1] -= w_data[:, :, k].T @ g[:, j]
-                if gw is not None:
-                    gw[:, :, k] -= np.outer(g[:, j], u_data[:, src - 1])
-            if need_b:
-                gb = g.sum(axis=1)
-            return (gu, gw, gb)
+    def vjp(g, u_data, w_data):
+        gboth = np.zeros((2 * Cout, src))
+        gboth[:Cout] = g[:, 0::2]
+        gboth[Cout:, :length // 2] = g[:, 1::2]
+        pw = None if w_data is None else _phase_weights(w_data, taps, Kp)
+        gu, gpw = _conv_vjp(gboth, u_data, pw, (Cin, src), (2 * Cout, Cin, Kp), 1, lp)
+        gw = gb = None
+        if gpw is not None:
+            gpw = gpw.reshape(2, Cout, Cin, Kp)
+            gw = np.empty((Cout, Cin, K))
+            for k in range(K):
+                gw[:, :, k] = gpw[0, :, :, taps[0][k]] + gpw[1, :, :, taps[1][k]]
+        for j in dropped:  # the phase conv's vjp counted the dropped copy: take it out
+            k = length + left - j
+            if gu is not None:
+                gu[:, src - 1] -= w_data[:, :, k].T @ g[:, j]
+            if gw is not None:
+                gw[:, :, k] -= np.outer(g[:, j], u_data[:, src - 1])
+        if need_b:
+            gb = g.sum(axis=1)
+        return (gu, gw, gb)
 
-        return vjp
-
-    return _finish(out, (u, w, b), make, _conv_saved(u, w))
+    return _finish(out, (u, w, b), vjp, _conv_saved(u, w))
 
 
 def slice_rows(x, start: int, stop: int) -> Tensor:
@@ -837,18 +797,14 @@ def slice_rows(x, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= n):
         raise ValueError(f"row slice [{start}, {stop}) out of range for {n} rows")
     out = x.data[start:stop].copy()
+    x_shape = x.data.shape
 
-    def make():
-        x_shape = x.data.shape
+    def vjp(g):
+        gx = np.zeros(x_shape)
+        gx[start:stop] = g
+        return (gx,)
 
-        def vjp(g):
-            gx = np.zeros(x_shape)
-            gx[start:stop] = g
-            return (gx,)
-
-        return vjp
-
-    return _finish(out, (x,), make)
+    return _finish(out, (x,), vjp)
 
 
 def _accumulate(acc, term):
@@ -904,52 +860,45 @@ def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: 
             masked, w.data, b.data, stride=stride, padding="same", out_length=out_length).data
 
     inputs = (latent, mask_w, mask_b, v_enc, w, b)
+    need_lat, need_mw, need_mb, need_v, need_w, need_b = (t.requires_grad for t in inputs)
+    need_z = need_lat or need_mw or need_mb
 
-    def make():
-        Km = mask_w.data.shape[2]
-        _, mleft, _ = _conv_geometry(L, Km, 1, "same")
-        runs = _tap_runs(L, Km, 1, mleft, L)
-        shapes = (latent.data.shape, mask_w.data.shape)
+    def vjp(g, lat_data, mw_data, mb_data, v_data, w_data):
         _, left, right = _conv_geometry(out_length, K, stride, "same")
-        need_lat, need_mw, need_mb, need_v, need_w, need_b = (t.requires_grad for t in inputs)
-        need_z = need_lat or need_mw or need_mb
+        gz = _masks(lat_data, mw_data, mb_data)  # each row block turns into its logit gradient
+        gv_enc = gw = gb = None
+        # Sources in reverse: the terms of w, b and v_enc then add up in the
+        # order backward adds those of one taped op per source, so an item's
+        # gradients equal that graph's bit for bit.
+        for s in reversed(range(S)):
+            gs = g[s * Cout:(s + 1) * Cout]
+            mask = gz[rows[s]]
+            on = mask > 0
+            masked = None
+            if need_w:  # over the mask itself unless the v_enc gradient reads it later
+                masked = np.multiply(mask, v_data, out=None if need_v else mask)
+            gmasked, gws = _tconv_vjp(gs, masked, w_data if need_z or need_v else None,
+                                      K, stride, left, right)  # (B, L), (B, Cout, K)
+            masked = None
+            if need_w:
+                gw = _accumulate(gw, gws)
+            if need_b:
+                gb = _accumulate(gb, gs.sum(axis=1))
+            if need_v:
+                gv_enc = _accumulate(gv_enc, gmasked * mask)
+            if need_z:
+                np.multiply(gmasked, v_data, out=mask)
+                mask *= on
+            gmasked = None  # dropped before the next source's arrays are made
+        glat = gmw = gmb = None
+        if need_z:  # the mask conv's own vjp, over its stride-1 "same" geometry
+            mleft = _conv_geometry(L, mw_data.shape[2], 1, "same")[1]
+            glat, gmw = _conv_vjp(gz, lat_data if need_mw else None, mw_data if need_lat else None,
+                                  lat_data.shape, mw_data.shape, 1, mleft)
+            gmb = gz.sum(axis=1) if need_mb else None
+        return (glat, gmw, gmb, gv_enc, gw, gb)
 
-        def vjp(g, lat_data, mw_data, mb_data, v_data, w_data):
-            gz = _masks(lat_data, mw_data, mb_data)  # each row block turns into its logit gradient
-            gv_enc = gw = gb = None
-            # Sources in reverse: the terms of w, b and v_enc then add up in
-            # the order backward adds those of one taped op per source, so
-            # an item's gradients equal that graph's bit for bit.
-            for s in reversed(range(S)):
-                gs = g[s * Cout:(s + 1) * Cout]
-                mask = gz[rows[s]]
-                on = mask > 0
-                masked = None
-                if need_w:  # over the mask itself unless the v_enc gradient reads it later
-                    masked = np.multiply(mask, v_data, out=None if need_v else mask)
-                gmasked, gws = _tconv_vjp(gs, masked, w_data if need_z or need_v else None,
-                                          K, stride, left, right)  # (B, L), (B, Cout, K)
-                masked = None
-                if need_w:
-                    gw = _accumulate(gw, gws)
-                if need_b:
-                    gb = _accumulate(gb, gs.sum(axis=1))
-                if need_v:
-                    gv_enc = _accumulate(gv_enc, gmasked * mask)
-                if need_z:
-                    np.multiply(gmasked, v_data, out=mask)
-                    mask *= on
-                gmasked = None  # dropped before the next source's arrays are made
-            glat = gmw = gmb = None
-            if need_z:  # the mask conv's own vjp
-                glat, gmw = _conv_vjp(gz, lat_data if need_mw else None,
-                                      mw_data if need_lat else None, runs, *shapes)
-                gmb = gz.sum(axis=1) if need_mb else None
-            return (glat, gmw, gmb, gv_enc, gw, gb)
-
-        return vjp
-
-    return _finish(out, inputs, make, (latent.data, mask_w.data, mask_b.data, v_enc.data, w.data))
+    return _finish(out, inputs, vjp, (latent.data, mask_w.data, mask_b.data, v_enc.data, w.data))
 
 
 # ---------------------------------------------------------------------------

@@ -141,21 +141,17 @@ def _pit_node(ests: Tensor, refs: np.ndarray, speech_count: int):
             best = (loss, perm, pairs)
     loss, perm, pairs = best
     chosen = [(i, j, terms[(i, j)][1]) for i, j in pairs]
+    shape = ests.shape
 
-    def make():
-        shape = ests.shape
+    def vjp(g, ests_data, refs_data):
+        g = g * (1.0 / S)  # the mean hands every term the same gradient
+        e = ests_data.reshape(refs_data.shape)
+        gx = np.zeros(e.shape)
+        for i, j, saved in chosen:
+            gx[i:i + 1] = _neg_sisdr_vjp(g, e[i:i + 1], refs_data[j:j + 1], *saved)
+        return (gx.reshape(shape),)
 
-        def vjp(g, ests_data, refs_data):
-            g = g * (1.0 / S)  # the mean hands every term the same gradient
-            e = ests_data.reshape(refs_data.shape)
-            gx = np.zeros(e.shape)
-            for i, j, saved in chosen:
-                gx[i:i + 1] = _neg_sisdr_vjp(g, e[i:i + 1], refs_data[j:j + 1], *saved)
-            return (gx.reshape(shape),)
-
-        return vjp
-
-    return _finish(np.asarray(loss), (ests,), make, (ests.data, refs)), perm
+    return _finish(np.asarray(loss), (ests,), vjp, (ests.data, refs)), perm
 
 
 def neg_sisdr_loss(ests, refs) -> Tensor:

@@ -15,12 +15,14 @@ No timestamps anywhere, so identical states serialize to identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_ints
 from .diffcore import Tensor, conv1d, masked_decode, prelu_norm, relu, upsample_conv1d
 
 _CKPT_MAGIC = b"LRCKPT01"
@@ -49,13 +51,16 @@ class SeparationConfig:
         self.validate()
 
     def validate(self):
-        for name in ("enc_bases", "enc_kernel", "enc_stride", "latent_channels",
-                     "num_sources", "sub_scales", "sub_kernel"):
+        sizes = ("enc_bases", "enc_kernel", "enc_stride", "latent_channels",
+                 "num_sources", "sub_scales", "sub_kernel")
+        check_ints(self, sizes)
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.blocks:
             raise ValueError("config needs at least one block")
         for i, bs in enumerate(self.blocks):
+            check_ints(bs, ("sub_blocks", "iterations"), ("shares_params_with",), f"blocks[{i}].")
             if bs.sub_blocks < 1 or bs.iterations < 1:
                 raise ValueError(f"block {i} needs sub_blocks >= 1 and iterations >= 1")
             ref = bs.shares_params_with
@@ -76,34 +81,16 @@ class SeparationConfig:
 
 
 def config_to_dict(config: SeparationConfig) -> dict:
-    return {
-        "enc_bases": config.enc_bases,
-        "enc_kernel": config.enc_kernel,
-        "enc_stride": config.enc_stride,
-        "latent_channels": config.latent_channels,
-        "num_sources": config.num_sources,
-        "sub_scales": config.sub_scales,
-        "sub_kernel": config.sub_kernel,
-        "blocks": [
-            {
-                "sub_blocks": bs.sub_blocks,
-                "iterations": bs.iterations,
-                "shares_params_with": bs.shares_params_with,
-            }
-            for bs in config.blocks
-        ],
-    }
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(d: dict) -> SeparationConfig:
-    known = {"enc_bases", "enc_kernel", "enc_stride", "latent_channels",
-             "num_sources", "sub_scales", "sub_kernel", "blocks"}
-    unknown = set(d) - known
+    unknown = set(d) - {f.name for f in dataclasses.fields(SeparationConfig)}
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
     blocks = []
     for i, bd in enumerate(d.get("blocks", [{}])):
-        extra = set(bd) - {"sub_blocks", "iterations", "shares_params_with"}
+        extra = set(bd) - {f.name for f in dataclasses.fields(BlockSpec)}
         if extra:
             raise ValueError(f"unknown keys in blocks[{i}]: {sorted(extra)}")
         blocks.append(BlockSpec(**bd))
@@ -456,8 +443,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         if fh.read(1):
             raise ValueError(f"checkpoint {path} has trailing bytes after the last tensor")
     meta, stages = header.get("meta", {}), header.get("stages", 1)
-    if not isinstance(meta, dict) or not isinstance(stages, int):
-        raise ValueError(f"checkpoint {path} header needs an object 'meta' and an integer 'stages'")
+    if not isinstance(meta, dict) or type(stages) is not int or stages < 1:
+        raise ValueError(f"checkpoint {path} header needs an object 'meta' and an integer "
+                         f"'stages' >= 1, got stages {stages!r}")
     try:
         config = config_from_dict(header["config"])
     except (AttributeError, TypeError, ValueError) as e:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import chunk_or_pad
+from .data import check_ints, chunk_or_pad
 from .diffcore import Tape, Tensor, backward
 from .gating import GateParams, adaptive_separate, gate_named_parameters, gate_penalty
 from .losses import eval_speech_sisdri, pit_loss
@@ -57,6 +57,9 @@ class TrainConfig:
     chunk_len: int | None = None  # None trains on full-length items
 
     def __post_init__(self):
+        check_ints(self, ("epochs", "batch_size", "lr_decay_every", "seed"), ("chunk_len",))
+        if not isinstance(self.augment, bool):
+            raise ValueError(f"augment must be true or false, got {self.augment!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -372,7 +375,6 @@ class MemoryReport:
     activation_bytes_backward: int
     boundary_elems: int  # frozen-prefix outputs retained at the freeze line
     activation_elems: int  # per batch item, including the boundary
-    breakdown: dict
 
     @property
     def total_bytes(self) -> int:
@@ -408,7 +410,6 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")
     freeze = None if stage is None else stage_freeze_mask(config, stage)
-    L = config.latent_length(T)
     head_pairs = 1 if stage is None else len(config.blocks)
     params = init_params(config, _ZeroDraws(), stages=head_pairs)
     S = config.num_sources
@@ -445,10 +446,4 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
         activation_bytes_backward=8 * act * batch_size,
         boundary_elems=boundary,
         activation_elems=act,
-        breakdown={
-            "latent_len": L,
-            "block_elems": block_elems,
-            "head_pairs": head_pairs,
-            "trainable_scalars": trainable_scalars,
-        },
     )

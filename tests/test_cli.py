@@ -149,6 +149,52 @@ def test_bad_finetune_value_rejected_before_building_data(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path,value", [
+    (("model", "enc_bases"), 12.0),
+    (("model", "enc_kernel"), 8.0),
+    (("model", "enc_stride"), True),
+    (("model", "latent_channels"), 6.0),
+    (("model", "num_sources"), 3.0),
+    (("model", "sub_scales"), 2.0),
+    (("model", "sub_kernel"), True),
+    (("model", "blocks", 0, "sub_blocks"), 1.5),
+    (("model", "blocks", 0, "iterations"), True),
+    (("model", "blocks", 0, "shares_params_with"), False),
+    (("train", "epochs"), 1.5),
+    (("train", "batch_size"), 2.0),
+    (("train", "lr_decay_every"), 40.0),
+    (("train", "seed"), 0.5),
+    (("train", "chunk_len"), 40.0),
+    (("train", "augment"), "no"),
+    (("finetune", "epochs"), 1.5),
+    (("finetune", "lr_decay_every"), True),
+    (("dataset", "sample_rate"), 8000.0),
+    (("dataset", "seed"), True),
+    (("dataset", "num_train"), 2.0),
+    (("dataset", "num_val"), True),
+    (("dataset", "num_test"), 4.0),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+def test_wrongly_typed_config_value_rejected(tmp_path, path, value):
+    m = tiny_mapping(tmp_path)
+    section = m.setdefault(path[0], {})
+    for key in path[1:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    # the key as the message names it: model.blocks[0].sub_blocks -> "model: blocks[0].sub_blocks"
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:]).lstrip(".")
+    with pytest.raises(ValueError, match=re.escape(f"invalid config section {path[0]}: {field} must be")):
+        load_config(write_config(tmp_path, m))
+
+
+def test_numpy_integer_config_values_are_stored_as_ints(tmp_path):
+    m = tiny_mapping(tmp_path)
+    m["train"]["epochs"] = np.int64(3)
+    m["model"]["blocks"] = [{"sub_blocks": np.int32(1), "iterations": np.int64(2)}]
+    cfg = config_from_mapping(m)
+    assert type(cfg.train.epochs) is int and cfg.train.epochs == 3
+    assert [type(v) for v in (cfg.model.blocks[0].sub_blocks, cfg.model.blocks[0].iterations)] == [int, int]
+
+
 def test_missing_config_file():
     with pytest.raises(FileNotFoundError, match="nope.json"):
         load_config("nope.json")

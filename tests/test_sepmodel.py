@@ -439,6 +439,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"model\\.ckpt.*{cause}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("stages", [True, 0, 1.0], ids=repr)
+    def test_stages_must_be_a_positive_integer(self, tmp_path, stages):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(toy_config(), np.random.default_rng(38)))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + hlen])
+        header["stages"] = stages
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen:])
+        with pytest.raises(ValueError, match=rf"model\.ckpt header needs .*'stages' >= 1, "
+                                             rf"got stages {stages!r}"):
+            load_checkpoint(path)
+
     def test_load_holds_one_copy_of_the_tensors(self, tmp_path):
         # 1.7M scalars; drawing a throwaway tree before reading took ~2x
         cfg = SeparationConfig(blocks=[BlockSpec(sub_blocks=2)])
