@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MixtureSpec, build_splits, check_ints, make_dataset
+from .data import MixtureSpec, build_splits, check_floats, check_ints, make_dataset
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu, prelu_norm
 from .diffcore import relu, softmax, sum_all, transposed_conv1d, upsample_conv1d, upsample_nearest
 from .gating import GateParams, gate_from_arrays, gate_named_parameters, init_gate
@@ -68,6 +68,7 @@ class FinetuneConfig:
         # the fine-tune runs under a TrainConfig with these values: check them as it does
         TrainConfig(epochs=self.epochs, lr0=self.lr0, lr_decay_every=self.lr_decay_every,
                     lr_decay_factor=self.lr_decay_factor)
+        check_floats(self, ("penalty_coef", "penalty_target"))
         if self.penalty_coef < 0:
             raise ValueError(f"penalty_coef must be >= 0, got {self.penalty_coef}")
 
@@ -89,6 +90,9 @@ class DataSection:
 
     def __post_init__(self):
         check_ints(self, ("num_train", "num_val", "num_test"))
+        for name in ("num_train", "num_val", "num_test"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -539,6 +543,10 @@ def run(command: str, config_path=None, seed: int | None = None, out=None,
     if seed is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=seed)
         cfg.dataset.spec = dataclasses.replace(cfg.dataset.spec, seed=seed)
+    # train reads the train and val splits, eval the test split: none may be empty
+    for key in {"train": ("num_train", "num_val"), "eval": ("num_test",)}.get(command, ()):
+        if getattr(cfg.dataset, key) == 0:
+            raise ValueError(f"dataset.{key} is 0, but {command} needs at least one item")
     out_dir = Path(out) if out is not None else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if command == "train":

@@ -47,6 +47,16 @@ def check_ints(obj, names, optional=(), prefix: str = ""):
         setattr(obj, name, int(value))
 
 
+def check_floats(obj, names):
+    """Raise ValueError naming the first field of ``obj`` in ``names`` that
+    holds no real number.  An integer or float, Python or numpy, passes as
+    it is; a bool or a string does not."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass
 class MixtureSpec:
     sample_rate: int = 8000
@@ -58,6 +68,7 @@ class MixtureSpec:
 
     def __post_init__(self):
         check_ints(self, ("sample_rate", "seed"))
+        check_floats(self, ("duration",))
         self.speaker_snr_range = tuple(float(v) for v in self.speaker_snr_range)
         self.noise_snr_range = tuple(float(v) for v in self.noise_snr_range)
         if self.task not in ("separation", "enhancement"):

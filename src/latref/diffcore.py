@@ -26,7 +26,8 @@ replays the tape in reverse execution order and accumulates the vjps'
 terms.  With no tape active, ops run as pure forwards, which is what
 inference uses, and the closure is dropped unused.  What only the sweep
 needs (a conv's tap runs, ``masked_decode``'s geometry) is worked out
-inside the vjp, so neither an untaped call nor a node holds it.
+inside the vjp, so no node holds it; conv geometries and tap runs are
+memoised by their integer arguments.
 
 Memory follows what the backward closures (vjps) read.  A node holds the
 arrays its vjp reads (its saved arrays) and nothing it can rebuild exactly
@@ -34,12 +35,16 @@ from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d``,
 ``prelu`` and ``prelu_norm`` keep their input, ``relu`` and ``softmax``
 their output, ``mul`` the other operand of each gradient it needs,
 ``masked_decode`` the latent and the encoding (never the S x B x L
-logits), and the slicing, summing and adding ops nothing.  A conv whose
-input is a taped ``prelu_norm`` output keeps that output's recipe instead:
-the norm's own input and parameters and its C x 1 statistics, from which
-the sweep rebuilds the output bit for bit while the conv's vjp runs.
-Masks, normalised values and the fused ops' inner results are recomputed
-from the saved arrays, and closures capture only shapes, flags and C x 1
+logits), and the slicing, summing and adding ops nothing.  An op output
+that can be rebuilt exactly from arrays the tape holds anyway carries a
+recipe, and a node that would save it saves the recipe instead: a
+``prelu_norm`` output's recipe is the norm's own input and parameters and
+its C x 1 statistics, and an ``add`` of two outputs with recipes (a U-Net
+skip sum) carries the sum of their recipes.  The sweep builds a recipe
+into its array bit for bit while the reading vjp runs, and a norm's vjp
+reuses the standardised values of the last such rebuild before it.  Masks,
+normalised values and the fused ops' inner results are recomputed from
+the saved arrays, and closures capture only shapes, flags and C x 1
 statistics, never a :class:`Tensor`.  So an op output that no vjp reads is
 freed as soon as the forward drops it, and the tape's held count
 (:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
@@ -55,6 +60,8 @@ the same graph on the same inputs is bit-identical.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,7 +138,7 @@ class Tape:
     Tensor itself (so ``.grad`` can be set), or None when the input needs no
     gradient.  The saved arrays are what the vjp reads, passed to it after
     the output gradient; no op output is held otherwise.  A saved entry may
-    instead be the recipe of a ``prelu_norm`` output (:class:`_Normalised`),
+    instead be the recipe (:class:`_Recipe`) of an input that carries one,
     which the sweep builds into that array only while the vjp runs.
     """
 
@@ -181,7 +188,9 @@ def _finish(out_data, inputs, vjp, saved=()):
 
     ``vjp`` is the backward closure the op defined in its own body, recorded
     as it is and called as ``vjp(g, *saved)``; ``saved`` holds the arrays
-    it reads (None for one it does not need).
+    it reads (None for one it does not need).  The array of an input this
+    tape produced is saved as the input's recipe if it carries one, and is
+    then not held.
     """
     tape = _active()
     if tape is None or not any(t.requires_grad for t in inputs):
@@ -193,16 +202,23 @@ def _finish(out_data, inputs, vjp, saved=()):
                   else t._key[1] if t._key is not None and t._key[0] is token
                   else t
                   for t in inputs])
-    # An array saved again by a later node maps to the same entry.
+    # An array saved again by a later node maps to the same entry.  An input
+    # that carries a recipe is saved as the recipe, so its array is not held.
+    kept = []
     for a in saved:
         if a is out_data:
             tape._held[id(a)] = (pos, a.size)
         elif a is not None:
             for t, ref in zip(inputs, refs):
                 if type(ref) is int and t.data is a:
-                    tape._held[id(a)] = (ref, a.size)
+                    if t._recipe is None:
+                        tape._held[id(a)] = (ref, a.size)
+                    else:
+                        a = t._recipe
+                        a.claim(out._key)
                     break
-    tape._nodes.append((out_data.size, refs, saved, vjp))
+        kept.append(a)
+    tape._nodes.append((out_data.size, refs, tuple(kept), vjp))
     return out
 
 
@@ -231,9 +247,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     freed right after the node's vjp has run, and the output's ``.grad``
     stays None.  Terms are summed in reverse tape order: the second makes a
     new array and later ones add into it in place, never into an array a
-    vjp returned (``add``'s vjp passes its ``g`` on).  The sweep releases
-    each node's saved arrays as it reaches the node, so a tape is swept
-    once; its node and element counts stay as recorded.
+    vjp returned (``add``'s vjp passes its ``g`` on).  A saved recipe is
+    built, with the node's key, just before the node's vjp reads it.  The
+    sweep releases each node's saved arrays as it reaches the node, so a
+    tape is swept once; its node and element counts stay as recorded.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("backward expects a Tensor loss")
@@ -242,8 +259,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if tape._swept:
         raise ValueError("backward has already swept this tape; record the forward on a new one")
     tape._swept = True
-    nodes = tape._nodes
-    on_tape = loss._key is not None and loss._key[0] is tape._token
+    nodes, token = tape._nodes, tape._token
+    on_tape = loss._key is not None and loss._key[0] is token
     grads = {loss._key[1] if on_tape else loss: np.ones_like(loss.data)}
     owned = set()  # keys whose gradient is a sum backward allocated
     for pos in range(len(nodes) - 1, -1, -1):
@@ -253,7 +270,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if g is None:
             continue
         # A recipe is built into the array it stands for only while the vjp runs.
-        terms = vjp(g, *[a.build() if type(a) is _Normalised else a for a in saved])
+        terms = vjp(g, *[a.build((token, pos)) if isinstance(a, _Recipe) else a for a in saved])
         for ref, gt in zip(refs, terms):
             if ref is None or gt is None:
                 continue
@@ -276,6 +293,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
+    """a + b.  A taped sum of two same-shaped tensors that both carry recipes
+    carries the sum of their recipes."""
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
     sa, sb = a.data.shape, b.data.shape
@@ -283,7 +302,10 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
-    return _finish(out, (a, b), vjp)
+    out = _finish(out, (a, b), vjp)
+    if out._key is not None and a._recipe is not None and b._recipe is not None and sa == sb:
+        out._recipe = _Sum(a._recipe, b._recipe)
+    return out
 
 
 def sub(a, b) -> Tensor:
@@ -421,20 +443,23 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     h -= mu
     inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + eps)
     h *= inv
-    _affine_into(h, gamma.data, beta.data)
+    _affine(h, gamma.data, beta.data, out=h)
     # Only x and the C x 1 statistics are kept; the PReLU output and xhat are
     # recomputed from x by the forward's own ops, so they are bit-identical
-    # to the forward's.  With T samples per channel and gh = gamma * g, the
-    # norm's gradient
+    # to the forward's.  The output's first reader, the last node the sweep
+    # reaches before this one, leaves its rebuild's xhat in ``reuse``, which
+    # is then taken instead.
+    # With T samples per channel and gh = gamma * g, the norm's gradient
     #   inv * (gh - mean(gh) - xhat * mean(gh * xhat))
     # takes both means from the affine's row sums:
     #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
     T = x.data.shape[1]
     need_x, need_s, need_gamma, need_beta = (t.requires_grad for t in (x, slope, gamma, beta))
+    reuse = []
 
-    def vjp(g, x_data, slope_data, gamma_data):
+    def vjp(g, x_data, slope_data, gamma_data, reuse):
         s = slope_data[:, None]
-        xhat = _standardised(x_data, s, mu, inv)
+        xhat = reuse.pop() if reuse else _standardised(x_data, s, mu, inv)
         gbeta = g.sum(axis=1)
         ggamma = np.einsum("ct,ct->c", g, xhat)
         gx = gs = None
@@ -451,9 +476,9 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
                 gx = gh
         return (gx, gs, ggamma if need_gamma else None, gbeta if need_beta else None)
 
-    out = _finish(h, (x, slope, gamma, beta), vjp, (x.data, slope.data, gamma.data))
+    out = _finish(h, (x, slope, gamma, beta), vjp, (x.data, slope.data, gamma.data, reuse))
     if out._key is not None:
-        out._recipe = _Normalised(x.data, slope.data, gamma.data, beta.data, mu, inv)
+        out._recipe = _Normalised(x.data, slope.data, gamma.data, beta.data, mu, inv, reuse)
     return out
 
 
@@ -466,34 +491,89 @@ def _standardised(x, s, mu, inv):
     return h
 
 
-def _affine_into(h, gamma, beta):
-    """h * gamma + beta per channel, in place."""
-    h *= gamma[:, None]
-    h += beta[:, None]
-    return h
+def _affine(xhat, gamma, beta, out):
+    """xhat * gamma + beta per channel, written to ``out``: xhat itself for
+    the forward's in-place affine, None for a new array of the same bits."""
+    out = np.multiply(xhat, gamma[:, None], out=out)
+    out += beta[:, None]
+    return out
 
 
-class _Normalised:
+class _Recipe:
+    """Rebuilds a taped op output exactly from arrays the tape already holds.
+
+    A node saves an input that carries a recipe as the recipe (see
+    :func:`_finish`), which claims it with that node's key, and
+    :func:`backward` calls ``build`` with the key of the node whose vjp is
+    about to read the array, so the array exists only while that vjp runs.
+    """
+
+    __slots__ = ()
+
+    def claim(self, key) -> None:
+        raise NotImplementedError
+
+    def build(self, key=None):
+        raise NotImplementedError
+
+
+class _Normalised(_Recipe):
     """The recipe of a taped ``prelu_norm`` output: its input, slope and
     affine and the C x 1 statistics, every one an array its node or a
-    parameter already holds.  A conv whose input carries one saves it in
-    place of that C x T output, and :func:`backward` builds the output
-    again, bit for bit, just before the conv's vjp reads it."""
+    parameter already holds.
 
-    __slots__ = ("x", "slope", "gamma", "beta", "mu", "inv")
+    ``reader`` is the key of the first node to claim it: the last reader the
+    sweep reaches before the norm's own node.  Building for that reader
+    leaves the standardised values in ``reuse``, a list the norm's node
+    saves, and makes the output out of place from them; the norm's vjp, run
+    next but for pass-through sums, takes them instead of computing them
+    again.
+    """
 
-    def __init__(self, x, slope, gamma, beta, mu, inv):
+    __slots__ = ("x", "slope", "gamma", "beta", "mu", "inv", "reuse", "reader")
+
+    def __init__(self, x, slope, gamma, beta, mu, inv, reuse):
         self.x, self.slope, self.gamma, self.beta, self.mu, self.inv = x, slope, gamma, beta, mu, inv
+        self.reuse = reuse
+        self.reader = None
 
-    def build(self):
-        h = _standardised(self.x, self.slope[:, None], self.mu, self.inv)
-        return _affine_into(h, self.gamma, self.beta)
+    def claim(self, key) -> None:
+        if self.reader is None:
+            self.reader = key
+
+    def build(self, key=None):
+        xhat = _standardised(self.x, self.slope[:, None], self.mu, self.inv)
+        if key is None or key != self.reader:
+            return _affine(xhat, self.gamma, self.beta, out=xhat)
+        self.reuse[:] = [xhat]
+        return _affine(xhat, self.gamma, self.beta, out=None)
+
+
+class _Sum(_Recipe):
+    """The recipe of a taped sum of two outputs that carry recipes, such as
+    a U-Net skip addition of two ``prelu_norm`` outputs: it builds both and
+    adds them as the forward did."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: _Recipe, b: _Recipe):
+        self.a, self.b = a, b
+
+    def claim(self, key) -> None:
+        self.a.claim(key)
+        self.b.claim(key)
+
+    def build(self, key=None):
+        out = self.a.build(key)
+        out += self.b.build(key)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Convolution and friends
 
 
+@lru_cache(maxsize=256)
 def _conv_geometry(T: int, K: int, stride: int, padding: str):
     """(Tp, left, right): the output length and zero padding of a K-tap conv
     over T samples.
@@ -577,6 +657,7 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     return _finish(out, (x, w) if b is None else (x, w, b), vjp, _conv_saved(x, w))
 
 
+@lru_cache(maxsize=256)
 def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
     """(tap, its output columns, the input samples they read) per tap of a conv.
 
@@ -585,7 +666,8 @@ def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
     padding) form a stride-spaced run; a vjp works on those runs of the
     input itself, so neither the padded input nor its windows outlive the
     forward, and :func:`transposed_conv1d` adds its kernel copies along
-    them straight into its output.
+    them straight into its output.  Memoised, so the runs are a tuple that
+    no caller can change.
     """
     runs = []
     for k in range(K):
@@ -594,15 +676,14 @@ def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
         if j1 > j0:
             i0 = j0 * stride + k - left
             runs.append((k, slice(j0, j1), slice(i0, i0 + (j1 - j0 - 1) * stride + 1, stride)))
-    return runs
+    return tuple(runs)
 
 
 def _conv_saved(x: Tensor, w: Tensor):
     """A conv's saved arrays: the weight gradient reads the input and the
     input gradient the weight, so each is kept only if the other's gradient
-    is needed.  An input that carries a recipe is kept as the recipe."""
-    kept = x.data if x._recipe is None else x._recipe
-    return (kept if w.requires_grad else None, w.data if x.requires_grad else None)
+    is needed."""
+    return (x.data if w.requires_grad else None, w.data if x.requires_grad else None)
 
 
 def _conv_vjp(g, x, w, x_shape, w_shape, stride: int, left: int):

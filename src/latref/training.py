@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import check_ints, chunk_or_pad
+from .data import check_floats, check_ints, chunk_or_pad
 from .diffcore import Tape, Tensor, backward
 from .gating import GateParams, adaptive_separate, gate_named_parameters, gate_penalty
 from .losses import eval_speech_sisdri, pit_loss
@@ -58,6 +58,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_ints(self, ("epochs", "batch_size", "lr_decay_every", "seed"), ("chunk_len",))
+        check_floats(self, ("lr0", "lr_decay_factor", "clip_norm"))
         if not isinstance(self.augment, bool):
             raise ValueError(f"augment must be true or false, got {self.augment!r}")
         if self.epochs < 0:
@@ -399,10 +400,10 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     ``num_sources - 1`` speech sources as both tasks have.  The loss is one
     node that holds the decoded estimates, S x T per item; the heads are one
     node that holds the latent and ``v_enc``, not the S x B x L mask logits.
-    A sub-block holds each norm's input and its skip sums, but no norm
-    output: a conv over one keeps the norm's recipe, which rebuilds it in
-    backward.  Each held array counts once, in the segment whose op produced
-    it: ``v_enc`` is read by both the bottleneck and the decoder, and a
+    A sub-block holds each norm's input (its conv outputs), but no norm
+    output and no skip sum: a conv over one keeps its recipe, which rebuilds
+    it in backward.  Each held array counts once, in the segment whose op
+    produced it: ``v_enc`` is read by both the bottleneck and the decoder, and a
     sub-block's output by whatever comes next.  Every sub-block of a config
     has the same shapes, so one traced sub-block times the schedule gives
     the block totals.

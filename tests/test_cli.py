@@ -173,6 +173,12 @@ def test_bad_finetune_value_rejected_before_building_data(
     (("dataset", "num_train"), 2.0),
     (("dataset", "num_val"), True),
     (("dataset", "num_test"), 4.0),
+    (("dataset", "duration"), True),
+    (("train", "lr0"), True),
+    (("train", "clip_norm"), "5"),
+    (("train", "lr_decay_factor"), True),
+    (("finetune", "penalty_coef"), "0.75"),
+    (("finetune", "penalty_target"), True),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
 def test_wrongly_typed_config_value_rejected(tmp_path, path, value):
     m = tiny_mapping(tmp_path)
@@ -184,6 +190,32 @@ def test_wrongly_typed_config_value_rejected(tmp_path, path, value):
     field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:]).lstrip(".")
     with pytest.raises(ValueError, match=re.escape(f"invalid config section {path[0]}: {field} must be")):
         load_config(write_config(tmp_path, m))
+
+
+@pytest.mark.parametrize("key", ["num_train", "num_val", "num_test"])
+def test_negative_split_count_rejected(tmp_path, key):
+    m = tiny_mapping(tmp_path)
+    m["dataset"][key] = -2
+    with pytest.raises(ValueError, match=f"invalid config section dataset: {key} must be >= 0, got -2"):
+        config_from_mapping(m)
+
+
+@pytest.mark.parametrize("command,key", [("train", "num_train"), ("train", "num_val"),
+                                         ("eval", "num_test")])
+def test_empty_split_rejected_before_building_data(tmp_path, monkeypatch, capsys, command, key):
+    m = tiny_mapping(tmp_path)
+    m["dataset"][key] = 0
+    path = write_config(tmp_path, m)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError(f"{command} built data before checking the split counts")
+
+    monkeypatch.setattr(cli, "build_splits", no_data)
+    monkeypatch.setattr(cli, "make_dataset", no_data)
+    argv = [command, "--config", path] + (["--passthrough"] if command == "eval" else [])
+    assert main(argv) == 2
+    assert f"error: dataset.{key} is 0, but {command} needs at least one item" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_numpy_integer_config_values_are_stored_as_ints(tmp_path):

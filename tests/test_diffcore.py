@@ -118,6 +118,13 @@ class TestConv1d:
         with pytest.raises(ValueError, match="kernel"):
             conv1d(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1, 5))), padding="valid")
 
+    def test_geometry_and_tap_runs_are_memoised_and_immutable(self):
+        # A memoised value is shared by every caller, so none may change it.
+        runs = dc._tap_runs(17, 5, 2, 2, 9)
+        assert runs is dc._tap_runs(17, 5, 2, 2, 9)
+        assert isinstance(runs, tuple) and all(isinstance(run, tuple) for run in runs)
+        assert dc._conv_geometry(17, 5, 2, "same") is dc._conv_geometry(17, 5, 2, "same") == (9, 2, 2)
+
 
 class TestTransposedConv1d:
     def test_overlap_add_example(self):
@@ -460,6 +467,52 @@ class TestFusedOps:
         backward(tape, loss)
         assert w.grad.tobytes() == w_grad.tobytes()
         assert grad_check(f, [x0, w0, s, gamma, beta, w]) < 1e-4
+
+    def test_sum_of_recipes_is_a_recipe(self):
+        # A skip sum of two norm outputs carries the sum of their recipes,
+        # which a conv saves in its place and which rebuilds the sum bit for bit.
+        rng = np.random.default_rng(45)
+        xs = [Tensor(rng.normal(size=(3, 40)), requires_grad=True) for _ in range(2)]
+        norms = [[Tensor(a, requires_grad=True) for a in
+                  (rng.uniform(-0.5, 0.5, size=3), rng.normal(size=3) + 1.0, rng.normal(size=3))]
+                 for _ in range(2)]
+        w = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        with Tape() as tape:
+            a, b = (prelu_norm(x, *ps) for x, ps in zip(xs, norms))
+            total = add(a, b)
+            conv1d(total, w)
+            plain = add(a, xs[0])  # a leaf carries no recipe, so neither does this sum
+        assert isinstance(total._recipe, dc._Sum) and plain._recipe is None
+        assert tape._nodes[3][2][0] is total._recipe
+        assert total._recipe.build().tobytes() == total.data.tobytes()
+        assert tape.held_output_elems() == 0  # the norms' inputs are leaves
+
+    def test_norm_gradients_do_not_depend_on_a_consumer_rebuild(self, monkeypatch):
+        # With the consumer's weight trained, its vjp rebuilds the norm output
+        # and the norm's vjp reuses that rebuild's standardised values; with
+        # it frozen, nothing is rebuilt and the norm's vjp makes them itself.
+        # Either way the sweep standardises once and the gradients are equal.
+        rng = np.random.default_rng(46)
+        x0 = rng.normal(size=(2, 30))
+        w0 = rng.normal(size=(3, 2, 3))
+        s, gamma, beta = rng.uniform(-0.5, 0.5, size=3), rng.normal(size=3) + 1.0, rng.normal(size=3)
+        w, g = rng.normal(size=(4, 3, 5)), rng.normal(size=(4, 15))
+        calls = []
+        standardised = dc._standardised
+        monkeypatch.setattr(dc, "_standardised", lambda *a: calls.append(1) or standardised(*a))
+
+        def grads(w_trained):
+            leaves = [Tensor(a, requires_grad=True) for a in (x0, w0, s, gamma, beta)]
+            with Tape() as tape:
+                h = prelu_norm(conv1d(leaves[0], leaves[1]), *leaves[2:])
+                loss = sum_all(mul(conv1d(h, Tensor(w, requires_grad=w_trained), stride=2), Tensor(g)))
+            calls.clear()
+            backward(tape, loss)
+            assert len(calls) == 1 and h._recipe.reuse == []
+            return [t.grad for t in leaves]
+
+        for rebuilt, made in zip(grads(True), grads(False)):
+            assert rebuilt.tobytes() == made.tobytes()
 
 
 class TestUpsampleConv1d:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latref.diffcore import Tape, Tensor, grad_check, mul, sum_all, transposed_conv1d
+from latref.diffcore import Tape, Tensor, add, backward, grad_check, mul, sum_all, transposed_conv1d
 from latref.losses import pit_loss
 from latref.sepmodel import (
     BlockSpec,
@@ -133,6 +133,53 @@ class TestBlocks:
         params = init_params(toy_config(), np.random.default_rng(7))
         with pytest.raises(ValueError, match="channel"):
             apply_block(Tensor(np.ones((5, 16))), params.blocks[0])
+
+
+class TestSubBlockTape:
+    """A taped sub-block holds its input and its conv outputs: each norm
+    output and each skip sum is kept as a recipe and rebuilt in backward."""
+
+    @staticmethod
+    def desk_sub_block(seed):
+        cfg = SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8, latent_channels=32,
+                               num_sources=3, blocks=[BlockSpec()], sub_scales=3, sub_kernel=5)
+        rng = np.random.default_rng(seed)
+        sb = init_params(cfg, rng).blocks[0][0]
+        sb.proj.w.data[...] = rng.normal(size=sb.proj.w.shape) * 0.3
+        for sc in sb.down + sb.up:
+            sc.slope.data[...] = rng.uniform(-0.5, 0.5, size=sc.slope.shape)
+            sc.norm.gamma.data[...] += rng.normal(size=sc.norm.gamma.shape) * 0.2
+            sc.norm.beta.data[...] = rng.normal(size=sc.norm.beta.shape) * 0.2
+        return sb, rng.normal(size=(32, 1000)), rng.normal(size=(32, 1000))
+
+    @staticmethod
+    def taped_grads(sb, x, y):
+        x = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            v = add(x, 0.0)  # an op output, so the tape counts it
+            loss = sum_all(mul(apply_sub_block(v, sb), Tensor(y)))
+        held = tape.held_output_elems()
+        backward(tape, loss)
+        params = [t for sc in sb.down + sb.up for t in (sc.conv.w, sc.conv.b, sc.slope,
+                                                        sc.norm.gamma, sc.norm.beta)]
+        return held, [t.grad for t in [x, sb.proj.w] + params]
+
+    def test_holds_input_and_conv_outputs_only(self):
+        # desk L = 1000: v 32k, down convs 16k + 8k + 4k, up convs 8k + 16k + 32k
+        sb, x, y = self.desk_sub_block(0)
+        held, _ = self.taped_grads(sb, x, y)
+        assert held == 32 * (1000 + 500 + 250 + 125 + 250 + 500 + 1000) == 116_000
+
+    def test_gradients_equal_those_with_skip_sums_held(self, monkeypatch):
+        sb, x, y = self.desk_sub_block(1)
+        held, rebuilt = self.taped_grads(sb, x, y)
+        # Each addition's second operand is fed through a zero leaf first, so
+        # no sum carries a recipe and the conv after a skip sum holds it.
+        monkeypatch.setattr(Tensor, "__add__", lambda a, b: add(a, add(b, Tensor(np.zeros(b.shape)))))
+        held_sums, kept = self.taped_grads(sb, x, y)
+        assert held_sums - held == 32 * (250 + 500)  # the two skip sums
+        for got, want in zip(rebuilt, kept):
+            assert np.array_equal(got, want)
 
 
 class TestSeparate:

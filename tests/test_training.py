@@ -482,8 +482,10 @@ def test_training_item_peak_memory_tracks_account(stage):
 
     The tape holds only what backward closures read, gradients of op outputs
     are freed as the reverse sweep consumes them, and closures keep no
-    input-sized copies, so what stays above the account is the sweep's
-    gradient frontier, a vjp's temporaries and the leaves' gradients.
+    input-sized copies.  The leaves' gradients, one array per trainable
+    parameter, do not shrink with the held activations, so they are taken
+    off the peak; what stays above the account is the sweep's gradient
+    frontier and a vjp's temporaries.
     """
     if stage is None:
         config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
@@ -497,7 +499,8 @@ def test_training_item_peak_memory_tracks_account(stage):
     if stage is not None:
         apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
     sources = np.random.default_rng(1).normal(size=(3, T))
-    account = memory_account(config, batch_size=1, T=T, stage=stage).activation_bytes_backward
+    report = memory_account(config, batch_size=1, T=T, stage=stage)
+    account = report.activation_bytes_backward
     tracemalloc.start()
     try:
         with Tape() as tape:
@@ -507,7 +510,8 @@ def test_training_item_peak_memory_tracks_account(stage):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * account, f"peak {peak / account:.2f}x the account"
+    above = peak - report.trainable_param_bytes
+    assert above <= 1.25 * account, f"peak less leaf gradients {above / account:.2f}x the account"
 
 
 def test_memory_stage_roughly_halves_activations():
