@@ -16,6 +16,7 @@ generate in parallel.
 
 from __future__ import annotations
 
+import math
 import numbers
 import wave
 from dataclasses import dataclass, field
@@ -47,14 +48,29 @@ def check_ints(obj, names, optional=(), prefix: str = ""):
         setattr(obj, name, int(value))
 
 
+def _is_finite_real(value) -> bool:
+    """An integer or float, Python or numpy, that is finite; not a bool."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 def check_floats(obj, names):
     """Raise ValueError naming the first field of ``obj`` in ``names`` that
-    holds no real number.  An integer or float, Python or numpy, passes as
-    it is; a bool or a string does not."""
+    holds no finite real number.  An integer or float, Python or numpy,
+    passes as it is; a bool, a string, NaN or an infinity does not."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not _is_finite_real(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_float_pair(obj, name):
+    """Store field ``name`` of ``obj`` as a tuple of two floats, or raise
+    ValueError naming it unless it holds exactly two finite real numbers."""
+    value = getattr(obj, name)
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_finite_real, value)):
+        raise ValueError(f"{name} must be a pair of finite numbers, got {value!r}")
+    setattr(obj, name, tuple(float(v) for v in value))
 
 
 @dataclass
@@ -69,8 +85,8 @@ class MixtureSpec:
     def __post_init__(self):
         check_ints(self, ("sample_rate", "seed"))
         check_floats(self, ("duration",))
-        self.speaker_snr_range = tuple(float(v) for v in self.speaker_snr_range)
-        self.noise_snr_range = tuple(float(v) for v in self.noise_snr_range)
+        check_float_pair(self, "speaker_snr_range")
+        check_float_pair(self, "noise_snr_range")
         if self.task not in ("separation", "enhancement"):
             raise ValueError(f"task must be separation or enhancement, got {self.task!r}")
         for name in ("speaker_snr_range", "noise_snr_range"):

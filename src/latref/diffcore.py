@@ -10,13 +10,15 @@ The op set is exactly what the separation stack needs:
   padding geometry and one windowing; a stride above the kernel leaves
   zeros between the transposed conv's kernel copies;
 - nearest-neighbour ``upsample_nearest`` and ``slice_rows``;
+- ``residual``: v + conv1d(u, w), a conv and an add whose taped sum can
+  be rebuilt rather than held;
 - ``upsample_conv1d``: a x2 nearest upsample followed by a "same" conv,
   run as one conv of the source whose two output phases interleave, one
   node per sub-block up scale (``upsample_nearest`` is its reference);
 - ``masked_decode``: the mask net's conv, ReLU of its logits, masking of
   the encoding and one transposed conv per source, fused into one node
-  whose vjp runs the transposed conv's own per source, then the mask
-  conv's own.
+  whose vjp runs the transposed conv's own per source in one B x L
+  buffer, then the mask conv's own.
 
 Every op is one function: it computes its output in plain numpy, defines
 its vector-Jacobian product (vjp) as a closure in its own body and hands
@@ -37,20 +39,30 @@ their output, ``mul`` the other operand of each gradient it needs,
 ``masked_decode`` the latent and the encoding (never the S x B x L
 logits), and the slicing, summing and adding ops nothing.  An op output
 that can be rebuilt exactly from arrays the tape holds anyway carries a
-recipe, and a node that would save it saves the recipe instead: a
-``prelu_norm`` output's recipe is the norm's own input and parameters and
-its C x 1 statistics, and an ``add`` of two outputs with recipes (a U-Net
-skip sum) carries the sum of their recipes.  The sweep builds a recipe
-into its array bit for bit while the reading vjp runs, and a norm's vjp
-reuses the standardised values of the last such rebuild before it.  Masks,
-normalised values and the fused ops' inner results are recomputed from
-the saved arrays, and closures capture only shapes, flags and C x 1
-statistics, never a :class:`Tensor`.  So an op output that no vjp reads is
-freed as soon as the forward drops it, and the tape's held count
-(:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
-reverse sweep frees each output's gradient as soon as its node's vjp has
-consumed it and each node's saved arrays as soon as it reaches the node,
-and ``.grad`` is set on leaves only.  A vjp masks by
+recipe (a :class:`_Recipe`), and a node that would save it saves the
+recipe instead:
+
+- :class:`_Normalised`, a ``prelu_norm`` output: the norm's own input and
+  parameters and its C x 1 statistics;
+- :class:`_Sum`, an ``add`` of two outputs with recipes (a U-Net skip
+  sum): the sum of their recipes;
+- :class:`_Residual`, a ``residual`` sum over a ``u`` with a recipe: ``v``
+  (an array the tape keeps anyway), ``u``'s recipe and the weight.  The
+  model makes every sub-block input after a block's first one a
+  ``residual`` sum, and those whose ``v`` is held carry this recipe: a
+  block application of k sub-blocks holds its input and (k - 1) // 2 of
+  the k - 1 inputs after it, none at the desk's two.
+
+The sweep builds a recipe into its array bit for bit while the reading
+vjp runs, and a norm's vjp reuses the standardised values of the last
+such rebuild before it.  Masks, normalised values and the fused ops'
+inner results are recomputed from the saved arrays, and closures capture
+only shapes, flags and C x 1 statistics, never a :class:`Tensor`.  So an
+op output that no vjp reads is freed as soon as the forward drops it, and
+the tape's held count (:meth:`Tape.held_output_elems`) is what a backward
+pass keeps.  The reverse sweep frees each output's gradient as soon as
+its node's vjp has consumed it and each node's saved arrays as soon as it
+reaches the node, and ``.grad`` is set on leaves only.  A vjp masks by
 multiplying with the comparison (``g * (out > 0)``), never with
 ``np.where``: a select branches on every element, which on mixed-sign
 activations costs several times the multiply.
@@ -569,6 +581,26 @@ class _Sum(_Recipe):
         return out
 
 
+class _Residual(_Recipe):
+    """The recipe of a taped :func:`residual` sum v + conv1d(u, w): ``v``,
+    an array the tape keeps anyway, the recipe of ``u`` and the weight
+    ``w``.  It builds the conv with the forward's own op and adds ``v`` in
+    place, which rounds as the forward's new array did."""
+
+    __slots__ = ("v", "u", "w")
+
+    def __init__(self, v, u: _Recipe, w):
+        self.v, self.u, self.w = v, u, w
+
+    def claim(self, key) -> None:
+        self.u.claim(key)
+
+    def build(self, key=None):
+        out = conv1d(self.u.build(key), self.w).data
+        out += self.v
+        return out
+
+
 # ---------------------------------------------------------------------------
 # Convolution and friends
 
@@ -657,6 +689,22 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     return _finish(out, (x, w) if b is None else (x, w, b), vjp, _conv_saved(x, w))
 
 
+def residual(v, u, w) -> Tensor:
+    """``v + conv1d(u, w)``, a residual update, as two taped nodes whose sum
+    carries a recipe when it can: :class:`_Residual` of ``v`` and ``u``'s
+    recipe, if ``u`` carries one and ``v`` is an array kept anyway: one a
+    node of this tape saves, or one no tape produced (a leaf, or a frozen
+    prefix's output).  So the next node that reads the sum holds no array
+    for it.  A ``v`` that is itself rebuilt gives no recipe, so no rebuild
+    builds another and each costs one conv."""
+    v, u, w = _as_tensor(v), _as_tensor(u), _as_tensor(w)
+    out = add(v, conv1d(u, w))
+    if out._key is not None and u._recipe is not None and v._recipe is None and (
+            v._key is None or id(v.data) in _active()._held):
+        out._recipe = _Residual(v.data, u._recipe, w.data)
+    return out
+
+
 @lru_cache(maxsize=256)
 def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
     """(tap, its output columns, the input samples they read) per tap of a conv.
@@ -705,15 +753,20 @@ def _conv_vjp(g, x, w, x_shape, w_shape, stride: int, left: int):
     return gx, gw
 
 
-def _tconv_vjp(g, v, w, K: int, stride: int, left: int, right: int):
+def _tconv_vjp(g, v, w, K: int, stride: int, left: int, right: int, out=None):
     """(input gradient, weight gradient) of a transposed conv's output
     gradient ``g``: the conv of g in the forward's geometry, both contracted
     from one view of g's windows, window l holding the samples input column
     l's kernel copy landed on.  ``v`` and ``w`` are as :func:`_conv_saved`
-    keeps them; a gradient whose operand is None is None."""
+    keeps them; a gradient whose operand is None is None.  The input
+    gradient is written into ``out`` if given, which may be ``v`` itself:
+    the weight gradient has read it by then."""
     gwin = _windows(g, K, stride, left, right)  # (Cout, L, K)
-    gv = None if w is None else np.tensordot(w, gwin, axes=((1, 2), (0, 2)))  # (Cin, L)
     gw = None if v is None else np.tensordot(v, gwin, axes=((1,), (1,)))  # (Cin, Cout, K)
+    gv = None
+    if w is not None:  # tensordot(w, gwin, ((1, 2), (0, 2)))'s own GEMM
+        Cin, L = w.shape[0], gwin.shape[1]
+        gv = np.dot(w.reshape(Cin, -1), gwin.transpose(0, 2, 1).reshape(-1, L), out=out)
     return gv, gw
 
 
@@ -916,8 +969,10 @@ def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: 
     copies).  One node is taped, holding the latent, not the logits: the
     forward makes the masks, masks the encoding in their place source by
     source and drops them, and the vjp makes them again with the same conv.
-    The vjp is the transposed conv's own, per source, then the mask's chain
-    rule, written over that source's mask, then the mask conv's own.
+    The vjp is the transposed conv's own, per source in one B x L buffer
+    that holds the masked encoding and then its gradient, then the mask's
+    chain rule, written over that source's mask (the v_enc term passes
+    through the mask's place first), then the mask conv's own.
     """
     latent, mask_w, mask_b = _conv_operands("masked_decode", latent, mask_w, mask_b, 1, 1)
     v_enc, w, b = _as_tensor(v_enc), _as_tensor(w), _as_tensor(b)
@@ -947,6 +1002,7 @@ def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: 
     def vjp(g, lat_data, mw_data, mb_data, v_data, w_data):
         _, left, right = _conv_geometry(out_length, K, stride, "same")
         gz = _masks(lat_data, mw_data, mb_data)  # each row block turns into its logit gradient
+        buf = np.empty((B, L))  # one source's masked encoding, then its gradient
         gv_enc = gw = gb = None
         # Sources in reverse: the terms of w, b and v_enc then add up in the
         # order backward adds those of one taped op per source, so an item's
@@ -954,23 +1010,26 @@ def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: 
         for s in reversed(range(S)):
             gs = g[s * Cout:(s + 1) * Cout]
             mask = gz[rows[s]]
-            on = mask > 0
-            masked = None
-            if need_w:  # over the mask itself unless the v_enc gradient reads it later
-                masked = np.multiply(mask, v_data, out=None if need_v else mask)
+            masked = np.multiply(mask, v_data, out=buf) if need_w else None
             gmasked, gws = _tconv_vjp(gs, masked, w_data if need_z or need_v else None,
-                                      K, stride, left, right)  # (B, L), (B, Cout, K)
-            masked = None
+                                      K, stride, left, right, out=buf)  # (B, L), (B, Cout, K)
             if need_w:
                 gw = _accumulate(gw, gws)
             if need_b:
                 gb = _accumulate(gb, gs.sum(axis=1))
-            if need_v:
-                gv_enc = _accumulate(gv_enc, gmasked * mask)
+            if gmasked is None:
+                continue
+            on = mask > 0 if need_z else None
+            if need_v:  # the v_enc term takes the mask's place, then its copy or sum
+                mask *= gmasked
+                if gv_enc is None:
+                    gv_enc = mask.copy()
+                else:
+                    gv_enc += mask
             if need_z:
                 np.multiply(gmasked, v_data, out=mask)
                 mask *= on
-            gmasked = None  # dropped before the next source's arrays are made
+        buf = masked = gmasked = None  # dropped before the mask conv's vjp
         glat = gmw = gmb = None
         if need_z:  # the mask conv's own vjp, over its stride-1 "same" geometry
             mleft = _conv_geometry(L, mw_data.shape[2], 1, "same")[1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import check_ints
-from .diffcore import Tensor, conv1d, masked_decode, prelu_norm, relu, upsample_conv1d
+from .diffcore import Tensor, conv1d, masked_decode, prelu_norm, relu, residual, upsample_conv1d
 
 _CKPT_MAGIC = b"LRCKPT01"
 _CKPT_FORMAT = 1
@@ -276,7 +276,8 @@ def encode(x, params: ModelParams):
     return v_enc, v
 
 
-def apply_sub_block(v: Tensor, sb: SubBlockParams) -> Tensor:
+def _u_net(v: Tensor, sb: SubBlockParams) -> Tensor:
+    """A sub-block's U-shaped body over ``v``: its last norm output."""
     lengths = [v.shape[1]]
     h = v
     downs = []
@@ -294,18 +295,30 @@ def apply_sub_block(v: Tensor, sb: SubBlockParams) -> Tensor:
         skip = n - 2 - idx
         if skip >= 0:
             u = u + downs[skip]
-    return v + conv1d(u, sb.proj.w, stride=1)
+    return u
+
+
+def apply_sub_block(v: Tensor, sb: SubBlockParams) -> Tensor:
+    """One sub-block's residual update, v + proj(u), as a plain sum."""
+    return v + conv1d(_u_net(v, sb), sb.proj.w, stride=1)
 
 
 def apply_block(v: Tensor, block: list[SubBlockParams]) -> Tensor:
+    """Apply the sub-blocks in turn.  Each later sub-block's input is a
+    ``residual`` sum, which the sweep rebuilds from the input before it and
+    the recipe of that sub-block's last norm output when that input is held.
+    Taped, an application of two sub-blocks holds only its input of the
+    block's residual stream, and one of k holds every second input after
+    it.  The block's output is a plain sum, so no rebuild reaches across a
+    block boundary."""
     if not block:
         raise ValueError("block has no sub-blocks")
     C = block[0].down[0].conv.w.shape[1]
     if v.ndim != 2 or v.shape[0] != C:
         raise ValueError(f"latent shape {v.shape} does not match block channel count {C}")
-    for sb in block:
-        v = apply_sub_block(v, sb)
-    return v
+    for sb in block[:-1]:
+        v = residual(v, _u_net(v, sb), sb.proj.w)
+    return apply_sub_block(v, block[-1])
 
 
 def _step_schedule(config: SeparationConfig) -> list[int]:

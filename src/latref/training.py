@@ -30,7 +30,7 @@ from .sepmodel import (
     ModelParams,
     SeparationConfig,
     _ZeroDraws,
-    apply_sub_block,
+    apply_block,
     clone_params,
     encode,
     init_params,
@@ -394,19 +394,21 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     Parameter scalars are the ``named_parameters`` of a fresh tree, split by
     the ``stage_freeze_mask`` training applies; its weights are zero views,
     never drawn.  Activations are the op outputs a backward pass holds,
-    counted on one tape over the real ``encode``, one ``apply_sub_block``,
-    ``mask_and_decode`` and ``pit_loss`` on that tree with zero-valued inputs
-    (the loss against all-ones references, since it rejects a zero one), with
-    ``num_sources - 1`` speech sources as both tasks have.  The loss is one
-    node that holds the decoded estimates, S x T per item; the heads are one
-    node that holds the latent and ``v_enc``, not the S x B x L mask logits.
-    A sub-block holds each norm's input (its conv outputs), but no norm
-    output and no skip sum: a conv over one keeps its recipe, which rebuilds
-    it in backward.  Each held array counts once, in the segment whose op
-    produced it: ``v_enc`` is read by both the bottleneck and the decoder, and a
-    sub-block's output by whatever comes next.  Every sub-block of a config
-    has the same shapes, so one traced sub-block times the schedule gives
-    the block totals.
+    counted on one tape over the real ``encode``, one ``apply_block`` of each
+    config block in turn, ``mask_and_decode`` and ``pit_loss`` on that tree
+    with zero-valued inputs (the loss against all-ones references, since it
+    rejects a zero one), with ``num_sources - 1`` speech sources as both
+    tasks have.  The loss is one node that holds the decoded estimates,
+    S x T per item; the heads are one node that holds the latent and
+    ``v_enc``, not the S x B x L mask logits.  A sub-block holds each norm's
+    input (its conv outputs), but no norm output and no skip sum, and a
+    block application holds its input and every second later sub-block
+    input (none with two sub-blocks): a node over one not held keeps its
+    recipe, which rebuilds it in backward.  Each held array counts once,
+    in the segment whose op produced it: ``v_enc`` is read by both the
+    bottleneck and the decoder, and a block's output by whatever comes
+    next.  Every application of a block has the same shapes, so one traced
+    application per block times its iterations gives the block totals.
     """
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")
@@ -416,17 +418,17 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     S = config.num_sources
     with Tape() as tape:
         v_enc, v = encode(Tensor(np.zeros((1, T))), params)
-        encoded = len(tape)
-        v = apply_sub_block(v, params.blocks[0][0])
-        refined = len(tape)
+        ends = [len(tape)]
+        for block in params.blocks:
+            v = apply_block(v, block)
+            ends.append(len(tape))
         pit_loss(mask_and_decode(v_enc, v, 0, params, out_length=T), np.ones((S, T)), S - 1)
-    encode_elems = tape.held_output_elems(0, encoded)
-    sub_block_elems = tape.held_output_elems(encoded, refined)
-    heads_elems = tape.held_output_elems(refined)
+    encode_elems = tape.held_output_elems(0, ends[0])
+    block_elems = [tape.held_output_elems(a, b) for a, b in zip(ends, ends[1:])]
+    heads_elems = tape.held_output_elems(ends[-1])
     trainable, frozen = apply_freeze(named_parameters(params), freeze)
     trainable_scalars = sum(t.size for _, t in trainable)
     frozen_scalars = sum(t.size for _, t in frozen)
-    block_elems = [bs.sub_blocks * sub_block_elems for bs in config.blocks]
     if stage is None:
         act = encode_elems + heads_elems + sum(
             n * bs.iterations for n, bs in zip(block_elems, config.blocks))

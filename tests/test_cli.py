@@ -179,6 +179,15 @@ def test_bad_finetune_value_rejected_before_building_data(
     (("train", "lr_decay_factor"), True),
     (("finetune", "penalty_coef"), "0.75"),
     (("finetune", "penalty_target"), True),
+    (("train", "lr0"), float("nan")),
+    (("train", "clip_norm"), float("nan")),
+    (("train", "lr_decay_factor"), float("inf")),
+    (("finetune", "lr0"), float("nan")),
+    (("finetune", "penalty_target"), float("-inf")),
+    (("dataset", "duration"), float("nan")),
+    (("dataset", "speaker_snr_range"), ["1", True]),
+    (("dataset", "noise_snr_range"), [0, float("nan")]),
+    (("dataset", "speaker_snr_range"), [0, 1, 2]),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
 def test_wrongly_typed_config_value_rejected(tmp_path, path, value):
     m = tiny_mapping(tmp_path)

@@ -61,6 +61,26 @@ def test_inverted_range_rejected():
         MixtureSpec(speaker_snr_range=(5.0, 0.0))
 
 
+@pytest.mark.parametrize("key", ["speaker_snr_range", "noise_snr_range"])
+@pytest.mark.parametrize("value", [["1", True], [0.0, float("nan")], [float("-inf"), 0.0],
+                                   [0, 1, 2], [1.0], 3.0, "05"], ids=repr)
+def test_snr_range_needs_two_finite_numbers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a pair of finite numbers"):
+        MixtureSpec(**{key: value})
+
+
+def test_snr_range_takes_integers_and_numpy_scalars():
+    spec = MixtureSpec(speaker_snr_range=[np.int64(1), np.float32(2.5)], noise_snr_range=(-3, 6))
+    assert spec.speaker_snr_range == (1.0, 2.5) and spec.noise_snr_range == (-3.0, 6.0)
+    assert all(type(v) is float for v in spec.speaker_snr_range + spec.noise_snr_range)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+def test_duration_needs_a_finite_number(value):
+    with pytest.raises(ValueError, match="duration must be a finite number"):
+        MixtureSpec(duration=value)
+
+
 def test_fractional_sample_count_rejected():
     with pytest.raises(ValueError, match="whole sample"):
         MixtureSpec(duration=0.50001)

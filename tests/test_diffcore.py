@@ -420,6 +420,29 @@ class TestFusedOps:
         for fused, chain in zip(*grads):
             assert np.array_equal(fused, chain)
 
+    def test_masked_decode_vjp_transient_at_desk_shape(self):
+        # Besides the (S * B) x L masks, which turn into the logit gradients,
+        # and the B x L v_enc gradient, the vjp works each source in one
+        # B x L buffer, and drops it before the mask conv's vjp makes the
+        # C x L latent gradient.
+        S, B, L, K, stride, out_length = DESK_DECODE
+        C = 32
+        ts = [Tensor(a, requires_grad=True) for a in self.decode_inputs(*DESK_DECODE, C=C)]
+        with Tape() as tape:
+            out = masked_decode(*ts, stride, out_length)
+        g = np.random.default_rng(47).normal(size=out.shape)
+        _, _, saved, vjp = tape._nodes[0]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grads = vjp(g, *saved)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert [gr.shape for gr in grads] == [t.shape for t in ts]
+        bound = (S * B * L + 2 * B * L + C * L) * 8
+        assert peak <= 1.1 * bound, f"vjp transient {peak / bound:.3f}x"
+
     def test_masked_decode_rejects_partial_source_block(self):
         with pytest.raises(ValueError, match="source blocks"):
             masked_decode(Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 2, 1))),
@@ -486,6 +509,38 @@ class TestFusedOps:
         assert tape._nodes[3][2][0] is total._recipe
         assert total._recipe.build().tobytes() == total.data.tobytes()
         assert tape.held_output_elems() == 0  # the norms' inputs are leaves
+
+    def test_residual_sum_is_a_recipe(self):
+        # residual's sum v + conv1d(u, w) carries a recipe when u carries one
+        # and v is an array the tape keeps (saved, or a leaf), never when v
+        # is rebuilt itself; a conv saves the recipe in the sum's place, and
+        # it rebuilds the sum bit for bit.
+        rng = np.random.default_rng(48)
+        x = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
+        norm = [Tensor(a, requires_grad=True) for a in
+                (rng.uniform(-0.5, 0.5, size=3), rng.normal(size=3) + 1.0, rng.normal(size=3))]
+        w, proj = (Tensor(rng.normal(size=shape), requires_grad=True)
+                   for shape in ((3, 3, 5), (3, 3, 1)))
+        with Tape() as tape:
+            v = conv1d(x, w)
+            c = conv1d(v, w)  # holds v
+            u = prelu_norm(c, *norm)
+            once = dc.residual(v, u, proj)
+            conv1d(once, w)
+            twice = dc.residual(once, u, proj)  # once is rebuilt: twice is held
+            conv1d(twice, w)
+            thrice = dc.residual(twice, u, proj)
+            conv1d(thrice, w)
+            of_leaf = dc.residual(x, u, proj)
+            of_unheld = dc.residual(add(x, 0.0), u, proj)  # no node saves that sum
+            of_plain = dc.residual(v, c, proj)  # c carries no recipe
+        assert isinstance(once._recipe, dc._Residual) and once._recipe.v is v.data
+        assert tape._nodes[5][2][0] is once._recipe and twice._recipe is None
+        assert thrice._recipe.v is twice.data and tape._nodes[11][2][0] is thrice._recipe
+        assert of_unheld._recipe is None and of_plain._recipe is None
+        for r in (once, thrice, of_leaf):
+            assert r._recipe.build().tobytes() == r.data.tobytes()
+        assert tape.held_output_elems() == v.size + c.size + twice.size
 
     def test_norm_gradients_do_not_depend_on_a_consumer_rebuild(self, monkeypatch):
         # With the consumer's weight trained, its vjp rebuilds the norm output

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latref import sepmodel
 from latref.diffcore import Tape, Tensor, add, backward, grad_check, mul, sum_all, transposed_conv1d
 from latref.losses import pit_loss
 from latref.sepmodel import (
@@ -135,22 +136,26 @@ class TestBlocks:
             apply_block(Tensor(np.ones((5, 16))), params.blocks[0])
 
 
-class TestSubBlockTape:
-    """A taped sub-block holds its input and its conv outputs: each norm
-    output and each skip sum is kept as a recipe and rebuilt in backward."""
-
-    @staticmethod
-    def desk_sub_block(seed):
-        cfg = SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8, latent_channels=32,
-                               num_sources=3, blocks=[BlockSpec()], sub_scales=3, sub_kernel=5)
-        rng = np.random.default_rng(seed)
-        sb = init_params(cfg, rng).blocks[0][0]
+def desk_block(sub_blocks, seed):
+    """A desk-model block of ``sub_blocks`` with non-trivial projections,
+    slopes and affines, and two 32 x 1000 draws: an input and a loss weight."""
+    cfg = SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8, latent_channels=32,
+                           num_sources=3, blocks=[BlockSpec(sub_blocks=sub_blocks)],
+                           sub_scales=3, sub_kernel=5)
+    rng = np.random.default_rng(seed)
+    block = init_params(cfg, rng).blocks[0]
+    for sb in block:
         sb.proj.w.data[...] = rng.normal(size=sb.proj.w.shape) * 0.3
         for sc in sb.down + sb.up:
             sc.slope.data[...] = rng.uniform(-0.5, 0.5, size=sc.slope.shape)
             sc.norm.gamma.data[...] += rng.normal(size=sc.norm.gamma.shape) * 0.2
             sc.norm.beta.data[...] = rng.normal(size=sc.norm.beta.shape) * 0.2
-        return sb, rng.normal(size=(32, 1000)), rng.normal(size=(32, 1000))
+    return block, rng.normal(size=(32, 1000)), rng.normal(size=(32, 1000))
+
+
+class TestSubBlockTape:
+    """A taped sub-block holds its input and its conv outputs: each norm
+    output and each skip sum is kept as a recipe and rebuilt in backward."""
 
     @staticmethod
     def taped_grads(sb, x, y):
@@ -166,18 +171,63 @@ class TestSubBlockTape:
 
     def test_holds_input_and_conv_outputs_only(self):
         # desk L = 1000: v 32k, down convs 16k + 8k + 4k, up convs 8k + 16k + 32k
-        sb, x, y = self.desk_sub_block(0)
+        (sb,), x, y = desk_block(1, 0)
         held, _ = self.taped_grads(sb, x, y)
         assert held == 32 * (1000 + 500 + 250 + 125 + 250 + 500 + 1000) == 116_000
 
     def test_gradients_equal_those_with_skip_sums_held(self, monkeypatch):
-        sb, x, y = self.desk_sub_block(1)
+        (sb,), x, y = desk_block(1, 1)
         held, rebuilt = self.taped_grads(sb, x, y)
         # Each addition's second operand is fed through a zero leaf first, so
         # no sum carries a recipe and the conv after a skip sum holds it.
         monkeypatch.setattr(Tensor, "__add__", lambda a, b: add(a, add(b, Tensor(np.zeros(b.shape)))))
         held_sums, kept = self.taped_grads(sb, x, y)
         assert held_sums - held == 32 * (250 + 500)  # the two skip sums
+        for got, want in zip(rebuilt, kept):
+            assert np.array_equal(got, want)
+
+
+class TestBlockTape:
+    """A taped block application holds its input and its sub-blocks' conv
+    outputs, and of the later sub-blocks' inputs only every second one: an
+    input built from a held one is kept as a recipe (that input and the
+    recipe of the sub-block's last norm output) and rebuilt in backward,
+    and one built from a rebuilt one is held, so no rebuild builds another."""
+
+    @staticmethod
+    def taped_grads(block, x, y, held_inputs=False):
+        x = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            v = add(x, 0.0)  # an op output, so the tape counts it
+            if held_inputs:
+                # The same graph with each inner sub-block input fed through a
+                # zero leaf, so it carries no recipe and the next conv holds it.
+                for sb in block[:-1]:
+                    v = add(apply_sub_block(v, sb), Tensor(np.zeros(v.shape)))
+                out = apply_sub_block(v, block[-1])
+            else:
+                out = apply_block(v, block)
+            loss = sum_all(mul(out, Tensor(y)))
+        held = tape.held_output_elems()
+        backward(tape, loss)
+        return held, [x.grad] + [t.grad for sb in block for _, t in sepmodel._sub_named("", sb)]
+
+    @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
+    def test_holds_input_and_conv_outputs_only(self, sub_blocks):
+        # desk L = 1000: the input 32k, each sub-block's six conv outputs 84k
+        # and the third sub-block's input 32k; two sub-blocks hold 200k, 232k
+        # with the inner input held
+        block, x, y = desk_block(sub_blocks, 2)
+        held, _ = self.taped_grads(block, x, y)
+        assert held == 32_000 * (1 + (sub_blocks - 1) // 2) + sub_blocks * 84_000
+
+    @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
+    def test_gradients_equal_those_with_inner_inputs_held(self, sub_blocks):
+        block, x, y = desk_block(sub_blocks, 3)
+        held, rebuilt = self.taped_grads(block, x, y)
+        held_inputs, kept = self.taped_grads(block, x, y, held_inputs=True)
+        assert held_inputs - held == sub_blocks // 2 * 32_000
+        assert len(rebuilt) == len(kept) == 1 + 31 * sub_blocks
         for got, want in zip(rebuilt, kept):
             assert np.array_equal(got, want)
 
