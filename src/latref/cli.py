@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import MixtureSpec, build_splits, check_floats, check_ints, make_dataset
-from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu, prelu_norm
-from .diffcore import relu, softmax, sum_all, transposed_conv1d, upsample_conv1d, upsample_nearest
-from .gating import GateParams, gate_from_arrays, gate_named_parameters, init_gate
+from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu_norm
+from .diffcore import relu, sum_all, transposed_conv1d, upsample_conv1d, upsample_nearest
+from .gating import GateParams, _blend, _gate_soft, gate_from_arrays, gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
     BlockSpec,
+    ConvParams,
     ModelParams,
     SeparationConfig,
     _ZeroDraws,
@@ -397,9 +398,8 @@ def gradcheck_suite(rng=None) -> float:
     slope = t(3, 0.3)
     gamma, beta = t(3), t(3)
     checks = [
-        (lambda: sum_all(mul(x + y, x - y)), [x, y]),
-        (lambda: sum_all(relu(x) + prelu(x, slope)), [x, slope]),
-        (lambda: sum_all(softmax(x, axis=0) * y), [x, y]),
+        (lambda: sum_all(mul(x + y, x)), [x, y]),
+        (lambda: sum_all(relu(x) * y), [x, y]),
         (lambda: sum_all(conv1d(x, w, b, stride=2)), [x, w, b]),
         (lambda: sum_all(transposed_conv1d(x, tw, stride=2)), [x, tw]),
         (lambda: sum_all(mul(prelu_norm(x, slope, gamma, beta), y)), [x, slope, gamma, beta]),
@@ -453,6 +453,16 @@ def gradcheck_suite(rng=None) -> float:
         return sum_all(mul(out, out))
 
     errs.append(grad_check(decoded, [z, mw, mb, x, dw, db]))
+
+    # the gate over x as a 3-channel latent of 7 samples, under fixed noise,
+    # and the blend of y, as a block's output, with x by a leaf st
+    gate = GateParams(proj1=ConvParams(t((2, 3, 1), 0.5), t(2)), slope=t(2, 0.3),
+                      proj2=ConvParams(t((2, 2, 7), 0.5), t(2)))
+    gumbel = rng.gumbel(size=(2, 1))
+    errs.append(grad_check(lambda: _gate_soft(x, gate, gumbel)[0],
+                           [x] + [p for _, p in gate_named_parameters(gate)]))
+    st = t(())
+    errs.append(grad_check(lambda: sum_all(mul(_blend(y, x, st), _blend(y, x, st))), [y, x, st]))
     return max(errs)
 
 

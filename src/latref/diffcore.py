@@ -2,14 +2,14 @@
 
 The op set is exactly what the separation stack needs:
 
-- elementwise and reductions: ``add``, ``sub``, ``mul``, ``relu``,
-  ``prelu``, ``softmax``, ``sum_all``;
+- elementwise and reductions: ``add``, ``mul``, ``relu``, ``sum_all``;
 - ``prelu_norm``: PReLU fused with per-channel normalisation, one node per
   sub-block scale;
 - ``conv1d`` and its exact adjoint ``transposed_conv1d``, which share one
   padding geometry and one windowing; a stride above the kernel leaves
   zeros between the transposed conv's kernel copies;
-- nearest-neighbour ``upsample_nearest`` and ``slice_rows``;
+- nearest-neighbour ``upsample_nearest`` and ``slice_rows``, the plain
+  ops that ``upsample_conv1d`` and ``masked_decode`` are tested against;
 - ``residual``: v + conv1d(u, w), a conv and an add whose taped sum can
   be rebuilt rather than held;
 - ``upsample_conv1d``: a x2 nearest upsample followed by a "same" conv,
@@ -33,11 +33,11 @@ memoised by their integer arguments.
 
 Memory follows what the backward closures (vjps) read.  A node holds the
 arrays its vjp reads (its saved arrays) and nothing it can rebuild exactly
-from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d``,
-``prelu`` and ``prelu_norm`` keep their input, ``relu`` and ``softmax``
-their output, ``mul`` the other operand of each gradient it needs,
-``masked_decode`` the latent and the encoding (never the S x B x L
-logits), and the slicing, summing and adding ops nothing.  An op output
+from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d`` and
+``prelu_norm`` keep their input, ``relu`` its output, ``mul`` the other
+operand of each gradient it needs, ``masked_decode`` the latent and the
+encoding (never the S x B x L logits), and the slicing, summing and adding
+ops nothing.  An op output
 that can be rebuilt exactly from arrays the tape holds anyway carries a
 recipe (a :class:`_Recipe`), and a node that would save it saves the
 recipe instead:
@@ -126,9 +126,6 @@ class Tensor:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -320,17 +317,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-    sa, sb = a.data.shape, b.data.shape
-
-    def vjp(g):
-        return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
-
-    return _finish(out, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
@@ -356,39 +342,6 @@ def relu(x) -> Tensor:
     return _finish(out, (x,), vjp, (out,))
 
 
-def prelu(x, slope) -> Tensor:
-    """max(0, x) + slope * min(0, x) with a scalar or per-channel slope.
-
-    A 1-D slope is applied along axis 0 of ``x``.
-    """
-    x, slope = _as_tensor(x), _as_tensor(slope)
-    if slope.ndim == 0:
-        s = slope.data
-    elif slope.ndim == 1:
-        if slope.data.shape[0] != x.data.shape[0]:
-            raise ValueError(
-                f"prelu slope has {slope.data.shape[0]} channels but input has {x.data.shape[0]}"
-            )
-        s = slope.data.reshape((-1,) + (1,) * (x.ndim - 1))
-    else:
-        raise ValueError(f"prelu slope must be scalar or 1-D, got shape {slope.data.shape}")
-    out = np.maximum(x.data, 0.0) + s * np.minimum(x.data, 0.0)
-    # The mask and the negative part are recomputed from x rather than kept
-    # as two more x-sized arrays.
-    need_x, need_s = x.requires_grad, slope.requires_grad
-    s_shape, axes = s.shape, tuple(range(1, x.ndim)) if slope.ndim else None
-
-    def vjp(g, x_data, slope_data):
-        gx = g * _prelu_slopes(x_data, slope_data.reshape(s_shape)) if need_x else None
-        gs = None
-        if need_s:
-            prod = g * np.minimum(x_data, 0.0)
-            gs = np.asarray(prod.sum()) if axes is None else prod.sum(axis=axes)
-        return (gx, gs)
-
-    return _finish(out, (x, slope), vjp, (x.data, slope.data))
-
-
 def _prelu_into(h, x, s):
     """Add s * min(x, 0) to ``h`` (which holds max(x, 0)) in place, through
     one temporary."""
@@ -405,21 +358,6 @@ def _prelu_slopes(x, s):
     out = s * (x <= 0)
     out += x > 0
     return out
-
-
-def softmax(x, axis: int) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.shape[axis] == 0:
-        raise ValueError(f"softmax over empty axis {axis} of shape {x.data.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g, out):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _finish(out, (x,), vjp, (out,))
 
 
 def sum_all(x) -> Tensor:

@@ -154,23 +154,6 @@ def _pit_node(ests: Tensor, refs: np.ndarray, speech_count: int):
     return _finish(np.asarray(loss), (ests,), vjp, (ests.data, refs)), perm
 
 
-def neg_sisdr_loss(ests, refs) -> Tensor:
-    """Mean over sources of the negative SI-SDR, as a differentiable scalar.
-
-    ``ests`` is an S x T tensor (or 1-D for a single source); ``refs`` is a
-    matching array and is treated as constant.  Every row keeps its own
-    reference: this is :func:`pit_loss` with one speech source.
-    """
-    ests = ests if isinstance(ests, Tensor) else Tensor(ests)
-    refs_arr = np.asarray(refs.data if isinstance(refs, Tensor) else refs, dtype=np.float64)
-    rows = ests.shape
-    if ests.ndim == 1:
-        rows, refs_arr = (1,) + rows, refs_arr.reshape(1, -1)
-    if len(rows) != 2 or rows != refs_arr.shape:
-        raise ValueError(f"shape mismatch: ests {ests.shape} vs refs {refs_arr.shape}")
-    return _pit_node(ests, refs_arr, 1)[0]
-
-
 def pit_loss(ests, refs, speech_count: int) -> PITResult:
     """Permutation-invariant mean negative SI-SDR over speech sources.
 

@@ -19,17 +19,15 @@ from latref.diffcore import (
     grad_check,
     masked_decode,
     mul,
-    prelu,
     prelu_norm,
     relu,
     slice_rows,
-    softmax,
-    sub,
     sum_all,
     transposed_conv1d,
     upsample_conv1d,
     upsample_nearest,
 )
+from latref.gating import _blend, _gate_soft, gate_named_parameters, init_gate
 from latref.losses import pit_loss
 
 
@@ -650,6 +648,32 @@ def prelu_norm_grads_oracle(x, s, gamma, g):
     return gx, gs, (g * xhat).sum(axis=1), g.sum(axis=1)
 
 
+def gate_soft_grads_oracle(v, w1, b1, s, w2, b2, gumbel):
+    """The gate's soft-decision gradients by the textbook chain, in
+    ``gate_named_parameters`` order after v's: the logistic's derivative,
+    the spanning conv's contraction, then a select on the sign of the
+    hidden layer (zero takes the slope)."""
+    h = np.einsum("oc,ct->ot", w1[:, :, 0], v) + b1[:, None]
+    hp = np.where(h > 0, h, s[:, None] * h)
+    z = np.einsum("ock,ck->o", w2, hp) + b2 + gumbel[:, 0]
+    p = np.exp(z - z.max())
+    p /= p.sum()
+    gz = p[1] * (np.eye(2)[1] - p)
+    ghp = np.einsum("o,ock->ck", gz, w2)
+    gh = np.where(h > 0, ghp, ghp * s[:, None])
+    gs = (ghp * np.minimum(h, 0.0)).sum(axis=1)
+    return w1[:, :, 0].T @ gh, (gh @ v.T)[:, :, None], gh.sum(axis=1), gs, gz[:, None, None] * hp, gz
+
+
+def gate_with_logits(channels, length, logits):
+    """A gate whose logits are ``logits`` whatever the latent."""
+    gate = init_gate(channels, length, np.random.default_rng(0))
+    for t in (gate.proj1.w, gate.proj1.b, gate.proj2.w):
+        t.data[...] = 0.0
+    gate.proj2.b.data[...] = logits
+    return gate
+
+
 class TestMaskingGradients:
     """Masking vjps multiply by the comparison: 0 or the slope side at x = 0
     (relu's kink is in TestBackward)."""
@@ -669,13 +693,24 @@ class TestMaskingGradients:
             np.testing.assert_allclose(t.grad, want, rtol=1e-10, atol=0)
 
     def test_prelu_zero_takes_slope(self):
-        x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
-        slope = Tensor(np.array(0.25), requires_grad=True)
+        # the gate's PReLU: zero latent columns and a zero proj1 bias make
+        # the hidden layer exactly 0 there
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=(3, 6))
+        v[:, ::2] = 0.0
+        gate = init_gate(3, 6, rng)
+        gate.slope.data[...] = [0.25, -0.5]
+        gate.proj2.w.data[...] = rng.normal(size=(2, 2, 6))
+        gate.proj2.b.data[...] = rng.normal(size=2)
+        gumbel = rng.gumbel(size=(2, 1))
+        ts = [Tensor(v, requires_grad=True)] + [t for _, t in gate_named_parameters(gate)]
         with Tape() as tape:
-            loss = sum_all(prelu(x, slope))
-        backward(tape, loss)
-        assert np.array_equal(x.grad, [0.25, 0.25, 1.0])
-        assert slope.grad == -1.0
+            soft, _ = _gate_soft(ts[0], gate, gumbel)
+        backward(tape, soft)
+        h = np.einsum("oc,ct->ot", gate.proj1.w.data[:, :, 0], v)
+        assert np.all(h[:, ::2] == 0.0) and np.all(h[:, 1::2] != 0.0)
+        for t, want in zip(ts, gate_soft_grads_oracle(v, *(t.data for t in ts[1:]), gumbel)):
+            np.testing.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-300)
 
     def test_masked_decode_gradient_zero_at_zero_logit(self):
         # zero latent columns and a zero mask bias make every logit there 0
@@ -695,28 +730,30 @@ class TestMaskingGradients:
 
 
 class TestElementwise:
+    # The PReLU that prelu_norm and the gate share, max(x, 0) + s * min(x, 0).
     def test_prelu_worked_example(self):
-        out = prelu(Tensor(np.array([-4.0])), Tensor(np.array(0.25)))
-        assert out.data[0] == -1.0
+        x = np.array([-4.0])
+        assert dc._prelu_into(np.maximum(x, 0.0), x, 0.25)[0] == -1.0
 
     def test_prelu_per_channel(self):
         x = np.array([[-2.0, 4.0], [-2.0, 4.0]])
-        slope = np.array([0.5, 0.25])
-        out = prelu(Tensor(x), Tensor(slope))
-        np.testing.assert_allclose(out.data, [[-1.0, 4.0], [-0.5, 4.0]])
+        out = dc._prelu_into(np.maximum(x, 0.0), x, np.array([[0.5], [0.25]]))
+        np.testing.assert_allclose(out, [[-1.0, 4.0], [-0.5, 4.0]])
 
+    # The softmax over the gate's two logits, inside its soft-decision node.
     def test_softmax_uniform(self):
-        out = softmax(Tensor(np.array([0.0, 0.0])), axis=0)
-        np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
+        soft, hard = _gate_soft(Tensor(np.zeros((2, 4))), gate_with_logits(2, 4, [0.0, 0.0]),
+                                np.zeros((2, 1)))
+        assert (soft.item(), hard) == (0.5, 0)
 
     def test_softmax_normalises(self):
+        # shifted by the larger logit, so logits past exp's range still give
+        # the logistic of their difference
         rng = np.random.default_rng(2)
-        out = softmax(Tensor(rng.normal(size=(5, 3)) * 30), axis=0)
-        np.testing.assert_allclose(out.data.sum(axis=0), np.ones(3), atol=1e-12)
-
-    def test_softmax_empty_axis(self):
-        with pytest.raises(ValueError, match="empty"):
-            softmax(Tensor(np.zeros((0, 3))), axis=0)
+        for z in [[800.0, -800.0], [-800.0, 800.0]] + list(rng.normal(size=(5, 2)) * 30):
+            soft, _ = _gate_soft(Tensor(np.zeros((2, 4))), gate_with_logits(2, 4, z), np.zeros((2, 1)))
+            want = np.exp(-np.logaddexp(0.0, z[0] - z[1]))
+            np.testing.assert_allclose(soft.item(), want, rtol=1e-12, atol=0)
 
     def test_prelu_norm_statistics(self):
         # slope 1 makes the PReLU the identity, leaving a plain channel norm
@@ -869,7 +906,7 @@ class TestGradCheck:
     @pytest.mark.parametrize(
         "name",
         [
-            "add", "sub", "mul", "relu", "prelu", "softmax",
+            "add", "mul", "relu", "gate_soft", "blend",
             "sum", "norm", "prelu_norm", "conv_same", "conv_valid",
             "tconv_same", "tconv_valid", "upsample", "upsample_conv", "slice",
             "masked_decode", "pit",
@@ -883,17 +920,18 @@ class TestGradCheck:
         y = Tensor(rng.normal(size=(2, 12)), requires_grad=True)
         if name == "add":
             f, ps = lambda: sum_all(mul(add(x, y), add(x, y))), [x, y]
-        elif name == "sub":
-            f, ps = lambda: sum_all(mul(sub(x, y), sub(x, y))), [x, y]
         elif name == "mul":
             f, ps = lambda: sum_all(mul(x, y)), [x, y]
         elif name == "relu":
             f, ps = lambda: sum_all(mul(relu(x), relu(x))), [x]
-        elif name == "prelu":
-            s = Tensor(np.array([0.3, 0.7]), requires_grad=True)
-            f, ps = lambda: sum_all(mul(prelu(x, s), prelu(x, s))), [x, s]
-        elif name == "softmax":
-            f, ps = lambda: sum_all(mul(softmax(x, 0), y)), [x]
+        elif name == "gate_soft":
+            # x as a 2-channel latent of 12 samples, under fixed Gumbel noise
+            gate = init_gate(2, 12, rng)
+            noise = rng.gumbel(size=(2, 1))
+            f, ps = lambda: _gate_soft(x, gate, noise)[0], [x] + [t for _, t in gate_named_parameters(gate)]
+        elif name == "blend":
+            st = Tensor(np.array(0.3), requires_grad=True)
+            f, ps = lambda: sum_all(mul(_blend(x, y, st), _blend(x, y, st))), [x, y, st]
         elif name == "sum":
             f, ps = lambda: mul(sum_all(x), sum_all(x)), [x]
         elif name == "norm":
@@ -1022,8 +1060,7 @@ class TestTapeHoldsWhatBackwardReads:
 
     @pytest.mark.parametrize("gated", [False, True], ids=["e2e", "gate"])
     def test_desk_training_tape_closures_capture_no_tensor(self, gated):
-        from latref.gating import gate_penalty, init_gate
-        from latref.losses import pit_loss
+        from latref.gating import gate_penalty
         from latref.sepmodel import BlockSpec, SeparationConfig, init_params
         from latref.training import run_model
 
@@ -1042,7 +1079,8 @@ class TestTapeHoldsWhatBackwardReads:
                 loss = loss + gate_penalty(g)
         ops = {vjp.__qualname__.split(".")[0] for _, _, _, vjp in tape._nodes}
         assert {"conv1d", "prelu_norm", "upsample_conv1d", "masked_decode", "relu"} <= ops
-        assert not gated or {"softmax", "prelu", "slice_rows"} <= ops
+        assert not gated or {"_gate_soft", "_blend"} <= ops
+        assert "slice_rows" not in ops
         assert tape_leaks(tape) == []
 
     def test_gradients_route_by_key_when_ids_are_reused(self):
@@ -1132,13 +1170,13 @@ class TestTapeHoldsWhatBackwardReads:
         with Tape() as tape:
             r = relu(x)  # keeps its output ...
             h = conv1d(r, w)  # ... which the conv keeps as its input: counted once
-            s = softmax(h, 0)  # keeps its output
+            s = relu(h)  # keeps its output
             loss = sum_all(mul(s, s))  # mul(s, s) keeps s once more; sum_all nothing
         backward(tape, loss)
         assert len(tape) == 5
         assert tape.held_output_elems() == r.size + s.size
         assert tape.held_output_elems(0, 1) == r.size
-        assert tape.held_output_elems(1, 2) == 0  # the conv's output: only softmax reads h
+        assert tape.held_output_elems(1, 2) == 0  # the conv's output: only relu reads h
         assert tape.held_output_elems(2) == s.size
 
     def test_accumulation_never_writes_into_a_passed_through_gradient(self):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from latref import gating
-from latref.diffcore import Tape, Tensor, backward, grad_check, mul, slice_rows, softmax, sub, sum_all
+from latref.diffcore import Tape, Tensor, backward, conv1d, grad_check, mul, sum_all
 from latref.gating import (
     GateParams,
+    _blend,
+    _gate_soft,
     adaptive_separate,
     gate_forward,
     gate_from_arrays,
@@ -111,7 +113,8 @@ class TestGatedStep:
         gate = biased_gate(4, 16, ALWAYS_SKIP)
         v = Tensor(np.random.default_rng(4).normal(size=(4, 16)))
         for seed in range(20):
-            out, d = gated_step(v, params.blocks[0], gate, np.random.default_rng(seed))
+            with Tape():  # the gate's two nodes taped, as in training
+                out, d = gated_step(v, params.blocks[0], gate, np.random.default_rng(seed))
             assert d.hard == 0 and float(d.st.data) == 0.0
             assert np.array_equal(out.data, v.data)
 
@@ -121,7 +124,8 @@ class TestGatedStep:
         v = Tensor(np.random.default_rng(5).normal(size=(4, 16)))
         expected = apply_block(v, params.blocks[0])
         for seed in range(20):
-            out, d = gated_step(v, params.blocks[0], gate, np.random.default_rng(seed))
+            with Tape():  # the gate's two nodes taped, as in training
+                out, d = gated_step(v, params.blocks[0], gate, np.random.default_rng(seed))
             assert d.hard == 1 and float(d.st.data) == 1.0
             assert np.array_equal(out.data, expected.data)
 
@@ -137,21 +141,61 @@ class TestGatedStep:
 
     def test_soft_path_matches_finite_differences(self):
         # The straight-through backward is the gradient of the soft surrogate;
-        # check that surrogate end to end against finite differences.
+        # check that surrogate end to end, through the soft-decision node and
+        # the blend, against finite differences.
         cfg, params, gate = small_setup(seed=9)
         rng = np.random.default_rng(10)
         v = Tensor(rng.normal(size=(4, 16)))
         noise = rng.gumbel(size=(2, 1))
 
         def f():
-            z = gate_logits(v, gate) + Tensor(noise)
-            p = sum_all(slice_rows(softmax(z, axis=0), 1, 2))
-            bv = apply_block(v, params.blocks[0])
-            out = mul(bv, p) + mul(v, sub(1.0, p))
+            p, _ = _gate_soft(v, gate, noise)
+            out = _blend(apply_block(v, params.blocks[0]), v, p)
             return sum_all(mul(out, out))
 
         err = grad_check(f, [t for _, t in gate_named_parameters(gate)])
         assert err < 1e-4
+
+
+class TestGateNodes:
+    """A taped gated step is its block application plus three nodes: the
+    soft decision, the straight-through sum and the blend."""
+
+    def latent(self, seed):
+        # an op output, as the refinement loop's latent is
+        x = Tensor(np.random.default_rng(seed).normal(size=(4, 16)), requires_grad=True)
+        return conv1d(x, Tensor(np.eye(4)[:, :, None]))
+
+    def test_gated_step_tapes_three_nodes_beyond_its_block(self):
+        cfg, params, gate = small_setup(seed=20)
+        with Tape() as plain:
+            apply_block(self.latent(21), params.blocks[0])
+        with Tape() as gated:
+            gated_step(self.latent(21), params.blocks[0], gate, np.random.default_rng(22))
+        assert len(gated) == len(plain) + 3
+
+    def test_soft_node_holds_nothing_the_block_does_not(self):
+        cfg, params, gate = small_setup(seed=23)
+        with Tape() as tape:
+            v = self.latent(24)
+            apply_block(v, params.blocks[0])
+            before = tape.held_output_elems()
+            _gate_soft(v, gate, np.zeros((2, 1)))
+            assert tape.held_output_elems() == before
+        with Tape() as step:
+            out, _ = gated_step(self.latent(24), params.blocks[0], gate, np.random.default_rng(25))
+        # beyond the block application's arrays, the blend holds B(v)
+        assert step.held_output_elems() == before + out.size
+
+    def test_soft_node_forward_is_the_logits_softmax(self):
+        cfg, params, gate = small_setup(seed=26)
+        v = Tensor(np.random.default_rng(27).normal(size=(4, 16)))
+        noise = np.random.default_rng(28).gumbel(size=(2, 1))
+        zn = gate_logits(v, gate).data + noise
+        e = np.exp(zn - zn.max(axis=0, keepdims=True))
+        soft, hard = _gate_soft(v, gate, noise)
+        assert soft.item() == (e / e.sum(axis=0, keepdims=True))[1, 0]
+        assert hard == int(np.argmax(zn[:, 0]))
 
 
 class TestAdaptiveSeparate:

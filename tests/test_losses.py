@@ -14,7 +14,6 @@ from latref.losses import (
     POWER_EPS,
     best_speech_permutation,
     eval_speech_sisdri,
-    neg_sisdr_loss,
     pit_loss,
     si_sdr,
     si_sdr_improvement,
@@ -104,25 +103,28 @@ class TestSiSdr:
 
 
 class TestNegSisdrLoss:
+    """The mean negative SI-SDR: ``pit_loss`` with one speech source, every
+    row kept on its own reference."""
+
     def test_perfect_reconstruction_any_scale(self):
         rng = np.random.default_rng(3)
         for scale in (1.0, 0.01, 37.5):
             refs = rng.normal(size=(2, 40)) * scale
-            loss = neg_sisdr_loss(Tensor(refs), refs)
+            loss = pit_loss(Tensor(refs), refs, 1).loss
             assert loss.item() == -100.0
 
     def test_single_source_reduces_to_metric(self):
         rng = np.random.default_rng(4)
-        est = rng.normal(size=50)
-        ref = rng.normal(size=50)
-        loss = neg_sisdr_loss(Tensor(est), ref)
+        est = rng.normal(size=(1, 50))
+        ref = rng.normal(size=(1, 50))
+        loss = pit_loss(Tensor(est), ref, 1).loss
         assert abs(loss.item() + si_sdr(est, ref).value_db) < 1e-6
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         ests = Tensor(rng.normal(size=(2, 24)), requires_grad=True)
         refs = rng.normal(size=(2, 24))
-        err = grad_check(lambda: neg_sisdr_loss(ests, refs), [ests])
+        err = grad_check(lambda: pit_loss(ests, refs, 1).loss, [ests])
         assert err < 1e-4
 
 
@@ -133,7 +135,7 @@ class TestPitLoss:
         swapped = refs[::-1].copy()
         res = pit_loss(Tensor(swapped), refs, speech_count=2)
         assert res.permutation == (1, 0)
-        identity = neg_sisdr_loss(Tensor(refs), refs)
+        identity = pit_loss(Tensor(refs), refs, 1).loss
         assert res.loss.item() == identity.item()
 
     def test_single_speech_is_plain_loss(self):
@@ -142,7 +144,7 @@ class TestPitLoss:
         refs = rng.normal(size=(2, 20))
         res = pit_loss(Tensor(ests), refs, speech_count=1)
         assert res.permutation == (0,)
-        assert res.loss.item() == neg_sisdr_loss(Tensor(ests), refs).item()
+        assert res.loss.item() == pit_loss(Tensor(ests), refs, 1).loss.item()
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(10)
@@ -151,7 +153,7 @@ class TestPitLoss:
             refs = rng.normal(size=(2, 64))
             res = pit_loss(Tensor(ests), refs, speech_count=2)
             brute = min(
-                neg_sisdr_loss(Tensor(ests[list(p)]), refs).item()
+                pit_loss(Tensor(ests[list(p)]), refs, 1).loss.item()
                 for p in itertools.permutations(range(2))
             )
             assert res.loss.item() == brute
@@ -172,7 +174,7 @@ class TestPitLoss:
         ests = rng.normal(size=(2, 24))
         refs = rng.normal(size=(2, 24))
         res = pit_loss(Tensor(ests), refs, speech_count=2)
-        assert res.loss.item() <= neg_sisdr_loss(Tensor(ests), refs).item() + 1e-12
+        assert res.loss.item() <= pit_loss(Tensor(ests), refs, 1).loss.item() + 1e-12
 
     def test_symmetric_under_joint_permutation(self):
         rng = np.random.default_rng(13)
@@ -222,14 +224,14 @@ class TestLossNode:
         rng = np.random.default_rng(40)
         refs = rng.normal(size=(3, 30))
         x = Tensor(rng.normal(size=(3, 30)), requires_grad=True)
-        for fn in (lambda e: pit_loss(e, refs, 2).loss, lambda e: neg_sisdr_loss(e, refs)):
+        for fn in (lambda e: pit_loss(e, refs, 2).loss, lambda e: pit_loss(e, refs, 1).loss):
             tape, _ = taped(fn, x)
             assert len(tape) == 1 and tape.recorded_output_elems() == 1
             assert x.grad.shape == x.shape
-        flat = Tensor(refs[0] + rng.normal(size=30), requires_grad=True)
-        tape, _ = taped(lambda e: neg_sisdr_loss(e, refs[0]), flat)
+        row = Tensor(refs[:1] + rng.normal(size=(1, 30)), requires_grad=True)
+        tape, _ = taped(lambda e: pit_loss(e, refs[:1], 1).loss, row)
         assert len(tape) == 1
-        np.testing.assert_allclose(flat.grad, neg_sisdr_grad_closed_form(flat.data, refs[0]),
+        np.testing.assert_allclose(row.grad[0], neg_sisdr_grad_closed_form(row.data[0], refs[0]),
                                    rtol=1e-9, atol=0)
 
     def test_holds_the_estimates_and_nothing_of_the_references(self):
