@@ -42,10 +42,18 @@ that can be rebuilt exactly from arrays the tape holds anyway carries a
 recipe (a :class:`_Recipe`), and a node that would save it saves the
 recipe instead:
 
-- :class:`_Normalised`, a ``prelu_norm`` output: the norm's own input and
-  parameters and its C x 1 statistics;
-- :class:`_Sum`, an ``add`` of two outputs with recipes (a U-Net skip
-  sum): the sum of their recipes;
+- :class:`_Normalised`, a ``prelu_norm`` output: the norm's own input (or
+  its recipe, if the input carries one) and parameters and its C x 1
+  statistics;
+- :class:`_Sum`, an ``add`` of two ``prelu_norm`` outputs (a U-Net skip
+  sum): the sum of their recipes.  No other sum carries one, so a block's
+  output, v + proj(u), stays held;
+- :class:`_Conv`, a ``conv1d`` or ``upsample_conv1d`` output over a
+  ``prelu_norm`` output whose own input is held (an array, not a recipe):
+  the op, the norm's recipe and the op's other arguments.  A conv over a
+  norm of a rebuilt input carries none, so no conv rebuild builds another
+  and each costs one conv.  In a sub-block the rule picks ``down1``,
+  ``down3``, ... and ``up0`` (and the projection, whose sum saves nothing);
 - :class:`_Residual`, a ``residual`` sum over a ``u`` with a recipe: ``v``
   (an array the tape keeps anyway), ``u``'s recipe and the weight.  The
   model makes every sub-block input after a block's first one a
@@ -55,14 +63,16 @@ recipe instead:
 
 The sweep builds a recipe into its array bit for bit while the reading
 vjp runs, and a norm's vjp reuses the standardised values of the last
-such rebuild before it.  Masks, normalised values and the fused ops'
-inner results are recomputed from the saved arrays, and closures capture
-only shapes, flags and C x 1 statistics, never a :class:`Tensor`.  So an
-op output that no vjp reads is freed as soon as the forward drops it, and
-the tape's held count (:meth:`Tape.held_output_elems`) is what a backward
-pass keeps.  The reverse sweep frees each output's gradient as soon as
-its node's vjp has consumed it and each node's saved arrays as soon as it
-reaches the node, and ``.grad`` is set on leaves only.  A vjp masks by
+such rebuild before it.  A conv rebuild is built once per sweep and kept
+until the norm over it, its last reader, takes it.  Masks, normalised
+values and the fused ops' inner results are recomputed from the saved
+arrays, and closures capture only shapes, flags and C x 1 statistics,
+never a :class:`Tensor`.  So an op output that no vjp reads is freed as
+soon as the forward drops it, and the tape's held count
+(:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
+reverse sweep frees each output's gradient as soon as its node's vjp has
+consumed it and each node's saved arrays as soon as it reaches the node,
+and ``.grad`` is set on leaves only.  A vjp masks by
 multiplying with the comparison (``g * (out > 0)``), never with
 ``np.where``: a select branches on every element, which on mixed-sign
 activations costs several times the multiply.
@@ -302,8 +312,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
-    """a + b.  A taped sum of two same-shaped tensors that both carry recipes
-    carries the sum of their recipes."""
+    """a + b.  A taped sum of two same-shaped ``prelu_norm`` outputs (a U-Net
+    skip sum) carries the sum of their recipes.  No other sum does, so a
+    block's output, v + proj(u), stays held."""
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
     sa, sb = a.data.shape, b.data.shape
@@ -312,7 +323,8 @@ def add(a, b) -> Tensor:
         return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     out = _finish(out, (a, b), vjp)
-    if out._key is not None and a._recipe is not None and b._recipe is not None and sa == sb:
+    if (out._key is not None and sa == sb and isinstance(a._recipe, _Normalised)
+            and isinstance(b._recipe, _Normalised)):
         out._recipe = _Sum(a._recipe, b._recipe)
     return out
 
@@ -428,7 +440,8 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
 
     out = _finish(h, (x, slope, gamma, beta), vjp, (x.data, slope.data, gamma.data, reuse))
     if out._key is not None:
-        out._recipe = _Normalised(x.data, slope.data, gamma.data, beta.data, mu, inv, reuse)
+        x_kept = x.data if x._recipe is None else x._recipe
+        out._recipe = _Normalised(x_kept, slope.data, gamma.data, beta.data, mu, inv, reuse)
     return out
 
 
@@ -470,7 +483,8 @@ class _Recipe:
 class _Normalised(_Recipe):
     """The recipe of a taped ``prelu_norm`` output: its input, slope and
     affine and the C x 1 statistics, every one an array its node or a
-    parameter already holds.
+    parameter already holds.  An input that is rebuilt itself (a
+    :class:`_Conv`) is kept as its recipe and built first.
 
     ``reader`` is the key of the first node to claim it: the last reader the
     sweep reaches before the norm's own node.  Building for that reader
@@ -492,7 +506,8 @@ class _Normalised(_Recipe):
             self.reader = key
 
     def build(self, key=None):
-        xhat = _standardised(self.x, self.slope[:, None], self.mu, self.inv)
+        x = self.x.build(key) if isinstance(self.x, _Recipe) else self.x
+        xhat = _standardised(x, self.slope[:, None], self.mu, self.inv)
         if key is None or key != self.reader:
             return _affine(xhat, self.gamma, self.beta, out=xhat)
         self.reuse[:] = [xhat]
@@ -517,6 +532,46 @@ class _Sum(_Recipe):
         out = self.a.build(key)
         out += self.b.build(key)
         return out
+
+
+class _Conv(_Recipe):
+    """The recipe of a taped ``conv1d`` or ``upsample_conv1d`` output over a
+    ``prelu_norm`` output whose own input is held: the op, the norm's
+    recipe and the op's other arguments.  It builds the output with the
+    op's own forward on the norm's rebuild, so the bits are the forward's.
+
+    ``reader`` is the key of the first node to claim it, the last reader
+    the sweep reaches: in the model, the norm over the output.  A build for
+    any other key (there, a rebuild of that norm's output) is kept until
+    the reader's build takes it, so a sweep runs the op once.
+    """
+
+    __slots__ = ("op", "u", "args", "reader", "built")
+
+    def __init__(self, op, u: _Recipe, args):
+        self.op, self.u, self.args = op, u, args
+        self.reader = self.built = None
+
+    def claim(self, key) -> None:
+        if self.reader is None:
+            self.reader = key
+
+    def build(self, key=None):
+        out = self.built
+        if out is None:
+            out = self.op(self.u.build(key), *self.args).data
+        self.built = None if key is None or key == self.reader else out
+        return out
+
+
+def _conv_recipe(out: Tensor, x: Tensor, op, *args) -> Tensor:
+    """Give a taped conv output ``out`` a :class:`_Conv` recipe if its input
+    ``x`` is a ``prelu_norm`` output over a held array.  A conv over a norm
+    of a rebuilt input gets none, so no conv rebuild builds another."""
+    u = x._recipe
+    if out._key is not None and isinstance(u, _Normalised) and not isinstance(u.x, _Recipe):
+        out._recipe = _Conv(op, u, args)
+    return out
 
 
 class _Residual(_Recipe):
@@ -624,7 +679,8 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
         gb = g.sum(axis=1) if need_b else None
         return (gx, gw, gb)  # without a bias, backward's zip drops gb
 
-    return _finish(out, (x, w) if b is None else (x, w, b), vjp, _conv_saved(x, w))
+    out = _finish(out, (x, w) if b is None else (x, w, b), vjp, _conv_saved(x, w))
+    return _conv_recipe(out, x, conv1d, w.data, None if b is None else b.data, stride, padding)
 
 
 def residual(v, u, w) -> Tensor:
@@ -778,17 +834,19 @@ def upsample_nearest(x, length: int) -> Tensor:
     return _finish(out, (x,), vjp)
 
 
+@lru_cache(maxsize=256)
 def _phase_taps(K: int):
     """Tap map of a stride-1 "same" K-tap conv over a x2 nearest upsample.
 
     Output column 2m + p (phase p) of that conv reads source column
     m + taps[p][k] - lp through tap k.  So each phase is one "same" conv of
     the source with Kp taps, tap t summing the taps k with taps[p][k] == t,
-    whose own left padding is lp.  Returns (taps, Kp, lp).
+    whose own left padding is lp.  Returns (taps, Kp, lp), memoised, so
+    taps is a tuple of tuples.
     """
     left = (K - 1) // 2
     lp = (left + 1) // 2
-    taps = [[(p + k - left) // 2 + lp for k in range(K)] for p in (0, 1)]
+    taps = tuple(tuple((p + k - left) // 2 + lp for k in range(K)) for p in (0, 1))
     return taps, taps[1][-1] + 1, lp
 
 
@@ -859,7 +917,8 @@ def upsample_conv1d(u, w, b, length: int) -> Tensor:
             gb = g.sum(axis=1)
         return (gu, gw, gb)
 
-    return _finish(out, (u, w, b), vjp, _conv_saved(u, w))
+    out = _finish(out, (u, w, b), vjp, _conv_saved(u, w))
+    return _conv_recipe(out, u, upsample_conv1d, w.data, b.data, length)
 
 
 def slice_rows(x, start: int, stop: int) -> Tensor:

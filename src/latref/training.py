@@ -400,14 +400,15 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     rejects a zero one), with ``num_sources - 1`` speech sources as both
     tasks have.  The loss is one node that holds the decoded estimates,
     S x T per item; the heads are one node that holds the latent and
-    ``v_enc``, not the S x B x L mask logits.  A sub-block holds each norm's
-    input (its conv outputs), but no norm output and no skip sum, and a
-    block application holds its input and every second later sub-block
-    input (none with two sub-blocks): a node over one not held keeps its
-    recipe, which rebuilds it in backward.  Each held array counts once,
-    in the segment whose op produced it: ``v_enc`` is read by both the
-    bottleneck and the decoder, and a block's output by whatever comes
-    next.  Every application of a block has the same shapes, so one traced
+    ``v_enc``, not the S x B x L mask logits.  A sub-block holds the conv
+    outputs its norms read, but no norm output, no skip sum and no conv
+    output over a norm of a held array (``down1`` and ``up0`` at three
+    scales), and a block application holds its input and every second
+    later sub-block input (none with two sub-blocks): a node over one not
+    held keeps its recipe, which rebuilds it in backward.  Each held array
+    counts once, in the segment whose op produced it: ``v_enc`` is read by
+    both the bottleneck and the decoder, and a block's output by whatever
+    comes next.  Every application of a block has the same shapes, so one traced
     application per block times its iterations gives the block totals.
     """
     if batch_size < 1 or T < 1:

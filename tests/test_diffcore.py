@@ -540,6 +540,53 @@ class TestFusedOps:
             assert r._recipe.build().tobytes() == r.data.tobytes()
         assert tape.held_output_elems() == v.size + c.size + twice.size
 
+    def test_conv_over_norm_of_held_input_is_a_recipe(self, monkeypatch):
+        # A conv or upsample conv over a norm of a held array carries a
+        # recipe, which the norm over it saves in the conv output's place and
+        # which rebuilds the output bit for bit; a conv over that norm (of a
+        # rebuilt input) carries none.  The sweep runs the rebuild once, for
+        # the reader of the norm over it, and the norm's node takes it.
+        rng = np.random.default_rng(49)
+        x0 = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
+        norms = [[Tensor(a, requires_grad=True) for a in
+                  (rng.uniform(-0.5, 0.5, size=3), rng.normal(size=3) + 1.0, rng.normal(size=3))]
+                 for _ in range(3)]
+        w, b = Tensor(rng.normal(size=(3, 3, 5)), requires_grad=True), Tensor(rng.normal(size=3))
+        g = rng.normal(size=(3, 20))
+
+        def grads():
+            leaves = [x0, w] + [t for ps in norms for t in ps]
+            with Tape() as tape:
+                x = conv1d(x0, w)
+                h = prelu_norm(x, *norms[0])
+                c = conv1d(h, w, b, stride=2)
+                up = upsample_conv1d(h, w, b, 79)
+                h2 = prelu_norm(c, *norms[1])
+                h3 = prelu_norm(up, *norms[2])
+                blocked = conv1d(h2, w)
+                loss = sum_all(mul(add(blocked, conv1d(h3, w, stride=4)), Tensor(g)))
+            return tape, (x, h, c, up, h2, blocked), loss, leaves
+
+        tape, (x, h, c, up, h2, blocked), loss, leaves = grads()
+        assert isinstance(c._recipe, dc._Conv) and isinstance(up._recipe, dc._Conv)
+        assert c._recipe.u is h._recipe and h2._recipe.x is c._recipe and blocked._recipe is None
+        assert tape._nodes[4][2][0] is c._recipe and c._recipe.reader == (tape._token, 4)
+        for t in (c, up, h2):
+            assert t._recipe.build().tobytes() == t.data.tobytes()
+        assert tape.held_output_elems() == x.size
+        calls = []
+        op = c._recipe.op
+        c._recipe.op = lambda *a: calls.append(1) or op(*a)
+        backward(tape, loss)
+        assert len(calls) == 1 and c._recipe.built is None and up._recipe.built is None
+        rebuilt = [t.grad for t in leaves]
+        monkeypatch.setattr(dc, "_conv_recipe", lambda out, *args: out)
+        tape, (x, h, c, up, *_), loss, leaves = grads()
+        assert tape.held_output_elems() == x.size + c.size + up.size
+        backward(tape, loss)
+        for got, t in zip(rebuilt, leaves):
+            assert got.tobytes() == t.grad.tobytes()
+
     def test_norm_gradients_do_not_depend_on_a_consumer_rebuild(self, monkeypatch):
         # With the consumer's weight trained, its vjp rebuilds the norm output
         # and the norm's vjp reuses that rebuild's standardised values; with

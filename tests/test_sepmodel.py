@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latref import diffcore as dc
 from latref import sepmodel
 from latref.diffcore import Tape, Tensor, add, backward, grad_check, mul, sum_all, transposed_conv1d
 from latref.losses import pit_loss
@@ -154,8 +155,10 @@ def desk_block(sub_blocks, seed):
 
 
 class TestSubBlockTape:
-    """A taped sub-block holds its input and its conv outputs: each norm
-    output and each skip sum is kept as a recipe and rebuilt in backward."""
+    """A taped sub-block holds its input and four of its six conv outputs:
+    each norm output, each skip sum and each conv output over a norm of a
+    held array (``down1`` and ``up0`` at three scales) is kept as a recipe
+    and rebuilt in backward."""
 
     @staticmethod
     def taped_grads(sb, x, y):
@@ -170,10 +173,11 @@ class TestSubBlockTape:
         return held, [t.grad for t in [x, sb.proj.w] + params]
 
     def test_holds_input_and_conv_outputs_only(self):
-        # desk L = 1000: v 32k, down convs 16k + 8k + 4k, up convs 8k + 16k + 32k
+        # desk L = 1000: v 32k, down convs 16k + 4k, up convs 16k + 32k; down1
+        # (8k) and up0 (8k) are convs over a norm of a held conv output
         (sb,), x, y = desk_block(1, 0)
         held, _ = self.taped_grads(sb, x, y)
-        assert held == 32 * (1000 + 500 + 250 + 125 + 250 + 500 + 1000) == 116_000
+        assert held == 32 * (1000 + 500 + 125 + 500 + 1000) == 100_000
 
     def test_gradients_equal_those_with_skip_sums_held(self, monkeypatch):
         (sb,), x, y = desk_block(1, 1)
@@ -186,13 +190,24 @@ class TestSubBlockTape:
         for got, want in zip(rebuilt, kept):
             assert np.array_equal(got, want)
 
+    def test_gradients_equal_those_with_rebuilt_convs_held(self, monkeypatch):
+        (sb,), x, y = desk_block(1, 4)
+        held, rebuilt = self.taped_grads(sb, x, y)
+        # With no conv output given a recipe, down1 and up0 are held.
+        monkeypatch.setattr(dc, "_conv_recipe", lambda out, *args: out)
+        held_convs, kept = self.taped_grads(sb, x, y)
+        assert held_convs - held == 32 * (250 + 250)
+        for got, want in zip(rebuilt, kept):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestBlockTape:
-    """A taped block application holds its input and its sub-blocks' conv
-    outputs, and of the later sub-blocks' inputs only every second one: an
-    input built from a held one is kept as a recipe (that input and the
-    recipe of the sub-block's last norm output) and rebuilt in backward,
-    and one built from a rebuilt one is held, so no rebuild builds another."""
+    """A taped block application holds its input and its sub-blocks' held
+    conv outputs, and of the later sub-blocks' inputs only every second
+    one: an input built from a held one is kept as a recipe (that input
+    and the recipe of the sub-block's last norm output) and rebuilt in
+    backward, and one built from a rebuilt one is held, so no rebuild
+    builds another."""
 
     @staticmethod
     def taped_grads(block, x, y, held_inputs=False):
@@ -214,12 +229,12 @@ class TestBlockTape:
 
     @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
     def test_holds_input_and_conv_outputs_only(self, sub_blocks):
-        # desk L = 1000: the input 32k, each sub-block's six conv outputs 84k
-        # and the third sub-block's input 32k; two sub-blocks hold 200k, 232k
-        # with the inner input held
+        # desk L = 1000: the input 32k, four of each sub-block's six conv
+        # outputs 68k and the third sub-block's input 32k; two sub-blocks hold
+        # 168k, 200k with the inner input held
         block, x, y = desk_block(sub_blocks, 2)
         held, _ = self.taped_grads(block, x, y)
-        assert held == 32_000 * (1 + (sub_blocks - 1) // 2) + sub_blocks * 84_000
+        assert held == 32_000 * (1 + (sub_blocks - 1) // 2) + sub_blocks * 68_000
 
     @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
     def test_gradients_equal_those_with_inner_inputs_held(self, sub_blocks):
