@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import MixtureSpec, build_splits, check_floats, check_ints, make_dataset
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu_norm
-from .diffcore import relu, sum_all, transposed_conv1d, upsample_conv1d, upsample_nearest
+from .diffcore import relu, sum_all, transposed_conv1d, upsample_conv1d
 from .gating import GateParams, _blend, _gate_soft, gate_from_arrays, gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
@@ -403,7 +403,6 @@ def gradcheck_suite(rng=None) -> float:
         (lambda: sum_all(conv1d(x, w, b, stride=2)), [x, w, b]),
         (lambda: sum_all(transposed_conv1d(x, tw, stride=2)), [x, tw]),
         (lambda: sum_all(mul(prelu_norm(x, slope, gamma, beta), y)), [x, slope, gamma, beta]),
-        (lambda: sum_all(mul(upsample_nearest(x, 16), upsample_nearest(y, 16))), [x, y]),
         (lambda: sum_all(mul(x, x)), [x]),
     ]
     for f, ps in checks:

@@ -8,13 +8,11 @@ The op set is exactly what the separation stack needs:
 - ``conv1d`` and its exact adjoint ``transposed_conv1d``, which share one
   padding geometry and one windowing; a stride above the kernel leaves
   zeros between the transposed conv's kernel copies;
-- nearest-neighbour ``upsample_nearest`` and ``slice_rows``, the plain
-  ops that ``upsample_conv1d`` and ``masked_decode`` are tested against;
 - ``residual``: v + conv1d(u, w), a conv and an add whose taped sum can
   be rebuilt rather than held;
 - ``upsample_conv1d``: a x2 nearest upsample followed by a "same" conv,
   run as one conv of the source whose two output phases interleave, one
-  node per sub-block up scale (``upsample_nearest`` is its reference);
+  node per sub-block up scale;
 - ``masked_decode``: the mask net's conv, ReLU of its logits, masking of
   the encoding and one transposed conv per source, fused into one node
   whose vjp runs the transposed conv's own per source in one B x L
@@ -36,11 +34,10 @@ arrays its vjp reads (its saved arrays) and nothing it can rebuild exactly
 from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d`` and
 ``prelu_norm`` keep their input, ``relu`` its output, ``mul`` the other
 operand of each gradient it needs, ``masked_decode`` the latent and the
-encoding (never the S x B x L logits), and the slicing, summing and adding
-ops nothing.  An op output
-that can be rebuilt exactly from arrays the tape holds anyway carries a
-recipe (a :class:`_Recipe`), and a node that would save it saves the
-recipe instead:
+encoding (never the S x B x L logits), and the summing and adding ops
+nothing.  An op output that can be rebuilt exactly from arrays the tape
+holds anyway carries a recipe (a :class:`_Recipe`), and a node that would
+save it saves the recipe instead:
 
 - :class:`_Normalised`, a ``prelu_norm`` output: the norm's own input (or
   its recipe, if the input carries one) and parameters and its C x 1
@@ -51,9 +48,10 @@ recipe instead:
 - :class:`_Conv`, a ``conv1d`` or ``upsample_conv1d`` output over a
   ``prelu_norm`` output whose own input is held (an array, not a recipe):
   the op, the norm's recipe and the op's other arguments.  A conv over a
-  norm of a rebuilt input carries none, so no conv rebuild builds another
-  and each costs one conv.  In a sub-block the rule picks ``down1``,
-  ``down3``, ... and ``up0`` (and the projection, whose sum saves nothing);
+  norm of a rebuilt input carries none, so a rebuild reaches back through
+  at most one conv and one norm to a held array.  In a sub-block the rule
+  picks ``down1``, ``down3``, ... and ``up0`` (and the projection, whose
+  sum saves nothing);
 - :class:`_Residual`, a ``residual`` sum over a ``u`` with a recipe: ``v``
   (an array the tape keeps anyway), ``u``'s recipe and the weight.  The
   model makes every sub-block input after a block's first one a
@@ -61,21 +59,24 @@ recipe instead:
   block application of k sub-blocks holds its input and (k - 1) // 2 of
   the k - 1 inputs after it, none at the desk's two.
 
-The sweep builds a recipe into its array bit for bit while the reading
-vjp runs, and a norm's vjp reuses the standardised values of the last
-such rebuild before it.  A conv rebuild is built once per sweep and kept
-until the norm over it, its last reader, takes it.  Masks, normalised
-values and the fused ops' inner results are recomputed from the saved
-arrays, and closures capture only shapes, flags and C x 1 statistics,
-never a :class:`Tensor`.  So an op output that no vjp reads is freed as
-soon as the forward drops it, and the tape's held count
+One rule governs the rebuilds.  The sweep builds a recipe bit for bit when
+a vjp first reads it and keeps that build (its memo); every later read
+takes the memo, and the sweep drops it on reaching the node that produced
+the output, which comes after every node that reads it.  A norm's memo is
+its standardised values, from which each build makes the output out of
+place and which the norm's own vjp takes, so a sweep standardises each
+norm and runs each rebuilt conv once.  Masks, normalised values and the
+fused ops' inner results are recomputed from the saved arrays, and
+closures capture only shapes, flags and C x 1 statistics, never a
+:class:`Tensor`.  So an op output that no vjp reads is freed as soon as
+the forward drops it, and the tape's held count
 (:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
 reverse sweep frees each output's gradient as soon as its node's vjp has
 consumed it and each node's saved arrays as soon as it reaches the node,
-and ``.grad`` is set on leaves only.  A vjp masks by
-multiplying with the comparison (``g * (out > 0)``), never with
-``np.where``: a select branches on every element, which on mixed-sign
-activations costs several times the multiply.
+and ``.grad`` is set on leaves only.  A vjp masks by multiplying with the
+comparison (``g * (out > 0)``), never with ``np.where``: a select branches
+on every element, which on mixed-sign activations costs several times the
+multiply.
 
 Everything is float64 and single-threaded numpy, so repeated evaluation of
 the same graph on the same inputs is bit-identical.
@@ -158,13 +159,16 @@ class Tape:
     gradient.  The saved arrays are what the vjp reads, passed to it after
     the output gradient; no op output is held otherwise.  A saved entry may
     instead be the recipe (:class:`_Recipe`) of an input that carries one,
-    which the sweep builds into that array only while the vjp runs.
+    which the sweep builds into that array when the vjp runs.  The tape
+    notes each output's recipe under its node's position, which is where
+    the sweep drops the recipe's memo.
     """
 
     def __init__(self):
         self._token = object()  # names the tape in keys without keeping it alive
         self._nodes = []
         self._held = {}  # id of a saved op-output array -> (producing node, elements)
+        self._made = {}  # node position -> the recipe of that node's output
         self._swept = False  # set by backward, which releases the saved arrays
 
     def __enter__(self):
@@ -209,7 +213,8 @@ def _finish(out_data, inputs, vjp, saved=()):
     as it is and called as ``vjp(g, *saved)``; ``saved`` holds the arrays
     it reads (None for one it does not need).  The array of an input this
     tape produced is saved as the input's recipe if it carries one, and is
-    then not held.
+    then not held.  Any other entry, such as the bound ``take`` of
+    ``prelu_norm``'s own recipe, reaches the vjp as it is.
     """
     tape = _active()
     if tape is None or not any(t.requires_grad for t in inputs):
@@ -234,7 +239,6 @@ def _finish(out_data, inputs, vjp, saved=()):
                         tape._held[id(a)] = (ref, a.size)
                     else:
                         a = t._recipe
-                        a.claim(out._key)
                     break
         kept.append(a)
     tape._nodes.append((out_data.size, refs, tuple(kept), vjp))
@@ -267,9 +271,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
     stays None.  Terms are summed in reverse tape order: the second makes a
     new array and later ones add into it in place, never into an array a
     vjp returned (``add``'s vjp passes its ``g`` on).  A saved recipe is
-    built, with the node's key, just before the node's vjp reads it.  The
-    sweep releases each node's saved arrays as it reaches the node, so a
-    tape is swept once; its node and element counts stay as recorded.
+    made (or its memo taken) just before the node's vjp reads it.  The
+    sweep releases each node's saved arrays, and drops the memo of the
+    recipe its output carries, as it reaches the node, whether or not the
+    vjp runs; so a tape is swept once, and its node and element counts stay
+    as recorded.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("backward expects a Tensor loss")
@@ -278,29 +284,29 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if tape._swept:
         raise ValueError("backward has already swept this tape; record the forward on a new one")
     tape._swept = True
-    nodes, token = tape._nodes, tape._token
+    nodes, token, made = tape._nodes, tape._token, tape._made
     on_tape = loss._key is not None and loss._key[0] is token
     grads = {loss._key[1] if on_tape else loss: np.ones_like(loss.data)}
     owned = set()  # keys whose gradient is a sum backward allocated
     for pos in range(len(nodes) - 1, -1, -1):
         n, refs, saved, vjp = nodes[pos]
-        nodes[pos] = (n, refs, None, vjp)  # this sweep is the saved arrays' last reader
+        nodes[pos] = (n, refs, None, vjp)  # no later node reads the saved arrays
         g = grads.pop(pos, None)
-        if g is None:
-            continue
-        # A recipe is built into the array it stands for only while the vjp runs.
-        terms = vjp(g, *[a.build((token, pos)) if isinstance(a, _Recipe) else a for a in saved])
-        for ref, gt in zip(refs, terms):
-            if ref is None or gt is None:
-                continue
-            acc = grads.get(ref)
-            if acc is None:
-                grads[ref] = gt
-            elif ref in owned:
-                grads[ref] += gt
-            else:
-                grads[ref] = acc + gt
-                owned.add(ref)
+        if g is not None:
+            terms = vjp(g, *[a.build() if isinstance(a, _Recipe) else a for a in saved])
+            for ref, gt in zip(refs, terms):
+                if ref is None or gt is None:
+                    continue
+                acc = grads.get(ref)
+                if acc is None:
+                    grads[ref] = gt
+                elif ref in owned:
+                    grads[ref] += gt
+                else:
+                    grads[ref] = acc + gt
+                    owned.add(ref)
+        if pos in made:  # every node that reads the output came before
+            made.pop(pos).memo = None
     leaves = {ref: None for _, refs, _, _ in nodes for ref in refs if isinstance(ref, Tensor)}
     for leaf in leaves:
         g = grads.get(leaf)
@@ -325,7 +331,7 @@ def add(a, b) -> Tensor:
     out = _finish(out, (a, b), vjp)
     if (out._key is not None and sa == sb and isinstance(a._recipe, _Normalised)
             and isinstance(b._recipe, _Normalised)):
-        out._recipe = _Sum(a._recipe, b._recipe)
+        _give(out, _Sum(a._recipe, b._recipe))
     return out
 
 
@@ -408,20 +414,21 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     _affine(h, gamma.data, beta.data, out=h)
     # Only x and the C x 1 statistics are kept; the PReLU output and xhat are
     # recomputed from x by the forward's own ops, so they are bit-identical
-    # to the forward's.  The output's first reader, the last node the sweep
-    # reaches before this one, leaves its rebuild's xhat in ``reuse``, which
-    # is then taken instead.
+    # to the forward's.  The output's recipe keeps the xhat of its first
+    # build in the sweep, and the vjp takes that xhat or, if nothing rebuilt
+    # the output, has the recipe make it.
     # With T samples per channel and gh = gamma * g, the norm's gradient
     #   inv * (gh - mean(gh) - xhat * mean(gh * xhat))
     # takes both means from the affine's row sums:
     #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
     T = x.data.shape[1]
     need_x, need_s, need_gamma, need_beta = (t.requires_grad for t in (x, slope, gamma, beta))
-    reuse = []
+    recipe = _Normalised(x.data if x._recipe is None else x._recipe,
+                         slope.data, gamma.data, beta.data, mu, inv)
 
-    def vjp(g, x_data, slope_data, gamma_data, reuse):
+    def vjp(g, x_data, slope_data, gamma_data, take_xhat):
         s = slope_data[:, None]
-        xhat = reuse.pop() if reuse else _standardised(x_data, s, mu, inv)
+        xhat = take_xhat()
         gbeta = g.sum(axis=1)
         ggamma = np.einsum("ct,ct->c", g, xhat)
         gx = gs = None
@@ -438,11 +445,8 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
                 gx = gh
         return (gx, gs, ggamma if need_gamma else None, gbeta if need_beta else None)
 
-    out = _finish(h, (x, slope, gamma, beta), vjp, (x.data, slope.data, gamma.data, reuse))
-    if out._key is not None:
-        x_kept = x.data if x._recipe is None else x._recipe
-        out._recipe = _Normalised(x_kept, slope.data, gamma.data, beta.data, mu, inv, reuse)
-    return out
+    out = _finish(h, (x, slope, gamma, beta), vjp, (x.data, slope.data, gamma.data, recipe.take))
+    return out if out._key is None else _give(out, recipe)
 
 
 def _standardised(x, s, mu, inv):
@@ -466,71 +470,77 @@ class _Recipe:
     """Rebuilds a taped op output exactly from arrays the tape already holds.
 
     A node saves an input that carries a recipe as the recipe (see
-    :func:`_finish`), which claims it with that node's key, and
-    :func:`backward` calls ``build`` with the key of the node whose vjp is
-    about to read the array, so the array exists only while that vjp runs.
+    :func:`_finish`), and :func:`backward` builds it just before that node's
+    vjp reads it.  The first build in a sweep is kept as ``memo`` and every
+    later one returns it, so the readers share one array and none writes
+    into it.  The sweep drops the memo on reaching the node that produced
+    the output, which it reaches after every node that reads it.
     """
 
-    __slots__ = ()
+    __slots__ = ("memo",)
 
-    def claim(self, key) -> None:
+    def build(self):
+        if self.memo is None:
+            self.memo = self.make()
+        return self.memo
+
+    def make(self):
         raise NotImplementedError
 
-    def build(self, key=None):
-        raise NotImplementedError
+
+def _give(out: Tensor, recipe: _Recipe) -> Tensor:
+    """Attach ``recipe`` to the taped output ``out`` and note it on the tape
+    under ``out``'s node, where the sweep drops the recipe's memo."""
+    out._recipe = recipe
+    _active()._made[out._key[1]] = recipe
+    return out
 
 
 class _Normalised(_Recipe):
     """The recipe of a taped ``prelu_norm`` output: its input, slope and
     affine and the C x 1 statistics, every one an array its node or a
     parameter already holds.  An input that is rebuilt itself (a
-    :class:`_Conv`) is kept as its recipe and built first.
+    :class:`_Conv`) is kept as its recipe and rebuilt first.
 
-    ``reader`` is the key of the first node to claim it: the last reader the
-    sweep reaches before the norm's own node.  Building for that reader
-    leaves the standardised values in ``reuse``, a list the norm's node
-    saves, and makes the output out of place from them; the norm's vjp, run
-    next but for pass-through sums, takes them instead of computing them
-    again.
+    Its memo is the standardised values, not the output: each build returns
+    their affine out of place, and the norm's own vjp takes them to write
+    over (:meth:`take`), so a sweep standardises each norm once.
     """
 
-    __slots__ = ("x", "slope", "gamma", "beta", "mu", "inv", "reuse", "reader")
+    __slots__ = ("x", "slope", "gamma", "beta", "mu", "inv")
 
-    def __init__(self, x, slope, gamma, beta, mu, inv, reuse):
+    def __init__(self, x, slope, gamma, beta, mu, inv):
         self.x, self.slope, self.gamma, self.beta, self.mu, self.inv = x, slope, gamma, beta, mu, inv
-        self.reuse = reuse
-        self.reader = None
+        self.memo = None
 
-    def claim(self, key) -> None:
-        if self.reader is None:
-            self.reader = key
+    def make(self):
+        x = self.x.build() if isinstance(self.x, _Recipe) else self.x
+        return _standardised(x, self.slope[:, None], self.mu, self.inv)
 
-    def build(self, key=None):
-        x = self.x.build(key) if isinstance(self.x, _Recipe) else self.x
-        xhat = _standardised(x, self.slope[:, None], self.mu, self.inv)
-        if key is None or key != self.reader:
-            return _affine(xhat, self.gamma, self.beta, out=xhat)
-        self.reuse[:] = [xhat]
-        return _affine(xhat, self.gamma, self.beta, out=None)
+    def build(self):
+        return _affine(super().build(), self.gamma, self.beta, out=None)
+
+    def take(self):
+        """The standardised values, made now if no build made them, handed
+        over with the memo dropped."""
+        xhat, self.memo = super().build(), None
+        return xhat
 
 
 class _Sum(_Recipe):
     """The recipe of a taped sum of two outputs that carry recipes, such as
     a U-Net skip addition of two ``prelu_norm`` outputs: it builds both and
-    adds them as the forward did."""
+    adds them as the forward did.  A norm's build is a new array, not its
+    memo, so the sum is made in place of the first."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: _Recipe, b: _Recipe):
-        self.a, self.b = a, b
+        self.a, self.b, self.memo = a, b, None
 
-    def claim(self, key) -> None:
-        self.a.claim(key)
-        self.b.claim(key)
-
-    def build(self, key=None):
-        out = self.a.build(key)
-        out += self.b.build(key)
+    def make(self):
+        out = self.a.build()
+        out += self.b.build()
         return out
 
 
@@ -538,39 +548,26 @@ class _Conv(_Recipe):
     """The recipe of a taped ``conv1d`` or ``upsample_conv1d`` output over a
     ``prelu_norm`` output whose own input is held: the op, the norm's
     recipe and the op's other arguments.  It builds the output with the
-    op's own forward on the norm's rebuild, so the bits are the forward's.
+    op's own forward on the norm's rebuild, so the bits are the forward's;
+    its memo serves both the norm over the output and that norm's rebuilds,
+    so a sweep runs the op once."""
 
-    ``reader`` is the key of the first node to claim it, the last reader
-    the sweep reaches: in the model, the norm over the output.  A build for
-    any other key (there, a rebuild of that norm's output) is kept until
-    the reader's build takes it, so a sweep runs the op once.
-    """
-
-    __slots__ = ("op", "u", "args", "reader", "built")
+    __slots__ = ("op", "u", "args")
 
     def __init__(self, op, u: _Recipe, args):
-        self.op, self.u, self.args = op, u, args
-        self.reader = self.built = None
+        self.op, self.u, self.args, self.memo = op, u, args, None
 
-    def claim(self, key) -> None:
-        if self.reader is None:
-            self.reader = key
-
-    def build(self, key=None):
-        out = self.built
-        if out is None:
-            out = self.op(self.u.build(key), *self.args).data
-        self.built = None if key is None or key == self.reader else out
-        return out
+    def make(self):
+        return self.op(self.u.build(), *self.args).data
 
 
 def _conv_recipe(out: Tensor, x: Tensor, op, *args) -> Tensor:
     """Give a taped conv output ``out`` a :class:`_Conv` recipe if its input
     ``x`` is a ``prelu_norm`` output over a held array.  A conv over a norm
-    of a rebuilt input gets none, so no conv rebuild builds another."""
+    of a rebuilt input gets none, so no conv rebuild reaches past a norm."""
     u = x._recipe
     if out._key is not None and isinstance(u, _Normalised) and not isinstance(u.x, _Recipe):
-        out._recipe = _Conv(op, u, args)
+        _give(out, _Conv(op, u, args))
     return out
 
 
@@ -583,13 +580,10 @@ class _Residual(_Recipe):
     __slots__ = ("v", "u", "w")
 
     def __init__(self, v, u: _Recipe, w):
-        self.v, self.u, self.w = v, u, w
+        self.v, self.u, self.w, self.memo = v, u, w, None
 
-    def claim(self, key) -> None:
-        self.u.claim(key)
-
-    def build(self, key=None):
-        out = conv1d(self.u.build(key), self.w).data
+    def make(self):
+        out = conv1d(self.u.build(), self.w).data
         out += self.v
         return out
 
@@ -695,7 +689,7 @@ def residual(v, u, w) -> Tensor:
     out = add(v, conv1d(u, w))
     if out._key is not None and u._recipe is not None and v._recipe is None and (
             v._key is None or id(v.data) in _active()._held):
-        out._recipe = _Residual(v.data, u._recipe, w.data)
+        _give(out, _Residual(v.data, u._recipe, w.data))
     return out
 
 
@@ -809,31 +803,6 @@ def transposed_conv1d(
     return _finish(out, (v, w) if b is None else (v, w, b), vjp, _conv_saved(v, w))
 
 
-def upsample_nearest(x, length: int) -> Tensor:
-    """Stretch a C x L tensor to C x length by repeating samples."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ValueError(f"upsample_nearest expects a 2-D input, got shape {x.data.shape}")
-    src = x.data.shape[1]
-    if length < src:
-        raise ValueError(f"target length {length} is shorter than source length {src}")
-    idx = (np.arange(length) * src) // length
-    out = x.data[:, idx]
-
-    def vjp(g):
-        # Each source column owns a contiguous run of output columns; its
-        # gradient gathers the runs' first columns, then adds each later one.
-        starts = np.searchsorted((np.arange(length) * src) // length, np.arange(src))
-        runs = np.diff(starts, append=length)
-        gx = g[:, starts]
-        for r in range(1, int(runs.max())):
-            has = runs > r
-            gx[:, has] += g[:, starts[has] + r]
-        return (gx,)
-
-    return _finish(out, (x,), vjp)
-
-
 @lru_cache(maxsize=256)
 def _phase_taps(K: int):
     """Tap map of a stride-1 "same" K-tap conv over a x2 nearest upsample.
@@ -861,7 +830,8 @@ def _phase_weights(w, taps, Kp: int):
 
 
 def upsample_conv1d(u, w, b, length: int) -> Tensor:
-    """``conv1d(upsample_nearest(u, length), w, b)``, computed at the source rate.
+    """A "same" conv by ``w`` and ``b`` of ``u`` upsampled x2 by repeating
+    samples, computed at the source rate.
 
     ``u`` is Cin x src, ``w`` is Cout x Cin x K, ``b`` is Cout, and
     ``length`` is 2 * src or 2 * src - 1.  Nearest upsampling repeats each
@@ -919,23 +889,6 @@ def upsample_conv1d(u, w, b, length: int) -> Tensor:
 
     out = _finish(out, (u, w, b), vjp, _conv_saved(u, w))
     return _conv_recipe(out, u, upsample_conv1d, w.data, b.data, length)
-
-
-def slice_rows(x, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) along axis 0, as a differentiable view-copy."""
-    x = _as_tensor(x)
-    n = x.data.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ValueError(f"row slice [{start}, {stop}) out of range for {n} rows")
-    out = x.data[start:stop].copy()
-    x_shape = x.data.shape
-
-    def vjp(g):
-        gx = np.zeros(x_shape)
-        gx[start:stop] = g
-        return (gx,)
-
-    return _finish(out, (x,), vjp)
 
 
 def _accumulate(acc, term):

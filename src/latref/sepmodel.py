@@ -445,9 +445,12 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         arrays = {}
         for entry in header["tensors"]:
             try:
-                name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
-            except (KeyError, TypeError, ValueError) as e:
+                name, shape = entry["name"], tuple(entry["shape"])
+            except (KeyError, TypeError) as e:
                 raise ValueError(f"checkpoint {path} has a malformed tensor entry {entry!r}") from e
+            if any(type(n) is not int or n < 0 for n in shape):
+                raise ValueError(f"checkpoint {path} has a malformed tensor entry {entry!r}: "
+                                 f"a shape holds non-negative integers")
             n_elems = int(np.prod(shape)) if shape else 1
             buf = fh.read(8 * n_elems)
             if len(buf) != 8 * n_elems:

@@ -21,14 +21,13 @@ from latref.diffcore import (
     mul,
     prelu_norm,
     relu,
-    slice_rows,
     sum_all,
     transposed_conv1d,
     upsample_conv1d,
-    upsample_nearest,
 )
 from latref.gating import _blend, _gate_soft, gate_named_parameters, init_gate
 from latref.losses import pit_loss
+from reference_ops import slice_rows, upsample_nearest
 
 
 def conv1d_oracle(x, w, b=None, stride=1, padding="same"):
@@ -544,8 +543,9 @@ class TestFusedOps:
         # A conv or upsample conv over a norm of a held array carries a
         # recipe, which the norm over it saves in the conv output's place and
         # which rebuilds the output bit for bit; a conv over that norm (of a
-        # rebuilt input) carries none.  The sweep runs the rebuild once, for
-        # the reader of the norm over it, and the norm's node takes it.
+        # rebuilt input) carries none.  The sweep runs each rebuild's op
+        # once: the norm over the output and that norm's rebuilds share its
+        # memo, which is gone once the sweep has passed the conv's node.
         rng = np.random.default_rng(49)
         x0 = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norms = [[Tensor(a, requires_grad=True) for a in
@@ -570,15 +570,18 @@ class TestFusedOps:
         tape, (x, h, c, up, h2, blocked), loss, leaves = grads()
         assert isinstance(c._recipe, dc._Conv) and isinstance(up._recipe, dc._Conv)
         assert c._recipe.u is h._recipe and h2._recipe.x is c._recipe and blocked._recipe is None
-        assert tape._nodes[4][2][0] is c._recipe and c._recipe.reader == (tape._token, 4)
+        assert tape._nodes[4][2][0] is c._recipe and tape._made[2] is c._recipe
         for t in (c, up, h2):
             assert t._recipe.build().tobytes() == t.data.tobytes()
         assert tape.held_output_elems() == x.size
+        # A fresh tape, so no build above leaves a memo the sweep would use.
+        tape, (x, h, c, up, h2, blocked), loss, leaves = grads()
         calls = []
-        op = c._recipe.op
-        c._recipe.op = lambda *a: calls.append(1) or op(*a)
+        for r in (c._recipe, up._recipe):
+            r.op = lambda *a, op=r.op: calls.append(op) or op(*a)
         backward(tape, loss)
-        assert len(calls) == 1 and c._recipe.built is None and up._recipe.built is None
+        assert len(calls) == 2 and set(calls) == {conv1d, upsample_conv1d}  # each op once
+        assert all(t._recipe.memo is None for t in (h, c, up, h2)) and tape._made == {}
         rebuilt = [t.grad for t in leaves]
         monkeypatch.setattr(dc, "_conv_recipe", lambda out, *args: out)
         tape, (x, h, c, up, *_), loss, leaves = grads()
@@ -589,9 +592,10 @@ class TestFusedOps:
 
     def test_norm_gradients_do_not_depend_on_a_consumer_rebuild(self, monkeypatch):
         # With the consumer's weight trained, its vjp rebuilds the norm output
-        # and the norm's vjp reuses that rebuild's standardised values; with
-        # it frozen, nothing is rebuilt and the norm's vjp makes them itself.
-        # Either way the sweep standardises once and the gradients are equal.
+        # and the norm's vjp takes that rebuild's standardised values from
+        # the recipe's memo; with it frozen, nothing is rebuilt and the norm's
+        # vjp has the recipe make them.  Either way the sweep standardises
+        # once, leaves no memo and gives equal gradients.
         rng = np.random.default_rng(46)
         x0 = rng.normal(size=(2, 30))
         w0 = rng.normal(size=(3, 2, 3))
@@ -608,7 +612,7 @@ class TestFusedOps:
                 loss = sum_all(mul(conv1d(h, Tensor(w, requires_grad=w_trained), stride=2), Tensor(g)))
             calls.clear()
             backward(tape, loss)
-            assert len(calls) == 1 and h._recipe.reuse == []
+            assert len(calls) == 1 and h._recipe.memo is None
             return [t.grad for t in leaves]
 
         for rebuilt, made in zip(grads(True), grads(False)):

@@ -538,7 +538,12 @@ class TestCheckpoint:
         (lambda h: h.update(meta=3), "object 'meta'"),
         (lambda h: h.update(stages="2"), "integer 'stages'"),
         (lambda h: h["config"].update(blocks=7), "invalid model config"),
-    ], ids=["tensor_entry", "meta", "stages", "config"])
+        (lambda h: h["tensors"][0].update(shape=[2.9, 1, 4]), r"\[2\.9, 1, 4\].*non-negative integers"),
+        (lambda h: h["tensors"][0].update(shape=[True, 1, 4]), r"\[True, 1, 4\].*non-negative integers"),
+        (lambda h: h["tensors"][0].update(shape=[-1, 1, 4]), r"\[-1, 1, 4\].*non-negative integers"),
+        (lambda h: h["tensors"][0].update(shape=[-1, -1]), r"\[-1, -1\].*non-negative integers"),
+    ], ids=["tensor_entry", "meta", "stages", "config", "shape_float", "shape_bool",
+            "shape_negative", "shape_two_unknown"])
     def test_malformed_header_values_rejected(self, tmp_path, edit, cause):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(toy_config(), np.random.default_rng(37)))

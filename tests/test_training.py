@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import latref.diffcore as dc
 import latref.training as training
 from latref.data import MixtureSpec, build_splits
 from latref.diffcore import Tape, Tensor, backward
@@ -512,6 +513,27 @@ def test_training_item_peak_memory_tracks_account(stage):
         tracemalloc.stop()
     above = peak - report.trainable_param_bytes
     assert above <= 1.25 * account, f"peak less leaf gradients {above / account:.2f}x the account"
+
+
+def test_sweep_standardises_each_norm_once(monkeypatch):
+    """A desk item's backward sweep standardises each taped prelu_norm once:
+    the norm's rebuilds for its readers, the rebuilds of convs over it and
+    its own vjp share the standardised values its recipe keeps from the
+    first build.  No recipe keeps anything after the sweep."""
+    config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
+    params = init_params(config, np.random.default_rng(0))
+    sources = np.random.default_rng(1).normal(size=(3, 2000))
+    with Tape() as tape:
+        ests, _ = run_model(sources.sum(axis=0), params)
+        loss = pit_loss(ests, sources, 2).loss
+    norms = sum(vjp.__qualname__.startswith("prelu_norm.") for *_, vjp in tape._nodes)
+    recipes = [a for _, _, saved, _ in tape._nodes for a in saved if isinstance(a, dc._Recipe)]
+    calls = []
+    standardised = dc._standardised
+    monkeypatch.setattr(dc, "_standardised", lambda *a: calls.append(1) or standardised(*a))
+    backward(tape, loss)
+    assert (norms, len(calls)) == (48, 48)
+    assert recipes and all(r.memo is None for r in recipes)
 
 
 def test_memory_stage_roughly_halves_activations():
