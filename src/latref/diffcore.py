@@ -29,6 +29,15 @@ needs (a conv's tap runs, ``masked_decode``'s geometry) is worked out
 inside the vjp, so no node holds it; conv geometries and tap runs are
 memoised by their integer arguments.
 
+A vjp returns the gradient of every input it can form, and the sweep drops
+the term of an input that needs none.  A vjp skips a gradient only where a
+training regime feeds an input that needs none and the skip saves work or
+memory: ``conv1d`` keeps its weight only for its input's gradient (the
+encoder's signal and the first conv after a freeze line need none),
+``mul`` keeps each operand only for the other's gradient (a constant or a
+frozen operand needs none), and ``masked_decode`` forms ``v_enc``'s
+gradient only when it needs one (a frozen encoder's does not).
+
 Memory follows what the backward closures (vjps) read.  A node holds the
 arrays its vjp reads (its saved arrays) and nothing it can rebuild exactly
 from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d`` and
@@ -338,7 +347,8 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
-    # Each operand's gradient reads the other operand, kept only if needed.
+    # Each operand's gradient reads the other operand, which is kept only
+    # if that gradient is needed: a constant or a frozen operand needs none.
     saved = (a.data if b.requires_grad else None, b.data if a.requires_grad else None)
     sa, sb = a.data.shape, b.data.shape
 
@@ -389,7 +399,7 @@ def sum_all(x) -> Tensor:
     return _finish(out, (x,), vjp)
 
 
-def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
+def prelu_norm(x, slope, gamma, beta) -> Tensor:
     """PReLU, then per-channel standardisation over time with a learnable affine.
 
     ``x`` is C x T and ``slope``, ``gamma``, ``beta`` have shape C.  The PReLU
@@ -409,7 +419,7 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     h = _prelu_into(np.maximum(x.data, 0.0), x.data, s)
     mu = h.mean(axis=1, keepdims=True)
     h -= mu
-    inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + NORM_EPS)
     h *= inv
     _affine(h, gamma.data, beta.data, out=h)
     # Only x and the C x 1 statistics are kept; the PReLU output and xhat are
@@ -422,28 +432,21 @@ def prelu_norm(x, slope, gamma, beta, eps: float = NORM_EPS) -> Tensor:
     # takes both means from the affine's row sums:
     #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
     T = x.data.shape[1]
-    need_x, need_s, need_gamma, need_beta = (t.requires_grad for t in (x, slope, gamma, beta))
     recipe = _Normalised(x.data if x._recipe is None else x._recipe,
                          slope.data, gamma.data, beta.data, mu, inv)
 
     def vjp(g, x_data, slope_data, gamma_data, take_xhat):
-        s = slope_data[:, None]
         xhat = take_xhat()
         gbeta = g.sum(axis=1)
         ggamma = np.einsum("ct,ct->c", g, xhat)
-        gx = gs = None
-        if need_x or need_s:
-            gh = xhat  # xhat's last use: overwrite it with the PReLU output's gradient
-            gh *= (-ggamma / T)[:, None]
-            gh += g
-            gh -= (gbeta / T)[:, None]
-            gh *= inv * gamma_data[:, None]
-            if need_s:
-                gs = np.einsum("ct,ct->c", gh, np.minimum(x_data, 0.0))
-            if need_x:
-                gh *= _prelu_slopes(x_data, s)
-                gx = gh
-        return (gx, gs, ggamma if need_gamma else None, gbeta if need_beta else None)
+        gh = xhat  # xhat's last use: overwrite it with the PReLU output's gradient
+        gh *= (-ggamma / T)[:, None]
+        gh += g
+        gh -= (gbeta / T)[:, None]
+        gh *= inv * gamma_data[:, None]
+        gs = np.einsum("ct,ct->c", gh, np.minimum(x_data, 0.0))
+        gh *= _prelu_slopes(x_data, slope_data[:, None])
+        return (gh, gs, ggamma, gbeta)
 
     out = _finish(h, (x, slope, gamma, beta), vjp, (x.data, slope.data, gamma.data, recipe.take))
     return out if out._key is None else _give(out, recipe)
@@ -666,14 +669,16 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
         out += b.data[:, None]
 
     x_shape, w_shape = x.data.shape, w.data.shape
-    need_b = b is not None and b.requires_grad
+    biased = b is not None
 
     def vjp(g, x_data, w_data):
         gx, gw = _conv_vjp(g, x_data, w_data, x_shape, w_shape, stride, left)
-        gb = g.sum(axis=1) if need_b else None
-        return (gx, gw, gb)  # without a bias, backward's zip drops gb
+        return (gx, gw, g.sum(axis=1)) if biased else (gx, gw)
 
-    out = _finish(out, (x, w) if b is None else (x, w, b), vjp, _conv_saved(x, w))
+    # The weight is kept only for the input's gradient: the encoder's signal,
+    # and the first conv after a freeze line, need none.
+    saved = (x.data, w.data if x.requires_grad else None)
+    out = _finish(out, (x, w, b) if biased else (x, w), vjp, saved)
     return _conv_recipe(out, x, conv1d, w.data, None if b is None else b.data, stride, padding)
 
 
@@ -715,29 +720,21 @@ def _tap_runs(T: int, K: int, stride: int, left: int, Tp: int):
     return tuple(runs)
 
 
-def _conv_saved(x: Tensor, w: Tensor):
-    """A conv's saved arrays: the weight gradient reads the input and the
-    input gradient the weight, so each is kept only if the other's gradient
-    is needed."""
-    return (x.data if w.requires_grad else None, w.data if x.requires_grad else None)
-
-
 def _conv_vjp(g, x, w, x_shape, w_shape, stride: int, left: int):
     """(input gradient, weight gradient) of a conv's output gradient ``g``,
-    one matmul per tap run of the conv of an ``x_shape`` input by a
-    ``w_shape`` weight at this stride and left padding.  ``x`` and ``w`` are
-    as :func:`_conv_saved` keeps them; a gradient whose operand is None is
-    None."""
+    one matmul per tap run of the conv of an ``x_shape`` input ``x`` by a
+    ``w_shape`` weight ``w`` at this stride and left padding.  A ``w`` of
+    None, which :func:`conv1d` passes for an input that needs no gradient,
+    gives no input gradient."""
     runs = _tap_runs(x_shape[1], w_shape[2], stride, left, g.shape[1])
-    gx = gw = None
-    if x is not None:
-        gw = np.zeros(w_shape)
-        for k, cols, samples in runs:
-            gw[:, :, k] = g[:, cols] @ x[:, samples].T
-    if w is not None:
-        gx = np.zeros(x_shape)
-        for k, cols, samples in runs:
-            gx[:, samples] += w[:, :, k].T @ g[:, cols]
+    gw = np.zeros(w_shape)
+    for k, cols, samples in runs:
+        gw[:, :, k] = g[:, cols] @ x[:, samples].T
+    if w is None:
+        return None, gw
+    gx = np.zeros(x_shape)
+    for k, cols, samples in runs:
+        gx[:, samples] += w[:, :, k].T @ g[:, cols]
     return gx, gw
 
 
@@ -745,16 +742,13 @@ def _tconv_vjp(g, v, w, K: int, stride: int, left: int, right: int, out=None):
     """(input gradient, weight gradient) of a transposed conv's output
     gradient ``g``: the conv of g in the forward's geometry, both contracted
     from one view of g's windows, window l holding the samples input column
-    l's kernel copy landed on.  ``v`` and ``w`` are as :func:`_conv_saved`
-    keeps them; a gradient whose operand is None is None.  The input
-    gradient is written into ``out`` if given, which may be ``v`` itself:
-    the weight gradient has read it by then."""
+    l's kernel copy landed on, of the forward's input ``v`` and weight
+    ``w``.  The input gradient is written into ``out`` if given, which may
+    be ``v`` itself: the weight gradient has read it by then."""
     gwin = _windows(g, K, stride, left, right)  # (Cout, L, K)
-    gw = None if v is None else np.tensordot(v, gwin, axes=((1,), (1,)))  # (Cin, Cout, K)
-    gv = None
-    if w is not None:  # tensordot(w, gwin, ((1, 2), (0, 2)))'s own GEMM
-        Cin, L = w.shape[0], gwin.shape[1]
-        gv = np.dot(w.reshape(Cin, -1), gwin.transpose(0, 2, 1).reshape(-1, L), out=out)
+    gw = np.tensordot(v, gwin, axes=((1,), (1,)))  # (Cin, Cout, K)
+    Cin, L = w.shape[0], gwin.shape[1]  # tensordot(w, gwin, ((1, 2), (0, 2)))'s own GEMM
+    gv = np.dot(w.reshape(Cin, -1), gwin.transpose(0, 2, 1).reshape(-1, L), out=out)
     return gv, gw
 
 
@@ -793,14 +787,13 @@ def transposed_conv1d(
     if b is not None:
         out += b.data[:, None]
 
-    need_b = b is not None and b.requires_grad
+    biased = b is not None
 
     def vjp(g, v_data, w_data):
         gv, gw = _tconv_vjp(g, v_data, w_data, K, stride, left, right)
-        gb = g.sum(axis=1) if need_b else None
-        return (gv, gw, gb)  # without a bias, backward's zip drops gb
+        return (gv, gw, g.sum(axis=1)) if biased else (gv, gw)
 
-    return _finish(out, (v, w) if b is None else (v, w, b), vjp, _conv_saved(v, w))
+    return _finish(out, (v, w, b) if biased else (v, w), vjp, (v.data, w.data))
 
 
 @lru_cache(maxsize=256)
@@ -863,31 +856,23 @@ def upsample_conv1d(u, w, b, length: int) -> Tensor:
         for k in range(max(0, left - j), length + left - j):
             out[:, j] += w.data[:, :, k] @ u.data[:, (j + k - left) // 2]
 
-    need_b = b.requires_grad
-
     def vjp(g, u_data, w_data):
         gboth = np.zeros((2 * Cout, src))
         gboth[:Cout] = g[:, 0::2]
         gboth[Cout:, :length // 2] = g[:, 1::2]
-        pw = None if w_data is None else _phase_weights(w_data, taps, Kp)
-        gu, gpw = _conv_vjp(gboth, u_data, pw, (Cin, src), (2 * Cout, Cin, Kp), 1, lp)
-        gw = gb = None
-        if gpw is not None:
-            gpw = gpw.reshape(2, Cout, Cin, Kp)
-            gw = np.empty((Cout, Cin, K))
-            for k in range(K):
-                gw[:, :, k] = gpw[0, :, :, taps[0][k]] + gpw[1, :, :, taps[1][k]]
+        gu, gpw = _conv_vjp(gboth, u_data, _phase_weights(w_data, taps, Kp),
+                            (Cin, src), (2 * Cout, Cin, Kp), 1, lp)
+        gpw = gpw.reshape(2, Cout, Cin, Kp)
+        gw = np.empty((Cout, Cin, K))
+        for k in range(K):
+            gw[:, :, k] = gpw[0, :, :, taps[0][k]] + gpw[1, :, :, taps[1][k]]
         for j in dropped:  # the phase conv's vjp counted the dropped copy: take it out
             k = length + left - j
-            if gu is not None:
-                gu[:, src - 1] -= w_data[:, :, k].T @ g[:, j]
-            if gw is not None:
-                gw[:, :, k] -= np.outer(g[:, j], u_data[:, src - 1])
-        if need_b:
-            gb = g.sum(axis=1)
-        return (gu, gw, gb)
+            gu[:, src - 1] -= w_data[:, :, k].T @ g[:, j]
+            gw[:, :, k] -= np.outer(g[:, j], u_data[:, src - 1])
+        return (gu, gw, g.sum(axis=1))
 
-    out = _finish(out, (u, w, b), vjp, _conv_saved(u, w))
+    out = _finish(out, (u, w, b), vjp, (u.data, w.data))
     return _conv_recipe(out, u, upsample_conv1d, w.data, b.data, length)
 
 
@@ -945,9 +930,9 @@ def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: 
         out[s * Cout:(s + 1) * Cout] = transposed_conv1d(
             masked, w.data, b.data, stride=stride, padding="same", out_length=out_length).data
 
-    inputs = (latent, mask_w, mask_b, v_enc, w, b)
-    need_lat, need_mw, need_mb, need_v, need_w, need_b = (t.requires_grad for t in inputs)
-    need_z = need_lat or need_mw or need_mb
+    # A frozen encoder's v_enc (progressive stage 1 on) needs no gradient,
+    # and forming one would put a B x L array where an item's memory peaks.
+    need_v = v_enc.requires_grad
 
     def vjp(g, lat_data, mw_data, mb_data, v_data, w_data):
         _, left, right = _conv_geometry(out_length, K, stride, "same")
@@ -960,48 +945,43 @@ def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: 
         for s in reversed(range(S)):
             gs = g[s * Cout:(s + 1) * Cout]
             mask = gz[rows[s]]
-            masked = np.multiply(mask, v_data, out=buf) if need_w else None
-            gmasked, gws = _tconv_vjp(gs, masked, w_data if need_z or need_v else None,
-                                      K, stride, left, right, out=buf)  # (B, L), (B, Cout, K)
-            if need_w:
-                gw = _accumulate(gw, gws)
-            if need_b:
-                gb = _accumulate(gb, gs.sum(axis=1))
-            if gmasked is None:
-                continue
-            on = mask > 0 if need_z else None
+            masked = np.multiply(mask, v_data, out=buf)
+            gmasked, gws = _tconv_vjp(gs, masked, w_data, K, stride, left, right,
+                                      out=buf)  # (B, L), (B, Cout, K)
+            gw = _accumulate(gw, gws)
+            gb = _accumulate(gb, gs.sum(axis=1))
+            on = mask > 0
             if need_v:  # the v_enc term takes the mask's place, then its copy or sum
                 mask *= gmasked
                 if gv_enc is None:
                     gv_enc = mask.copy()
                 else:
                     gv_enc += mask
-            if need_z:
-                np.multiply(gmasked, v_data, out=mask)
-                mask *= on
+            np.multiply(gmasked, v_data, out=mask)
+            mask *= on
         buf = masked = gmasked = None  # dropped before the mask conv's vjp
-        glat = gmw = gmb = None
-        if need_z:  # the mask conv's own vjp, over its stride-1 "same" geometry
-            mleft = _conv_geometry(L, mw_data.shape[2], 1, "same")[1]
-            glat, gmw = _conv_vjp(gz, lat_data if need_mw else None, mw_data if need_lat else None,
-                                  lat_data.shape, mw_data.shape, 1, mleft)
-            gmb = gz.sum(axis=1) if need_mb else None
-        return (glat, gmw, gmb, gv_enc, gw, gb)
+        # the mask conv's own vjp, over its stride-1 "same" geometry
+        mleft = _conv_geometry(L, mw_data.shape[2], 1, "same")[1]
+        glat, gmw = _conv_vjp(gz, lat_data, mw_data, lat_data.shape, mw_data.shape, 1, mleft)
+        return (glat, gmw, gz.sum(axis=1), gv_enc, gw, gb)
 
-    return _finish(out, inputs, vjp, (latent.data, mask_w.data, mask_b.data, v_enc.data, w.data))
+    return _finish(out, (latent, mask_w, mask_b, v_enc, w, b), vjp,
+                   (latent.data, mask_w.data, mask_b.data, v_enc.data, w.data))
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference verification
 
 
-def grad_check(f, params, eps: float = 1e-5) -> float:
+def grad_check(f, params) -> float:
     """Max relative error between tape gradients and central differences.
 
     ``f`` is a zero-argument callable returning a scalar Tensor; it must be
-    deterministic, and ``params`` are the leaf tensors to perturb.  The
-    relative error per entry is |a - n| / max(1e-8, |a| + |n|).
+    deterministic, and ``params`` are the leaf tensors to perturb, each
+    entry by +-1e-5.  The relative error per entry is
+    |a - n| / max(1e-8, |a| + |n|).
     """
+    eps = 1e-5
     params = list(params)
     with Tape() as tape:
         loss = f()

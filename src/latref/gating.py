@@ -141,13 +141,9 @@ def _blend(bv: Tensor, v: Tensor, st: Tensor) -> Tensor:
     out = bv.data * s + v.data * (1.0 - s)
 
     def vjp(g, bv_data, v_data):
-        gst_v = gst_bv = None
-        if bv_data is not None:
-            gst_v, gst_bv = -(g * v_data).sum(axis=(0, 1)), (g * bv_data).sum(axis=(0, 1))
-        return (g * s, g * (1.0 - s), gst_v, gst_bv)
+        return (g * s, g * (1.0 - s), -(g * v_data).sum(axis=(0, 1)), (g * bv_data).sum(axis=(0, 1)))
 
-    saved = (bv.data, v.data) if st.requires_grad else (None, None)
-    return _finish(out, (bv, v, st, st), vjp, saved)
+    return _finish(out, (bv, v, st, st), vjp, (bv.data, v.data))
 
 
 def gate_forward(v: Tensor, gate: GateParams, mode: str, rng=None) -> GateDecision:

@@ -394,9 +394,16 @@ def count_params(config: SeparationConfig, stages: int = 1) -> ParamCounts:
 
 
 def save_checkpoint(path, params: ModelParams, extra_tensors=None, meta=None) -> None:
-    """Serialize config + named tensors (+ optional extras) byte-deterministically."""
+    """Serialize config + named tensors (+ optional extras) byte-deterministically.
+
+    An extra tensor's name must be a string that no model tensor has, so
+    every name in the file is unique."""
     named = named_parameters(params)
     if extra_tensors:
+        taken = {n for n, _ in named}
+        bad = [n for n in extra_tensors if not isinstance(n, str) or n in taken]
+        if bad:
+            raise ValueError(f"extra tensor names {bad!r} are not strings or are model tensor names")
         named = named + sorted(extra_tensors.items())
     header = {
         "format": _CKPT_FORMAT,
@@ -451,6 +458,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             if any(type(n) is not int or n < 0 for n in shape):
                 raise ValueError(f"checkpoint {path} has a malformed tensor entry {entry!r}: "
                                  f"a shape holds non-negative integers")
+            if not isinstance(name, str) or name in arrays:
+                raise ValueError(f"checkpoint {path} has a malformed tensor entry {entry!r}: "
+                                 f"a name is a string that no other entry has")
             n_elems = int(np.prod(shape)) if shape else 1
             buf = fh.read(8 * n_elems)
             if len(buf) != 8 * n_elems:

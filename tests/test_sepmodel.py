@@ -492,6 +492,14 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert np.array_equal(loaded.extra_tensors["gate.w"], extra["gate.w"].data)
 
+    @pytest.mark.parametrize("name", ["encoder.w", 3])
+    def test_extra_tensor_named_like_a_model_tensor_refused(self, tmp_path, name):
+        params = init_params(toy_config(), np.random.default_rng(30))
+        path = tmp_path / "g.ckpt"
+        with pytest.raises(ValueError, match=rf"extra tensor names \[{name!r}\]"):
+            save_checkpoint(path, params, extra_tensors={name: Tensor(np.full((2, 1, 4), 7.0))})
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all")
@@ -542,8 +550,13 @@ class TestCheckpoint:
         (lambda h: h["tensors"][0].update(shape=[True, 1, 4]), r"\[True, 1, 4\].*non-negative integers"),
         (lambda h: h["tensors"][0].update(shape=[-1, 1, 4]), r"\[-1, 1, 4\].*non-negative integers"),
         (lambda h: h["tensors"][0].update(shape=[-1, -1]), r"\[-1, -1\].*non-negative integers"),
+        (lambda h: h["tensors"][0].update(name=["encoder.w"]),
+         r"\['encoder\.w'\].*a name is a string that no other entry has"),
+        (lambda h: h["tensors"][0].update(name=7), r"'name': 7.*a name is a string"),
+        (lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
+         r"'name': 'encoder\.w'.*a name is a string that no other entry has"),
     ], ids=["tensor_entry", "meta", "stages", "config", "shape_float", "shape_bool",
-            "shape_negative", "shape_two_unknown"])
+            "shape_negative", "shape_two_unknown", "name_list", "name_int", "name_repeated"])
     def test_malformed_header_values_rejected(self, tmp_path, edit, cause):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(toy_config(), np.random.default_rng(37)))

@@ -536,6 +536,59 @@ def test_sweep_standardises_each_norm_once(monkeypatch):
     assert recipes and all(r.memo is None for r in recipes)
 
 
+def _inputs_needing_no_gradient(regime):
+    """Tape one T = 2000 training item of the desk model in ``regime`` and
+    return (the ops taped, {op: positions of its inputs that need no
+    gradient}), an op named by its vjp's function and such an input by the
+    None its node keeps as the input's ref."""
+    from latref.gating import gate_penalty, init_gate
+
+    T, head, depth, gate, rng = 2000, 0, None, None, None
+    if regime == "stage1":
+        config = desk_config([BlockSpec(sub_blocks=2, iterations=2),
+                              BlockSpec(sub_blocks=2, iterations=2)])
+        params = init_params(config, np.random.default_rng(0), stages=2)
+        apply_freeze(named_parameters(params), stage_freeze_mask(config, 1))
+        head, depth = 1, 4
+    else:
+        config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
+        params = init_params(config, np.random.default_rng(0))
+        if regime == "gated":
+            gate = init_gate(config.latent_channels, config.latent_length(T),
+                             np.random.default_rng(1))
+            rng = np.random.default_rng(2)
+    sources = np.random.default_rng(1).normal(size=(3, T))
+    with Tape() as tape:
+        ests, g = run_model(sources.sum(axis=0), params, stage=head, depth=depth,
+                            gate=gate, gate_mode="train", rng=rng)
+        loss = pit_loss(ests, sources, 2).loss
+        if gate is not None:
+            gate_penalty(g)
+    ops, none = set(), {}
+    for _, refs, _, vjp in tape._nodes:
+        op = vjp.__qualname__.split(".")[0]
+        ops.add(op)
+        none.setdefault(op, set()).update(i for i, ref in enumerate(refs) if ref is None)
+    return ops, {op: pos for op, pos in none.items() if pos}
+
+
+@pytest.mark.parametrize("regime", ["e2e", "stage1", "gated"])
+def test_taped_inputs_needing_no_gradient(regime):
+    """Every vjp forms every gradient it can, which costs nothing only while
+    the inputs that need none are these: a conv's input (the encoder's
+    signal, the first conv after a freeze line), a constant or frozen
+    operand of add or mul, and masked_decode's v_enc (position 3) under a
+    frozen encoder, which is the one gradient a vjp skips by a flag."""
+    ops, none = _inputs_needing_no_gradient(regime)
+    full = {"prelu_norm", "upsample_conv1d", "_pit_node", "masked_decode", "conv1d"}
+    if regime == "gated":
+        full |= {"_gate_soft", "_blend"}
+    assert full <= ops
+    assert none.get("conv1d", {0}) == {0}
+    assert none.get("masked_decode") == ({3} if regime == "stage1" else None)
+    assert set(none) <= {"conv1d", "masked_decode", "add", "mul"}
+
+
 def test_memory_stage_roughly_halves_activations():
     full = SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8,
                             latent_channels=32, num_sources=3,
