@@ -42,10 +42,12 @@ from .sepmodel import (
 )
 from .training import (
     TrainConfig,
+    _stage_epochs,
     evaluate,
     finetune_gate,
     memory_account,
     run_model,
+    stage_freeze_mask,
     train_end_to_end,
     train_progressive,
 )
@@ -122,6 +124,10 @@ class ExperimentConfig:
             )
         if self.mode == "adaptive":
             self.finetune.resolve_epochs(self.train.epochs)  # raises if no pretraining is left
+        if self.mode == "progressive":
+            # raise if a stage gets no epoch or a block aliases another's parameters
+            _stage_epochs(self.train.epochs, len(self.model.blocks))
+            stage_freeze_mask(self.model, 0)
         chunk = self.train.chunk_len
         if self.mode == "adaptive" and chunk is not None:
             # the gate's second conv spans the dataset's latent length exactly

@@ -45,28 +45,32 @@ from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d`` and
 operand of each gradient it needs, ``masked_decode`` the latent and the
 encoding (never the S x B x L logits), and the summing and adding ops
 nothing.  An op output that can be rebuilt exactly from arrays the tape
-holds anyway carries a recipe (a :class:`_Recipe`), and a node that would
-save it saves the recipe instead:
+holds anyway carries a recipe: a :class:`_Recipe`, ``fn(*args)``, whose
+``fn`` is the op's own forward (building any recipe among ``args`` first)
+and whose ``args`` are that op's arrays, or an input's recipe in place of
+its array.  The tape notes it under the output's node, the only place a
+recipe is kept, and a node of that tape that would save the output saves
+the recipe instead; a tensor from another tape carries none here.  Four
+outputs carry one:
 
-- :class:`_Normalised`, a ``prelu_norm`` output: the norm's own input (or
-  its recipe, if the input carries one) and parameters and its C x 1
+- a ``prelu_norm`` output (:class:`_Normalised`, the one subclass): the
+  norm's own input (or its recipe) and parameters and its C x 1
   statistics;
-- :class:`_Sum`, an ``add`` of two ``prelu_norm`` outputs (a U-Net skip
-  sum): the sum of their recipes.  No other sum carries one, so a block's
-  output, v + proj(u), stays held;
-- :class:`_Conv`, a ``conv1d`` or ``upsample_conv1d`` output over a
-  ``prelu_norm`` output whose own input is held (an array, not a recipe):
-  the op, the norm's recipe and the op's other arguments.  A conv over a
-  norm of a rebuilt input carries none, so a rebuild reaches back through
-  at most one conv and one norm to a held array.  In a sub-block the rule
-  picks ``down1``, ``down3``, ... and ``up0`` (and the projection, whose
-  sum saves nothing);
-- :class:`_Residual`, a ``residual`` sum over a ``u`` with a recipe: ``v``
-  (an array the tape keeps anyway), ``u``'s recipe and the weight.  The
-  model makes every sub-block input after a block's first one a
-  ``residual`` sum, and those whose ``v`` is held carry this recipe: a
-  block application of k sub-blocks holds its input and (k - 1) // 2 of
-  the k - 1 inputs after it, none at the desk's two.
+- an ``add`` of two ``prelu_norm`` outputs (a U-Net skip sum): their
+  recipes.  No other sum carries one, so a block's output, v + proj(u),
+  stays held;
+- a ``conv1d`` or ``upsample_conv1d`` output over a ``prelu_norm`` output
+  whose own input is held (an array, not a recipe): the op, the norm's
+  recipe and the op's other arguments.  A conv over a norm of a rebuilt
+  input carries none, so a rebuild reaches back through at most one conv
+  and one norm to a held array.  In a sub-block the rule picks ``down1``,
+  ``down3``, ... and ``up0`` (and the projection, whose sum saves nothing);
+- a ``residual`` sum over a ``u`` with a recipe: ``v`` (an array the tape
+  keeps anyway), ``u``'s recipe and the weight.  The model makes every
+  sub-block input after a block's first one a ``residual`` sum, and those
+  whose ``v`` is held carry this recipe: a block application of k
+  sub-blocks holds its input and (k - 1) // 2 of the k - 1 inputs after
+  it, none at the desk's two.
 
 One rule governs the rebuilds.  The sweep builds a recipe bit for bit when
 a vjp first reads it and keeps that build (its memo); every later read
@@ -111,14 +115,13 @@ class Tensor:
     None.  A taped op output carries its key on the tape that recorded it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_key", "_recipe")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._key = None  # (tape token, node position) of a taped op output
-        self._recipe = None  # rebuilds ``data`` exactly from arrays its node holds
 
     @property
     def shape(self):
@@ -166,18 +169,19 @@ class Tape:
     output's key is its node's position; an input ref is that key, the leaf
     Tensor itself (so ``.grad`` can be set), or None when the input needs no
     gradient.  The saved arrays are what the vjp reads, passed to it after
-    the output gradient; no op output is held otherwise.  A saved entry may
-    instead be the recipe (:class:`_Recipe`) of an input that carries one,
-    which the sweep builds into that array when the vjp runs.  The tape
-    notes each output's recipe under its node's position, which is where
-    the sweep drops the recipe's memo.
+    the output gradient; no op output is held otherwise.  The tape notes
+    the recipe (:class:`_Recipe`) of each output that can be rebuilt under
+    its node's position; that map is the only place an output's recipe is
+    kept, and the sweep drops the recipe's memo there.  A node saves such an
+    input as its recipe, which the sweep builds into the array when the vjp
+    runs.
     """
 
     def __init__(self):
         self._token = object()  # names the tape in keys without keeping it alive
         self._nodes = []
         self._held = {}  # id of a saved op-output array -> (producing node, elements)
-        self._made = {}  # node position -> the recipe of that node's output
+        self._made = {}  # node position -> the recipe of that node's output, if any
         self._swept = False  # set by backward, which releases the saved arrays
 
     def __enter__(self):
@@ -215,14 +219,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recipe_of(t: Tensor):
+    """The recipe the active tape notes for ``t``'s node: None for a leaf,
+    an untaped output, an output without one or another tape's output."""
+    tape, key = _active(), t._key
+    on_tape = tape is not None and key is not None and key[0] is tape._token
+    return tape._made.get(key[1]) if on_tape else None
+
+
 def _finish(out_data, inputs, vjp, saved=()):
     """Wrap op output; record a node if anything needs grads.
 
     ``vjp`` is the backward closure the op defined in its own body, recorded
     as it is and called as ``vjp(g, *saved)``; ``saved`` holds the arrays
     it reads (None for one it does not need).  The array of an input this
-    tape produced is saved as the input's recipe if it carries one, and is
-    then not held.  Any other entry, such as the bound ``take`` of
+    tape produced is saved as the input's recipe if the tape notes one, and
+    is then not held.  Any other entry, such as the bound ``take`` of
     ``prelu_norm``'s own recipe, reaches the vjp as it is.
     """
     tape = _active()
@@ -244,10 +256,9 @@ def _finish(out_data, inputs, vjp, saved=()):
         elif a is not None:
             for t, ref in zip(inputs, refs):
                 if type(ref) is int and t.data is a:
-                    if t._recipe is None:
+                    a = tape._made.get(ref, a)  # the input's recipe if the tape notes one
+                    if a is t.data:  # none: the array is held
                         tape._held[id(a)] = (ref, a.size)
-                    else:
-                        a = t._recipe
                     break
         kept.append(a)
     tape._nodes.append((out_data.size, refs, tuple(kept), vjp))
@@ -338,9 +349,9 @@ def add(a, b) -> Tensor:
         return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     out = _finish(out, (a, b), vjp)
-    if (out._key is not None and sa == sb and isinstance(a._recipe, _Normalised)
-            and isinstance(b._recipe, _Normalised)):
-        _give(out, _Sum(a._recipe, b._recipe))
+    ra, rb = _recipe_of(a), _recipe_of(b)
+    if sa == sb and isinstance(ra, _Normalised) and isinstance(rb, _Normalised):
+        _give(out, _Recipe(_rebuild_sum, ra, rb))
     return out
 
 
@@ -432,8 +443,7 @@ def prelu_norm(x, slope, gamma, beta) -> Tensor:
     # takes both means from the affine's row sums:
     #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
     T = x.data.shape[1]
-    recipe = _Normalised(x.data if x._recipe is None else x._recipe,
-                         slope.data, gamma.data, beta.data, mu, inv)
+    recipe = _Normalised(_recipe_of(x) or x.data, slope.data, gamma.data, beta.data, mu, inv)
 
     def vjp(g, x_data, slope_data, gamma_data, take_xhat):
         xhat = take_xhat()
@@ -470,7 +480,9 @@ def _affine(xhat, gamma, beta, out):
 
 
 class _Recipe:
-    """Rebuilds a taped op output exactly from arrays the tape already holds.
+    """Rebuilds a taped op output exactly from arrays the tape already holds,
+    as ``fn(*args)``: the op's own forward, which builds any recipe among
+    its arguments itself.
 
     A node saves an input that carries a recipe as the recipe (see
     :func:`_finish`), and :func:`backward` builds it just before that node's
@@ -480,45 +492,39 @@ class _Recipe:
     the output, which it reaches after every node that reads it.
     """
 
-    __slots__ = ("memo",)
+    __slots__ = ("fn", "args", "memo")
+
+    def __init__(self, fn, *args):
+        self.fn, self.args, self.memo = fn, args, None
 
     def build(self):
         if self.memo is None:
-            self.memo = self.make()
+            self.memo = self.fn(*self.args)
         return self.memo
-
-    def make(self):
-        raise NotImplementedError
 
 
 def _give(out: Tensor, recipe: _Recipe) -> Tensor:
-    """Attach ``recipe`` to the taped output ``out`` and note it on the tape
-    under ``out``'s node, where the sweep drops the recipe's memo."""
-    out._recipe = recipe
+    """Note ``recipe`` on the active tape under the taped output ``out``'s
+    node, where readers find it and the sweep drops its memo."""
     _active()._made[out._key[1]] = recipe
     return out
 
 
 class _Normalised(_Recipe):
-    """The recipe of a taped ``prelu_norm`` output: its input, slope and
-    affine and the C x 1 statistics, every one an array its node or a
-    parameter already holds.  An input that is rebuilt itself (a
-    :class:`_Conv`) is kept as its recipe and rebuilt first.
+    """The recipe of a taped ``prelu_norm`` output: its input (or the
+    input's recipe), slope and affine and the C x 1 statistics, every one
+    an array its node or a parameter already holds.
 
     Its memo is the standardised values, not the output: each build returns
     their affine out of place, and the norm's own vjp takes them to write
     over (:meth:`take`), so a sweep standardises each norm once.
     """
 
-    __slots__ = ("x", "slope", "gamma", "beta", "mu", "inv")
+    __slots__ = ("gamma", "beta")
 
     def __init__(self, x, slope, gamma, beta, mu, inv):
-        self.x, self.slope, self.gamma, self.beta, self.mu, self.inv = x, slope, gamma, beta, mu, inv
-        self.memo = None
-
-    def make(self):
-        x = self.x.build() if isinstance(self.x, _Recipe) else self.x
-        return _standardised(x, self.slope[:, None], self.mu, self.inv)
+        super().__init__(_rebuild_norm, x, slope, mu, inv)
+        self.gamma, self.beta = gamma, beta
 
     def build(self):
         return _affine(super().build(), self.gamma, self.beta, out=None)
@@ -530,65 +536,43 @@ class _Normalised(_Recipe):
         return xhat
 
 
-class _Sum(_Recipe):
-    """The recipe of a taped sum of two outputs that carry recipes, such as
-    a U-Net skip addition of two ``prelu_norm`` outputs: it builds both and
-    adds them as the forward did.  A norm's build is a new array, not its
-    memo, so the sum is made in place of the first."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: _Recipe, b: _Recipe):
-        self.a, self.b, self.memo = a, b, None
-
-    def make(self):
-        out = self.a.build()
-        out += self.b.build()
-        return out
+def _rebuild_norm(x, slope, mu, inv):
+    """A norm's standardised values from its input, built first if it is
+    the input's recipe."""
+    return _standardised(x.build() if isinstance(x, _Recipe) else x, slope[:, None], mu, inv)
 
 
-class _Conv(_Recipe):
-    """The recipe of a taped ``conv1d`` or ``upsample_conv1d`` output over a
-    ``prelu_norm`` output whose own input is held: the op, the norm's
-    recipe and the op's other arguments.  It builds the output with the
-    op's own forward on the norm's rebuild, so the bits are the forward's;
-    its memo serves both the norm over the output and that norm's rebuilds,
-    so a sweep runs the op once."""
-
-    __slots__ = ("op", "u", "args")
-
-    def __init__(self, op, u: _Recipe, args):
-        self.op, self.u, self.args, self.memo = op, u, args, None
-
-    def make(self):
-        return self.op(self.u.build(), *self.args).data
-
-
-def _conv_recipe(out: Tensor, x: Tensor, op, *args) -> Tensor:
-    """Give a taped conv output ``out`` a :class:`_Conv` recipe if its input
-    ``x`` is a ``prelu_norm`` output over a held array.  A conv over a norm
-    of a rebuilt input gets none, so no conv rebuild reaches past a norm."""
-    u = x._recipe
-    if out._key is not None and isinstance(u, _Normalised) and not isinstance(u.x, _Recipe):
-        _give(out, _Conv(op, u, args))
+def _rebuild_sum(a: _Recipe, b: _Recipe):
+    """A skip sum's forward on two norms' builds, each a new array (not a
+    memo), so the second is added in place of the first."""
+    out = a.build()
+    out += b.build()
     return out
 
 
-class _Residual(_Recipe):
-    """The recipe of a taped :func:`residual` sum v + conv1d(u, w): ``v``,
-    an array the tape keeps anyway, the recipe of ``u`` and the weight
-    ``w``.  It builds the conv with the forward's own op and adds ``v`` in
-    place, which rounds as the forward's new array did."""
+def _rebuild_conv(op, u: _Recipe, *args):
+    """A conv's forward ``op`` on the build of the norm recipe ``u``."""
+    return op(u.build(), *args).data
 
-    __slots__ = ("v", "u", "w")
 
-    def __init__(self, v, u: _Recipe, w):
-        self.v, self.u, self.w, self.memo = v, u, w, None
+def _rebuild_residual(v, u: _Recipe, w):
+    """``residual``'s forward: the conv by ``w`` of ``u``'s build, then ``v``
+    added in place, which rounds as the forward's new array did."""
+    out = conv1d(u.build(), w).data
+    out += v
+    return out
 
-    def make(self):
-        out = conv1d(self.u.build(), self.w).data
-        out += self.v
-        return out
+
+def _conv_recipe(out: Tensor, x: Tensor, op, *args) -> Tensor:
+    """Give a taped conv output ``out`` a recipe if its input ``x`` is a
+    ``prelu_norm`` output over a held array.  A conv over a norm of a
+    rebuilt input gets none, so no conv rebuild reaches past a norm.  Its
+    memo serves both the norm over the output and that norm's rebuilds, so
+    a sweep runs the op once."""
+    u = _recipe_of(x)
+    if isinstance(u, _Normalised) and not isinstance(u.args[0], _Recipe):  # the norm's input
+        _give(out, _Recipe(_rebuild_conv, op, u, *args))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -684,17 +668,18 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
 
 def residual(v, u, w) -> Tensor:
     """``v + conv1d(u, w)``, a residual update, as two taped nodes whose sum
-    carries a recipe when it can: :class:`_Residual` of ``v`` and ``u``'s
-    recipe, if ``u`` carries one and ``v`` is an array kept anyway: one a
-    node of this tape saves, or one no tape produced (a leaf, or a frozen
-    prefix's output).  So the next node that reads the sum holds no array
-    for it.  A ``v`` that is itself rebuilt gives no recipe, so no rebuild
-    builds another and each costs one conv."""
+    carries a recipe when it can: ``v`` and ``u``'s recipe, if ``u`` carries
+    one and ``v`` is an array kept anyway: one a node of this tape saves, or
+    one no tape produced (a leaf, or a frozen prefix's output).  So the next
+    node that reads the sum holds no array for it.  A ``v`` that is itself
+    rebuilt gives no recipe, so no rebuild builds another and each costs
+    one conv."""
     v, u, w = _as_tensor(v), _as_tensor(u), _as_tensor(w)
     out = add(v, conv1d(u, w))
-    if out._key is not None and u._recipe is not None and v._recipe is None and (
-            v._key is None or id(v.data) in _active()._held):
-        _give(out, _Residual(v.data, u._recipe, w.data))
+    ru = _recipe_of(u)
+    # A rebuilt v is saved as its recipe, so it is never held.
+    if ru is not None and (v._key is None or id(v.data) in _active()._held):
+        _give(out, _Recipe(_rebuild_residual, v.data, ru, w.data))
     return out
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -430,14 +432,19 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
+    """Read a checkpoint, checking every declared length against the bytes
+    left in the file before reading, so a malformed file fails by name
+    before any large allocation."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint (bad magic {magic!r})")
         hlen = int.from_bytes(fh.read(8), "little")
+        if hlen > size - fh.tell():
+            raise ValueError(f"truncated checkpoint {path}: header has {size - fh.tell()} of "
+                             f"{hlen} bytes")
         blob = fh.read(hlen)
-        if len(blob) != hlen:
-            raise ValueError(f"truncated checkpoint {path}: header has {len(blob)} of {hlen} bytes")
         try:
             header = json.loads(blob.decode())
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
@@ -449,6 +456,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         for key in ("config", "tensors"):
             if key not in header:
                 raise ValueError(f"checkpoint {path} header has no {key!r} key")
+        if not isinstance(header["tensors"], list):
+            raise ValueError(f"checkpoint {path} header's 'tensors' is {header['tensors']!r}, "
+                             f"not a list of tensor entries")
         arrays = {}
         for entry in header["tensors"]:
             try:
@@ -461,11 +471,11 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             if not isinstance(name, str) or name in arrays:
                 raise ValueError(f"checkpoint {path} has a malformed tensor entry {entry!r}: "
                                  f"a name is a string that no other entry has")
-            n_elems = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n_elems)
-            if len(buf) != 8 * n_elems:
-                raise ValueError(f"truncated checkpoint {path}: tensor {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            n_bytes = 8 * math.prod(shape)
+            if n_bytes > size - fh.tell():
+                raise ValueError(f"truncated checkpoint {path}: tensor entry {entry!r} declares "
+                                 f"{n_bytes} bytes, {size - fh.tell()} are left")
+            arrays[name] = np.frombuffer(fh.read(n_bytes), dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"checkpoint {path} has trailing bytes after the last tensor")
     meta, stages = header.get("meta", {}), header.get("stages", 1)

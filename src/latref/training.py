@@ -4,9 +4,10 @@ and joint gate fine-tuning, plus the backward-memory account.
 Freezing works through ``requires_grad``: frozen tensors never cause ops to
 be taped, so a frozen prefix costs no activation memory and its parameters
 are bit-identical after any number of steps.  ``memory_account`` counts the
-activations a backward pass holds, from a taped trace of the real forward
-ops and the PIT loss, so it follows any change to what a training step
-keeps; a test pins it against a full training forward and its loss.  Its
+activations a backward pass holds from one taped trace of the regime's own
+step (the model at its head and depth under its freeze mask, and the PIT
+loss), so it follows any change to what a training step keeps; a test pins
+it against a real training forward and its loss.  Its
 trainable/frozen split, like parameter counts and stage snapshots
 (``clone_params``), comes from ``named_parameters`` of a real tree and the
 stage freeze mask, never from a hand-kept copy of the tree.
@@ -23,14 +24,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import check_floats, check_ints, chunk_or_pad
-from .diffcore import Tape, Tensor, backward
+from .diffcore import Tape, backward
 from .gating import GateParams, adaptive_separate, gate_named_parameters, gate_penalty
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
     ModelParams,
     SeparationConfig,
     _ZeroDraws,
-    apply_block,
     clone_params,
     encode,
     init_params,
@@ -149,10 +149,15 @@ class FreezeMask:
 
 def stage_freeze_mask(config: SeparationConfig, stage: int) -> FreezeMask:
     """Progressive-stage mask: stage 0 trains the encoder, every stage trains
-    only its own block and head pair."""
+    only its own block and head pair, so no block may alias another's
+    parameters."""
     m = len(config.blocks)
     if not 0 <= stage < m:
         raise ValueError(f"stage {stage} out of range for {m} blocks")
+    for i, bs in enumerate(config.blocks):
+        if bs.shares_params_with is not None:
+            raise ValueError(f"progressive training needs distinct block parameters; "
+                             f"block {i} aliases {bs.shares_params_with}")
     frozen = []
     if stage > 0:
         frozen += ["encoder", "bottleneck"]
@@ -255,6 +260,8 @@ def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
                 penalty_target: float = 3.0, rng=None):
     if not train_set:
         raise ValueError("empty training set")
+    if not val_set:
+        raise ValueError("empty validation set")
     speech_count = train_set[0].speech_count
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     named = named_parameters(params)
@@ -296,10 +303,10 @@ def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
         rec = {
             "epoch": epoch,
             "lr": lr,
-            "train_loss": float(np.mean(losses)) if losses else float("nan"),
+            "train_loss": float(np.mean(losses)),
             "val_sisdri": float(np.mean(scores)),
         }
-        if gate is not None and gs:
+        if gate is not None:
             rec["mean_g"] = float(np.mean(gs))
         history.append(rec)
     return history
@@ -323,6 +330,9 @@ class StageResult:
 
 
 def _stage_epochs(total: int, m: int) -> list[int]:
+    """``total`` epochs split over ``m`` progressive stages, at least one each."""
+    if total < m:
+        raise ValueError(f"{m} progressive stages need at least {m} epochs, got {total}")
     base, rem = divmod(total, m)
     return [base + (1 if i < rem else 0) for i in range(m)]
 
@@ -336,20 +346,17 @@ def train_progressive(config: SeparationConfig, train_set, val_set, cfg: TrainCo
     fresh optimizer and schedule, and returns a deployable snapshot.
     """
     m = len(config.blocks)
-    for i, bs in enumerate(config.blocks):
-        if bs.shares_params_with is not None:
-            raise ValueError(
-                f"progressive training needs distinct block parameters; block {i} aliases {bs.shares_params_with}"
-            )
+    masks = [stage_freeze_mask(config, stage) for stage in range(m)]
+    stage_epochs = _stage_epochs(cfg.epochs, m)
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     params = init_params(config, rng, stages=m)
     results = []
     depth = 0
-    for stage, epochs in enumerate(_stage_epochs(cfg.epochs, m)):
+    for stage, epochs in enumerate(stage_epochs):
         depth += config.blocks[stage].iterations
         stage_cfg = replace(cfg, epochs=epochs)
         history = _train_loop(params, train_set, val_set, stage_cfg, stage=stage,
-                              depth=depth, freeze=stage_freeze_mask(config, stage), rng=rng)
+                              depth=depth, freeze=masks[stage], rng=rng)
         results.append(StageResult(stage=stage, depth=depth,
                                    params=clone_params(params), history=history))
     return results
@@ -391,61 +398,33 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     progressive stage i, where everything before block i is frozen and only
     hands over its final latent and the maskable encoding.
 
-    Parameter scalars are the ``named_parameters`` of a fresh tree, split by
-    the ``stage_freeze_mask`` training applies; its weights are zero views,
-    never drawn.  Activations are the op outputs a backward pass holds,
-    counted on one tape over the real ``encode``, one ``apply_block`` of each
-    config block in turn, ``mask_and_decode`` and ``pit_loss`` on that tree
-    with zero-valued inputs (the loss against all-ones references, since it
-    rejects a zero one), with ``num_sources - 1`` speech sources as both
-    tasks have.  The loss is one node that holds the decoded estimates,
-    S x T per item; the heads are one node that holds the latent and
-    ``v_enc``, not the S x B x L mask logits.  A sub-block holds the conv
-    outputs its norms read, but no norm output, no skip sum and no conv
-    output over a norm of a held array (``down1`` and ``up0`` at three
-    scales), and a block application holds its input and every second
-    later sub-block input (none with two sub-blocks): a node over one not
-    held keeps its recipe, which rebuilds it in backward.  Each held array
-    counts once, in the segment whose op produced it: ``v_enc`` is read by
-    both the bottleneck and the decoder, and a block's output by whatever
-    comes next.  Every application of a block has the same shapes, so one traced
-    application per block times its iterations gives the block totals.
+    The account is one trace of the regime's own step: ``run_model`` at its
+    head and depth, under the ``stage_freeze_mask`` training applies, and
+    ``pit_loss``, taped on a fresh tree whose weights are zero views, never
+    drawn, with zero-valued inputs (the loss against all-ones references,
+    since it rejects a zero one) and ``num_sources - 1`` speech sources as
+    both tasks have.  Activations are the op outputs that tape holds for
+    backward (:meth:`Tape.held_output_elems`), each array once; a frozen
+    prefix tapes nothing, so a later stage adds the two arrays it hands
+    over.  Parameter scalars are that tree's ``named_parameters``, split by
+    the same mask.
     """
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")
     freeze = None if stage is None else stage_freeze_mask(config, stage)
-    head_pairs = 1 if stage is None else len(config.blocks)
-    params = init_params(config, _ZeroDraws(), stages=head_pairs)
+    params = init_params(config, _ZeroDraws(), stages=1 if stage is None else len(config.blocks))
+    trainable, frozen = apply_freeze(named_parameters(params), freeze)
+    depth = None if stage is None else sum(bs.iterations for bs in config.blocks[:stage + 1])
     S = config.num_sources
     with Tape() as tape:
-        v_enc, v = encode(Tensor(np.zeros((1, T))), params)
-        ends = [len(tape)]
-        for block in params.blocks:
-            v = apply_block(v, block)
-            ends.append(len(tape))
-        pit_loss(mask_and_decode(v_enc, v, 0, params, out_length=T), np.ones((S, T)), S - 1)
-    encode_elems = tape.held_output_elems(0, ends[0])
-    block_elems = [tape.held_output_elems(a, b) for a, b in zip(ends, ends[1:])]
-    heads_elems = tape.held_output_elems(ends[-1])
-    trainable, frozen = apply_freeze(named_parameters(params), freeze)
+        ests, _ = run_model(np.zeros(T), params, stage=stage or 0, depth=depth)
+        pit_loss(ests, np.ones((S, T)), S - 1)
+    boundary = (config.enc_bases + config.latent_channels) * config.latent_length(T) if stage else 0
+    act = tape.held_output_elems() + boundary
     trainable_scalars = sum(t.size for _, t in trainable)
-    frozen_scalars = sum(t.size for _, t in frozen)
-    if stage is None:
-        act = encode_elems + heads_elems + sum(
-            n * bs.iterations for n, bs in zip(block_elems, config.blocks))
-        boundary = 0
-    else:
-        own = block_elems[stage] * config.blocks[stage].iterations
-        act = own + heads_elems
-        if stage == 0:
-            act += encode_elems
-            boundary = 0
-        else:
-            boundary = v_enc.size + v.size
-            act += boundary
     return MemoryReport(
         trainable_param_bytes=8 * trainable_scalars,
-        frozen_param_bytes=8 * frozen_scalars,
+        frozen_param_bytes=8 * sum(t.size for _, t in frozen),
         optimizer_state_bytes=16 * trainable_scalars,
         activation_bytes_backward=8 * act * batch_size,
         boundary_elems=boundary,

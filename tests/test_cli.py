@@ -227,6 +227,28 @@ def test_empty_split_rejected_before_building_data(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("epochs, shares, cause", [
+    (1, None, "2 progressive stages need at least 2 epochs, got 1"),
+    (2, 0, "progressive training needs distinct block parameters; block 1 aliases 0"),
+], ids=["fewer_epochs_than_stages", "shared_block"])
+def test_untrainable_progressive_config_rejected_before_building_data(
+        tmp_path, monkeypatch, capsys, epochs, shares, cause):
+    m = tiny_mapping(tmp_path, mode="progressive")
+    m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1},
+                            {"sub_blocks": 1, "iterations": 1, "shares_params_with": shares}]
+    m["train"]["epochs"] = epochs
+    path = write_config(tmp_path, m)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("train built data before checking the progressive stages")
+
+    monkeypatch.setattr(cli, "build_splits", no_data)
+    monkeypatch.setattr(cli, "make_dataset", no_data)
+    assert main(["train", "--config", path]) == 2
+    assert f"error: {cause}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numpy_integer_config_values_are_stored_as_ints(tmp_path):
     m = tiny_mapping(tmp_path)
     m["train"]["epochs"] = np.int64(3)

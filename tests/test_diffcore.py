@@ -309,6 +309,11 @@ DECODE_CASES = [
 DESK_DECODE = (3, 64, 1000, 16, 8, 8000)
 
 
+def made(tape, t):
+    """The recipe ``tape`` notes for its taped output ``t``, or None."""
+    return tape._made.get(t._key[1]) if t._key is not None and t._key[0] is tape._token else None
+
+
 def masked_decode_chain(latent, mask_w, mask_b, v_enc, w, b, stride, out_length):
     """The mask conv over all sources, ReLU, masking and one transposed conv
     per source: the ops masked_decode fuses, on plain arrays."""
@@ -467,7 +472,7 @@ class TestFusedOps:
             h = prelu_norm(x, s, gamma, beta)
             loss = sum_all(mul(conv1d(h, w, stride=2), Tensor(g)))
         assert tape.held_output_elems() == x.size == 3 * 17
-        assert tape._nodes[2][2][0] is h._recipe and h._recipe.build().tobytes() == h.data.tobytes()
+        assert tape._nodes[2][2][0] is made(tape, h) and made(tape, h).build().tobytes() == h.data.tobytes()
         backward(tape, loss)
         # conv1d's gradients by the textbook loops, then prelu_norm's oracle
         hpad = np.zeros((3, 21))  # "same": 17 samples padded by 2 on each side
@@ -502,9 +507,9 @@ class TestFusedOps:
             total = add(a, b)
             conv1d(total, w)
             plain = add(a, xs[0])  # a leaf carries no recipe, so neither does this sum
-        assert isinstance(total._recipe, dc._Sum) and plain._recipe is None
-        assert tape._nodes[3][2][0] is total._recipe
-        assert total._recipe.build().tobytes() == total.data.tobytes()
+        assert made(tape, total).fn is dc._rebuild_sum and made(tape, plain) is None
+        assert tape._nodes[3][2][0] is made(tape, total)
+        assert made(tape, total).build().tobytes() == total.data.tobytes()
         assert tape.held_output_elems() == 0  # the norms' inputs are leaves
 
     def test_residual_sum_is_a_recipe(self):
@@ -531,12 +536,12 @@ class TestFusedOps:
             of_leaf = dc.residual(x, u, proj)
             of_unheld = dc.residual(add(x, 0.0), u, proj)  # no node saves that sum
             of_plain = dc.residual(v, c, proj)  # c carries no recipe
-        assert isinstance(once._recipe, dc._Residual) and once._recipe.v is v.data
-        assert tape._nodes[5][2][0] is once._recipe and twice._recipe is None
-        assert thrice._recipe.v is twice.data and tape._nodes[11][2][0] is thrice._recipe
-        assert of_unheld._recipe is None and of_plain._recipe is None
+        assert made(tape, once).fn is dc._rebuild_residual and made(tape, once).args[0] is v.data
+        assert tape._nodes[5][2][0] is made(tape, once) and made(tape, twice) is None
+        assert made(tape, thrice).args[0] is twice.data and tape._nodes[11][2][0] is made(tape, thrice)
+        assert made(tape, of_unheld) is None and made(tape, of_plain) is None
         for r in (once, thrice, of_leaf):
-            assert r._recipe.build().tobytes() == r.data.tobytes()
+            assert made(tape, r).build().tobytes() == r.data.tobytes()
         assert tape.held_output_elems() == v.size + c.size + twice.size
 
     def test_conv_over_norm_of_held_input_is_a_recipe(self, monkeypatch):
@@ -568,20 +573,23 @@ class TestFusedOps:
             return tape, (x, h, c, up, h2, blocked), loss, leaves
 
         tape, (x, h, c, up, h2, blocked), loss, leaves = grads()
-        assert isinstance(c._recipe, dc._Conv) and isinstance(up._recipe, dc._Conv)
-        assert c._recipe.u is h._recipe and h2._recipe.x is c._recipe and blocked._recipe is None
-        assert tape._nodes[4][2][0] is c._recipe and tape._made[2] is c._recipe
+        assert made(tape, c).fn is dc._rebuild_conv and made(tape, up).fn is dc._rebuild_conv
+        assert made(tape, c).args[1] is made(tape, h) and made(tape, h2).args[0] is made(tape, c)
+        assert made(tape, blocked) is None
+        assert tape._nodes[4][2][0] is made(tape, c) and tape._made[2] is made(tape, c)
         for t in (c, up, h2):
-            assert t._recipe.build().tobytes() == t.data.tobytes()
+            assert made(tape, t).build().tobytes() == t.data.tobytes()
         assert tape.held_output_elems() == x.size
         # A fresh tape, so no build above leaves a memo the sweep would use.
         tape, (x, h, c, up, h2, blocked), loss, leaves = grads()
+        recipes = [made(tape, t) for t in (h, c, up, h2)]
         calls = []
-        for r in (c._recipe, up._recipe):
-            r.op = lambda *a, op=r.op: calls.append(op) or op(*a)
+        for r in recipes[1:3]:
+            op, *args = r.args
+            r.args = (lambda *a, op=op: calls.append(op) or op(*a), *args)
         backward(tape, loss)
         assert len(calls) == 2 and set(calls) == {conv1d, upsample_conv1d}  # each op once
-        assert all(t._recipe.memo is None for t in (h, c, up, h2)) and tape._made == {}
+        assert all(r.memo is None for r in recipes) and tape._made == {}
         rebuilt = [t.grad for t in leaves]
         monkeypatch.setattr(dc, "_conv_recipe", lambda out, *args: out)
         tape, (x, h, c, up, *_), loss, leaves = grads()
@@ -610,13 +618,14 @@ class TestFusedOps:
             with Tape() as tape:
                 h = prelu_norm(conv1d(leaves[0], leaves[1]), *leaves[2:])
                 loss = sum_all(mul(conv1d(h, Tensor(w, requires_grad=w_trained), stride=2), Tensor(g)))
+            recipe = made(tape, h)
             calls.clear()
             backward(tape, loss)
-            assert len(calls) == 1 and h._recipe.memo is None
+            assert len(calls) == 1 and recipe.memo is None
             return [t.grad for t in leaves]
 
-        for rebuilt, made in zip(grads(True), grads(False)):
-            assert rebuilt.tobytes() == made.tobytes()
+        for rebuilt, made_by_vjp in zip(grads(True), grads(False)):
+            assert rebuilt.tobytes() == made_by_vjp.tobytes()
 
 
 class TestUpsampleConv1d:

@@ -528,6 +528,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"model\.ckpt has a malformed header"):
             load_checkpoint(path)
 
+    def test_header_length_beyond_the_file_rejected(self, tmp_path):
+        # the length field declares 2**40 header bytes: named before any read
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(toy_config(), np.random.default_rng(39)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + (2**40).to_bytes(8, "little") + raw[16:])
+        with pytest.raises(ValueError, match=rf"model\.ckpt: header has {len(raw) - 16} of "
+                                             rf"{2**40} bytes"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key", ["tensors", "config"])
     def test_header_missing_key_rejected(self, tmp_path, key):
         path = tmp_path / "model.ckpt"
@@ -555,8 +565,13 @@ class TestCheckpoint:
         (lambda h: h["tensors"][0].update(name=7), r"'name': 7.*a name is a string"),
         (lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
          r"'name': 'encoder\.w'.*a name is a string that no other entry has"),
+        (lambda h: h.update(tensors=5), r"'tensors' is 5, not a list"),
+        (lambda h: h.update(tensors=None), r"'tensors' is None, not a list"),
+        (lambda h: h["tensors"][0].update(shape=[2**40, 1, 4]),
+         r"'encoder\.w'.*\[1099511627776, 1, 4\]\} declares 35184372088832 bytes, \d+ are left"),
     ], ids=["tensor_entry", "meta", "stages", "config", "shape_float", "shape_bool",
-            "shape_negative", "shape_two_unknown", "name_list", "name_int", "name_repeated"])
+            "shape_negative", "shape_two_unknown", "name_list", "name_int", "name_repeated",
+            "tensors_int", "tensors_null", "shape_beyond_file"])
     def test_malformed_header_values_rejected(self, tmp_path, edit, cause):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(toy_config(), np.random.default_rng(37)))

@@ -356,6 +356,16 @@ def test_empty_train_set_rejected():
         train_end_to_end(params, [], [], TrainConfig(epochs=1))
 
 
+def test_empty_val_set_rejected_before_training():
+    # the validation mean of no items would be nan, which history.jsonl cannot hold
+    splits = toy_splits()
+    params = init_params(toy_config(), np.random.default_rng(0))
+    before = param_bytes(params)
+    with pytest.raises(ValueError, match="empty validation set"):
+        train_end_to_end(params, splits.train, [], TrainConfig(epochs=1, batch_size=2))
+    assert param_bytes(params) == before
+
+
 def test_freeze_everything_rejected():
     splits = toy_splits()
     config = toy_config()
@@ -388,11 +398,29 @@ def test_stage_epoch_split():
     assert _stage_epochs(4, 4) == [1, 1, 1, 1]
 
 
+def test_progressive_gives_every_stage_an_epoch(monkeypatch):
+    # one epoch over two stages would leave block 1 and head 1 untrained
+    config = toy_config(num_blocks=2)
+    splits = toy_splits(n_train=2, n_val=1)
+
+    def no_params(*args, **kwargs):
+        raise AssertionError("train_progressive built parameters before checking the epochs")
+
+    monkeypatch.setattr(training, "init_params", no_params)
+    for epochs in (0, 1):
+        with pytest.raises(ValueError, match=f"2 progressive stages need at least 2 epochs, "
+                                             f"got {epochs}"):
+            train_progressive(config, splits.train, splits.val, TrainConfig(epochs=epochs))
+
+
 def test_progressive_rejects_shared_blocks():
     config = toy_config(num_blocks=2, share=True)
     splits = toy_splits(n_train=2, n_val=1)
     with pytest.raises(ValueError, match="distinct"):
         train_progressive(config, splits.train, splits.val, TrainConfig(epochs=2))
+    # so no progressive stage of such a model has a memory account either
+    with pytest.raises(ValueError, match="block 1 aliases 0"):
+        memory_account(config, batch_size=1, T=160, stage=1)
 
 
 def test_progressive_freezes_prefix():
@@ -443,11 +471,39 @@ MEMORY_CONFIGS = {
                                   blocks=[BlockSpec(sub_blocks=2, iterations=2),
                                           BlockSpec(sub_blocks=1, iterations=3)],
                                   sub_scales=6, sub_kernel=3), 161),
+    # block 1 applies block 0's parameters; progressive training rejects it
+    "shared": (SeparationConfig(enc_bases=12, enc_kernel=8, enc_stride=4, latent_channels=6,
+                                num_sources=3,
+                                blocks=[BlockSpec(sub_blocks=2, iterations=2),
+                                        BlockSpec(sub_blocks=2, iterations=3,
+                                                  shares_params_with=0)],
+                                sub_scales=2, sub_kernel=3), 160),
+    # 1, 3 and 4 sub-blocks, several iterations each; its stage 2 trains the third block
+    "sub_blocks_1_3_4": (SeparationConfig(enc_bases=12, enc_kernel=8, enc_stride=4,
+                                          latent_channels=6, num_sources=3,
+                                          blocks=[BlockSpec(sub_blocks=1, iterations=3),
+                                                  BlockSpec(sub_blocks=3, iterations=2),
+                                                  BlockSpec(sub_blocks=4, iterations=3)],
+                                          sub_scales=2, sub_kernel=3), 163),
+    # five scales at odd T take the latent length 41 down to 21, 11, 6, 3, 2
+    "five_scales_odd": (SeparationConfig(enc_bases=12, enc_kernel=8, enc_stride=4,
+                                         latent_channels=6, num_sources=3,
+                                         blocks=[BlockSpec(sub_blocks=2, iterations=2),
+                                                 BlockSpec(sub_blocks=1, iterations=2)],
+                                         sub_scales=5, sub_kernel=3), 161),
 }
 
+# every regime a config trains in: end to end, and each progressive stage
+# unless a block shares another's parameters
+MEMORY_CASES = [
+    pytest.param(stage, name, id=f"{'e2e' if stage is None else f'stage{stage}'}-{name}")
+    for name, (config, _) in sorted(MEMORY_CONFIGS.items())
+    for stage in ([None] if any(bs.shares_params_with is not None for bs in config.blocks)
+                  else [None, *range(len(config.blocks))])
+]
 
-@pytest.mark.parametrize("config_name", sorted(MEMORY_CONFIGS))
-@pytest.mark.parametrize("stage", [None, 0, 1], ids=["e2e", "stage0", "stage1"])
+
+@pytest.mark.parametrize("stage, config_name", MEMORY_CASES)
 def test_memory_model_matches_tape(stage, config_name):
     """The account equals what one real training forward and its loss hold
     for backward."""
@@ -527,7 +583,7 @@ def test_sweep_standardises_each_norm_once(monkeypatch):
         ests, _ = run_model(sources.sum(axis=0), params)
         loss = pit_loss(ests, sources, 2).loss
     norms = sum(vjp.__qualname__.startswith("prelu_norm.") for *_, vjp in tape._nodes)
-    recipes = [a for _, _, saved, _ in tape._nodes for a in saved if isinstance(a, dc._Recipe)]
+    recipes = list(tape._made.values())
     calls = []
     standardised = dc._standardised
     monkeypatch.setattr(dc, "_standardised", lambda *a: calls.append(1) or standardised(*a))
