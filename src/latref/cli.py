@@ -24,14 +24,14 @@ import numpy as np
 from .data import MixtureSpec, build_splits, check_floats, check_ints, make_dataset
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu_norm
 from .diffcore import relu, sum_all, transposed_conv1d, upsample_conv1d
-from .gating import GateParams, _blend, _gate_soft, gate_from_arrays, gate_named_parameters, init_gate
+from .gating import PENALTY_COEF, PENALTY_TARGET, GateParams, _blend, _gate_soft, gate_from_arrays
+from .gating import gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
     BlockSpec,
     ConvParams,
     ModelParams,
     SeparationConfig,
-    _ZeroDraws,
     config_from_dict,
     config_to_dict,
     count_params,
@@ -64,8 +64,8 @@ class FinetuneConfig:
     lr0: float = 1e-4
     lr_decay_every: int = 5
     lr_decay_factor: float = 1.0 / 3.0
-    penalty_coef: float = 0.75
-    penalty_target: float = 3.0
+    penalty_coef: float = PENALTY_COEF
+    penalty_target: float = PENALTY_TARGET
 
     def __post_init__(self):
         # the fine-tune runs under a TrainConfig with these values: check them as it does
@@ -117,7 +117,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"task {self.task!r} does not match dataset.task {self.dataset.spec.task!r}"
             )
-        expected = 3 if self.task == "separation" else 2
+        expected = self.dataset.spec.num_sources
         if self.model.num_sources != expected:
             raise ValueError(
                 f"model.num_sources {self.model.num_sources} does not fit task {self.task!r} (needs {expected})"
@@ -192,11 +192,6 @@ def load_config(path) -> ExperimentConfig:
 # Artifacts
 
 
-def _splits(cfg: ExperimentConfig):
-    ds = cfg.dataset
-    return build_splits(ds.spec, ds.num_train, ds.num_val, ds.num_test)
-
-
 def _gate_latent_len(cfg: ExperimentConfig) -> int:
     return cfg.model.latent_length(cfg.dataset.spec.num_samples)
 
@@ -235,32 +230,31 @@ def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
                              f"but the config has {want[key]!r}")
     meta, allowed = loaded.meta, {"mode": MODES}
     if meta.get("mode") == "progressive":
-        allowed.update(stage=range(len(loaded.params.mask_nets)),
-                       depth=range(cfg.model.total_steps() + 1))
+        # a stage needs its head pair and its block
+        stages = min(len(loaded.params.mask_nets), len(cfg.model.blocks))
+        allowed.update(stage=range(stages), depth=None)
     for key, values in allowed.items():
         if key not in meta:
             raise ValueError(f"checkpoint {path} has no meta.{key}")
+        if key == "depth":  # the stage, checked before it, fixes the depth
+            depth = cfg.model.stage_depth(meta["stage"])
+            values = range(depth, depth + 1)
         # `in range` alone admits 1.0 and True, which compare equal to 1
         if isinstance(values, range) and type(meta[key]) is not int:
             raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not an integer")
         if meta[key] not in values:
             raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not in {values!r}")
     model = TrainedModel(loaded.params, **{key: meta[key] for key in allowed})
-    L = _gate_latent_len(cfg)
-    gate_shapes = {} if model.mode != "adaptive" else {name: t.shape for name, t in
-                   gate_named_parameters(init_gate(cfg.model.latent_channels, L, _ZeroDraws()))}
-    for name, arr in sorted(loaded.extra_tensors.items()):
-        if name not in gate_shapes:
-            raise ValueError(f"checkpoint {path} has tensor {name}, "
-                             f"which no {model.mode} model holds")
-        if arr.shape != gate_shapes[name]:
-            raise ValueError(f"checkpoint {path} has {name} of shape {arr.shape}, but the "
-                             f"dataset's latent length {L} needs {gate_shapes[name]}")
+    extras = loaded.extra_tensors
     if model.mode == "adaptive":
+        L = _gate_latent_len(cfg)
         try:
-            model.gate = gate_from_arrays(loaded.extra_tensors)
+            model.gate = gate_from_arrays(extras, cfg.model.latent_channels, L)
         except ValueError as e:
-            raise ValueError(f"checkpoint {path}: {e}") from e
+            raise ValueError(f"checkpoint {path}: {e} at the dataset's latent length {L}") from e
+    elif extras:
+        raise ValueError(f"checkpoint {path} has tensor {min(extras)}, "
+                         f"which no {model.mode} model holds")
     return model
 
 
@@ -300,18 +294,23 @@ def quartile_analysis(results):
 
 def _model_row(cfg: ExperimentConfig, model: TrainedModel | None, mean_sisdri: float,
                mean_g) -> dict:
-    """Report row of the model that ran: its config, head count and mode.
+    """Report row of the model that ran: its config, head count and mode,
+    and the memory account of its regime (a progressive model's at its own
+    stage).
 
-    Passthrough (``model`` None) describes the config file's model.
+    Passthrough (``model`` None) describes the config file's model, a
+    progressive one at its last stage.
     """
     if model is None:
         config, mode = cfg.model, cfg.mode
         heads = len(config.blocks) if mode == "progressive" else 1
+        stage = heads - 1
     else:
-        config, mode, heads = model.params.config, model.mode, len(model.params.mask_nets)
+        config, mode, stage = model.params.config, model.mode, model.stage
+        heads = len(model.params.mask_nets)
     counts = count_params(config, stages=heads)
     mem = memory_account(config, batch_size=1, T=cfg.dataset.spec.num_samples,
-                         stage=len(config.blocks) - 1 if mode == "progressive" else None)
+                         stage=stage if mode == "progressive" else None)
     return {
         "blocks": len(config.blocks),
         "sub_blocks": config.blocks[0].sub_blocks,
@@ -499,7 +498,7 @@ def _train_adaptive(cfg: ExperimentConfig, splits):
 def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     """Train in the regime ``cfg.mode`` names.  Writes history.jsonl and
     model.ckpt, and a progressive run also stage<i>.ckpt per stage."""
-    splits = _splits(cfg)
+    splits = build_splits(cfg.dataset.spec, cfg.dataset.num_train, cfg.dataset.num_val)
     if cfg.mode == "progressive":
         results = train_progressive(cfg.model, splits.train, splits.val, cfg.train)
         records = [{**rec, "stage": res.stage} for res in results for rec in res.history]

@@ -22,7 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import Tensor, _conv_vjp, _finish, _prelu_into, _prelu_slopes, add, conv1d, mul
-from .sepmodel import ConvParams, ModelParams, SeparationConfig, _step_schedule, _ZeroDraws, apply_block
+from .sepmodel import (ConvParams, ModelParams, SeparationConfig, _conv_named, _param, _step_schedule,
+                       _uniform, _ZeroDraws, apply_block, fill_named)
+
+# the skip penalty's defaults: a quadratic pull of the iteration count toward 3
+PENALTY_COEF = 0.75
+PENALTY_TARGET = 3.0
 
 
 @dataclass
@@ -33,41 +38,27 @@ class GateParams:
 
 
 def init_gate(latent_channels: int, latent_len: int, rng) -> GateParams:
-    a1 = 1.0 / np.sqrt(latent_channels)
-    a2 = 1.0 / np.sqrt(2 * latent_len)
     return GateParams(
-        proj1=ConvParams(
-            w=Tensor(rng.uniform(-a1, a1, size=(2, latent_channels, 1)), requires_grad=True),
-            b=Tensor(np.zeros(2), requires_grad=True),
-        ),
-        slope=Tensor(np.full(2, 0.25), requires_grad=True),
-        proj2=ConvParams(
-            w=Tensor(rng.uniform(-a2, a2, size=(2, 2, latent_len)), requires_grad=True),
-            b=Tensor(np.zeros(2), requires_grad=True),
-        ),
+        proj1=ConvParams(w=_param(_uniform(rng, (2, latent_channels, 1), latent_channels)),
+                         b=_param(np.zeros(2))),
+        slope=_param(np.full(2, 0.25)),
+        proj2=ConvParams(w=_param(_uniform(rng, (2, 2, latent_len), 2 * latent_len)),
+                         b=_param(np.zeros(2))),
     )
 
 
 def gate_named_parameters(gate: GateParams) -> list[tuple[str, Tensor]]:
-    return [
-        ("gate.proj1.w", gate.proj1.w),
-        ("gate.proj1.b", gate.proj1.b),
-        ("gate.slope", gate.slope),
-        ("gate.proj2.w", gate.proj2.w),
-        ("gate.proj2.b", gate.proj2.b),
-    ]
+    return [*_conv_named("gate.proj1", gate.proj1), ("gate.slope", gate.slope),
+            *_conv_named("gate.proj2", gate.proj2)]
 
 
-def gate_from_arrays(arrays: dict) -> GateParams:
-    """Rebuild gate parameters from checkpoint tensors named as in
-    ``gate_named_parameters``."""
-    gate = init_gate(1, 1, _ZeroDraws())
-    named = gate_named_parameters(gate)
-    missing = [n for n, _ in named if n not in arrays]
-    if missing:
-        raise ValueError(f"gate tensors missing from checkpoint: {missing}")
-    for name, t in named:
-        t.data = np.asarray(arrays[name], dtype=np.float64)
+def gate_from_arrays(arrays: dict, latent_channels: int, latent_len: int) -> GateParams:
+    """The gate over a ``latent_channels`` x ``latent_len`` latent whose
+    tensors, named as in ``gate_named_parameters``, ``arrays`` holds.  It
+    raises ValueError if a tensor is missing, if a name is not a gate
+    tensor's, or if a shape differs from that gate's."""
+    gate = init_gate(latent_channels, latent_len, _ZeroDraws())
+    fill_named(gate_named_parameters(gate), arrays, "gate")
     return gate
 
 
@@ -213,7 +204,7 @@ def adaptive_separate(v: Tensor, config: SeparationConfig, params: ModelParams,
     return v, g_acc
 
 
-def gate_penalty(g, coef: float = 0.75, target: float = 3.0) -> Tensor:
+def gate_penalty(g, coef: float = PENALTY_COEF, target: float = PENALTY_TARGET) -> Tensor:
     """Quadratic pull of the iteration count toward ``target``."""
     diff = add(g, -target)
     return mul(mul(diff, diff), coef)

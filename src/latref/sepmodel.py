@@ -78,6 +78,11 @@ class SeparationConfig:
     def total_steps(self) -> int:
         return sum(bs.iterations for bs in self.blocks)
 
+    def stage_depth(self, stage: int) -> int:
+        """Refinement steps through block ``stage``: the depth progressive
+        stage ``stage`` trains and runs at."""
+        return sum(bs.iterations for bs in self.blocks[:stage + 1])
+
     def latent_length(self, T: int) -> int:
         return -(-T // self.enc_stride)
 
@@ -246,6 +251,23 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
     for j, dec in enumerate(params.decoders):
         emit(_conv_named(f"dec{j}", dec))
     return out
+
+
+def fill_named(named, arrays: dict, what: str) -> None:
+    """Give each (name, tensor) of ``named``, a zero-draw tree's list, its
+    array in ``arrays``, which must hold exactly those names, each at its
+    tensor's shape; ``what`` names the tree in the error."""
+    names = {name for name, _ in named}
+    missing, unknown = sorted(names - set(arrays)), sorted(set(arrays) - names)
+    if missing:
+        raise ValueError(f"{what} tensors missing: {missing}")
+    if unknown:
+        raise ValueError(f"{what} tensors unknown: {unknown}")
+    for name, t in named:
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != t.shape:
+            raise ValueError(f"{what} tensor {name} of shape {arr.shape}, expected {t.shape}")
+        t.data = arr
 
 
 def clone_params(params: ModelParams) -> ModelParams:
@@ -487,13 +509,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     except (AttributeError, TypeError, ValueError) as e:
         raise ValueError(f"checkpoint {path} has an invalid model config: {e}") from e
     params = init_params(config, _ZeroDraws(), stages=stages)
-    named = dict(named_parameters(params))
-    missing = set(named) - set(arrays)
-    if missing:
-        raise ValueError(f"checkpoint {path} is missing tensors: {sorted(missing)}")
-    for name, t in named.items():
-        arr = arrays.pop(name)
-        if t.shape != arr.shape:
-            raise ValueError(f"checkpoint tensor {name} has shape {arr.shape}, expected {t.shape}")
-        t.data = arr
-    return LoadedCheckpoint(config=config, params=params, extra_tensors=arrays, meta=meta)
+    named = named_parameters(params)
+    own = {name for name, _ in named}
+    fill_named(named, {n: a for n, a in arrays.items() if n in own}, f"checkpoint {path}")
+    extras = {n: a for n, a in arrays.items() if n not in own}
+    return LoadedCheckpoint(config=config, params=params, extra_tensors=extras, meta=meta)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .data import check_floats, check_ints, chunk_or_pad
 from .diffcore import Tape, backward
-from .gating import GateParams, adaptive_separate, gate_named_parameters, gate_penalty
+from .gating import PENALTY_COEF, PENALTY_TARGET, GateParams, adaptive_separate, gate_named_parameters
+from .gating import gate_penalty
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
     ModelParams,
@@ -256,8 +257,8 @@ def _batch_items(samples, cfg: TrainConfig, rng):
 
 def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
                 stage: int = 0, depth: int | None = None, freeze: FreezeMask | None = None,
-                gate: GateParams | None = None, penalty_coef: float = 0.75,
-                penalty_target: float = 3.0, rng=None):
+                gate: GateParams | None = None, penalty_coef: float = PENALTY_COEF,
+                penalty_target: float = PENALTY_TARGET, rng=None):
     if not train_set:
         raise ValueError("empty training set")
     if not val_set:
@@ -351,9 +352,8 @@ def train_progressive(config: SeparationConfig, train_set, val_set, cfg: TrainCo
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     params = init_params(config, rng, stages=m)
     results = []
-    depth = 0
     for stage, epochs in enumerate(stage_epochs):
-        depth += config.blocks[stage].iterations
+        depth = config.stage_depth(stage)
         stage_cfg = replace(cfg, epochs=epochs)
         history = _train_loop(params, train_set, val_set, stage_cfg, stage=stage,
                               depth=depth, freeze=masks[stage], rng=rng)
@@ -363,8 +363,8 @@ def train_progressive(config: SeparationConfig, train_set, val_set, cfg: TrainCo
 
 
 def finetune_gate(params: ModelParams, gate: GateParams, train_set, val_set,
-                  cfg: TrainConfig, penalty_coef: float = 0.75,
-                  penalty_target: float = 3.0, rng=None):
+                  cfg: TrainConfig, penalty_coef: float = PENALTY_COEF,
+                  penalty_target: float = PENALTY_TARGET, rng=None):
     """Jointly train model and gate on separation loss plus the iteration
     penalty; history gains a mean inference-g column."""
     return _train_loop(params, train_set, val_set, cfg, gate=gate, penalty_coef=penalty_coef,
@@ -414,7 +414,7 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     freeze = None if stage is None else stage_freeze_mask(config, stage)
     params = init_params(config, _ZeroDraws(), stages=1 if stage is None else len(config.blocks))
     trainable, frozen = apply_freeze(named_parameters(params), freeze)
-    depth = None if stage is None else sum(bs.iterations for bs in config.blocks[:stage + 1])
+    depth = None if stage is None else config.stage_depth(stage)
     S = config.num_sources
     with Tape() as tape:
         ests, _ = run_model(np.zeros(T), params, stage=stage or 0, depth=depth)

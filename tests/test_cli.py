@@ -418,6 +418,23 @@ def test_eval_row_describes_checkpoint_not_config_mode(tmp_path):
     assert row["memory_bytes"] == memory_account(loaded.config, 1, T, stage=1).total_bytes
 
 
+def test_eval_row_of_a_stage_snapshot_accounts_its_own_stage(tmp_path):
+    m = tiny_mapping(tmp_path, mode="progressive")
+    m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1},
+                            {"sub_blocks": 1, "iterations": 2}]
+    m["train"]["epochs"] = 2
+    path = write_config(tmp_path, m)
+    run("train", path)
+    out = tmp_path / "out"
+    (out / "model.ckpt").write_bytes((out / "stage0.ckpt").read_bytes())
+    assert run("eval", path) == 0
+    row = json.loads((out / "report.json").read_text())["row"]
+    cfg = load_config(path)
+    T = cfg.dataset.spec.num_samples
+    assert row["memory_bytes"] == memory_account(cfg.model, 1, T, stage=0).total_bytes
+    assert row["memory_bytes"] < memory_account(cfg.model, 1, T, stage=1).total_bytes
+
+
 def test_train_on_progressive_config_trains_every_stage(tmp_path):
     m = tiny_mapping(tmp_path, mode="progressive")
     m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1},
@@ -437,9 +454,12 @@ def test_train_on_progressive_config_trains_every_stage(tmp_path):
 
 
 def _write_checkpoint(tmp_path, mode, meta, extras=None, heads=1):
-    """A config of ``mode`` and a model.ckpt of its model with the given
-    meta and extra tensors; returns the config path."""
+    """A config of ``mode`` with one block of one iteration per head pair,
+    and a model.ckpt of its model with the given meta and extra tensors;
+    returns the config path."""
     m = tiny_mapping(tmp_path, mode=mode)
+    m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1}] * heads
+    m["train"]["epochs"] = max(heads, m["train"]["epochs"])  # an epoch per progressive stage
     path = write_config(tmp_path, m)
     params = init_params(load_config(path).model, np.random.default_rng(0), stages=heads)
     (tmp_path / "out").mkdir()
@@ -467,7 +487,9 @@ _BAD_CHECKPOINTS = {
     "progressive_no_depth": ("progressive", {"mode": "progressive", "stage": 0}, None, 1,
                              "no meta.depth"),
     "progressive_depth": ("progressive", {"mode": "progressive", "stage": 0, "depth": 5}, None, 1,
-                          r"meta.depth 5, not in range\(0, 2\)"),
+                          r"meta.depth 5, not in range\(1, 2\)"),
+    "progressive_stage_depth": ("progressive", {"mode": "progressive", "stage": 0, "depth": 2},
+                                None, 2, r"meta.depth 2, not in range\(1, 2\)"),
     "progressive_stage": ("progressive", {"mode": "progressive", "stage": 2, "depth": 1}, None, 2,
                           r"meta.stage 2, not in range\(0, 2\)"),
     "progressive_bool": ("progressive", {"mode": "progressive", "stage": True, "depth": True},
@@ -492,6 +514,21 @@ def test_eval_rejects_bad_checkpoint_before_building_data(tmp_path, monkeypatch,
     assert err.startswith("error: checkpoint ") and "model.ckpt" in err
     assert re.search(cause, err), err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_eval_rejects_a_stage_past_the_config_blocks(tmp_path, monkeypatch, capsys):
+    # three head pairs over one block: stage 2 has a head but no block
+    path = _write_checkpoint(tmp_path, "progressive", {})
+    params = init_params(load_config(path).model, np.random.default_rng(0), stages=3)
+    save_checkpoint(tmp_path / "out" / "model.ckpt", params,
+                    meta={"mode": "progressive", "stage": 2, "depth": 1})
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("eval built the dataset before checking the checkpoint")
+
+    monkeypatch.setattr(cli, "make_dataset", no_data)
+    assert main(["eval", "--config", path]) == 2
+    assert re.search(r"model\.ckpt has meta\.stage 2, not in range\(0, 1\)", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["train-progressive", "finetune-gate"])
@@ -627,6 +664,20 @@ def test_eval_synthesises_only_the_test_split(tmp_path, monkeypatch, passthrough
     assert made == [("test", 4)]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert len(report["per_sample"]) == 4
+
+
+def test_train_synthesises_only_the_train_and_val_splits(tmp_path, monkeypatch):
+    path = write_config(tmp_path, tiny_mapping(tmp_path))
+    made = []
+    sample_rng = data.sample_rng
+
+    def counted(spec, split, index):
+        made.append(split)
+        return sample_rng(spec, split, index)
+
+    monkeypatch.setattr(data, "sample_rng", counted)
+    assert run("train", path) == 0
+    assert made == ["train", "train", "val", "val"]
 
 
 def test_experiment_config_direct_construction():

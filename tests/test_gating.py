@@ -292,11 +292,25 @@ class TestGateSerialization:
     def test_named_round_trip(self):
         gate = init_gate(6, 12, np.random.default_rng(18))
         arrays = {n: t.data for n, t in gate_named_parameters(gate)}
-        rebuilt = gate_from_arrays(arrays)
+        rebuilt = gate_from_arrays(arrays, 6, 12)
         for (na, ta), (nb, tb) in zip(gate_named_parameters(gate), gate_named_parameters(rebuilt)):
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
 
     def test_missing_tensor_detected(self):
         with pytest.raises(ValueError, match="missing"):
-            gate_from_arrays({"gate.proj1.w": np.zeros((2, 4, 1))})
+            gate_from_arrays({"gate.proj1.w": np.zeros((2, 4, 1))}, 4, 7)
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda a: a.pop("gate.slope"), r"gate tensors missing: \['gate\.slope'\]"),
+        (lambda a: a.update({"gate.proj3.w": np.zeros(2)}), r"gate tensors unknown: \['gate\.proj3\.w'\]"),
+        (lambda a: a.update({"gate.proj2.w": np.zeros((2, 2, 6))}),
+         r"gate tensor gate\.proj2\.w of shape \(2, 2, 6\), expected \(2, 2, 7\)"),
+        (lambda a: a.update({"gate.proj1.w": np.zeros((2, 5, 1))}),
+         r"gate tensor gate\.proj1\.w of shape \(2, 5, 1\), expected \(2, 4, 1\)"),
+    ], ids=["missing", "unknown", "span", "channels"])
+    def test_tensors_checked_against_the_latent_shape(self, edit, cause):
+        arrays = {n: t.data for n, t in gate_named_parameters(init_gate(4, 7, np.random.default_rng(19)))}
+        edit(arrays)
+        with pytest.raises(ValueError, match=cause):
+            gate_from_arrays(arrays, 4, 7)

@@ -645,6 +645,27 @@ def test_taped_inputs_needing_no_gradient(regime):
     assert set(none) <= {"conv1d", "masked_decode", "add", "mul"}
 
 
+def test_every_taped_training_op_is_gradchecked(monkeypatch):
+    """Every op a training step tapes, end to end, at progressive stage 1
+    and gated, is also taped by a check of ``gradcheck_suite``, so no new
+    op reaches training without a finite-difference check."""
+    from latref import cli
+
+    tapes = []
+
+    def tape_only(f, params, eps=1e-5):
+        with Tape() as tape:
+            f()
+        tapes.append(tape)
+        return 0.0
+
+    monkeypatch.setattr(cli, "grad_check", tape_only)
+    cli.gradcheck_suite()
+    checked = {vjp.__qualname__.split(".")[0] for tape in tapes for *_, vjp in tape._nodes}
+    trained = set().union(*(_inputs_needing_no_gradient(r)[0] for r in ("e2e", "stage1", "gated")))
+    assert trained <= checked, sorted(trained - checked)
+
+
 def test_memory_stage_roughly_halves_activations():
     full = SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8,
                             latent_channels=32, num_sources=3,
