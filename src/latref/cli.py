@@ -1,8 +1,10 @@
 """Experiment front door: config files, run orchestration, reports.
 
 The config is one JSON file with nested sections (task, mode, model, train,
-dataset, finetune, output_dir).  Parsing is strict: an unknown key anywhere
-fails with its full path, so a typo cannot silently fall back to a default.
+dataset, finetune, output_dir), each optional.  ``data.from_mapping`` reads
+every section strictly: an unknown key anywhere fails with its dotted path
+(``model.blocks[0].x``), so a typo cannot silently fall back to a default,
+and a section that is not an object fails by its path as well.
 ``mode`` is the one regime switch: ``train`` runs the regime it names, the
 checkpoint records it, and ``eval`` runs the head, depth and gate the
 checkpoint holds.
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MixtureSpec, build_splits, check_floats, check_ints, make_dataset
+from .data import MixtureSpec, build_splits, check_floats, check_ints, from_mapping, make_dataset
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu_norm
 from .diffcore import relu, sum_all, transposed_conv1d, upsample_conv1d
 from .gating import PENALTY_COEF, PENALTY_TARGET, GateParams, _blend, _gate_soft, gate_from_arrays
@@ -32,7 +34,6 @@ from .sepmodel import (
     ConvParams,
     ModelParams,
     SeparationConfig,
-    config_from_dict,
     config_to_dict,
     count_params,
     init_params,
@@ -85,13 +86,15 @@ class FinetuneConfig:
 
 
 @dataclass
-class DataSection:
-    spec: MixtureSpec
+class DataSection(MixtureSpec):
+    """The dataset section: the mixture recipe and the size of each split."""
+
     num_train: int = 8
     num_val: int = 4
     num_test: int = 4
 
     def __post_init__(self):
+        super().__post_init__()
         check_ints(self, ("num_train", "num_val", "num_test"))
         for name in ("num_train", "num_val", "num_test"):
             if getattr(self, name) < 0:
@@ -110,14 +113,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.dataset is None:
-            self.dataset = DataSection(spec=MixtureSpec(task=self.task))
+            self.dataset = DataSection(task=self.task)
         if self.mode not in MODES:
             raise ValueError(f"mode must be end_to_end, progressive or adaptive, got {self.mode!r}")
-        if self.task != self.dataset.spec.task:
+        if self.task != self.dataset.task:
             raise ValueError(
-                f"task {self.task!r} does not match dataset.task {self.dataset.spec.task!r}"
+                f"task {self.task!r} does not match dataset.task {self.dataset.task!r}"
             )
-        expected = self.dataset.spec.num_sources
+        expected = self.dataset.num_sources
         if self.model.num_sources != expected:
             raise ValueError(
                 f"model.num_sources {self.model.num_sources} does not fit task {self.task!r} (needs {expected})"
@@ -139,40 +142,13 @@ class ExperimentConfig:
                 )
 
 
-def _strict_section(d: dict, cls, path: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
-    if unknown:
-        raise ValueError(f"unknown config key {path}.{sorted(unknown)[0]}")
-    try:
-        return cls(**d)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"invalid config section {path}: {e}") from e
-
-
 def config_from_mapping(d: dict) -> ExperimentConfig:
-    top = {"task", "mode", "model", "train", "dataset", "finetune", "output_dir"}
-    unknown = set(d) - top
-    if unknown:
-        raise ValueError(f"unknown config key {sorted(unknown)[0]}")
-    task = d.get("task", "separation")
-    kwargs = {"task": task, "mode": d.get("mode", "end_to_end"),
-              "output_dir": d.get("output_dir", "runs/exp")}
-    try:
-        kwargs["model"] = config_from_dict(d.get("model", {}))
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"invalid config section model: {e}") from e
-    kwargs["train"] = _strict_section(d.get("train", {}), TrainConfig, "train")
-    kwargs["finetune"] = _strict_section(d.get("finetune", {}), FinetuneConfig, "finetune")
-    ds = dict(d.get("dataset", {}))
-    counts = {k: ds.pop(k) for k in ("num_train", "num_val", "num_test") if k in ds}
-    ds.setdefault("task", task)
-    spec = _strict_section(ds, MixtureSpec, "dataset")
-    try:
-        kwargs["dataset"] = DataSection(spec=spec, **counts)
-    except ValueError as e:
-        raise ValueError(f"invalid config section dataset: {e}") from e
-    return ExperimentConfig(**kwargs)
+    """Build the config through the one strict reader; the one rule of its
+    own is that ``dataset.task`` defaults to the top-level ``task``."""
+    ds = d.get("dataset", {})
+    if isinstance(ds, dict):
+        d = {**d, "dataset": {"task": d.get("task", ExperimentConfig.task), **ds}}
+    return from_mapping(ExperimentConfig, d)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -192,8 +168,14 @@ def load_config(path) -> ExperimentConfig:
 # Artifacts
 
 
+def _head_pairs(config: SeparationConfig, mode: str) -> int:
+    """Mask-net/decoder pairs a model of ``mode`` holds, as training writes
+    them: one per progressive stage, else one."""
+    return len(config.blocks) if mode == "progressive" else 1
+
+
 def _gate_latent_len(cfg: ExperimentConfig) -> int:
-    return cfg.model.latent_length(cfg.dataset.spec.num_samples)
+    return cfg.model.latent_length(cfg.dataset.num_samples)
 
 
 @dataclass
@@ -219,7 +201,8 @@ def write_model(path, cfg: ExperimentConfig, model: TrainedModel) -> None:
 
 def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
     """The one checkpoint reader: check ``path`` against ``cfg`` before any data
-    is built, so a checkpoint that cannot run fails with its file and key named."""
+    is built, so a checkpoint that cannot run fails with its file and key named.
+    Its head pairs must be those training writes (``_head_pairs``)."""
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}; train first or pass --passthrough")
     loaded = load_checkpoint(path)
@@ -230,9 +213,7 @@ def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
                              f"but the config has {want[key]!r}")
     meta, allowed = loaded.meta, {"mode": MODES}
     if meta.get("mode") == "progressive":
-        # a stage needs its head pair and its block
-        stages = min(len(loaded.params.mask_nets), len(cfg.model.blocks))
-        allowed.update(stage=range(stages), depth=None)
+        allowed.update(stage=range(len(cfg.model.blocks)), depth=None)
     for key, values in allowed.items():
         if key not in meta:
             raise ValueError(f"checkpoint {path} has no meta.{key}")
@@ -245,6 +226,10 @@ def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
         if meta[key] not in values:
             raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not in {values!r}")
     model = TrainedModel(loaded.params, **{key: meta[key] for key in allowed})
+    heads, want = len(model.params.mask_nets), _head_pairs(cfg.model, model.mode)
+    if heads != want:
+        raise ValueError(f"checkpoint {path} has {heads} head pairs, but {model.mode} "
+                         f"training of this config writes {want}")
     extras = loaded.extra_tensors
     if model.mode == "adaptive":
         L = _gate_latent_len(cfg)
@@ -302,14 +287,11 @@ def _model_row(cfg: ExperimentConfig, model: TrainedModel | None, mean_sisdri: f
     progressive one at its last stage.
     """
     if model is None:
-        config, mode = cfg.model, cfg.mode
-        heads = len(config.blocks) if mode == "progressive" else 1
-        stage = heads - 1
+        config, mode, stage = cfg.model, cfg.mode, len(cfg.model.blocks) - 1
     else:
         config, mode, stage = model.params.config, model.mode, model.stage
-        heads = len(model.params.mask_nets)
-    counts = count_params(config, stages=heads)
-    mem = memory_account(config, batch_size=1, T=cfg.dataset.spec.num_samples,
+    counts = count_params(config, stages=_head_pairs(config, mode))
+    mem = memory_account(config, batch_size=1, T=cfg.dataset.num_samples,
                          stage=stage if mode == "progressive" else None)
     return {
         "blocks": len(config.blocks),
@@ -331,7 +313,7 @@ def eval_model(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
     describes it.  ``None`` scores the mixture itself as every estimate
     (passthrough).
     """
-    test = make_dataset(cfg.dataset.spec, cfg.dataset.num_test, "test")
+    test = make_dataset(cfg.dataset, cfg.dataset.num_test, "test")
     if model is None:
         scores = [eval_speech_sisdri(np.tile(s.mixture, (s.sources.shape[0], 1)), s.sources,
                                      s.mixture, s.speech_count) for s in test]
@@ -498,7 +480,7 @@ def _train_adaptive(cfg: ExperimentConfig, splits):
 def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     """Train in the regime ``cfg.mode`` names.  Writes history.jsonl and
     model.ckpt, and a progressive run also stage<i>.ckpt per stage."""
-    splits = build_splits(cfg.dataset.spec, cfg.dataset.num_train, cfg.dataset.num_val)
+    splits = build_splits(cfg.dataset, cfg.dataset.num_train, cfg.dataset.num_val)
     if cfg.mode == "progressive":
         results = train_progressive(cfg.model, splits.train, splits.val, cfg.train)
         records = [{**rec, "stage": res.stage} for res in results for rec in res.history]
@@ -556,7 +538,7 @@ def run(command: str, config_path=None, seed: int | None = None, out=None,
     cfg = load_config(config_path)
     if seed is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=seed)
-        cfg.dataset.spec = dataclasses.replace(cfg.dataset.spec, seed=seed)
+        cfg.dataset = dataclasses.replace(cfg.dataset, seed=seed)
     # train reads the train and val splits, eval the test split: none may be empty
     for key in {"train": ("num_train", "num_val"), "eval": ("num_test",)}.get(command, ()):
         if getattr(cfg.dataset, key) == 0:

@@ -16,8 +16,10 @@ generate in parallel.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
+import typing
 import wave
 from dataclasses import dataclass, field
 
@@ -46,6 +48,42 @@ def check_ints(obj, names, optional=(), prefix: str = ""):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
         setattr(obj, name, int(value))
+
+
+def from_mapping(cls, value, path: str = ""):
+    """Build dataclass ``cls`` from the JSON object ``value``, strictly.
+
+    A key that is not a field of ``cls`` fails with its dotted path.  A
+    field whose type is a dataclass, or a list of one, is read by this
+    function one level down, so ``model.blocks[0].x`` is named as such.
+    ``path`` names the section: a section's TypeError or ValueError is
+    raised as a ValueError naming it, while at the top level (``path``
+    empty) the class's own errors pass through unchanged.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {path} must be an object, got {value!r}")
+    prefix = f"{path}." if path else ""
+    unknown = set(value) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config key {prefix}{sorted(unknown)[0]}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, item in value.items():
+        kind, sub = hints[key], prefix + key
+        elem = typing.get_args(kind)[0] if typing.get_origin(kind) is list else None
+        if dataclasses.is_dataclass(kind):
+            item = from_mapping(kind, item, sub)
+        elif dataclasses.is_dataclass(elem):
+            if not isinstance(item, list):
+                raise ValueError(f"config section {sub} must be a list, got {item!r}")
+            item = [from_mapping(elem, x, f"{sub}[{i}]") for i, x in enumerate(item)]
+        kwargs[key] = item
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        if not path:
+            raise
+        raise ValueError(f"invalid config section {path}: {e}") from e
 
 
 def _is_finite_real(value) -> bool:

@@ -200,12 +200,10 @@ class Tape:
         """Total element count over all op outputs on the tape."""
         return sum(node[0] for node in self._nodes)
 
-    def held_output_elems(self, start: int = 0, stop: int | None = None) -> int:
+    def held_output_elems(self) -> int:
         """Elements of the op outputs the tape holds for backward (until the
-        sweep releases them), each array once, over those produced by nodes
-        ``start`` to ``stop`` (exclusive)."""
-        stop = len(self._nodes) if stop is None else stop
-        return sum(n for node, n in self._held.values() if start <= node < stop)
+        sweep releases them), each array once."""
+        return sum(n for _, n in self._held.values())
 
 
 _TAPES: list[Tape] = []

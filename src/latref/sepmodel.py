@@ -10,6 +10,8 @@ a block's iteration count multiplies compute without adding parameters.
 
 Checkpoints are a flat binary container: magic, a sorted-key JSON header
 describing config and tensor shapes, then raw little-endian float64 payload.
+The header's config is read back as the config file's ``model`` section is,
+by ``data.from_mapping``, so a malformed one fails by its dotted key.
 No timestamps anywhere, so identical states serialize to identical bytes.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_ints
+from .data import check_ints, from_mapping
 from .diffcore import Tensor, conv1d, masked_decode, prelu_norm, relu, residual, upsample_conv1d
 
 _CKPT_MAGIC = b"LRCKPT01"
@@ -89,20 +91,6 @@ class SeparationConfig:
 
 def config_to_dict(config: SeparationConfig) -> dict:
     return dataclasses.asdict(config)
-
-
-def config_from_dict(d: dict) -> SeparationConfig:
-    unknown = set(d) - {f.name for f in dataclasses.fields(SeparationConfig)}
-    if unknown:
-        raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-    blocks = []
-    for i, bd in enumerate(d.get("blocks", [{}])):
-        extra = set(bd) - {f.name for f in dataclasses.fields(BlockSpec)}
-        if extra:
-            raise ValueError(f"unknown keys in blocks[{i}]: {sorted(extra)}")
-        blocks.append(BlockSpec(**bd))
-    kwargs = {k: v for k, v in d.items() if k != "blocks"}
-    return SeparationConfig(blocks=blocks, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +493,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise ValueError(f"checkpoint {path} header needs an object 'meta' and an integer "
                          f"'stages' >= 1, got stages {stages!r}")
     try:
-        config = config_from_dict(header["config"])
-    except (AttributeError, TypeError, ValueError) as e:
+        config = from_mapping(SeparationConfig, header["config"], "model")
+    except ValueError as e:
         raise ValueError(f"checkpoint {path} has an invalid model config: {e}") from e
     params = init_params(config, _ZeroDraws(), stages=stages)
     named = named_parameters(params)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_config_defaults_fill_in():
     cfg = config_from_mapping({"task": "separation"})
     assert cfg.mode == "end_to_end"
     assert cfg.train.epochs == 200
-    assert cfg.dataset.spec.sample_rate == 8000
+    assert cfg.dataset.sample_rate == 8000
     assert cfg.dataset.num_train == 8
 
 
@@ -199,6 +200,43 @@ def test_wrongly_typed_config_value_rejected(tmp_path, path, value):
     field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:]).lstrip(".")
     with pytest.raises(ValueError, match=re.escape(f"invalid config section {path[0]}: {field} must be")):
         load_config(write_config(tmp_path, m))
+
+
+@pytest.mark.parametrize("section,value,message", [
+    (("train",), 5, "config section train must be an object, got 5"),
+    (("dataset",), 5, "config section dataset must be an object, got 5"),
+    (("finetune",), [], "config section finetune must be an object, got []"),
+    (("model",), 5, "config section model must be an object, got 5"),
+    (("model", "blocks"), 5, "config section model.blocks must be a list, got 5"),
+    (("model", "blocks"), [{}, 7], "config section model.blocks[1] must be an object, got 7"),
+    (("model", "enc_basez"), 3, "unknown config key model.enc_basez"),
+    (("model", "blocks"), [{"x": 1}], "unknown config key model.blocks[0].x"),
+], ids=["train", "dataset", "finetune", "model", "blocks", "block", "model_key", "block_key"])
+def test_malformed_section_fails_by_its_path_before_building_data(
+        tmp_path, monkeypatch, capsys, section, value, message):
+    m = tiny_mapping(tmp_path)
+    parent = m
+    for key in section[:-1]:
+        parent = parent[key]
+    parent[section[-1]] = value
+    path = write_config(tmp_path, m)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("train built the dataset before checking the config")
+
+    monkeypatch.setattr(cli, "build_splits", no_data)
+    assert main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_complete_config_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"A complete config:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    cfg = config_from_mapping(json.loads(block))
+    assert (cfg.mode, cfg.dataset.num_train, cfg.finetune.epochs) == ("end_to_end", 16, 10)
 
 
 @pytest.mark.parametrize("key", ["num_train", "num_val", "num_test"])
@@ -394,7 +432,7 @@ def test_progressive_eval_runs_stored_head_and_depth(tmp_path):
     loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
     assert (loaded.meta["stage"], loaded.meta["depth"]) == (1, 2)
     ds = load_config(path).dataset
-    test = build_splits(ds.spec, ds.num_train, ds.num_val, ds.num_test).test
+    test = build_splits(ds, ds.num_train, ds.num_val, ds.num_test).test
     scores, _ = evaluate(loaded.params, test, stage=1, depth=2)
     assert report["row"]["mean_sisdri"] == float(np.mean(scores))
     assert [r["sisdri"] for r in report["per_sample"]] == scores
@@ -414,7 +452,7 @@ def test_eval_row_describes_checkpoint_not_config_mode(tmp_path):
     loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
     assert row["mode"] == "progressive"
     assert row["params"] == count_params(loaded.config, stages=2).total
-    T = load_config(path).dataset.spec.num_samples
+    T = load_config(path).dataset.num_samples
     assert row["memory_bytes"] == memory_account(loaded.config, 1, T, stage=1).total_bytes
 
 
@@ -430,7 +468,7 @@ def test_eval_row_of_a_stage_snapshot_accounts_its_own_stage(tmp_path):
     assert run("eval", path) == 0
     row = json.loads((out / "report.json").read_text())["row"]
     cfg = load_config(path)
-    T = cfg.dataset.spec.num_samples
+    T = cfg.dataset.num_samples
     assert row["memory_bytes"] == memory_account(cfg.model, 1, T, stage=0).total_bytes
     assert row["memory_bytes"] < memory_account(cfg.model, 1, T, stage=1).total_bytes
 
@@ -447,7 +485,7 @@ def test_train_on_progressive_config_trains_every_stage(tmp_path):
     cfg = load_config(path)
     assert row["mode"] == "progressive"
     assert row["params"] == count_params(cfg.model, stages=2).total
-    T = cfg.dataset.spec.num_samples
+    T = cfg.dataset.num_samples
     assert row["memory_bytes"] == memory_account(cfg.model, 1, T, stage=1).total_bytes
     assert load_checkpoint(tmp_path / "out" / "model.ckpt").meta == {
         "mode": "progressive", "task": "separation", "stage": 1, "depth": 3}
@@ -455,11 +493,13 @@ def test_train_on_progressive_config_trains_every_stage(tmp_path):
 
 def _write_checkpoint(tmp_path, mode, meta, extras=None, heads=1):
     """A config of ``mode`` with one block of one iteration per head pair,
-    and a model.ckpt of its model with the given meta and extra tensors;
-    returns the config path."""
+    or, for ``heads`` a (blocks, heads) pair, with that many blocks, and a
+    model.ckpt of its model with the given meta and extra tensors; returns
+    the config path."""
+    blocks, heads = heads if isinstance(heads, tuple) else (heads, heads)
     m = tiny_mapping(tmp_path, mode=mode)
-    m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1}] * heads
-    m["train"]["epochs"] = max(heads, m["train"]["epochs"])  # an epoch per progressive stage
+    m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 1}] * blocks
+    m["train"]["epochs"] = max(blocks, m["train"]["epochs"])  # an epoch per progressive stage
     path = write_config(tmp_path, m)
     params = init_params(load_config(path).model, np.random.default_rng(0), stages=heads)
     (tmp_path / "out").mkdir()
@@ -496,6 +536,13 @@ _BAD_CHECKPOINTS = {
                          None, 2, "meta.stage True, not an integer"),
     "progressive_float": ("progressive", {"mode": "progressive", "stage": 0, "depth": 1.0},
                           None, 1, "meta.depth 1.0, not an integer"),
+    # training writes one head pair per progressive stage and one in any other mode
+    "end_to_end_heads": ("end_to_end", {"mode": "end_to_end"}, None, (1, 3),
+                         "3 head pairs, but end_to_end training of this config writes 1"),
+    "adaptive_heads": ("adaptive", {"mode": "adaptive"}, _gate_arrays(100), (1, 2),
+                       "2 head pairs, but adaptive training of this config writes 1"),
+    "progressive_heads": ("progressive", {"mode": "progressive", "stage": 1, "depth": 2}, None,
+                          (2, 3), "3 head pairs, but progressive training of this config writes 2"),
 }
 
 
@@ -682,4 +729,4 @@ def test_train_synthesises_only_the_train_and_val_splits(tmp_path, monkeypatch):
 
 def test_experiment_config_direct_construction():
     cfg = ExperimentConfig()
-    assert cfg.dataset.spec.task == "separation"
+    assert cfg.dataset.task == "separation"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from latref import diffcore as dc
 from latref import sepmodel
 from latref.diffcore import Tape, Tensor, add, backward, grad_check, mul, sum_all, transposed_conv1d
+from latref.data import from_mapping
 from latref.losses import pit_loss
 from latref.sepmodel import (
     BlockSpec,
@@ -22,7 +23,6 @@ from latref.sepmodel import (
     apply_block,
     apply_sub_block,
     clone_params,
-    config_from_dict,
     config_to_dict,
     count_params,
     encode,
@@ -64,11 +64,11 @@ class TestConfig:
 
     def test_round_trip_dict(self):
         cfg = toy_config(blocks=[BlockSpec(2, 3), BlockSpec(2, 1, shares_params_with=0)])
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert from_mapping(SeparationConfig, config_to_dict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
-            config_from_dict({"bogus": 1})
+            from_mapping(SeparationConfig, {"bogus": 1})
 
 
 class TestEncode:
@@ -569,9 +569,15 @@ class TestCheckpoint:
         (lambda h: h.update(tensors=None), r"'tensors' is None, not a list"),
         (lambda h: h["tensors"][0].update(shape=[2**40, 1, 4]),
          r"'encoder\.w'.*\[1099511627776, 1, 4\]\} declares 35184372088832 bytes, \d+ are left"),
+        (lambda h: h.update(config=5), "config section model must be an object, got 5"),
+        (lambda h: h["config"].update(blocks=5), r"config section model\.blocks must be a list"),
+        (lambda h: h["config"].update(blocks=[7]), r"config section model\.blocks\[0\] must be an object"),
+        (lambda h: h["config"].update(enc_basez=1), r"unknown config key model\.enc_basez"),
+        (lambda h: h["config"].update(blocks=[{"x": 1}]), r"unknown config key model\.blocks\[0\]\.x"),
     ], ids=["tensor_entry", "meta", "stages", "config", "shape_float", "shape_bool",
             "shape_negative", "shape_two_unknown", "name_list", "name_int", "name_repeated",
-            "tensors_int", "tensors_null", "shape_beyond_file"])
+            "tensors_int", "tensors_null", "shape_beyond_file", "config_int", "config_blocks_int",
+            "config_block_int", "config_unknown_key", "config_block_unknown_key"])
     def test_malformed_header_values_rejected(self, tmp_path, edit, cause):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(toy_config(), np.random.default_rng(37)))
