@@ -4,7 +4,13 @@ The config is one JSON file with nested sections (task, mode, model, train,
 dataset, finetune, output_dir), each optional.  ``data.from_mapping`` reads
 every section strictly: an unknown key anywhere fails with its dotted path
 (``model.blocks[0].x``), so a typo cannot silently fall back to a default,
-and a section that is not an object fails by its path as well.
+and a section that is not an object fails by its path as well.  Each
+key's type and bound are its field's annotation (``Count``, ``Size``,
+``Positive``, ``NonNegative``, a ``Literal``), which ``data.check_fields``
+checks when the section is built, so a bad value is named before any data
+is; only rules across keys are written out below.  A config file that
+cannot be read or decoded, or an ``--out`` that is a file, exits 2 with
+the path named.
 ``mode`` is the one regime switch: ``train`` runs the regime it names, the
 checkpoint records it, and ``eval`` runs the head, depth and gate the
 checkpoint holds.
@@ -18,12 +24,14 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import MixtureSpec, build_splits, check_floats, check_ints, from_mapping, make_dataset
+from .data import Count, MixtureSpec, NonNegative, Positive, Size, Task, build_splits, check_fields
+from .data import from_mapping, make_dataset
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu_norm
 from .diffcore import relu, sum_all, transposed_conv1d, upsample_conv1d
 from .gating import PENALTY_COEF, PENALTY_TARGET, GateParams, _blend, _gate_soft, gate_from_arrays
@@ -54,27 +62,23 @@ from .training import (
 )
 
 GRADCHECK_TOL = 1e-4
-MODES = ("end_to_end", "progressive", "adaptive")
+Mode = typing.Literal["end_to_end", "progressive", "adaptive"]
+MODES = typing.get_args(Mode)
 
 
 @dataclass
 class FinetuneConfig:
     """Joint gate fine-tune phase; its epochs come out of train.epochs."""
 
-    epochs: int = 0  # 0 means one tenth of the total, at least 1
-    lr0: float = 1e-4
-    lr_decay_every: int = 5
-    lr_decay_factor: float = 1.0 / 3.0
-    penalty_coef: float = PENALTY_COEF
+    epochs: Count = 0  # 0 means one tenth of the total, at least 1
+    lr0: Positive = 1e-4
+    lr_decay_every: Size = 5
+    lr_decay_factor: Positive = 1.0 / 3.0
+    penalty_coef: NonNegative = PENALTY_COEF
     penalty_target: float = PENALTY_TARGET
 
     def __post_init__(self):
-        # the fine-tune runs under a TrainConfig with these values: check them as it does
-        TrainConfig(epochs=self.epochs, lr0=self.lr0, lr_decay_every=self.lr_decay_every,
-                    lr_decay_factor=self.lr_decay_factor)
-        check_floats(self, ("penalty_coef", "penalty_target"))
-        if self.penalty_coef < 0:
-            raise ValueError(f"penalty_coef must be >= 0, got {self.penalty_coef}")
+        check_fields(self)
 
     def resolve_epochs(self, total: int) -> int:
         ft = self.epochs if self.epochs > 0 else max(1, round(total / 10))
@@ -89,22 +93,15 @@ class FinetuneConfig:
 class DataSection(MixtureSpec):
     """The dataset section: the mixture recipe and the size of each split."""
 
-    num_train: int = 8
-    num_val: int = 4
-    num_test: int = 4
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_ints(self, ("num_train", "num_val", "num_test"))
-        for name in ("num_train", "num_val", "num_test"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+    num_train: Count = 8
+    num_val: Count = 4
+    num_test: Count = 4
 
 
 @dataclass
 class ExperimentConfig:
-    task: str = "separation"
-    mode: str = "end_to_end"
+    task: Task = "separation"
+    mode: Mode = "end_to_end"
     model: SeparationConfig = field(default_factory=SeparationConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     dataset: DataSection = None
@@ -112,10 +109,9 @@ class ExperimentConfig:
     output_dir: str = "runs/exp"
 
     def __post_init__(self):
+        check_fields(self)
         if self.dataset is None:
             self.dataset = DataSection(task=self.task)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be end_to_end, progressive or adaptive, got {self.mode!r}")
         if self.task != self.dataset.task:
             raise ValueError(
                 f"task {self.task!r} does not match dataset.task {self.dataset.task!r}"
@@ -157,7 +153,7 @@ def load_config(path) -> ExperimentConfig:
         raise FileNotFoundError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # undecodable bytes as well as bad JSON
         raise ValueError(f"config file {p} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ValueError(f"config file {p} must hold a JSON object")
@@ -575,7 +571,7 @@ def main(argv=None) -> int:
     try:
         return run(args.command, args.config, seed=args.seed, out=args.out,
                    passthrough=args.passthrough)
-    except (ValueError, FileNotFoundError, FloatingPointError) as e:
+    except (ValueError, OSError, FloatingPointError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -17,11 +17,14 @@ generate in parallel.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
+import types
 import typing
 import wave
 from dataclasses import dataclass, field
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -36,47 +39,122 @@ NOISE_SMOOTH_WIN = 9
 _SPLIT_TAGS = {"train": 0, "val": 1, "test": 2}
 
 
-def check_ints(obj, names, optional=(), prefix: str = ""):
-    """Raise ValueError naming the first field of ``obj`` in ``names`` or
-    ``optional`` (which may also be None) that holds no integer.  A Python
-    or numpy integer passes and is stored as a Python int; a bool or a
-    float does not."""
-    for name in (*names, *optional):
-        value = getattr(obj, name)
-        if value is None and name in optional:
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
-        setattr(obj, name, int(value))
+def _is_finite_real(value) -> bool:
+    """An integer or float, Python or numpy, that is finite; not a bool."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_finite_real, value))
+
+
+# A field's bound rides on its annotation: the words a message gives it, and its test.
+Count = Annotated[int, ">= 0", lambda v: v >= 0]
+Size = Annotated[int, ">= 1", lambda v: v >= 1]
+Positive = Annotated[float, "positive", lambda v: v > 0]
+NonNegative = Annotated[float, ">= 0", lambda v: v >= 0]
+Task = Literal["separation", "enhancement"]
+
+# Each plain kind: how a message names it, its test, and how a passing value is stored.
+_KINDS = {
+    bool: ("true or false", lambda v: isinstance(v, bool), None),
+    int: ("an integer", lambda v: not isinstance(v, bool) and isinstance(v, numbers.Integral), int),
+    float: ("a finite number", _is_finite_real, None),
+    str: ("a string", lambda v: isinstance(v, str), None),
+    tuple[float, float]: ("a pair of finite numbers", _is_pair, lambda v: tuple(map(float, v))),
+}
+
+
+@functools.cache
+def _field_kinds(cls) -> dict:
+    """Each field of dataclass ``cls`` by its annotation, ``Annotated`` kept;
+    read once per class."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _nested(kind):
+    """The dataclass a field of ``kind`` holds, itself or as a list, else None."""
+    elem = typing.get_args(kind)[0] if typing.get_origin(kind) is list else kind
+    return elem if dataclasses.is_dataclass(elem) else None
+
+
+def _checked(kind, value, key: str, optional: bool = False):
+    """``value`` as a field of annotation ``kind`` stores it, or a ValueError
+    naming ``key``.  An annotation that is no kind raises TypeError, even
+    when an optional field holds None."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        return _checked(next(a for a in args if a is not type(None)), value, key, True)
+    if origin is typing.Annotated:
+        value = _checked(args[0], value, key, optional)
+        words, test = args[1:]
+        if value is not None and not test(value):
+            raise ValueError(f"{key} must be {words}, got {value}")
+        return value
+    if origin is typing.Literal:
+        words, test, store = ", ".join(args[:-1]) + " or " + args[-1], lambda v: v in args, None
+    elif kind in _KINDS:
+        words, test, store = _KINDS[kind]
+    else:
+        raise TypeError(f"{key} has annotation {kind!r}, which check_fields cannot check")
+    if optional and value is None:
+        return None
+    if not test(value):
+        raise ValueError(f"{key} must be {words}, got {value!r}")
+    value = store(value) if store else value
+    if kind == tuple[float, float] and value[0] > value[1]:
+        raise ValueError(f"{key} has lo {value[0]} > hi {value[1]}")
+    return value
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """Check every field of dataclass ``obj`` against its annotation, naming
+    a bad one as ``prefix`` + its name.
+
+    The annotation is the rule: ``bool``, ``int`` (not a bool; stored as a
+    Python int), ``float`` (finite; kept as given), ``str``, ``tuple[float,
+    float]`` (an ordered (lo, hi) pair, stored as floats), a ``Literal``,
+    and any of these ``| None``.  The bound of a ``Count`` (int >= 0),
+    ``Size`` (int >= 1), ``Positive`` (float > 0) or ``NonNegative`` (float
+    >= 0) is checked after its type.  A dataclass field, or a list of them,
+    is skipped: it checks itself.  Any other annotation is a TypeError, so
+    no field goes unchecked.
+    """
+    for name, kind in _field_kinds(type(obj)).items():
+        if _nested(kind) is None:
+            setattr(obj, name, _checked(kind, getattr(obj, name), prefix + name))
 
 
 def from_mapping(cls, value, path: str = ""):
     """Build dataclass ``cls`` from the JSON object ``value``, strictly.
 
     A key that is not a field of ``cls`` fails with its dotted path.  A
-    field whose type is a dataclass, or a list of one, is read by this
-    function one level down, so ``model.blocks[0].x`` is named as such.
-    ``path`` names the section: a section's TypeError or ValueError is
-    raised as a ValueError naming it, while at the top level (``path``
-    empty) the class's own errors pass through unchanged.
+    field whose annotation is a dataclass, or a list of one, is read by
+    this function one level down, so ``model.blocks[0].x`` is named as
+    such; every other field is checked by the class itself, through
+    ``check_fields`` and the same cached annotations.  ``path`` names the
+    section: a section's TypeError or ValueError is raised as a ValueError
+    naming it, while at the top level (``path`` empty) the class's own
+    errors pass through unchanged.
     """
     if not isinstance(value, dict):
         raise ValueError(f"config section {path} must be an object, got {value!r}")
     prefix = f"{path}." if path else ""
-    unknown = set(value) - {f.name for f in dataclasses.fields(cls)}
+    kinds = _field_kinds(cls)
+    unknown = set(value) - set(kinds)
     if unknown:
         raise ValueError(f"unknown config key {prefix}{sorted(unknown)[0]}")
-    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, item in value.items():
-        kind, sub = hints[key], prefix + key
-        elem = typing.get_args(kind)[0] if typing.get_origin(kind) is list else None
-        if dataclasses.is_dataclass(kind):
-            item = from_mapping(kind, item, sub)
-        elif dataclasses.is_dataclass(elem):
+        kind, nested, sub = kinds[key], _nested(kinds[key]), prefix + key
+        if nested is not None and typing.get_origin(kind) is list:
             if not isinstance(item, list):
                 raise ValueError(f"config section {sub} must be a list, got {item!r}")
-            item = [from_mapping(elem, x, f"{sub}[{i}]") for i, x in enumerate(item)]
+            item = [from_mapping(nested, x, f"{sub}[{i}]") for i, x in enumerate(item)]
+        elif nested is not None:
+            item = from_mapping(nested, item, sub)
         kwargs[key] = item
     try:
         return cls(**kwargs)
@@ -86,56 +164,20 @@ def from_mapping(cls, value, path: str = ""):
         raise ValueError(f"invalid config section {path}: {e}") from e
 
 
-def _is_finite_real(value) -> bool:
-    """An integer or float, Python or numpy, that is finite; not a bool."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
-
-
-def check_floats(obj, names):
-    """Raise ValueError naming the first field of ``obj`` in ``names`` that
-    holds no finite real number.  An integer or float, Python or numpy,
-    passes as it is; a bool, a string, NaN or an infinity does not."""
-    for name in names:
-        value = getattr(obj, name)
-        if not _is_finite_real(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def check_float_pair(obj, name):
-    """Store field ``name`` of ``obj`` as a tuple of two floats, or raise
-    ValueError naming it unless it holds exactly two finite real numbers."""
-    value = getattr(obj, name)
-    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_finite_real, value)):
-        raise ValueError(f"{name} must be a pair of finite numbers, got {value!r}")
-    setattr(obj, name, tuple(float(v) for v in value))
-
-
 @dataclass
 class MixtureSpec:
-    sample_rate: int = 8000
-    duration: float = 4.0
-    speaker_snr_range: tuple = (0.0, 5.0)
-    noise_snr_range: tuple = (-3.0, 6.0)
-    task: str = "separation"
-    seed: int = 0
+    sample_rate: Size = 8000
+    duration: Positive = 4.0
+    speaker_snr_range: tuple[float, float] = (0.0, 5.0)
+    noise_snr_range: tuple[float, float] = (-3.0, 6.0)
+    task: Task = "separation"
+    seed: Count = 0
 
     def __post_init__(self):
-        check_ints(self, ("sample_rate", "seed"))
-        check_floats(self, ("duration",))
-        check_float_pair(self, "speaker_snr_range")
-        check_float_pair(self, "noise_snr_range")
-        if self.task not in ("separation", "enhancement"):
-            raise ValueError(f"task must be separation or enhancement, got {self.task!r}")
-        for name in ("speaker_snr_range", "noise_snr_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} has lo {lo} > hi {hi}")
+        check_fields(self)
         n = self.duration * self.sample_rate
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ValueError(f"duration {self.duration}s at {self.sample_rate} Hz is not a whole sample count")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def num_samples(self) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_ints, from_mapping
+from .data import Count, Size, check_fields, from_mapping
 from .diffcore import Tensor, conv1d, masked_decode, prelu_norm, relu, residual, upsample_conv1d
 
 _CKPT_MAGIC = b"LRCKPT01"
@@ -35,38 +35,28 @@ _CKPT_FORMAT = 1
 
 @dataclass
 class BlockSpec:
-    sub_blocks: int = 1
-    iterations: int = 1
-    shares_params_with: int | None = None
+    sub_blocks: Size = 1
+    iterations: Size = 1
+    shares_params_with: Count | None = None
 
 
 @dataclass
 class SeparationConfig:
-    enc_bases: int = 512
-    enc_kernel: int = 21
-    enc_stride: int = 10
-    latent_channels: int = 128
-    num_sources: int = 3
+    enc_bases: Size = 512
+    enc_kernel: Size = 21
+    enc_stride: Size = 10
+    latent_channels: Size = 128
+    num_sources: Size = 3
     blocks: list[BlockSpec] = field(default_factory=lambda: [BlockSpec()])
-    sub_scales: int = 5
-    sub_kernel: int = 5
+    sub_scales: Size = 5
+    sub_kernel: Size = 5
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        sizes = ("enc_bases", "enc_kernel", "enc_stride", "latent_channels",
-                 "num_sources", "sub_scales", "sub_kernel")
-        check_ints(self, sizes)
-        for name in sizes:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self)
         if not self.blocks:
             raise ValueError("config needs at least one block")
         for i, bs in enumerate(self.blocks):
-            check_ints(bs, ("sub_blocks", "iterations"), ("shares_params_with",), f"blocks[{i}].")
-            if bs.sub_blocks < 1 or bs.iterations < 1:
-                raise ValueError(f"block {i} needs sub_blocks >= 1 and iterations >= 1")
+            check_fields(bs, f"blocks[{i}].")
             ref = bs.shares_params_with
             if ref is not None:
                 if not 0 <= ref < i:

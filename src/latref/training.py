@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import check_floats, check_ints, chunk_or_pad
+from .data import Count, Positive, Size, check_fields, chunk_or_pad
 from .diffcore import Tape, backward
 from .gating import PENALTY_COEF, PENALTY_TARGET, GateParams, adaptive_separate, gate_named_parameters
 from .gating import gate_penalty
@@ -47,32 +47,18 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainConfig:
-    epochs: int = 200
-    batch_size: int = 4
-    lr0: float = 1e-3
-    lr_decay_every: int = 40
-    lr_decay_factor: float = 1.0 / 3.0
-    clip_norm: float = 5.0
-    seed: int = 0
+    epochs: Count = 200
+    batch_size: Size = 4
+    lr0: Positive = 1e-3
+    lr_decay_every: Size = 40
+    lr_decay_factor: Positive = 1.0 / 3.0
+    clip_norm: Positive = 5.0
+    seed: Count = 0
     augment: bool = True
-    chunk_len: int | None = None  # None trains on full-length items
+    chunk_len: Size | None = None  # None trains on full-length items
 
     def __post_init__(self):
-        check_ints(self, ("epochs", "batch_size", "lr_decay_every", "seed"), ("chunk_len",))
-        check_floats(self, ("lr0", "lr_decay_factor", "clip_norm"))
-        if not isinstance(self.augment, bool):
-            raise ValueError(f"augment must be true or false, got {self.augment!r}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("lr0", "lr_decay_factor", "clip_norm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lr_decay_every < 1:
-            raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
-        if self.chunk_len is not None and self.chunk_len < 1:
-            raise ValueError(f"chunk_len must be positive, got {self.chunk_len}")
+        check_fields(self)
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:

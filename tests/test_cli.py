@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,9 @@ import pytest
 
 from latref import cli, data
 from latref.cli import (
+    DataSection,
     ExperimentConfig,
+    FinetuneConfig,
     config_from_mapping,
     gradcheck_suite,
     load_config,
@@ -18,8 +21,9 @@ from latref.cli import (
 )
 from latref.data import build_splits
 from latref.gating import gate_named_parameters, init_gate
-from latref.sepmodel import count_params, init_params, load_checkpoint, save_checkpoint
-from latref.training import evaluate, memory_account
+from latref.sepmodel import BlockSpec, SeparationConfig, count_params, init_params, load_checkpoint
+from latref.sepmodel import save_checkpoint
+from latref.training import TrainConfig, evaluate, memory_account
 
 
 def tiny_mapping(tmp_path, mode="end_to_end", task="separation", **over):
@@ -211,7 +215,11 @@ def test_wrongly_typed_config_value_rejected(tmp_path, path, value):
     (("model", "blocks"), [{}, 7], "config section model.blocks[1] must be an object, got 7"),
     (("model", "enc_basez"), 3, "unknown config key model.enc_basez"),
     (("model", "blocks"), [{"x": 1}], "unknown config key model.blocks[0].x"),
-], ids=["train", "dataset", "finetune", "model", "blocks", "block", "model_key", "block_key"])
+    (("train", "seed"), -1, "invalid config section train: seed must be >= 0, got -1"),
+    (("output_dir",), 5, "output_dir must be a string, got 5"),
+    (("output_dir",), None, "output_dir must be a string, got None"),
+], ids=["train", "dataset", "finetune", "model", "blocks", "block", "model_key", "block_key",
+        "train_seed", "output_dir_int", "output_dir_null"])
 def test_malformed_section_fails_by_its_path_before_building_data(
         tmp_path, monkeypatch, capsys, section, value, message):
     m = tiny_mapping(tmp_path)
@@ -230,6 +238,37 @@ def test_malformed_section_fails_by_its_path_before_building_data(
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _build_with(cls, name, value):
+    """``cls`` built with field ``name`` set to ``value``; a block through the
+    model config, which checks its blocks."""
+    if cls is BlockSpec:
+        return SeparationConfig(blocks=[BlockSpec(**{name: value})])
+    return cls(**{name: value})
+
+
+# every field but the sections and block lists, which check themselves
+_CONFIG_FIELDS = [(cls, name) for cls in (ExperimentConfig, TrainConfig, FinetuneConfig, DataSection,
+                                          SeparationConfig, BlockSpec)
+                  for name, value in vars(cls()).items()
+                  if not (dataclasses.is_dataclass(value) or isinstance(value, list))]
+
+
+@pytest.mark.parametrize("cls,name", _CONFIG_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+def test_every_config_field_is_checked(cls, name):
+    with pytest.raises(ValueError, match=rf"(^|\.){name} must be .*, got <object object"):
+        _build_with(cls, name, object())
+
+
+def test_check_fields_refuses_an_annotation_it_cannot_check():
+    @dataclasses.dataclass
+    class Odd:
+        n: int = 1
+        z: complex | None = None  # None must not let an unknown kind pass
+
+    with pytest.raises(TypeError, match="z has annotation"):
+        data.check_fields(Odd())
 
 
 def test_readme_complete_config_parses():
@@ -299,6 +338,35 @@ def test_numpy_integer_config_values_are_stored_as_ints(tmp_path):
 def test_missing_config_file():
     with pytest.raises(FileNotFoundError, match="nope.json"):
         load_config("nope.json")
+
+
+def _no_data(*args, **kwargs):
+    raise AssertionError("train built the dataset before checking its paths")
+
+
+def test_config_directory_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_splits", _no_data)
+    assert main(["train", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_undecodable_config_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"output_dir": "caf\u00e9"}'.encode("latin-1"))
+    monkeypatch.setattr(cli, "build_splits", _no_data)
+    assert main(["train", "--config", str(path)]) == 2
+    assert f"error: config file {path} is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_out_that_is_a_file_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, tiny_mapping(tmp_path))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(cli, "build_splits", _no_data)
+    assert main(["train", "--config", path, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
 
 
 def test_malformed_json_rejected(tmp_path):

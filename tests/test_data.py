@@ -86,6 +86,18 @@ def test_fractional_sample_count_rejected():
         MixtureSpec(duration=0.50001)
 
 
+def test_overflowing_sample_count_rejected():
+    with pytest.raises(ValueError, match="whole sample"):
+        MixtureSpec(duration=1e308)  # finite, but 8000 times it is not
+
+
+def test_negative_rate_and_duration_rejected():
+    with pytest.raises(ValueError, match="sample_rate must be >= 1, got -8000"):
+        MixtureSpec(sample_rate=-8000, duration=-0.01)
+    with pytest.raises(ValueError, match="duration must be positive, got -0.01"):
+        MixtureSpec(duration=-0.01)
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed"):
         MixtureSpec(seed=-1)
