@@ -164,24 +164,18 @@ def load_config(path) -> ExperimentConfig:
 # Artifacts
 
 
-def _head_pairs(config: SeparationConfig, mode: str) -> int:
-    """Mask-net/decoder pairs a model of ``mode`` holds, as training writes
-    them: one per progressive stage, else one."""
-    return len(config.blocks) if mode == "progressive" else 1
-
-
 def _gate_latent_len(cfg: ExperimentConfig) -> int:
     return cfg.model.latent_length(cfg.dataset.num_samples)
 
 
 @dataclass
 class TrainedModel:
-    """A checkpoint's model: its parameters, regime, and the head, depth and gate to run."""
+    """A checkpoint's model: its parameters, mode, the progressive stage it
+    trained (None unless progressive; the stage fixes head and depth) and its gate."""
 
     params: ModelParams
     mode: str
-    stage: int = 0
-    depth: int | None = None  # None runs the full schedule
+    stage: int | None = None
     gate: GateParams | None = None
 
 
@@ -190,7 +184,7 @@ def write_model(path, cfg: ExperimentConfig, model: TrainedModel) -> None:
     model's stage and depth; an adaptive model's gate goes in as ``gate.*`` tensors."""
     meta = {"mode": model.mode, "task": cfg.task}
     if model.mode == "progressive":
-        meta.update(stage=model.stage, depth=model.depth)
+        meta.update(stage=model.stage, depth=cfg.model.stage_depth(model.stage))
     extras = None if model.gate is None else dict(gate_named_parameters(model.gate))
     save_checkpoint(path, model.params, extra_tensors=extras, meta=meta)
 
@@ -198,7 +192,8 @@ def write_model(path, cfg: ExperimentConfig, model: TrainedModel) -> None:
 def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
     """The one checkpoint reader: check ``path`` against ``cfg`` before any data
     is built, so a checkpoint that cannot run fails with its file and key named.
-    Its head pairs must be those training writes (``_head_pairs``)."""
+    Its head pairs must be those training writes (``head_pairs`` of its stage);
+    only a progressive checkpoint's ``meta.stage`` is read."""
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}; train first or pass --passthrough")
     loaded = load_checkpoint(path)
@@ -221,8 +216,8 @@ def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
             raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not an integer")
         if meta[key] not in values:
             raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not in {values!r}")
-    model = TrainedModel(loaded.params, **{key: meta[key] for key in allowed})
-    heads, want = len(model.params.mask_nets), _head_pairs(cfg.model, model.mode)
+    model = TrainedModel(loaded.params, meta["mode"], meta["stage"] if "stage" in allowed else None)
+    heads, want = len(model.params.mask_nets), cfg.model.head_pairs(model.stage)
     if heads != want:
         raise ValueError(f"checkpoint {path} has {heads} head pairs, but {model.mode} "
                          f"training of this config writes {want}")
@@ -283,12 +278,12 @@ def _model_row(cfg: ExperimentConfig, model: TrainedModel | None, mean_sisdri: f
     progressive one at its last stage.
     """
     if model is None:
-        config, mode, stage = cfg.model, cfg.mode, len(cfg.model.blocks) - 1
+        config, mode = cfg.model, cfg.mode
+        stage = len(config.blocks) - 1 if mode == "progressive" else None
     else:
         config, mode, stage = model.params.config, model.mode, model.stage
-    counts = count_params(config, stages=_head_pairs(config, mode))
-    mem = memory_account(config, batch_size=1, T=cfg.dataset.num_samples,
-                         stage=stage if mode == "progressive" else None)
+    counts = count_params(config, stages=config.head_pairs(stage))
+    mem = memory_account(config, batch_size=1, T=cfg.dataset.num_samples, stage=stage)
     return {
         "blocks": len(config.blocks),
         "sub_blocks": config.blocks[0].sub_blocks,
@@ -315,7 +310,7 @@ def eval_model(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
                                      s.mixture, s.speech_count) for s in test]
         gs = [None] * len(test)
     else:
-        scores, gs = evaluate(model.params, test, model.stage, model.depth, model.gate)
+        scores, gs = evaluate(model.params, test, model.stage, model.gate)
     per_sample = [{"snr_db": s.metadata["noise_snr_db"], "sisdri": v, "g": g}
                   for s, v, g in zip(test, scores, gs)]
     gated = [g for g in gs if g is not None]
@@ -481,7 +476,7 @@ def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
         results = train_progressive(cfg.model, splits.train, splits.val, cfg.train)
         records = [{**rec, "stage": res.stage} for res in results for rec in res.history]
         for res in results:
-            model = TrainedModel(res.params, cfg.mode, res.stage, res.depth)
+            model = TrainedModel(res.params, cfg.mode, res.stage)
             write_model(out / f"stage{res.stage}.ckpt", cfg, model)
     elif cfg.mode == "adaptive":
         records, model = _train_adaptive(cfg, splits)
@@ -508,10 +503,21 @@ def _cmd_eval(cfg: ExperimentConfig, out: Path, passthrough: bool) -> int:
 
 
 def _cmd_report(out: Path) -> int:
+    """Tabulate the row of every report.json under ``out`` into summary.txt;
+    a file that cannot be read, decoded or rendered fails by its path first."""
     paths = sorted(out.glob("**/report.json"))
     if not paths:
         raise FileNotFoundError(f"no report.json found under {out}")
-    rows = [json.loads(p.read_text())["row"] for p in paths]
+    rows = []
+    for p in paths:
+        try:
+            row = json.loads(p.read_text())["row"]
+            render_table([row])  # a row that cannot be rendered fails here, by its file
+        except KeyError as e:
+            raise ValueError(f"report file {p} has no key {e}") from e
+        except (OSError, ValueError, TypeError) as e:
+            raise ValueError(f"report file {p} is malformed: {e}") from e
+        rows.append(row)
     text = render_table(rows)
     sys.stdout.write(text)
     (out / "summary.txt").write_text(text)
@@ -533,6 +539,8 @@ def run(command: str, config_path=None, seed: int | None = None, out=None,
         return _cmd_report(Path(out))
     cfg = load_config(config_path)
     if seed is not None:
+        if seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {seed}")
         cfg.train = dataclasses.replace(cfg.train, seed=seed)
         cfg.dataset = dataclasses.replace(cfg.dataset, seed=seed)
     # train reads the train and val splits, eval the test split: none may be empty

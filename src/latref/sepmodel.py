@@ -70,10 +70,16 @@ class SeparationConfig:
     def total_steps(self) -> int:
         return sum(bs.iterations for bs in self.blocks)
 
-    def stage_depth(self, stage: int) -> int:
+    def stage_depth(self, stage: int | None) -> int | None:
         """Refinement steps through block ``stage``: the depth progressive
-        stage ``stage`` trains and runs at."""
-        return sum(bs.iterations for bs in self.blocks[:stage + 1])
+        stage ``stage`` trains and runs at.  None (end-to-end and gated
+        training) is None, which runs the whole schedule."""
+        return None if stage is None else sum(bs.iterations for bs in self.blocks[:stage + 1])
+
+    def head_pairs(self, stage: int | None) -> int:
+        """Mask-net/decoder pairs the tree of regime ``stage`` holds: one per
+        block for a progressive stage, one for None (end-to-end and gated)."""
+        return 1 if stage is None else len(self.blocks)
 
     def latent_length(self, T: int) -> int:
         return -(-T // self.enc_stride)
@@ -207,27 +213,16 @@ def _sub_named(prefix: str, sb: SubBlockParams):
 
 def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
     """Deterministic (name, tensor) list; aliased blocks appear once."""
-    out: list[tuple[str, Tensor]] = []
-    seen: set[int] = set()
-
-    def emit(pairs):
-        for name, t in pairs:
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            out.append((name, t))
-
-    emit(_conv_named("encoder", params.encoder))
-    emit(_conv_named("bottleneck", params.bottleneck))
+    out = [*_conv_named("encoder", params.encoder), *_conv_named("bottleneck", params.bottleneck)]
     for i, block in enumerate(params.blocks):
         if any(block is params.blocks[j] for j in range(i)):
             continue
         for j, sb in enumerate(block):
-            emit(_sub_named(f"block{i}.sub{j}", sb))
+            out += _sub_named(f"block{i}.sub{j}", sb)
     for j, mn in enumerate(params.mask_nets):
-        emit(_conv_named(f"mask{j}", mn))
+        out += _conv_named(f"mask{j}", mn)
     for j, dec in enumerate(params.decoders):
-        emit(_conv_named(f"dec{j}", dec))
+        out += _conv_named(f"dec{j}", dec)
     return out
 
 

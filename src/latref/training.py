@@ -1,16 +1,21 @@
 """Optimization drivers: end-to-end training, progressive freeze-training,
 and joint gate fine-tuning, plus the backward-memory account.
 
-Freezing works through ``requires_grad``: frozen tensors never cause ops to
-be taped, so a frozen prefix costs no activation memory and its parameters
-are bit-identical after any number of steps.  ``memory_account`` counts the
-activations a backward pass holds from one taped trace of the regime's own
-step (the model at its head and depth under its freeze mask, and the PIT
-loss), so it follows any change to what a training step keeps; a test pins
-it against a real training forward and its loss.  Its
-trainable/frozen split, like parameter counts and stage snapshots
+A regime is the progressive stage it trains: ``None`` for end-to-end and
+gated training, ``i`` for stage i.  Three functions map it to what runs:
+``SeparationConfig.stage_depth`` (the depth), ``SeparationConfig.head_pairs``
+(the heads the tree holds) and ``stage_freeze_mask`` (the frozen set); the
+head is ``stage or 0``.  Freezing is by top-level name (``encoder``,
+``block1``, ``mask1``, ...) and works through ``requires_grad``: frozen
+tensors never cause ops to be taped, so a frozen prefix costs no activation
+memory and its parameters are bit-identical after any number of steps.
+``memory_account`` counts the activations a backward pass holds from one
+taped trace of the regime's own step (the model at its head and depth under
+its frozen set, and the PIT loss), so it follows any change to what a
+training step keeps; a test pins it against a real training forward and its
+loss.  Its trainable/frozen split, like parameter counts and stage snapshots
 (``clone_params``), comes from ``named_parameters`` of a real tree and the
-stage freeze mask, never from a hand-kept copy of the tree.
+stage's frozen set, never from a hand-kept copy of the tree.
 
 Determinism contract: one generator drives shuffling, chunk offsets,
 augmentation, and Gumbel draws in a fixed order, so a seed reproduces
@@ -121,23 +126,14 @@ def adam_step(state: AdamState, named_params, named_grads, lr: float) -> None:
 # Freezing
 
 
-@dataclass
-class FreezeMask:
-    """Dot-delimited name prefixes whose parameters stay fixed."""
-
-    prefixes: tuple = ()
-
-    def __post_init__(self):
-        self.prefixes = tuple(self.prefixes)
-
-    def is_frozen(self, name: str) -> bool:
-        return any(name == p or name.startswith(p + ".") for p in self.prefixes)
-
-
-def stage_freeze_mask(config: SeparationConfig, stage: int) -> FreezeMask:
-    """Progressive-stage mask: stage 0 trains the encoder, every stage trains
-    only its own block and head pair, so no block may alias another's
-    parameters."""
+def stage_freeze_mask(config: SeparationConfig, stage: int | None) -> frozenset:
+    """The top-level names (``encoder``, ``bottleneck``, ``block<j>``,
+    ``mask<j>``, ``dec<j>``) that ``stage`` freezes; ``None`` (end-to-end and
+    gated training) freezes nothing.  Stage 0 trains the encoder, and every
+    stage trains only its own block and head pair, so no block may alias
+    another's parameters."""
+    if stage is None:
+        return frozenset()
     m = len(config.blocks)
     if not 0 <= stage < m:
         raise ValueError(f"stage {stage} out of range for {m} blocks")
@@ -145,26 +141,22 @@ def stage_freeze_mask(config: SeparationConfig, stage: int) -> FreezeMask:
         if bs.shares_params_with is not None:
             raise ValueError(f"progressive training needs distinct block parameters; "
                              f"block {i} aliases {bs.shares_params_with}")
-    frozen = []
-    if stage > 0:
-        frozen += ["encoder", "bottleneck"]
+    frozen = {"encoder", "bottleneck"} if stage > 0 else set()
     for j in range(m):
         if j != stage:
-            frozen += [f"block{j}", f"mask{j}", f"dec{j}"]
-    return FreezeMask(tuple(frozen))
+            frozen |= {f"block{j}", f"mask{j}", f"dec{j}"}
+    return frozenset(frozen)
 
 
-def apply_freeze(params_named, mask: FreezeMask | None):
-    """Set requires_grad from the mask; returns (trainable, frozen) name lists."""
-    trainable, frozen = [], []
+def apply_freeze(params_named, frozen: frozenset | None):
+    """Freeze each parameter whose top-level name (the first dotted part) is
+    in ``frozen`` and let every other one train; returns (trainable, frozen)
+    name lists."""
+    trainable, held = [], []
     for name, t in params_named:
-        if mask is not None and mask.is_frozen(name):
-            t.requires_grad = False
-            frozen.append((name, t))
-        else:
-            t.requires_grad = True
-            trainable.append((name, t))
-    return trainable, frozen
+        t.requires_grad = name.split(".")[0] not in (frozen or ())
+        (trainable if t.requires_grad else held).append((name, t))
+    return trainable, held
 
 
 def augment_batch(sources_list, rng):
@@ -193,7 +185,8 @@ def augment_batch(sources_list, rng):
 
 def run_model(mixture, params: ModelParams, stage: int = 0, depth: int | None = None,
               gate: GateParams | None = None, gate_mode: str = "infer", rng=None):
-    """Full chain: encode, refine, mask and decode.
+    """Full chain: encode, refine ``depth`` steps (None: the whole schedule),
+    then mask and decode with head pair ``stage``, which is the head index.
 
     Returns (estimates S x T, g); g is None without a gate, an int in infer
     mode, and a straight-through scalar Tensor in train mode.
@@ -210,13 +203,16 @@ def run_model(mixture, params: ModelParams, stage: int = 0, depth: int | None = 
     return ests, g
 
 
-def evaluate(params: ModelParams, samples, stage: int = 0, depth: int | None = None,
+def evaluate(params: ModelParams, samples, stage: int | None = None,
              gate: GateParams | None = None):
-    """Run each sample through ``run_model``; returns its speech SI-SDR
-    improvements and g values (each None without a gate), in sample order."""
+    """Run each sample through ``run_model`` as regime ``stage`` trains it:
+    None runs head 0 over the whole schedule, stage i head i at depth
+    ``stage_depth(i)``.  Returns the speech SI-SDR improvements and g values
+    (each None without a gate), in sample order."""
+    depth = params.config.stage_depth(stage)
     scores, gs = [], []
     for sample in samples:
-        ests, g = run_model(sample.mixture, params, stage=stage, depth=depth, gate=gate)
+        ests, g = run_model(sample.mixture, params, stage=stage or 0, depth=depth, gate=gate)
         scores.append(
             eval_speech_sisdri(ests.data, sample.sources, sample.mixture, sample.speech_count)
         )
@@ -242,9 +238,9 @@ def _batch_items(samples, cfg: TrainConfig, rng):
 
 
 def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
-                stage: int = 0, depth: int | None = None, freeze: FreezeMask | None = None,
-                gate: GateParams | None = None, penalty_coef: float = PENALTY_COEF,
-                penalty_target: float = PENALTY_TARGET, rng=None):
+                stage: int | None = None, gate: GateParams | None = None,
+                penalty_coef: float = PENALTY_COEF, penalty_target: float = PENALTY_TARGET,
+                rng=None):
     if not train_set:
         raise ValueError("empty training set")
     if not val_set:
@@ -254,9 +250,8 @@ def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
     named = named_parameters(params)
     if gate is not None:
         named = named + gate_named_parameters(gate)
-    trainable, _ = apply_freeze(named, freeze)
-    if not trainable:
-        raise ValueError("freeze mask leaves nothing trainable")
+    trainable, _ = apply_freeze(named, stage_freeze_mask(params.config, stage))
+    head, depth = stage or 0, params.config.stage_depth(stage)
     state = AdamState()
     history = []
     for epoch in range(cfg.epochs):
@@ -266,7 +261,7 @@ def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
             with Tape() as tape:
                 acc = None
                 for mix, src in zip(mixtures, sources):
-                    ests, g = run_model(mix, params, stage=stage, depth=depth,
+                    ests, g = run_model(mix, params, stage=head, depth=depth,
                                         gate=gate, gate_mode="train", rng=rng)
                     item_loss = pit_loss(ests, src, speech_count).loss
                     if gate is not None:
@@ -286,7 +281,7 @@ def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
             grads, _ = clip_global_norm(grads, cfg.clip_norm)
             adam_step(state, trainable, grads, lr)
             losses.append(value)
-        scores, gs = evaluate(params, val_set, stage=stage, depth=depth, gate=gate)
+        scores, gs = evaluate(params, val_set, stage=stage, gate=gate)
         rec = {
             "epoch": epoch,
             "lr": lr,
@@ -299,13 +294,12 @@ def _train_loop(params: ModelParams, train_set, val_set, cfg: TrainConfig,
     return history
 
 
-def train_end_to_end(params: ModelParams, train_set, val_set, cfg: TrainConfig,
-                     freeze: FreezeMask | None = None, rng=None):
+def train_end_to_end(params: ModelParams, train_set, val_set, cfg: TrainConfig, rng=None):
     """Train the whole chain against the permutation-invariant loss.
 
     Returns the per-epoch history; parameters update in place.
     """
-    return _train_loop(params, train_set, val_set, cfg, freeze=freeze, rng=rng)
+    return _train_loop(params, train_set, val_set, cfg, rng=rng)
 
 
 @dataclass
@@ -333,17 +327,15 @@ def train_progressive(config: SeparationConfig, train_set, val_set, cfg: TrainCo
     fresh optimizer and schedule, and returns a deployable snapshot.
     """
     m = len(config.blocks)
-    masks = [stage_freeze_mask(config, stage) for stage in range(m)]
+    stage_freeze_mask(config, 0)  # raises, before any draw, if a block aliases another
     stage_epochs = _stage_epochs(cfg.epochs, m)
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     params = init_params(config, rng, stages=m)
     results = []
     for stage, epochs in enumerate(stage_epochs):
-        depth = config.stage_depth(stage)
         stage_cfg = replace(cfg, epochs=epochs)
-        history = _train_loop(params, train_set, val_set, stage_cfg, stage=stage,
-                              depth=depth, freeze=masks[stage], rng=rng)
-        results.append(StageResult(stage=stage, depth=depth,
+        history = _train_loop(params, train_set, val_set, stage_cfg, stage=stage, rng=rng)
+        results.append(StageResult(stage=stage, depth=config.stage_depth(stage),
                                    params=clone_params(params), history=history))
     return results
 
@@ -385,7 +377,7 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     hands over its final latent and the maskable encoding.
 
     The account is one trace of the regime's own step: ``run_model`` at its
-    head and depth, under the ``stage_freeze_mask`` training applies, and
+    head and depth with its head pairs, under its ``stage_freeze_mask``, and
     ``pit_loss``, taped on a fresh tree whose weights are zero views, never
     drawn, with zero-valued inputs (the loss against all-ones references,
     since it rejects a zero one) and ``num_sources - 1`` speech sources as
@@ -393,17 +385,16 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     backward (:meth:`Tape.held_output_elems`), each array once; a frozen
     prefix tapes nothing, so a later stage adds the two arrays it hands
     over.  Parameter scalars are that tree's ``named_parameters``, split by
-    the same mask.
+    the same frozen set.
     """
     if batch_size < 1 or T < 1:
         raise ValueError("batch_size and T must be positive")
-    freeze = None if stage is None else stage_freeze_mask(config, stage)
-    params = init_params(config, _ZeroDraws(), stages=1 if stage is None else len(config.blocks))
-    trainable, frozen = apply_freeze(named_parameters(params), freeze)
-    depth = None if stage is None else config.stage_depth(stage)
+    params = init_params(config, _ZeroDraws(), stages=config.head_pairs(stage))
+    trainable, frozen = apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
     S = config.num_sources
     with Tape() as tape:
-        ests, _ = run_model(np.zeros(T), params, stage=stage or 0, depth=depth)
+        ests, _ = run_model(np.zeros(T), params, stage=stage or 0,
+                            depth=config.stage_depth(stage))
         pit_loss(ests, np.ones((S, T)), S - 1)
     boundary = (config.enc_bases + config.latent_channels) * config.latent_length(T) if stage else 0
     act = tape.held_output_elems() + boundary

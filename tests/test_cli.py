@@ -449,6 +449,22 @@ def test_seed_override_changes_artifacts(tmp_path):
     assert (tmp_path / "a" / "model.ckpt").read_bytes() != (tmp_path / "b" / "model.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_negative_seed_override_names_the_flag_before_building_data(
+        tmp_path, monkeypatch, capsys, command):
+    path = write_config(tmp_path, tiny_mapping(tmp_path))
+
+    def no_data(*args, **kwargs):
+        raise AssertionError(f"{command} built data before checking --seed")
+
+    monkeypatch.setattr(cli, "build_splits", no_data)
+    monkeypatch.setattr(cli, "make_dataset", no_data)
+    argv = [command, "--config", path, "--seed", "-1"]
+    assert main(argv + (["--passthrough"] if command == "eval" else [])) == 2
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_passthrough_is_zero_db(tmp_path):
     path = write_config(tmp_path, tiny_mapping(tmp_path))
     assert run("eval", path, passthrough=True) == 0
@@ -501,7 +517,7 @@ def test_progressive_eval_runs_stored_head_and_depth(tmp_path):
     assert (loaded.meta["stage"], loaded.meta["depth"]) == (1, 2)
     ds = load_config(path).dataset
     test = build_splits(ds, ds.num_train, ds.num_val, ds.num_test).test
-    scores, _ = evaluate(loaded.params, test, stage=1, depth=2)
+    scores, _ = evaluate(loaded.params, test, stage=1)
     assert report["row"]["mean_sisdri"] == float(np.mean(scores))
     assert [r["sisdri"] for r in report["per_sample"]] == scores
     assert report["row"]["blocks"] == 2
@@ -631,6 +647,18 @@ def test_eval_rejects_bad_checkpoint_before_building_data(tmp_path, monkeypatch,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_end_to_end_checkpoint_ignores_progressive_meta(tmp_path):
+    # only a progressive checkpoint's stage and depth pick the head and depth it runs
+    path = _write_checkpoint(tmp_path, "end_to_end", {"mode": "end_to_end"})
+    assert run("eval", path) == 0
+    plain = (tmp_path / "out" / "report.json").read_bytes()
+    loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
+    save_checkpoint(tmp_path / "out" / "model.ckpt", loaded.params,
+                    meta={"mode": "end_to_end", "stage": 0, "depth": 1})
+    assert run("eval", path) == 0
+    assert (tmp_path / "out" / "report.json").read_bytes() == plain
+
+
 def test_eval_rejects_a_stage_past_the_config_blocks(tmp_path, monkeypatch, capsys):
     # three head pairs over one block: stage 2 has a head but no block
     path = _write_checkpoint(tmp_path, "progressive", {})
@@ -700,6 +728,22 @@ def test_report_renders_rows(tmp_path):
     assert "Sub-Blocks" in lines[0] and "Iter." in lines[0]
     assert "SI-SDRi" in lines[0] and "Params" in lines[0]
     assert len(lines) == 5  # header, rule, 3 rows
+
+
+@pytest.mark.parametrize("text, cause", [
+    ('{"x": 1}', "has no key 'row'"),
+    ("[1]", "is malformed: list indices"),
+    ('{"row": {"blocks": 1}}', "has no key 'sub_blocks'"),
+    ("{", "is malformed: Expecting property name"),
+], ids=["no_row", "not_an_object", "row_missing_a_column", "invalid_json"])
+def test_report_names_a_malformed_report_file(tmp_path, capsys, text, cause):
+    bad = tmp_path / "sweep" / "b" / "report.json"
+    bad.parent.mkdir(parents=True)
+    bad.write_text(text)
+    assert main(["report", "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report file {bad} {cause}"), err
+    assert not (tmp_path / "sweep" / "summary.txt").exists()
 
 
 def test_report_without_reports_fails(tmp_path):

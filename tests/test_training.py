@@ -16,7 +16,6 @@ from latref.sepmodel import (
 )
 from latref.training import (
     AdamState,
-    FreezeMask,
     TrainConfig,
     adam_step,
     apply_freeze,
@@ -188,41 +187,36 @@ def test_adam_shape_mismatch_rejected():
 
 
 def test_freeze_mask_dot_boundary():
-    mask = FreezeMask(("block1", "encoder"))
-    assert mask.is_frozen("block1")
-    assert mask.is_frozen("block1.sub0.down0.w")
-    assert not mask.is_frozen("block10.sub0.down0.w")
-    assert mask.is_frozen("encoder.w")
-    assert not mask.is_frozen("dec0.w")
+    # stage 10 of 11 blocks freezes block1, whose name is a prefix of block10's
+    config = toy_config(num_blocks=11)
+    named = named_parameters(init_params(config, np.random.default_rng(0), stages=11))
+    trainable, frozen = apply_freeze(named, stage_freeze_mask(config, 10))
+    assert "block1.sub0.down0.w" in {n for n, _ in frozen}
+    assert "block10.sub0.down0.w" in {n for n, _ in trainable}
 
 
 def test_apply_freeze_flips_requires_grad():
     params = init_params(toy_config(num_blocks=2), np.random.default_rng(0), stages=2)
     named = named_parameters(params)
-    trainable, frozen = apply_freeze(named, FreezeMask(("block0", "encoder")))
+    trainable, frozen = apply_freeze(named, frozenset({"block0", "encoder"}))
     names_frozen = {n for n, _ in frozen}
     assert "encoder.w" in names_frozen
     assert all(not t.requires_grad for _, t in frozen)
     assert all(t.requires_grad for _, t in trainable)
-    # mask=None restores everything
+    # None restores everything
     trainable, frozen = apply_freeze(named, None)
     assert not frozen
 
 
 def test_stage_freeze_mask_contents():
     config = toy_config(num_blocks=2)
+    assert stage_freeze_mask(config, None) == frozenset()
     m0 = stage_freeze_mask(config, 0)
-    assert not m0.is_frozen("encoder.w")
-    assert not m0.is_frozen("block0.sub0.proj.w")
-    assert m0.is_frozen("block1.sub0.proj.w")
-    assert m0.is_frozen("mask1.w")
+    assert "encoder" not in m0 and "bottleneck" not in m0 and "block0" not in m0
+    assert "block1" in m0 and "mask1" in m0 and "dec1" in m0
     m1 = stage_freeze_mask(config, 1)
-    assert m1.is_frozen("encoder.w")
-    assert m1.is_frozen("bottleneck.b")
-    assert m1.is_frozen("block0.sub0.down0.w")
-    assert m1.is_frozen("mask0.w") and m1.is_frozen("dec0.b")
-    assert not m1.is_frozen("block1.sub0.down0.w")
-    assert not m1.is_frozen("mask1.w")
+    assert {"encoder", "bottleneck", "block0", "mask0", "dec0"} <= m1
+    assert "block1" not in m1 and "mask1" not in m1 and "dec1" not in m1
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +322,17 @@ def test_training_moves_parameters():
 
 
 def test_frozen_params_bit_identical():
+    # progressive stage 1 takes 4 steps over the frozen set it leaves fixed
     splits = toy_splits()
-    params = init_params(toy_config(), np.random.default_rng(0))
-    before = param_bytes(params)
-    cfg = TrainConfig(epochs=2, batch_size=2, seed=5)
-    freeze = FreezeMask(("encoder", "bottleneck"))
-    train_end_to_end(params, splits.train, splits.val, cfg, freeze=freeze)
-    after = param_bytes(params)
+    config = toy_config(num_blocks=2)
+    cfg = TrainConfig(epochs=4, batch_size=2, seed=5)
+    stage0, stage1 = train_progressive(config, splits.train, splits.val, cfg)
+    before, after = param_bytes(stage0.params), param_bytes(stage1.params)
+    frozen = stage_freeze_mask(config, 1)
     for name in before:
-        if freeze.is_frozen(name):
+        if name.split(".")[0] in frozen:
             assert before[name] == after[name], name
-    assert any(before[n] != after[n] for n in before if not freeze.is_frozen(n))
+    assert any(before[n] != after[n] for n in before if n.split(".")[0] not in frozen)
 
 
 def test_nonfinite_loss_reports_context():
@@ -364,15 +358,6 @@ def test_empty_val_set_rejected_before_training():
     with pytest.raises(ValueError, match="empty validation set"):
         train_end_to_end(params, splits.train, [], TrainConfig(epochs=1, batch_size=2))
     assert param_bytes(params) == before
-
-
-def test_freeze_everything_rejected():
-    splits = toy_splits()
-    config = toy_config()
-    params = init_params(config, np.random.default_rng(0))
-    freeze = FreezeMask(("encoder", "bottleneck", "block0", "mask0", "dec0"))
-    with pytest.raises(ValueError, match="nothing trainable"):
-        train_end_to_end(params, splits.train, splits.val, TrainConfig(epochs=1), freeze=freeze)
 
 
 def test_desk_run_beats_passthrough():
@@ -501,6 +486,21 @@ MEMORY_CASES = [
     for stage in ([None] if any(bs.shares_params_with is not None for bs in config.blocks)
                   else [None, *range(len(config.blocks))])
 ]
+
+
+def test_every_stage_trains_its_own_block_and_head_pair():
+    """No regime leaves nothing to train: each stage's frozen set leaves its
+    block and head pair trainable, and stage 0 the encoder as well."""
+    for name, (config, _) in sorted(MEMORY_CONFIGS.items()):
+        if any(bs.shares_params_with is not None for bs in config.blocks):
+            continue
+        m = len(config.blocks)
+        named = named_parameters(init_params(config, np.random.default_rng(0), stages=m))
+        for i in range(m):
+            trainable, _ = apply_freeze(named, stage_freeze_mask(config, i))
+            want = {f"block{i}", f"mask{i}", f"dec{i}"}
+            want |= {"encoder", "bottleneck"} if i == 0 else set()
+            assert {n.split(".")[0] for n, _ in trainable} == want, (name, i)
 
 
 @pytest.mark.parametrize("stage, config_name", MEMORY_CASES)
