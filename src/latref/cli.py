@@ -13,7 +13,11 @@ cannot be read or decoded, or an ``--out`` that is a file, exits 2 with
 the path named.
 ``mode`` is the one regime switch: ``train`` runs the regime it names, the
 checkpoint records it, and ``eval`` runs the head, depth and gate the
-checkpoint holds.
+checkpoint holds.  ``read_model`` alone decides which tree a checkpoint
+fills: it compares the header's config, meta and ``stages`` with the
+config file first, then fills the tree ``cfg.model`` names (and the gate,
+in adaptive mode) in one checked pass, so no size in a header is ever
+allocated.
 All artifacts (history, checkpoints, reports) are byte-deterministic for a
 given config and seed; nothing embeds a timestamp.
 """
@@ -34,7 +38,7 @@ from .data import Count, MixtureSpec, NonNegative, Positive, Size, Task, build_s
 from .data import from_mapping, make_dataset
 from .diffcore import Tensor, conv1d, grad_check, masked_decode, mul, prelu_norm
 from .diffcore import relu, sum_all, transposed_conv1d, upsample_conv1d
-from .gating import PENALTY_COEF, PENALTY_TARGET, GateParams, _blend, _gate_soft, gate_from_arrays
+from .gating import PENALTY_COEF, PENALTY_TARGET, GateParams, _blend, _gate_soft
 from .gating import gate_named_parameters, init_gate
 from .losses import eval_speech_sisdri, pit_loss
 from .sepmodel import (
@@ -42,8 +46,9 @@ from .sepmodel import (
     ConvParams,
     ModelParams,
     SeparationConfig,
-    config_to_dict,
+    _ZeroDraws,
     count_params,
+    fill_named,
     init_params,
     load_checkpoint,
     named_parameters,
@@ -192,12 +197,14 @@ def write_model(path, cfg: ExperimentConfig, model: TrainedModel) -> None:
 def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
     """The one checkpoint reader: check ``path`` against ``cfg`` before any data
     is built, so a checkpoint that cannot run fails with its file and key named.
-    Its head pairs must be those training writes (``head_pairs`` of its stage);
-    only a progressive checkpoint's ``meta.stage`` is read."""
+    The header's config, meta and ``stages`` are compared first; only then is
+    a tree built, the one ``cfg.model`` names with the head pairs of its stage
+    (plus the gate in adaptive mode), and one ``fill_named`` fills it.  Only a
+    progressive checkpoint's ``meta.stage`` is read."""
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}; train first or pass --passthrough")
     loaded = load_checkpoint(path)
-    want, got = config_to_dict(cfg.model), config_to_dict(loaded.config)
+    want, got = dataclasses.asdict(cfg.model), dataclasses.asdict(loaded.config)
     for key in sorted(want):
         if want[key] != got[key]:
             raise ValueError(f"checkpoint {path} has model.{key} = {got[key]!r}, "
@@ -216,21 +223,17 @@ def read_model(path: Path, cfg: ExperimentConfig) -> TrainedModel:
             raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not an integer")
         if meta[key] not in values:
             raise ValueError(f"checkpoint {path} has meta.{key} {meta[key]!r}, not in {values!r}")
-    model = TrainedModel(loaded.params, meta["mode"], meta["stage"] if "stage" in allowed else None)
-    heads, want = len(model.params.mask_nets), cfg.model.head_pairs(model.stage)
-    if heads != want:
-        raise ValueError(f"checkpoint {path} has {heads} head pairs, but {model.mode} "
-                         f"training of this config writes {want}")
-    extras = loaded.extra_tensors
-    if model.mode == "adaptive":
-        L = _gate_latent_len(cfg)
-        try:
-            model.gate = gate_from_arrays(extras, cfg.model.latent_channels, L)
-        except ValueError as e:
-            raise ValueError(f"checkpoint {path}: {e} at the dataset's latent length {L}") from e
-    elif extras:
-        raise ValueError(f"checkpoint {path} has tensor {min(extras)}, "
-                         f"which no {model.mode} model holds")
+    mode, stage = meta["mode"], meta["stage"] if "stage" in allowed else None
+    heads = cfg.model.head_pairs(stage)
+    if loaded.stages != heads:
+        raise ValueError(f"checkpoint {path} header's stages says {loaded.stages} head pairs, "
+                         f"but {mode} training of this config writes {heads}")
+    model = TrainedModel(init_params(cfg.model, _ZeroDraws(), stages=heads), mode, stage)
+    named = named_parameters(model.params)
+    if mode == "adaptive":
+        model.gate = init_gate(cfg.model.latent_channels, _gate_latent_len(cfg), _ZeroDraws())
+        named += gate_named_parameters(model.gate)
+    fill_named(named, loaded.arrays, f"checkpoint {path}")
     return model
 
 
@@ -579,7 +582,7 @@ def main(argv=None) -> int:
     try:
         return run(args.command, args.config, seed=args.seed, out=args.out,
                    passthrough=args.passthrough)
-    except (ValueError, OSError, FloatingPointError) as e:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -13,6 +13,12 @@ straight-through sum, and the blend st * B(v) + (1 - st) * v
 (:func:`_blend`).  At inference the gate is deterministic (argmax, no
 noise) and the loop exits at the first skip, so the number of block
 evaluations equals the iteration count.
+
+The gate's parameters are a tree named like the model's
+(``gate_named_parameters``); a checkpoint stores them as ``gate.*``
+tensors, and ``cli.read_model`` fills the gate it builds from the config
+file, at the dataset's latent length, in the one ``fill_named`` pass that
+fills the model.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .diffcore import Tensor, _conv_vjp, _finish, _prelu_into, _prelu_slopes, add, conv1d, mul
 from .sepmodel import (ConvParams, ModelParams, SeparationConfig, _conv_named, _param, _step_schedule,
-                       _uniform, _ZeroDraws, apply_block, fill_named)
+                       _uniform, apply_block)
 
 # the skip penalty's defaults: a quadratic pull of the iteration count toward 3
 PENALTY_COEF = 0.75
@@ -50,16 +56,6 @@ def init_gate(latent_channels: int, latent_len: int, rng) -> GateParams:
 def gate_named_parameters(gate: GateParams) -> list[tuple[str, Tensor]]:
     return [*_conv_named("gate.proj1", gate.proj1), ("gate.slope", gate.slope),
             *_conv_named("gate.proj2", gate.proj2)]
-
-
-def gate_from_arrays(arrays: dict, latent_channels: int, latent_len: int) -> GateParams:
-    """The gate over a ``latent_channels`` x ``latent_len`` latent whose
-    tensors, named as in ``gate_named_parameters``, ``arrays`` holds.  It
-    raises ValueError if a tensor is missing, if a name is not a gate
-    tensor's, or if a shape differs from that gate's."""
-    gate = init_gate(latent_channels, latent_len, _ZeroDraws())
-    fill_named(gate_named_parameters(gate), arrays, "gate")
-    return gate
 
 
 @dataclass

@@ -12,6 +12,10 @@ Checkpoints are a flat binary container: magic, a sorted-key JSON header
 describing config and tensor shapes, then raw little-endian float64 payload.
 The header's config is read back as the config file's ``model`` section is,
 by ``data.from_mapping``, so a malformed one fails by its dotted key.
+``load_checkpoint`` checks the container and returns the header and the
+tensors by name, building no tree, so no size in a header allocates
+anything; ``cli.read_model`` decides which tree they fill, the one the
+config file names.
 No timestamps anywhere, so identical states serialize to identical bytes.
 """
 
@@ -83,10 +87,6 @@ class SeparationConfig:
 
     def latent_length(self, T: int) -> int:
         return -(-T // self.enc_stride)
-
-
-def config_to_dict(config: SeparationConfig) -> dict:
-    return dataclasses.asdict(config)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,7 @@ def save_checkpoint(path, params: ModelParams, extra_tensors=None, meta=None) ->
         named = named + sorted(extra_tensors.items())
     header = {
         "format": _CKPT_FORMAT,
-        "config": config_to_dict(params.config),
+        "config": dataclasses.asdict(params.config),
         "stages": len(params.mask_nets),
         "meta": meta or {},
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in named],
@@ -420,16 +420,19 @@ def save_checkpoint(path, params: ModelParams, extra_tensors=None, meta=None) ->
 
 @dataclass
 class LoadedCheckpoint:
+    """A checkpoint's header fields and its tensors by name."""
+
     config: SeparationConfig
-    params: ModelParams
-    extra_tensors: dict
+    stages: int
     meta: dict
+    arrays: dict
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
     """Read a checkpoint, checking every declared length against the bytes
     left in the file before reading, so a malformed file fails by name
-    before any large allocation."""
+    before any large allocation.  No tree is built: the header's config
+    and ``stages`` are returned unchecked against the tensors."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_CKPT_MAGIC))
@@ -481,9 +484,4 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         config = from_mapping(SeparationConfig, header["config"], "model")
     except ValueError as e:
         raise ValueError(f"checkpoint {path} has an invalid model config: {e}") from e
-    params = init_params(config, _ZeroDraws(), stages=stages)
-    named = named_parameters(params)
-    own = {name for name, _ in named}
-    fill_named(named, {n: a for n, a in arrays.items() if n in own}, f"checkpoint {path}")
-    extras = {n: a for n, a in arrays.items() if n not in own}
-    return LoadedCheckpoint(config=config, params=params, extra_tensors=extras, meta=meta)
+    return LoadedCheckpoint(config=config, stages=stages, meta=meta, arrays=arrays)

@@ -1,10 +1,18 @@
+import contextlib
+import copy
 import dataclasses
+import functools
 import json
 import re
+import signal
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latref import cli, data
 from latref.cli import (
@@ -16,13 +24,14 @@ from latref.cli import (
     load_config,
     main,
     quartile_analysis,
+    read_model,
     render_table,
     run,
 )
 from latref.data import build_splits
 from latref.gating import gate_named_parameters, init_gate
 from latref.sepmodel import BlockSpec, SeparationConfig, count_params, init_params, load_checkpoint
-from latref.sepmodel import save_checkpoint
+from latref.sepmodel import named_parameters, save_checkpoint
 from latref.training import TrainConfig, evaluate, memory_account
 
 
@@ -515,9 +524,10 @@ def test_progressive_eval_runs_stored_head_and_depth(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
     assert (loaded.meta["stage"], loaded.meta["depth"]) == (1, 2)
-    ds = load_config(path).dataset
+    cfg = load_config(path)
+    ds = cfg.dataset
     test = build_splits(ds, ds.num_train, ds.num_val, ds.num_test).test
-    scores, _ = evaluate(loaded.params, test, stage=1)
+    scores, _ = evaluate(read_model(tmp_path / "out" / "model.ckpt", cfg).params, test, stage=1)
     assert report["row"]["mean_sisdri"] == float(np.mean(scores))
     assert [r["sisdri"] for r in report["per_sample"]] == scores
     assert report["row"]["blocks"] == 2
@@ -601,13 +611,13 @@ _BAD_CHECKPOINTS = {
     "no_mode": ("end_to_end", {"task": "separation"}, None, 1, "no meta.mode"),
     "unknown_mode": ("end_to_end", {"mode": "sideways"}, None, 1, "meta.mode 'sideways'"),
     "unknown_tensor": ("end_to_end", {"mode": "end_to_end"}, {"typo.w": np.zeros(3)}, 1,
-                       "typo.w, which no end_to_end model holds"),
+                       r"model\.ckpt tensors unknown: \['typo\.w'\]"),
     "gate_without_adaptive": ("end_to_end", {"mode": "end_to_end"}, _gate_arrays(100), 1,
-                              "gate.proj1.b, which no end_to_end model holds"),
+                              r"model\.ckpt tensors unknown: \['gate\.proj1\.b', 'gate\.proj1\.w'"),
     "adaptive_without_gate": ("adaptive", {"mode": "adaptive"}, None, 1,
-                              r"gate tensors missing.*gate.proj1.w"),
+                              r"model\.ckpt tensors missing: \['gate\.proj1\.b', 'gate\.proj1\.w'"),
     "gate_span": ("adaptive", {"mode": "adaptive"}, _gate_arrays(50), 1,
-                  r"gate.proj2.w of shape \(2, 2, 50\).*latent length 100"),
+                  r"model\.ckpt tensor gate\.proj2\.w of shape \(2, 2, 50\), expected \(2, 2, 100\)"),
     "progressive_no_depth": ("progressive", {"mode": "progressive", "stage": 0}, None, 1,
                              "no meta.depth"),
     "progressive_depth": ("progressive", {"mode": "progressive", "stage": 0, "depth": 5}, None, 1,
@@ -652,8 +662,8 @@ def test_end_to_end_checkpoint_ignores_progressive_meta(tmp_path):
     path = _write_checkpoint(tmp_path, "end_to_end", {"mode": "end_to_end"})
     assert run("eval", path) == 0
     plain = (tmp_path / "out" / "report.json").read_bytes()
-    loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
-    save_checkpoint(tmp_path / "out" / "model.ckpt", loaded.params,
+    model = read_model(tmp_path / "out" / "model.ckpt", load_config(path))
+    save_checkpoint(tmp_path / "out" / "model.ckpt", model.params,
                     meta={"mode": "end_to_end", "stage": 0, "depth": 1})
     assert run("eval", path) == 0
     assert (tmp_path / "out" / "report.json").read_bytes() == plain
@@ -694,6 +704,166 @@ def test_eval_rejects_checkpoint_of_other_model(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
     assert main(["eval", "--config", path]) == 2
     assert "latent_channels" in capsys.readouterr().err
+
+
+def _write_toy_model(root: Path, mode: str, blocks: list, seed: int):
+    """A two-epoch config of ``mode`` over ``blocks`` and, as training of it
+    would write them, a freshly drawn model (and gate) in ``root``/model.ckpt;
+    returns the config, the model and the checkpoint's path."""
+    m = tiny_mapping(root, mode=mode)
+    m["model"]["blocks"] = blocks
+    m["train"]["epochs"] = 2
+    cfg = load_config(write_config(root, m))
+    rng = np.random.default_rng(seed)
+    stage = 1 if mode == "progressive" else None
+    params = init_params(cfg.model, rng, stages=cfg.model.head_pairs(stage))
+    L = cli._gate_latent_len(cfg)
+    gate = init_gate(cfg.model.latent_channels, L, rng) if mode == "adaptive" else None
+    model = cli.TrainedModel(params, mode, stage, gate)
+    cli.write_model(root / "model.ckpt", cfg, model)
+    return cfg, model, root / "model.ckpt"
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_read_model_round_trip(tmp_path, mode):
+    # every tensor comes back bit for bit into a trainable tree of its own,
+    # whose shared blocks alias as init_params' do, with the gate in adaptive mode
+    share = None if mode == "progressive" else 0  # progressive training shares no block
+    cfg, saved, ckpt = _write_toy_model(tmp_path, mode, [
+        {"sub_blocks": 2, "iterations": 2},
+        {"sub_blocks": 2, "iterations": 1, "shares_params_with": share}], seed=5)
+    model = read_model(ckpt, cfg)
+    assert (model.mode, model.stage, model.gate is None) == (mode, saved.stage, saved.gate is None)
+    got, want = named_parameters(model.params), named_parameters(saved.params)
+    if saved.gate is not None:
+        got, want = got + gate_named_parameters(model.gate), want + gate_named_parameters(saved.gate)
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.data.tobytes() == b.data.tobytes() and a.shape == b.shape
+        assert a.requires_grad and a.data.flags.writeable and not np.shares_memory(a.data, b.data)
+    assert (model.params.blocks[1] is model.params.blocks[0]) == (share == 0)
+
+
+def _edit_header(ckpt: Path, edit) -> None:
+    """Rewrite checkpoint ``ckpt``'s JSON header through ``edit``, keeping its tensor bytes."""
+    raw = ckpt.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen:])
+
+
+@contextlib.contextmanager
+def _time_budget(seconds: float):
+    """Fail the test if the block runs longer than ``seconds`` of wall time."""
+    def expire(signum, frame):
+        pytest.fail(f"ran past its {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# header edits of a few bytes whose sizes a tree built from the header would
+# have to allocate or walk: millions of head pairs or sub-blocks, terabytes of encoder
+_HEADER_SIZES = {
+    "stages": (lambda h: h.update(stages=10**6), r"stages says 1000000 head pairs"),
+    "sub_blocks": (lambda h: h["config"]["blocks"][0].update(sub_blocks=10**6),
+                   r"model\.blocks = \[\{'sub_blocks': 1000000"),
+    "enc_bases": (lambda h: h["config"].update(enc_bases=10**12),
+                  r"model\.enc_bases = 1000000000000, but the config has 12"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HEADER_SIZES))
+def test_header_sizes_fail_by_name_before_any_tree_is_built(tmp_path, capsys, case):
+    edit, cause = _HEADER_SIZES[case]
+    path = _write_checkpoint(tmp_path, "end_to_end", {"mode": "end_to_end", "task": "separation"})
+    _edit_header(tmp_path / "out" / "model.ckpt", edit)
+    with _time_budget(5.0):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"model\.ckpt.*" + cause):
+            run("eval", path)
+        assert time.perf_counter() - start < 0.1
+        assert main(["eval", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and re.search(r"model\.ckpt.*" + cause, err), err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+_DROP = object()  # stands for removing the leaf from its object or list
+_LEAF_VALUES = [None, True, False, 0, 2, -1, 10**6, 10**30, -10**30, 1e308, -1e308, "x",
+                [], [1], {}, {"a": 1}, _DROP]
+
+
+def _leaves(node, path=()):
+    """Paths to the scalar leaves of a JSON tree, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+    if items is None:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoints(tmp_path_factory):
+    """Per mode, the config and the (header, tensor bytes) of a saved
+    two-block toy checkpoint of that mode."""
+    out = {}
+    for mode in cli.MODES:
+        cfg, _, ckpt = _write_toy_model(tmp_path_factory.mktemp(mode), mode, [
+            {"sub_blocks": 1, "iterations": 1}, {"sub_blocks": 1, "iterations": 2}], seed=7)
+        raw = ckpt.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        out[mode] = cfg, json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+    return out
+
+
+@given(mode=st.sampled_from(cli.MODES), data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_model_loads_or_names_the_file_for_any_header_edit(toy_checkpoints, mode, data):
+    # one or two leaves of the header replaced or dropped: the reader either
+    # loads the file or raises ValueError naming it, within a second, and
+    # never lets MemoryError, TypeError or KeyError out
+    cfg, header, payload = toy_checkpoints[mode]
+    header = copy.deepcopy(header)
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        # a section first, so `stages` and `format` are drawn as often as the tensor list
+        sections = {key: list(_leaves(value, (key,))) for key, value in header.items()}
+        key = data.draw(st.sampled_from(sorted(k for k, leaves in sections.items() if leaves)),
+                        label="section")
+        *up, last = data.draw(st.sampled_from(sections[key]), label="leaf")
+        parent = functools.reduce(lambda node, key: node[key], up, header)
+        value = data.draw(st.sampled_from(_LEAF_VALUES), label="value")
+        if value is _DROP:
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(value)
+    blob = json.dumps(header).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "model.ckpt"
+        ckpt.write_bytes(b"LRCKPT01" + len(blob).to_bytes(8, "little") + blob + payload)
+        with _time_budget(1.0):
+            try:
+                read_model(ckpt, cfg)
+            except ValueError as e:
+                assert str(ckpt) in str(e), e
+
+
+@pytest.mark.parametrize("argv", [["train"], ["eval", "--passthrough"]], ids=["train", "passthrough"])
+def test_main_reports_a_memory_error_like_any_error(tmp_path, capsys, argv):
+    # a 10**12-basis encoder asks numpy for terabytes, which it refuses at once
+    m = tiny_mapping(tmp_path)
+    m["model"]["enc_bases"] = 10**12
+    assert main([*argv, "--config", write_config(tmp_path, m)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err, err
 
 
 def test_finetune_gate_command(tmp_path):

@@ -12,14 +12,14 @@ from latref.gating import (
     _gate_soft,
     adaptive_separate,
     gate_forward,
-    gate_from_arrays,
     gate_logits,
     gate_named_parameters,
     gate_penalty,
     gated_step,
     init_gate,
 )
-from latref.sepmodel import BlockSpec, SeparationConfig, apply_block, init_params, separate
+from latref.sepmodel import BlockSpec, SeparationConfig, _ZeroDraws, apply_block, fill_named, init_params
+from latref.sepmodel import separate
 
 
 def small_setup(iterations=4, seed=0, noisy=True, L=16):
@@ -288,18 +288,26 @@ class TestGatePenalty:
         assert g.grad == pytest.approx(0.75 * 2 * (2.0 - 3.0))
 
 
+def filled_gate(arrays, latent_channels, latent_len):
+    """The gate over a ``latent_channels`` x ``latent_len`` latent, filled
+    from ``arrays`` as the checkpoint reader fills it."""
+    gate = init_gate(latent_channels, latent_len, _ZeroDraws())
+    fill_named(gate_named_parameters(gate), arrays, "gate")
+    return gate
+
+
 class TestGateSerialization:
     def test_named_round_trip(self):
         gate = init_gate(6, 12, np.random.default_rng(18))
         arrays = {n: t.data for n, t in gate_named_parameters(gate)}
-        rebuilt = gate_from_arrays(arrays, 6, 12)
+        rebuilt = filled_gate(arrays, 6, 12)
         for (na, ta), (nb, tb) in zip(gate_named_parameters(gate), gate_named_parameters(rebuilt)):
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
 
     def test_missing_tensor_detected(self):
         with pytest.raises(ValueError, match="missing"):
-            gate_from_arrays({"gate.proj1.w": np.zeros((2, 4, 1))}, 4, 7)
+            filled_gate({"gate.proj1.w": np.zeros((2, 4, 1))}, 4, 7)
 
     @pytest.mark.parametrize("edit, cause", [
         (lambda a: a.pop("gate.slope"), r"gate tensors missing: \['gate\.slope'\]"),
@@ -313,4 +321,4 @@ class TestGateSerialization:
         arrays = {n: t.data for n, t in gate_named_parameters(init_gate(4, 7, np.random.default_rng(19)))}
         edit(arrays)
         with pytest.raises(ValueError, match=cause):
-            gate_from_arrays(arrays, 4, 7)
+            filled_gate(arrays, 4, 7)
