@@ -271,11 +271,10 @@ def quartile_analysis(results):
     return bins
 
 
-def _model_row(cfg: ExperimentConfig, model: TrainedModel | None, mean_sisdri: float,
-               mean_g) -> dict:
-    """Report row of the model that ran: its config, head count and mode,
-    and the memory account of its regime (a progressive model's at its own
-    stage).
+def _model_row(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
+    """Report row of the model that runs, before its scores: its config,
+    head count and mode, and the memory account of its regime (a
+    progressive model's at its own stage).
 
     Passthrough (``model`` None) describes the config file's model, a
     progressive one at its last stage.
@@ -293,8 +292,6 @@ def _model_row(cfg: ExperimentConfig, model: TrainedModel | None, mean_sisdri: f
         "iters": [bs.iterations for bs in config.blocks],
         "params": counts.total,
         "memory_bytes": mem.total_bytes,
-        "mean_sisdri": mean_sisdri,
-        "mean_g": mean_g,
         "mode": mode,
         "task": cfg.task,
     }
@@ -305,8 +302,10 @@ def eval_model(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
 
     A model runs with its own head, depth and gate, and the report row
     describes it.  ``None`` scores the mixture itself as every estimate
-    (passthrough).
+    (passthrough).  The row's counts come first, so a model too large to
+    count fails before any data is made.
     """
+    row = _model_row(cfg, model)
     test = make_dataset(cfg.dataset, cfg.dataset.num_test, "test")
     if model is None:
         scores = [eval_speech_sisdri(np.tile(s.mixture, (s.sources.shape[0], 1)), s.sources,
@@ -317,9 +316,9 @@ def eval_model(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
     per_sample = [{"snr_db": s.metadata["noise_snr_db"], "sisdri": v, "g": g}
                   for s, v, g in zip(test, scores, gs)]
     gated = [g for g in gs if g is not None]
-    mean_g = float(np.mean(gated)) if gated else None
+    row.update(mean_sisdri=float(np.mean(scores)), mean_g=float(np.mean(gated)) if gated else None)
     return {
-        "row": _model_row(cfg, model, float(np.mean(scores)), mean_g),
+        "row": row,
         "per_sample": per_sample,
         "quartiles": quartile_analysis(
             [(r["snr_db"], r["sisdri"], r["g"]) for r in per_sample]

@@ -50,7 +50,7 @@ holds anyway carries a recipe: a :class:`_Recipe`, ``fn(*args)``, whose
 and whose ``args`` are that op's arrays, or an input's recipe in place of
 its array.  The tape notes it under the output's node, the only place a
 recipe is kept, and a node of that tape that would save the output saves
-the recipe instead; a tensor from another tape carries none here.  Four
+the recipe instead; a tensor from another tape carries none here.  Five
 outputs carry one:
 
 - a ``prelu_norm`` output (:class:`_Normalised`, the one subclass): the
@@ -65,12 +65,18 @@ outputs carry one:
   input carries none, so a rebuild reaches back through at most one conv
   and one norm to a held array.  In a sub-block the rule picks ``down1``,
   ``down3``, ... and ``up0`` (and the projection, whose sum saves nothing);
+- a pointwise (1-tap, stride-1) ``conv1d`` output over an output the tape
+  holds: the conv, that array and the conv's other arguments, a flat
+  recipe (no recipe among its arguments).  In the model the rule picks
+  the bottleneck's output, the first block application's input, whose
+  readers come last in an item's sweep;
 - a ``residual`` sum over a ``u`` with a recipe: ``v`` (an array the tape
-  keeps anyway), ``u``'s recipe and the weight.  The model makes every
-  sub-block input after a block's first one a ``residual`` sum, and those
-  whose ``v`` is held carry this recipe: a block application of k
-  sub-blocks holds its input and (k - 1) // 2 of the k - 1 inputs after
-  it, none at the desk's two.
+  keeps anyway, or a flat recipe), ``u``'s recipe and the weight.  The
+  model makes every sub-block input after a block's first one a
+  ``residual`` sum, and those whose ``v`` is held or flatly rebuilt carry
+  this recipe: a block application of k sub-blocks holds (k - 1) // 2 of
+  the k - 1 inputs after its own input, none at the desk's two, and the
+  first application does not hold its input either.
 
 One rule governs the rebuilds.  The sweep builds a recipe bit for bit when
 a vjp first reads it and keeps that build (its memo); every later read
@@ -311,7 +317,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         nodes[pos] = (n, refs, None, vjp)  # no later node reads the saved arrays
         g = grads.pop(pos, None)
         if g is not None:
-            terms = vjp(g, *[a.build() if isinstance(a, _Recipe) else a for a in saved])
+            terms = vjp(g, *[_built(a) for a in saved])
             for ref, gt in zip(refs, terms):
                 if ref is None or gt is None:
                     continue
@@ -534,10 +540,15 @@ class _Normalised(_Recipe):
         return xhat
 
 
+def _built(x):
+    """``x`` itself if it is an array, its build if it is a recipe."""
+    return x.build() if isinstance(x, _Recipe) else x
+
+
 def _rebuild_norm(x, slope, mu, inv):
     """A norm's standardised values from its input, built first if it is
     the input's recipe."""
-    return _standardised(x.build() if isinstance(x, _Recipe) else x, slope[:, None], mu, inv)
+    return _standardised(_built(x), slope[:, None], mu, inv)
 
 
 def _rebuild_sum(a: _Recipe, b: _Recipe):
@@ -548,16 +559,18 @@ def _rebuild_sum(a: _Recipe, b: _Recipe):
     return out
 
 
-def _rebuild_conv(op, u: _Recipe, *args):
-    """A conv's forward ``op`` on the build of the norm recipe ``u``."""
-    return op(u.build(), *args).data
+def _rebuild_conv(op, u, *args):
+    """A conv's forward ``op`` on ``u``: a held array, or the build of a
+    norm recipe."""
+    return op(_built(u), *args).data
 
 
 def _rebuild_residual(v, u: _Recipe, w):
     """``residual``'s forward: the conv by ``w`` of ``u``'s build, then ``v``
-    added in place, which rounds as the forward's new array did."""
+    (an array, or the build of a flat recipe) added in place, which rounds
+    as the forward's new array did."""
     out = conv1d(u.build(), w).data
-    out += v
+    out += _built(v)
     return out
 
 
@@ -570,6 +583,16 @@ def _conv_recipe(out: Tensor, x: Tensor, op, *args) -> Tensor:
     u = _recipe_of(x)
     if isinstance(u, _Normalised) and not isinstance(u.args[0], _Recipe):  # the norm's input
         _give(out, _Recipe(_rebuild_conv, op, u, *args))
+    return out
+
+
+def _pointwise_recipe(out: Tensor, x: Tensor, *args) -> Tensor:
+    """Give a taped pointwise conv output ``out`` a flat recipe, the conv of
+    ``x``'s array by ``args``, if the tape holds that array: one GEMM
+    rebuilds the output, and the array stays held until the sweep has
+    passed every reader."""
+    if out._key is not None and id(x.data) in _active()._held:
+        _give(out, _Recipe(_rebuild_conv, conv1d, x.data, *args))
     return out
 
 
@@ -637,6 +660,10 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     ``x`` is Cin x T, ``w`` is Cout x Cin x K, optional ``b`` is Cout.
     padding "same" zero-pads symmetrically so the output length is
     ceil(T / stride); "valid" uses no padding and requires T >= K.
+    Taped, a pointwise (1-tap, stride-1) conv of an output the tape holds
+    carries a flat recipe, its own forward on that array, and a conv over
+    a norm of a held array carries one built on the norm's recipe; either
+    is rebuilt in backward rather than held.
     """
     x, w, b = _conv_operands("conv1d", x, w, b, stride, 1)
     Cout, _, K = w.data.shape
@@ -661,23 +688,28 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     # and the first conv after a freeze line, need none.
     saved = (x.data, w.data if x.requires_grad else None)
     out = _finish(out, (x, w, b) if biased else (x, w), vjp, saved)
-    return _conv_recipe(out, x, conv1d, w.data, None if b is None else b.data, stride, padding)
+    args = (w.data, None if b is None else b.data, stride, padding)
+    if K == 1 and stride == 1:
+        _pointwise_recipe(out, x, *args)
+    return _conv_recipe(out, x, conv1d, *args)
 
 
 def residual(v, u, w) -> Tensor:
     """``v + conv1d(u, w)``, a residual update, as two taped nodes whose sum
     carries a recipe when it can: ``v`` and ``u``'s recipe, if ``u`` carries
-    one and ``v`` is an array kept anyway: one a node of this tape saves, or
-    one no tape produced (a leaf, or a frozen prefix's output).  So the next
-    node that reads the sum holds no array for it.  A ``v`` that is itself
-    rebuilt gives no recipe, so no rebuild builds another and each costs
-    one conv."""
+    one and ``v`` is an array kept anyway (one a node of this tape saves, or
+    one no tape produced: a leaf, or a frozen prefix's output) or is rebuilt
+    by a flat recipe, one with no recipe among its arguments (a pointwise
+    conv of a held array).  So the next node that reads the sum holds no array
+    for it.  A ``v`` rebuilt from another rebuild gives no recipe, so a
+    rebuild reaches at most one level below another."""
     v, u, w = _as_tensor(v), _as_tensor(u), _as_tensor(w)
     out = add(v, conv1d(u, w))
-    ru = _recipe_of(u)
+    ru, rv = _recipe_of(u), _recipe_of(v)
+    flat = rv is not None and not any(isinstance(a, _Recipe) for a in rv.args)
     # A rebuilt v is saved as its recipe, so it is never held.
-    if ru is not None and (v._key is None or id(v.data) in _active()._held):
-        _give(out, _Recipe(_rebuild_residual, v.data, ru, w.data))
+    if ru is not None and (flat or v._key is None or id(v.data) in _active()._held):
+        _give(out, _Recipe(_rebuild_residual, rv if flat else v.data, ru, w.data))
     return out
 
 

@@ -229,13 +229,14 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 def fill_named(named, arrays: dict, what: str) -> None:
     """Give each (name, tensor) of ``named``, a zero-draw tree's list, its
     array in ``arrays``, which must hold exactly those names, each at its
-    tensor's shape; ``what`` names the tree in the error."""
+    tensor's shape; ``what`` names the tree in the error, which lists the
+    first 8 missing or unknown names and counts the rest."""
     names = {name for name, _ in named}
-    missing, unknown = sorted(names - set(arrays)), sorted(set(arrays) - names)
-    if missing:
-        raise ValueError(f"{what} tensors missing: {missing}")
-    if unknown:
-        raise ValueError(f"{what} tensors unknown: {unknown}")
+    for cause, bad in (("missing", names - set(arrays)), ("unknown", set(arrays) - names)):
+        if bad:
+            bad = sorted(bad)
+            more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
+            raise ValueError(f"{what} tensors {cause}: {bad[:8]}{more}")
     for name, t in named:
         arr = np.asarray(arrays[name], dtype=np.float64)
         if arr.shape != t.shape:
@@ -303,11 +304,12 @@ def apply_sub_block(v: Tensor, sb: SubBlockParams) -> Tensor:
 def apply_block(v: Tensor, block: list[SubBlockParams]) -> Tensor:
     """Apply the sub-blocks in turn.  Each later sub-block's input is a
     ``residual`` sum, which the sweep rebuilds from the input before it and
-    the recipe of that sub-block's last norm output when that input is held.
-    Taped, an application of two sub-blocks holds only its input of the
-    block's residual stream, and one of k holds every second input after
-    it.  The block's output is a plain sum, so no rebuild reaches across a
-    block boundary."""
+    the recipe of that sub-block's last norm output when that input is held
+    or is the bottleneck's output, which the sweep rebuilds by its own
+    conv.  Taped, an application of two sub-blocks holds only its input of
+    the block's residual stream (one over the bottleneck's output not even
+    that), and one of k holds every second input after it.  The block's
+    output is a plain sum, so no rebuild reaches across a block boundary."""
     if not block:
         raise ValueError("block has no sub-blocks")
     C = block[0].down[0].conv.w.shape[1]
@@ -448,7 +450,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise ValueError(f"checkpoint {path} has a malformed header: {e}") from e
         fmt = header.get("format") if isinstance(header, dict) else None
-        if fmt != _CKPT_FORMAT:
+        if type(fmt) is not int or fmt != _CKPT_FORMAT:  # true and 1.0 equal 1 but are no format
             raise ValueError(f"checkpoint {path} has format {fmt!r}, "
                              f"this reader supports {_CKPT_FORMAT}")
         for key in ("config", "tensors"):

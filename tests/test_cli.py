@@ -866,6 +866,32 @@ def test_main_reports_a_memory_error_like_any_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "allocate" in err, err
 
 
+def test_passthrough_counts_the_model_before_making_the_test_split(tmp_path, monkeypatch, capsys):
+    # the row's parameter count of a 10**12-basis encoder fails before any data is made
+    m = tiny_mapping(tmp_path)
+    m["model"]["enc_bases"] = 10**12
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("eval made the test split before counting the model")
+
+    monkeypatch.setattr(cli, "make_dataset", no_data)
+    assert main(["eval", "--passthrough", "--config", write_config(tmp_path, m)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err, err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_unknown_tensors_message_lists_eight_names_and_counts_the_rest(tmp_path, capsys):
+    extras = {f"typo{i:04d}.w": np.zeros(1) for i in range(1000)}
+    path = _write_checkpoint(tmp_path, "end_to_end", {"mode": "end_to_end"}, extras)
+    assert main(["eval", "--config", path]) == 2
+    err = capsys.readouterr().err
+    listed = ", ".join(f"'typo{i:04d}.w'" for i in range(8))
+    assert err.startswith("error: checkpoint ") and "model.ckpt" in err
+    assert err.endswith(f"model.ckpt tensors unknown: [{listed}] and 992 more\n"), err
+    assert len(err) < 400, len(err)
+
+
 def test_finetune_gate_command(tmp_path):
     m = tiny_mapping(tmp_path, mode="adaptive")
     m["model"]["blocks"] = [{"sub_blocks": 1, "iterations": 3}]

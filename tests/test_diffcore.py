@@ -544,6 +544,54 @@ class TestFusedOps:
             assert made(tape, r).build().tobytes() == r.data.tobytes()
         assert tape.held_output_elems() == v.size + c.size + twice.size
 
+    def test_pointwise_conv_of_held_array_is_a_flat_recipe(self, monkeypatch):
+        # A 1-tap, stride-1 conv of an output the tape holds carries its own
+        # forward on that array, a recipe with no recipe among its arguments,
+        # which a node saves in the output's place.  A residual sum over it
+        # carries a recipe that builds it; a sum over that sum is held.  A
+        # wider or strided conv, or a conv of a leaf, carries none.  Every
+        # rebuild equals its output, and the gradients those with the rule off.
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
+        norm = [Tensor(a, requires_grad=True) for a in
+                (rng.uniform(-0.5, 0.5, size=3), rng.normal(size=3) + 1.0, rng.normal(size=3))]
+        w, pw, proj = (Tensor(rng.normal(size=shape), requires_grad=True)
+                       for shape in ((3, 3, 5), (3, 3, 1), (3, 3, 1)))
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        g = rng.normal(size=(3, 40))
+
+        def taped():
+            with Tape() as tape:
+                r = relu(x)  # holds its output
+                p = conv1d(r, pw, b)
+                c = conv1d(p, w)  # saves p's recipe
+                u = prelu_norm(c, *norm)
+                once = dc.residual(p, u, proj)
+                twice = dc.residual(once, u, proj)  # once is rebuilt from p's rebuild: held
+                loss = sum_all(mul(conv1d(twice, w), Tensor(g)))
+                others = (conv1d(r, w), conv1d(r, pw, stride=2), conv1d(x, pw))
+            return tape, (r, p, c, once, twice), others, loss
+
+        tape, (r, p, c, once, twice), others, loss = taped()
+        rp = made(tape, p)
+        assert rp.fn is dc._rebuild_conv and rp.args[1] is r.data
+        assert not any(isinstance(a, dc._Recipe) for a in rp.args)
+        assert tape._nodes[2][2][0] is rp and made(tape, once).args[0] is rp
+        assert made(tape, twice) is None and all(made(tape, t) is None for t in others)
+        for t in (p, once):
+            assert made(tape, t).build().tobytes() == t.data.tobytes()
+        assert tape.held_output_elems() == r.size + c.size + twice.size
+        leaves = [x, pw, b, w, proj, *norm]
+        tape, _, _, loss = taped()
+        backward(tape, loss)
+        rebuilt = [t.grad.tobytes() for t in leaves]
+        monkeypatch.setattr(dc, "_pointwise_recipe", lambda out, *args: out)
+        tape, (r, p, c, once, twice), _, loss = taped()
+        assert made(tape, p) is None and made(tape, once).args[0] is p.data
+        assert tape.held_output_elems() == r.size + p.size + c.size + twice.size
+        backward(tape, loss)
+        assert [t.grad.tobytes() for t in leaves] == rebuilt
+
     def test_conv_over_norm_of_held_input_is_a_recipe(self, monkeypatch):
         # A conv or upsample conv over a norm of a held array carries a
         # recipe, which the norm over it saves in the conv output's place and

@@ -26,6 +26,7 @@ from latref.sepmodel import (
     clone_params,
     count_params,
     encode,
+    fill_named,
     init_params,
     load_checkpoint,
     mask_and_decode,
@@ -575,10 +576,13 @@ class TestCheckpoint:
         (lambda h: h["config"].update(blocks=[7]), r"config section model\.blocks\[0\] must be an object"),
         (lambda h: h["config"].update(enc_basez=1), r"unknown config key model\.enc_basez"),
         (lambda h: h["config"].update(blocks=[{"x": 1}]), r"unknown config key model\.blocks\[0\]\.x"),
+        (lambda h: h.update(format=True), r"format True, this reader supports 1"),
+        (lambda h: h.update(format=1.0), r"format 1\.0, this reader supports 1"),
     ], ids=["tensor_entry", "meta", "stages", "config", "shape_float", "shape_bool",
             "shape_negative", "shape_two_unknown", "name_list", "name_int", "name_repeated",
             "tensors_int", "tensors_null", "shape_beyond_file", "config_int", "config_blocks_int",
-            "config_block_int", "config_unknown_key", "config_block_unknown_key"])
+            "config_block_int", "config_unknown_key", "config_block_unknown_key", "format_true",
+            "format_float"])
     def test_malformed_header_values_rejected(self, tmp_path, edit, cause):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(toy_config(), np.random.default_rng(37)))
@@ -621,6 +625,17 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak <= 1.25 * tensor_bytes, peak / tensor_bytes
         assert all(a.flags.writeable for a in loaded.arrays.values())
+
+    @pytest.mark.parametrize("cause, names, arrays", [
+        ("missing", 20, 0), ("unknown", 0, 20), ("missing", 8, 0),
+    ], ids=["twenty_missing", "twenty_unknown", "eight_missing"])
+    def test_fill_named_lists_eight_names_and_counts_the_rest(self, cause, names, arrays):
+        named = [(f"t{i:02d}", Tensor(np.zeros(1))) for i in range(names)]
+        given = {f"t{i:02d}": np.zeros(1) for i in range(arrays)}
+        listed = ", ".join(f"'t{i:02d}'" for i in range(8))
+        more = "" if max(names, arrays) == 8 else " and 12 more"
+        with pytest.raises(ValueError, match=f"^tree tensors {cause}: {re.escape(f'[{listed}]{more}')}$"):
+            fill_named(named, given, "tree")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

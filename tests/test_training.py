@@ -592,6 +592,49 @@ def test_sweep_standardises_each_norm_once(monkeypatch):
     assert recipes and all(r.memo is None for r in recipes)
 
 
+def test_end_to_end_item_rebuilds_the_bottleneck_output(monkeypatch):
+    """A desk end-to-end item holds C x L fewer elements than with the
+    pointwise conv rule switched off: the bottleneck's output, the first
+    block application's input, is rebuilt by its own conv at the end of the
+    sweep instead of held.  Every gradient is the same to the bit."""
+    config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
+    sources = np.random.default_rng(1).normal(size=(3, 2000))
+
+    def item():
+        params = init_params(config, np.random.default_rng(0))
+        rng = np.random.default_rng(2)
+        for sb in params.blocks[0]:
+            sb.proj.w.data[...] = rng.normal(size=sb.proj.w.shape) * 0.3
+        with Tape() as tape:
+            ests, _ = run_model(sources.sum(axis=0), params)
+            loss = pit_loss(ests, sources, 2).loss
+        held = tape.held_output_elems()
+        backward(tape, loss)
+        return held, [t.grad.tobytes() for _, t in named_parameters(params)]
+
+    held, rebuilt = item()
+    monkeypatch.setattr(dc, "_pointwise_recipe", lambda out, *args: out)
+    held_off, kept = item()
+    assert held_off - held == 32 * 250
+    assert len(rebuilt) == 70 and rebuilt == kept
+
+
+@pytest.mark.parametrize("stage, on, off", [(None, 760_000, 792_000), (0, 424_000, 456_000),
+                                            (1, 456_000, 456_000)], ids=["e2e", "stage0", "stage1"])
+def test_memory_account_drops_the_bottleneck_output_where_the_encoder_trains(
+        monkeypatch, stage, on, off):
+    """At desk T = 8000 the account drops C x L = 32,000 elements per item
+    against the pointwise conv rule switched off, end to end and at stage 0.
+    At stage 1 the frozen prefix hands its latent over untaped, so nothing
+    changes."""
+    blocks = [BlockSpec(sub_blocks=2, iterations=4)] if stage is None else \
+        [BlockSpec(sub_blocks=2, iterations=2), BlockSpec(sub_blocks=2, iterations=2)]
+    config = desk_config(blocks)
+    assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == on
+    monkeypatch.setattr(dc, "_pointwise_recipe", lambda out, *args: out)
+    assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == off
+
+
 def _inputs_needing_no_gradient(regime):
     """Tape one T = 2000 training item of the desk model in ``regime`` and
     return (the ops taped, {op: positions of its inputs that need no
