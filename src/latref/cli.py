@@ -86,7 +86,8 @@ class FinetuneConfig:
         check_fields(self)
 
     def resolve_epochs(self, total: int) -> int:
-        ft = self.epochs if self.epochs > 0 else max(1, round(total / 10))
+        # a tenth, rounded half to even in integers, so no total overflows a float
+        ft = self.epochs if self.epochs > 0 else max(1, round(total, -1) // 10)
         if ft >= total:
             raise ValueError(
                 f"finetune.epochs {ft} leaves no pretraining epochs out of train.epochs {total}"
@@ -158,7 +159,7 @@ def load_config(path) -> ExperimentConfig:
         raise FileNotFoundError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
-    except ValueError as e:  # undecodable bytes as well as bad JSON
+    except (ValueError, RecursionError) as e:  # undecodable bytes, bad or too deeply nested JSON
         raise ValueError(f"config file {p} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ValueError(f"config file {p} must hold a JSON object")
@@ -273,8 +274,10 @@ def quartile_analysis(results):
 
 def _model_row(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
     """Report row of the model that runs, before its scores: its config,
-    head count and mode, and the memory account of its regime (a
-    progressive model's at its own stage).
+    its parameter count with its head pairs, its mode, and the memory
+    account of its regime (a progressive model's at its own stage).  An
+    adaptive model's row is its ungated model's: ``params`` leaves out the
+    gate's 2C + 4L + 6 scalars, and the account the B(v) a gated step holds.
 
     Passthrough (``model`` None) describes the config file's model, a
     progressive one at its last stage.
@@ -284,13 +287,13 @@ def _model_row(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
         stage = len(config.blocks) - 1 if mode == "progressive" else None
     else:
         config, mode, stage = model.params.config, model.mode, model.stage
-    counts = count_params(config, stages=config.head_pairs(stage))
+    params = count_params(config, stages=config.head_pairs(stage))
     mem = memory_account(config, batch_size=1, T=cfg.dataset.num_samples, stage=stage)
     return {
         "blocks": len(config.blocks),
         "sub_blocks": config.blocks[0].sub_blocks,
         "iters": [bs.iterations for bs in config.blocks],
-        "params": counts.total,
+        "params": params,
         "memory_bytes": mem.total_bytes,
         "mode": mode,
         "task": cfg.task,
@@ -517,7 +520,7 @@ def _cmd_report(out: Path) -> int:
             render_table([row])  # a row that cannot be rendered fails here, by its file
         except KeyError as e:
             raise ValueError(f"report file {p} has no key {e}") from e
-        except (OSError, ValueError, TypeError) as e:
+        except (OSError, ValueError, TypeError, OverflowError, RecursionError) as e:
             raise ValueError(f"report file {p} is malformed: {e}") from e
         rows.append(row)
     text = render_table(rows)

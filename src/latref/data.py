@@ -40,9 +40,14 @@ _SPLIT_TAGS = {"train": 0, "val": 1, "test": 2}
 
 
 def _is_finite_real(value) -> bool:
-    """An integer or float, Python or numpy, that is finite; not a bool."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
+    """An integer or float, Python or numpy, that is finite as a float; not
+    a bool.  An integer past float range (10**400) is not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_pair(value) -> bool:
@@ -175,7 +180,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         check_fields(self)
-        n = self.duration * self.sample_rate
+        # a rate past float range has no float product, so no whole count
+        n = self.duration * self.sample_rate if _is_finite_real(self.sample_rate) else math.inf
         if not math.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ValueError(f"duration {self.duration}s at {self.sample_rate} Hz is not a whole sample count")
 

@@ -3,6 +3,8 @@
 The op set is exactly what the separation stack needs:
 
 - elementwise and reductions: ``add``, ``mul``, ``relu``, ``sum_all``;
+  ``add`` and ``mul`` take operands of one shape, or a 0-d operand (a
+  scalar) broadcast to the other's shape, and no other broadcast;
 - ``prelu_norm``: PReLU fused with per-channel normalisation, one node per
   sub-block scale;
 - ``conv1d`` and its exact adjoint ``transposed_conv1d``, which share one
@@ -269,17 +271,18 @@ def _finish(out_data, inputs, vjp, saved=()):
     return out
 
 
+def _operand_shapes(a: Tensor, b: Tensor):
+    """The shapes of ``add``'s or ``mul``'s operands, which must be one
+    shape unless one of them is 0-d (a scalar, broadcast to the other)."""
+    sa, sb = a.data.shape, b.data.shape
+    if sa != sb and sa and sb:
+        raise ValueError(f"operand shapes {sa} and {sb} differ and neither is a scalar")
+    return sa, sb
+
+
 def _unbroadcast(g, shape):
-    """Reduce a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    """A broadcast scalar's gradient: the sum of ``g``; else ``g``."""
+    return g if g.shape == shape else g.sum(axis=tuple(range(g.ndim))).reshape(shape)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -346,8 +349,8 @@ def add(a, b) -> Tensor:
     skip sum) carries the sum of their recipes.  No other sum does, so a
     block's output, v + proj(u), stays held."""
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = _operand_shapes(a, b)
     out = a.data + b.data
-    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
         return (_unbroadcast(g, sa), _unbroadcast(g, sb))
@@ -361,11 +364,11 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = _operand_shapes(a, b)
     out = a.data * b.data
     # Each operand's gradient reads the other operand, which is kept only
     # if that gradient is needed: a constant or a frozen operand needs none.
     saved = (a.data if b.requires_grad else None, b.data if a.requires_grad else None)
-    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g, a_data, b_data):
         ga = None if b_data is None else _unbroadcast(g * b_data, sa)

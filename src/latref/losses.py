@@ -27,12 +27,6 @@ _LOG10_SCALE = 10.0 / math.log(10.0)
 
 
 @dataclass
-class SISDRResult:
-    value_db: float
-    rho: float
-
-
-@dataclass
 class PITResult:
     """Best assignment of estimates to references.
 
@@ -52,7 +46,7 @@ def _as_1d(x, name: str) -> np.ndarray:
     return arr
 
 
-def si_sdr(est, ref) -> SISDRResult:
+def si_sdr(est, ref) -> float:
     """Scale-invariant SDR of ``est`` against ``ref`` in dB, clamped to +/-100.
 
     The plain projection formula, with no centering.
@@ -70,12 +64,10 @@ def si_sdr(est, ref) -> SISDRResult:
     err = target - e
     den = float(err @ err)
     if den == 0.0:
-        return SISDRResult(CLAMP_DB, rho)
+        return CLAMP_DB
     if num == 0.0:
-        return SISDRResult(-CLAMP_DB, rho)
-    db = 10.0 * math.log10(num / den)
-    db = min(CLAMP_DB, max(-CLAMP_DB, db))
-    return SISDRResult(db, rho)
+        return -CLAMP_DB
+    return min(CLAMP_DB, max(-CLAMP_DB, 10.0 * math.log10(num / den)))
 
 
 def _neg_sisdr_term(e: np.ndarray, s: np.ndarray):
@@ -174,14 +166,14 @@ def pit_loss(ests, refs, speech_count: int) -> PITResult:
 
 def si_sdr_improvement(est, ref, mix) -> float:
     """SI-SDR gain of ``est`` over using the raw mixture as the estimate."""
-    return si_sdr(est, ref).value_db - si_sdr(mix, ref).value_db
+    return si_sdr(est, ref) - si_sdr(mix, ref)
 
 
 def best_speech_permutation(ests: np.ndarray, refs: np.ndarray, speech_count: int) -> tuple:
     """Metric-side assignment: maximise mean SI-SDR over speech sources."""
     best = None
     for perm in itertools.permutations(range(speech_count)):
-        score = sum(si_sdr(ests[perm[j]], refs[j]).value_db for j in range(speech_count))
+        score = sum(si_sdr(ests[perm[j]], refs[j]) for j in range(speech_count))
         if best is None or score > best[0]:
             best = (score, perm)
     return best[1]

@@ -25,7 +25,6 @@ import dataclasses
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -364,28 +363,12 @@ def mask_and_decode(v_enc: Tensor, s_latent: Tensor, stage: int, params: ModelPa
 # Parameter accounting
 
 
-@dataclass
-class ParamCounts:
-    encoder: int
-    blocks: list[int]  # per config block; aliased entries are zero
-    mask_net: int  # one head pair
-    decoder: int
-    stages: int
-
-    @property
-    def total(self) -> int:
-        return self.encoder + sum(self.blocks) + self.stages * (self.mask_net + self.decoder)
-
-
-def count_params(config: SeparationConfig, stages: int = 1) -> ParamCounts:
-    """Exact trainable-scalar counts of a fresh tree, by top-level name;
-    iteration counts never enter."""
-    sizes = Counter()
-    for name, t in named_parameters(init_params(config, _ZeroDraws(), stages=stages)):
-        sizes[name.split(".")[0]] += t.size
-    return ParamCounts(encoder=sizes["encoder"] + sizes["bottleneck"],
-                       blocks=[sizes[f"block{i}"] for i in range(len(config.blocks))],
-                       mask_net=sizes["mask0"], decoder=sizes["dec0"], stages=stages)
+def count_params(config: SeparationConfig, stages: int = 1) -> int:
+    """Exact trainable-scalar count of a fresh tree with ``stages`` head
+    pairs, summed over its ``named_parameters``, so an aliased block counts
+    once; iteration counts never enter."""
+    params = init_params(config, _ZeroDraws(), stages=stages)
+    return sum(t.size for _, t in named_parameters(params))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +430,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         blob = fh.read(hlen)
         try:
             header = json.loads(blob.decode())
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as e:  # bad bytes, bad or too deeply nested JSON
             raise ValueError(f"checkpoint {path} has a malformed header: {e}") from e
         fmt = header.get("format") if isinstance(header, dict) else None
         if type(fmt) is not int or fmt != _CKPT_FORMAT:  # true and 1.0 equal 1 but are no format

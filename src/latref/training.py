@@ -13,9 +13,12 @@ memory and its parameters are bit-identical after any number of steps.
 taped trace of the regime's own step (the model at its head and depth under
 its frozen set, and the PIT loss), so it follows any change to what a
 training step keeps; a test pins it against a real training forward and its
-loss.  Its trainable/frozen split, like parameter counts and stage snapshots
-(``clone_params``), comes from ``named_parameters`` of a real tree and the
-stage's frozen set, never from a hand-kept copy of the tree.
+loss.  It traces no gate, so for gated fine-tuning it is the ungated step's
+account: the blend's held block output B(v), C x L floats per gated step
+and item, is not in it.  Its trainable/frozen split, like parameter counts
+and stage snapshots (``clone_params``), comes from ``named_parameters`` of
+a real tree and the stage's frozen set, never from a hand-kept copy of the
+tree.
 
 Determinism contract: one generator drives shuffling, chunk offsets,
 augmentation, and Gumbel draws in a fixed order, so a seed reproduces
@@ -304,8 +307,9 @@ def train_end_to_end(params: ModelParams, train_set, val_set, cfg: TrainConfig, 
 
 @dataclass
 class StageResult:
+    """A finished progressive stage; its depth is ``config.stage_depth(stage)``."""
+
     stage: int
-    depth: int
     params: ModelParams  # snapshot taken when the stage finished
     history: list
 
@@ -335,8 +339,7 @@ def train_progressive(config: SeparationConfig, train_set, val_set, cfg: TrainCo
     for stage, epochs in enumerate(stage_epochs):
         stage_cfg = replace(cfg, epochs=epochs)
         history = _train_loop(params, train_set, val_set, stage_cfg, stage=stage, rng=rng)
-        results.append(StageResult(stage=stage, depth=config.stage_depth(stage),
-                                   params=clone_params(params), history=history))
+        results.append(StageResult(stage=stage, params=clone_params(params), history=history))
     return results
 
 

@@ -1,0 +1,183 @@
+"""Bit-identity manifest: the sha256 of every output a change must keep.
+
+    python tests/identity.py OUT.json               write the manifest
+    python tests/identity.py --compare A.json B.json list the names that differ
+
+Run from a checkout, it imports that checkout's ``src`` and runs at one BLAS
+thread.  Its cases:
+
+- ``step/...``: one batch-2 training step of the README desk model
+  (estimates of each item, the loss and every trainable leaf's gradient),
+  end to end at T = 2000 and 1999, at progressive stages 0 and 1 of a
+  two-block split, and gated, with the gate's gradients;
+- ``cli/<mode>/<task>/<command>/...``: ``latref train``, ``eval`` and
+  ``eval --passthrough`` of a toy config in every mode and task: every file
+  the command leaves in the output directory, its stdout and its exit code;
+- ``gradcheck``: ``gradcheck_suite``'s error.
+
+The manifest maps each name to a sha256, sorted, so two runs, of one
+commit or of two, compare name by name.  Every API it calls is one a
+bit-identical change keeps, so one copy of this file runs on both sides.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":  # before numpy loads its BLAS
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+
+import numpy as np
+
+from latref.cli import gradcheck_suite, main
+from latref.data import MixtureSpec, make_dataset
+from latref.diffcore import Tape, backward
+from latref.gating import gate_named_parameters, gate_penalty, init_gate
+from latref.losses import pit_loss
+from latref.sepmodel import BlockSpec, SeparationConfig, init_params, named_parameters
+from latref.training import apply_freeze, run_model, stage_freeze_mask
+
+
+def _sha(data) -> str:
+    if isinstance(data, np.ndarray):
+        data = repr(data.shape).encode() + np.ascontiguousarray(data, dtype="<f8").tobytes()
+    elif isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def desk_config(blocks=None) -> SeparationConfig:
+    """The README desk model: one block of 2 sub-blocks x 4 iterations."""
+    return SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8, latent_channels=32,
+                            num_sources=3, blocks=blocks or [BlockSpec(2, 4)],
+                            sub_scales=3, sub_kernel=5)
+
+
+def step_hashes(name: str, config: SeparationConfig, T: int, stage=None, gated=False) -> dict:
+    """One batch-2 training step of ``config`` on T-sample items as regime
+    ``stage`` (gated: with a gate in train mode), from seed 0."""
+    rng = np.random.default_rng(0)
+    params = init_params(config, rng, stages=config.head_pairs(stage))
+    named = named_parameters(params)
+    gate = None
+    if gated:
+        gate = init_gate(config.latent_channels, config.latent_length(T), rng)
+        named += gate_named_parameters(gate)
+    trainable, _ = apply_freeze(named, stage_freeze_mask(config, stage))
+    items = make_dataset(MixtureSpec(duration=0.25, seed=0), 2)
+    out = {}
+    with Tape() as tape:
+        acc = None
+        for i, item in enumerate(items):
+            sources = item.sources[:, :T]
+            ests, g = run_model(sources.sum(axis=0), params, stage=stage or 0,
+                                depth=config.stage_depth(stage), gate=gate,
+                                gate_mode="train", rng=rng)
+            out[f"{name}/ests{i}"] = _sha(ests.data)
+            loss = pit_loss(ests, sources, item.speech_count).loss
+            if gated:
+                loss = loss + gate_penalty(g)
+            acc = loss if acc is None else acc + loss
+        loss = acc * 0.5
+        backward(tape, loss)
+    out[f"{name}/loss"] = _sha(loss.data)
+    for leaf, t in trainable:
+        out[f"{name}/grad/{leaf}"] = _sha(t.grad if t.grad is not None else np.zeros_like(t.data))
+    return out
+
+
+def all_step_hashes() -> dict:
+    split = desk_config([BlockSpec(2, 2), BlockSpec(2, 2)])
+    out = {}
+    out.update(step_hashes("step/e2e/T2000", desk_config(), 2000))
+    out.update(step_hashes("step/e2e/T1999", desk_config(), 1999))
+    out.update(step_hashes("step/stage0/T2000", split, 2000, stage=0))
+    out.update(step_hashes("step/stage1/T2000", split, 2000, stage=1))
+    out.update(step_hashes("step/gated/T2000", desk_config(), 2000, gated=True))
+    return out
+
+
+def toy_mapping(mode: str, task: str, out: Path) -> dict:
+    """A config that trains in well under a second: two blocks in progressive mode."""
+    blocks = [{"sub_blocks": 1, "iterations": 1}]
+    if mode == "progressive":
+        blocks.append({"sub_blocks": 1, "iterations": 2})
+    return {
+        "task": task, "mode": mode,
+        "model": {"enc_bases": 12, "enc_kernel": 8, "enc_stride": 4, "latent_channels": 6,
+                  "num_sources": 3 if task == "separation" else 2, "blocks": blocks,
+                  "sub_scales": 2, "sub_kernel": 3},
+        "train": {"epochs": 2, "batch_size": 2, "seed": 0},
+        "dataset": {"duration": 0.05, "seed": 0, "num_train": 2, "num_val": 2, "num_test": 4},
+        "output_dir": str(out),
+    }
+
+
+def cli_hashes(mode: str, task: str, root: Path) -> dict:
+    """``train``, ``eval`` and ``eval --passthrough`` of the toy config of
+    ``mode`` and ``task`` in ``root``: after each, every file in the output
+    directory, stdout and the exit code."""
+    out_dir = root / "out"
+    path = root / "config.json"
+    path.write_text(json.dumps(toy_mapping(mode, task, out_dir)))
+    out = {}
+    for command, argv in (("train", ["train"]), ("eval", ["eval"]),
+                          ("passthrough", ["eval", "--passthrough"])):
+        name = f"cli/{mode}/{task}/{command}"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--config", str(path)])
+        out[f"{name}/exit"] = _sha(str(code))
+        out[f"{name}/stdout"] = _sha(stdout.getvalue())
+        for f in sorted(out_dir.iterdir()):
+            out[f"{name}/{f.name}"] = _sha(f.read_bytes())
+    return out
+
+
+def all_cli_hashes() -> dict:
+    out = {}
+    for mode in ("end_to_end", "progressive", "adaptive"):
+        for task in ("separation", "enhancement"):
+            with tempfile.TemporaryDirectory() as tmp:
+                out.update(cli_hashes(mode, task, Path(tmp)))
+    return out
+
+
+def manifest() -> dict:
+    out = {**all_step_hashes(), **all_cli_hashes(), "gradcheck": _sha(repr(gradcheck_suite()))}
+    return dict(sorted(out.items()))
+
+
+def compare(a: dict, b: dict) -> list:
+    """The names whose hashes differ, or that only one manifest has."""
+    return sorted(n for n in a.keys() | b.keys() if a.get(n) != b.get(n))
+
+
+def run(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
+        differ = compare(a, b)
+        sys.stdout.write("".join(f"{n}\n" for n in differ))
+        sys.stdout.write(f"{len(differ)} of {len(a.keys() | b.keys())} names differ\n")
+        return 1 if differ else 0
+    if len(argv) == 1:
+        m = manifest()
+        Path(argv[0]).write_text(json.dumps(m, indent=1, sort_keys=True) + "\n")
+        sys.stdout.write(f"{len(m)} names written to {argv[0]}\n")
+        return 0
+    sys.stderr.write(__doc__)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:]))

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import io
 import json
 import re
 import signal
@@ -385,6 +386,51 @@ def test_malformed_json_rejected(tmp_path):
         load_config(path)
 
 
+_TOO_DEEP = "[" * 10**5 + "]" * 10**5  # 200 kB that json's decoder cannot nest
+
+
+def test_too_deeply_nested_config_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_TOO_DEEP)
+    monkeypatch.setattr(cli, "build_splits", _no_data)
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not valid JSON: maximum recursion"), err
+
+
+@pytest.mark.parametrize("section, key", [("train", "lr0"), ("dataset", "duration"),
+                                          ("finetune", "penalty_coef")])
+def test_float_field_past_float_range_exits_2_naming_it(tmp_path, monkeypatch, capsys, section, key):
+    # 10**400 is an integer, which a float field takes, but no float holds it
+    m = tiny_mapping(tmp_path, mode="adaptive")
+    m.setdefault(section, {})[key] = 10**400
+    monkeypatch.setattr(cli, "build_splits", _no_data)
+    assert main(["train", "--config", write_config(tmp_path, m)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config section {section}: {key} must be a finite "
+                          f"number, got 1000"), err
+
+
+def test_sample_rate_past_float_range_exits_2_naming_its_section(tmp_path, monkeypatch, capsys):
+    m = tiny_mapping(tmp_path)
+    m["dataset"]["sample_rate"] = 10**400
+    monkeypatch.setattr(cli, "build_splits", _no_data)
+    assert main(["train", "--config", write_config(tmp_path, m)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config section dataset: duration 0.05s at 1000"), err
+    assert err.rstrip().endswith("Hz is not a whole sample count"), err
+
+
+def test_finetune_epochs_default_to_a_tenth_of_any_total(tmp_path):
+    # half a tenth rounds to even, as round(total / 10) does, and a total
+    # past float range still gets its tenth
+    ft = FinetuneConfig()
+    assert [ft.resolve_epochs(t) for t in (2, 9, 14, 15, 25, 26, 35, 200)] == [1, 1, 1, 2, 2, 3, 4, 20]
+    m = tiny_mapping(tmp_path, mode="adaptive")
+    m["train"]["epochs"] = 10**400
+    assert config_from_mapping(m).finetune.resolve_epochs(10**400) == 10**399
+
+
 # ---------------------------------------------------------------------------
 # quartiles
 
@@ -545,7 +591,7 @@ def test_eval_row_describes_checkpoint_not_config_mode(tmp_path):
     row = json.loads((tmp_path / "out" / "report.json").read_text())["row"]
     loaded = load_checkpoint(tmp_path / "out" / "model.ckpt")
     assert row["mode"] == "progressive"
-    assert row["params"] == count_params(loaded.config, stages=2).total
+    assert row["params"] == count_params(loaded.config, stages=2)
     T = load_config(path).dataset.num_samples
     assert row["memory_bytes"] == memory_account(loaded.config, 1, T, stage=1).total_bytes
 
@@ -578,7 +624,7 @@ def test_train_on_progressive_config_trains_every_stage(tmp_path):
     row = json.loads((tmp_path / "out" / "report.json").read_text())["row"]
     cfg = load_config(path)
     assert row["mode"] == "progressive"
-    assert row["params"] == count_params(cfg.model, stages=2).total
+    assert row["params"] == count_params(cfg.model, stages=2)
     T = cfg.dataset.num_samples
     assert row["memory_bytes"] == memory_account(cfg.model, 1, T, stage=1).total_bytes
     assert load_checkpoint(tmp_path / "out" / "model.ckpt").meta == {
@@ -796,6 +842,16 @@ def test_header_sizes_fail_by_name_before_any_tree_is_built(tmp_path, capsys, ca
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_too_deeply_nested_checkpoint_header_exits_2_naming_it(tmp_path, capsys):
+    path = _write_checkpoint(tmp_path, "end_to_end", {"mode": "end_to_end", "task": "separation"})
+    blob = _TOO_DEEP.encode()
+    (tmp_path / "out" / "model.ckpt").write_bytes(b"LRCKPT01" + len(blob).to_bytes(8, "little") + blob)
+    assert main(["eval", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: checkpoint \S*model\.ckpt has a malformed header: maximum recursion", err), err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 _DROP = object()  # stands for removing the leaf from its object or list
 _LEAF_VALUES = [None, True, False, 0, 2, -1, 10**6, 10**30, -10**30, 1e308, -1e308, "x",
                 [], [1], {}, {"a": 1}, _DROP]
@@ -854,6 +910,76 @@ def test_read_model_loads_or_names_the_file_for_any_header_edit(toy_checkpoints,
                 read_model(ckpt, cfg)
             except ValueError as e:
                 assert str(ckpt) in str(e), e
+
+
+# every key of every section given, so each one can be replaced or dropped
+_FULL_ADAPTIVE = {
+    "task": "separation", "mode": "adaptive",
+    "model": {"enc_bases": 12, "enc_kernel": 8, "enc_stride": 4, "latent_channels": 6,
+              "num_sources": 3, "sub_scales": 2, "sub_kernel": 3,
+              "blocks": [{"sub_blocks": 1, "iterations": 2, "shares_params_with": None}]},
+    "train": {"epochs": 4, "batch_size": 2, "lr0": 1e-3, "lr_decay_every": 2,
+              "lr_decay_factor": 0.5, "clip_norm": 5.0, "seed": 0, "augment": True,
+              "chunk_len": None},
+    "dataset": {"sample_rate": 8000, "duration": 0.05, "speaker_snr_range": [0.0, 5.0],
+                "noise_snr_range": [-3.0, 6.0], "task": "separation", "seed": 0,
+                "num_train": 2, "num_val": 2, "num_test": 4},
+    "finetune": {"epochs": 1, "lr0": 1e-4, "lr_decay_every": 5, "lr_decay_factor": 0.5,
+                 "penalty_coef": 0.01, "penalty_target": 0.0},
+    "output_dir": "runs/x",
+}
+# a top-level key by its name, a section's key by its dotted path or its section
+_KEY_PATH = re.compile(r"^(task|mode|output_dir) |config section (model|train|dataset|finetune)\b"
+                       r"|\b(model|train|dataset|finetune)(\[\d+\])?\.\w")
+_HOSTILE_VALUES = st.one_of(
+    st.sampled_from(_LEAF_VALUES + [10**400, -10**400, float("nan")]),
+    st.integers(-10**400, 10**400))
+
+
+def _edit_leaves(tree, data):
+    """``tree`` with one or two of its leaves replaced by a hostile value or dropped."""
+    tree = copy.deepcopy(tree)
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        *up, last = data.draw(st.sampled_from(list(_leaves(tree))), label="leaf")
+        parent = functools.reduce(lambda node, key: node[key], up, tree)
+        value = data.draw(_HOSTILE_VALUES, label="value")
+        if value is _DROP:
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(value)
+    return tree
+
+
+def test_full_adaptive_config_builds():
+    assert config_from_mapping(copy.deepcopy(_FULL_ADAPTIVE)).mode == "adaptive"
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_config_builds_or_names_a_key_for_any_leaf_edit(data):
+    # never OverflowError, TypeError or KeyError: a hostile value is named by its key
+    mapping = _edit_leaves(_FULL_ADAPTIVE, data)
+    try:
+        config_from_mapping(mapping)
+    except ValueError as e:
+        assert _KEY_PATH.search(str(e)), e
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_report_renders_or_names_the_file_for_any_row_edit(data):
+    row = {"blocks": 2, "sub_blocks": 1, "iters": [1, 2], "params": 373, "memory_bytes": 9000,
+           "mode": "progressive", "task": "separation", "mean_sisdri": 1.5, "mean_g": None}
+    report = {"row": _edit_leaves(row, data), "per_sample": [], "quartiles": [], "passthrough": False}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a" / "report.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(report))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["report", "--out", tmp])
+    assert code == 0 or (code == 2 and err.getvalue().startswith(f"error: report file {path} ")), \
+        (code, err.getvalue())
 
 
 @pytest.mark.parametrize("argv", [["train"], ["eval", "--passthrough"]], ids=["train", "passthrough"])
@@ -931,7 +1057,11 @@ def test_report_renders_rows(tmp_path):
     ("[1]", "is malformed: list indices"),
     ('{"row": {"blocks": 1}}', "has no key 'sub_blocks'"),
     ("{", "is malformed: Expecting property name"),
-], ids=["no_row", "not_an_object", "row_missing_a_column", "invalid_json"])
+    (_TOO_DEEP, "is malformed: maximum recursion depth exceeded"),
+    ('{"row": {"blocks": 1, "sub_blocks": 1, "iters": [1], "params": 1, "mean_sisdri": %d}}'
+     % 10**400, "is malformed: int too large to convert to float"),
+], ids=["no_row", "not_an_object", "row_missing_a_column", "invalid_json", "nested_too_deep",
+        "number_past_float_range"])
 def test_report_names_a_malformed_report_file(tmp_path, capsys, text, cause):
     bad = tmp_path / "sweep" / "b" / "report.json"
     bad.parent.mkdir(parents=True)

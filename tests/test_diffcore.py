@@ -1,6 +1,7 @@
 """Tests for the reverse-mode core: op forwards against naive oracles,
 adjoint identities, and finite-difference gradient checks."""
 
+import re
 import tracemalloc
 import zlib
 
@@ -899,6 +900,20 @@ class TestElementwise:
         a = Tensor(np.ones((3, 4)))
         b = Tensor(np.array(2.0))
         assert np.array_equal(add(a, b).data, np.full((3, 4), 3.0))
+
+    def test_add_and_mul_broadcast_only_a_scalar(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        s = Tensor(np.array(2.0), requires_grad=True)
+        for op in (add, mul):
+            for a, b in ((x, Tensor(np.ones((1, 4)))), (Tensor(np.ones(4)), x)):
+                with pytest.raises(ValueError, match=rf"{re.escape(str(a.shape))} and "
+                                                     rf"{re.escape(str(b.shape))} differ"):
+                    op(a, b)
+        with Tape() as tape:
+            loss = sum_all(add(mul(s, x), s))
+        backward(tape, loss)
+        assert s.grad == x.data.sum() + 12.0
+        assert np.array_equal(x.grad, np.full((3, 4), 2.0))
 
 
 class TestBackward:

@@ -1,0 +1,35 @@
+"""Smoke test of the bit-identity manifest script, ``tests/identity.py``."""
+
+import json
+
+import identity
+from latref.sepmodel import BlockSpec, _ZeroDraws, init_params, named_parameters
+from latref.training import stage_freeze_mask
+
+
+def test_manifest_covers_its_cases_and_compare_names_a_changed_hash(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert identity.run([str(a)]) == 0
+    m = json.loads(a.read_text())
+    assert all(len(h) == 64 for h in m.values()) and list(m) == sorted(m)
+    desk = named_parameters(init_params(identity.desk_config(), _ZeroDraws()))
+    for case in ("e2e/T2000", "e2e/T1999", "gated/T2000"):
+        assert {f"step/{case}/{x}" for x in ("ests0", "ests1", "loss")} <= m.keys()
+        grads = {k for k in m if k.startswith(f"step/{case}/grad/")}
+        assert {f"step/{case}/grad/{n}" for n, _ in desk} <= grads
+    # stage 1 hashes the gradients of its own block and head pair only
+    frozen = stage_freeze_mask(identity.desk_config([BlockSpec(2, 2)] * 2), 1)
+    tops = {k.split("/")[4].split(".")[0] for k in m if k.startswith("step/stage1/T2000/grad/")}
+    assert tops == {"block1", "mask1", "dec1"} and not tops & frozen
+    for mode in ("end_to_end", "progressive", "adaptive"):
+        for task in ("separation", "enhancement"):
+            name = f"cli/{mode}/{task}"
+            assert {f"{name}/train/model.ckpt", f"{name}/eval/report.json",
+                    f"{name}/passthrough/stdout", f"{name}/passthrough/exit"} <= m.keys()
+    assert "gradcheck" in m
+
+    assert identity.run(["--compare", str(a), str(a)]) == 0
+    b.write_text(json.dumps({**m, "gradcheck": "0" * 64, "new": "1" * 64}))
+    capsys.readouterr()
+    assert identity.run(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == f"gradcheck\nnew\n2 of {len(m) + 1} names differ\n"

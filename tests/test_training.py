@@ -414,7 +414,7 @@ def test_progressive_freezes_prefix():
     cfg = TrainConfig(epochs=2, batch_size=2, seed=3)
     results = train_progressive(config, splits.train, splits.val, cfg)
     assert [r.stage for r in results] == [0, 1]
-    assert [r.depth for r in results] == [1, 2]
+    assert [config.stage_depth(r.stage) for r in results] == [1, 2]
     b0 = param_bytes(results[0].params)
     b1 = param_bytes(results[1].params)
     for name in b0:
