@@ -475,7 +475,10 @@ def _train_adaptive(cfg: ExperimentConfig, splits):
 
 def _cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     """Train in the regime ``cfg.mode`` names.  Writes history.jsonl and
-    model.ckpt, and a progressive run also stage<i>.ckpt per stage."""
+    model.ckpt, and a progressive run also stage<i>.ckpt per stage.  The
+    model is counted and accounted first, as ``eval`` does, so a config
+    too large to build fails before any data is made."""
+    _model_row(cfg, None)
     splits = build_splits(cfg.dataset, cfg.dataset.num_train, cfg.dataset.num_val)
     if cfg.mode == "progressive":
         results = train_progressive(cfg.model, splits.train, splits.val, cfg.train)

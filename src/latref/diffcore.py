@@ -61,17 +61,18 @@ outputs carry one:
 - an ``add`` of two ``prelu_norm`` outputs (a U-Net skip sum): their
   recipes.  No other sum carries one, so a block's output, v + proj(u),
   stays held;
-- a ``conv1d`` or ``upsample_conv1d`` output over a ``prelu_norm`` output
-  whose own input is held (an array, not a recipe): the op, the norm's
-  recipe and the op's other arguments.  A conv over a norm of a rebuilt
-  input carries none, so a rebuild reaches back through at most one conv
-  and one norm to a held array.  In a sub-block the rule picks ``down1``,
-  ``down3``, ... and ``up0`` (and the projection, whose sum saves nothing);
-- a pointwise (1-tap, stride-1) ``conv1d`` output over an output the tape
-  holds: the conv, that array and the conv's other arguments, a flat
-  recipe (no recipe among its arguments).  In the model the rule picks
-  the bottleneck's output, the first block application's input, whose
-  readers come last in an item's sweep;
+- a ``conv1d`` or ``upsample_conv1d`` output over a ``prelu_norm`` output:
+  the op, the norm's recipe and the op's other arguments.  The norm's own
+  input may be rebuilt too, so in a sub-block the rule picks every down
+  conv after ``down0``, every up conv over a norm (``up0``) and the
+  projection (whose sum saves nothing); an up conv over a skip sum is held;
+- a ``conv1d`` output over an output the tape holds: the conv, that array
+  and the conv's other arguments, a flat recipe (no recipe among its
+  arguments).  In the model the rule picks the bottleneck's output, the
+  first block application's input, whose readers come last in an item's
+  sweep, and ``down0`` of a sub-block over a held input: the first
+  sub-block of every later block application, and every second one
+  after it in a block of three or more;
 - a ``residual`` sum over a ``u`` with a recipe: ``v`` (an array the tape
   keeps anyway, or a flat recipe), ``u``'s recipe and the weight.  The
   model makes every sub-block input after a block's first one a
@@ -79,6 +80,13 @@ outputs carry one:
   this recipe: a block application of k sub-blocks holds (k - 1) // 2 of
   the k - 1 inputs after its own input, none at the desk's two, and the
   first application does not hold its input either.
+
+So a rebuild can reach down a sub-block's whole down path, each conv on
+the build of the norm before it, and through the norms of its up path, to
+a held array: the sub-block's input, its ``down0`` output or an up conv
+over a skip sum.  It never crosses a block boundary: a block's output is
+a plain sum and stays held, and the next application's ``down0`` is
+rebuilt from it alone.
 
 One rule governs the rebuilds.  The sweep builds a recipe bit for bit when
 a vjp first reads it and keeps that build (its memo); every later read
@@ -579,21 +587,20 @@ def _rebuild_residual(v, u: _Recipe, w):
 
 def _conv_recipe(out: Tensor, x: Tensor, op, *args) -> Tensor:
     """Give a taped conv output ``out`` a recipe if its input ``x`` is a
-    ``prelu_norm`` output over a held array.  A conv over a norm of a
-    rebuilt input gets none, so no conv rebuild reaches past a norm.  Its
-    memo serves both the norm over the output and that norm's rebuilds, so
-    a sweep runs the op once."""
+    ``prelu_norm`` output: the op on the norm's build, which may build the
+    norm's own input first.  Its memo serves both the norm over the output
+    and that norm's rebuilds, so a sweep runs the op once."""
     u = _recipe_of(x)
-    if isinstance(u, _Normalised) and not isinstance(u.args[0], _Recipe):  # the norm's input
+    if isinstance(u, _Normalised):
         _give(out, _Recipe(_rebuild_conv, op, u, *args))
     return out
 
 
-def _pointwise_recipe(out: Tensor, x: Tensor, *args) -> Tensor:
-    """Give a taped pointwise conv output ``out`` a flat recipe, the conv of
-    ``x``'s array by ``args``, if the tape holds that array: one GEMM
-    rebuilds the output, and the array stays held until the sweep has
-    passed every reader."""
+def _flat_recipe(out: Tensor, x: Tensor, *args) -> Tensor:
+    """Give a taped conv output ``out`` a flat recipe, the conv of ``x``'s
+    array by ``args``, if the tape holds that array: one conv rebuilds the
+    output, and the array stays held until the sweep has passed every
+    reader."""
     if out._key is not None and id(x.data) in _active()._held:
         _give(out, _Recipe(_rebuild_conv, conv1d, x.data, *args))
     return out
@@ -663,10 +670,10 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     ``x`` is Cin x T, ``w`` is Cout x Cin x K, optional ``b`` is Cout.
     padding "same" zero-pads symmetrically so the output length is
     ceil(T / stride); "valid" uses no padding and requires T >= K.
-    Taped, a pointwise (1-tap, stride-1) conv of an output the tape holds
-    carries a flat recipe, its own forward on that array, and a conv over
-    a norm of a held array carries one built on the norm's recipe; either
-    is rebuilt in backward rather than held.
+    Taped, a conv of an output the tape holds carries a flat recipe, its
+    own forward on that array, and a conv over a norm output carries one
+    built on the norm's recipe; either is rebuilt in backward rather than
+    held.
     """
     x, w, b = _conv_operands("conv1d", x, w, b, stride, 1)
     Cout, _, K = w.data.shape
@@ -692,8 +699,7 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     saved = (x.data, w.data if x.requires_grad else None)
     out = _finish(out, (x, w, b) if biased else (x, w), vjp, saved)
     args = (w.data, None if b is None else b.data, stride, padding)
-    if K == 1 and stride == 1:
-        _pointwise_recipe(out, x, *args)
+    _flat_recipe(out, x, *args)
     return _conv_recipe(out, x, conv1d, *args)
 
 
@@ -702,10 +708,10 @@ def residual(v, u, w) -> Tensor:
     carries a recipe when it can: ``v`` and ``u``'s recipe, if ``u`` carries
     one and ``v`` is an array kept anyway (one a node of this tape saves, or
     one no tape produced: a leaf, or a frozen prefix's output) or is rebuilt
-    by a flat recipe, one with no recipe among its arguments (a pointwise
-    conv of a held array).  So the next node that reads the sum holds no array
-    for it.  A ``v`` rebuilt from another rebuild gives no recipe, so a
-    rebuild reaches at most one level below another."""
+    by a flat recipe, one with no recipe among its arguments (a conv of a
+    held array).  So the next node that reads the sum holds no array
+    for it.  A ``v`` rebuilt from another rebuild gives no recipe, so no
+    sum's rebuild builds another sum's."""
     v, u, w = _as_tensor(v), _as_tensor(u), _as_tensor(w)
     out = add(v, conv1d(u, w))
     ru, rv = _recipe_of(u), _recipe_of(v)
@@ -743,16 +749,18 @@ def _conv_vjp(g, x, w, x_shape, w_shape, stride: int, left: int):
     one matmul per tap run of the conv of an ``x_shape`` input ``x`` by a
     ``w_shape`` weight ``w`` at this stride and left padding.  A ``w`` of
     None, which :func:`conv1d` passes for an input that needs no gradient,
-    gives no input gradient."""
+    gives no input gradient.  The input gradient is formed first, so the
+    weight gradient (an upsample conv's is 2 Cout x Cin x Kp) is not alive
+    during the input gradient's matmuls."""
     runs = _tap_runs(x_shape[1], w_shape[2], stride, left, g.shape[1])
+    gx = None
+    if w is not None:
+        gx = np.zeros(x_shape)
+        for k, cols, samples in runs:
+            gx[:, samples] += w[:, :, k].T @ g[:, cols]
     gw = np.zeros(w_shape)
     for k, cols, samples in runs:
         gw[:, :, k] = g[:, cols] @ x[:, samples].T
-    if w is None:
-        return None, gw
-    gx = np.zeros(x_shape)
-    for k, cols, samples in runs:
-        gx[:, samples] += w[:, :, k].T @ g[:, cols]
     return gx, gw
 
 
@@ -920,8 +928,10 @@ def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: 
     (S * Cout) x out_length result is the "same" transposed conv of
     relu(z_s) * v_enc (a stride above K leaves zeros between the kernel
     copies).  One node is taped, holding the latent, not the logits: the
-    forward makes the masks, masks the encoding in their place source by
-    source and drops them, and the vjp makes them again with the same conv.
+    forward makes the masks, masks the encoding in their place and decodes
+    it source by source, each into its own Cout x out_length array, and
+    drops the masks before it joins those, and the vjp makes the masks
+    again with the same conv.
     The vjp is the transposed conv's own, per source in one B x L buffer
     that holds the masked encoding and then its gradient, then the mask's
     chain rule, written over that source's mask (the v_enc term passes
@@ -940,13 +950,13 @@ def masked_decode(latent, mask_w, mask_b, v_enc, w, b, stride: int, out_length: 
     Cout, K = w.data.shape[1:]
     rows = [slice(s * B, (s + 1) * B) for s in range(S)]
     masks = _masks(latent.data, mask_w.data, mask_b.data)
-    out = np.empty((S * Cout, out_length))
-    for s in range(S):
-        masked = masks[rows[s]]
-        masked *= v_enc.data  # in place: this source's mask is read no more
-        # Plain arrays in, so this call tapes nothing.
-        out[s * Cout:(s + 1) * Cout] = transposed_conv1d(
-            masked, w.data, b.data, stride=stride, padding="same", out_length=out_length).data
+    # Each source's mask is masked in place, as it is read no more, and
+    # decoded into its own array; plain arrays in, so nothing is taped.
+    decoded = [transposed_conv1d(np.multiply(masks[r], v_enc.data, out=masks[r]), w.data, b.data,
+                                 stride=stride, padding="same", out_length=out_length).data
+               for r in rows]
+    masks = None  # dropped before the sources are joined
+    out = np.concatenate(decoded)
 
     # A frozen encoder's v_enc (progressive stage 1 on) needs no gradient,
     # and forming one would put a B x L array where an item's memory peaks.

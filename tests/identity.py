@@ -6,13 +6,18 @@
 Run from a checkout, it imports that checkout's ``src`` and runs at one BLAS
 thread.  Its cases:
 
-- ``step/...``: one batch-2 training step of the README desk model
-  (estimates of each item, the loss and every trainable leaf's gradient),
-  end to end at T = 2000 and 1999, at progressive stages 0 and 1 of a
-  two-block split, and gated, with the gate's gradients;
+- ``step/...``: one batch-2 training step of the README desk model with
+  every sub-block projection drawn, so every parameter's gradient is live
+  (estimates of each item, the loss and every trainable leaf's gradient):
+  end to end at T = 2000, 1999 and 8000, at progressive stages 0 and 1 of
+  a two-block split and stage 2 of a three-block one, gated, with the
+  gate's gradients, and end to end at T = 2000 for one block of 1-4
+  sub-blocks x 2 iterations at 1, 2, 4 and 5 scales;
 - ``cli/<mode>/<task>/<command>/...``: ``latref train``, ``eval`` and
   ``eval --passthrough`` of a toy config in every mode and task: every file
-  the command leaves in the output directory, its stdout and its exit code;
+  the command leaves in the output directory, its stdout and its exit code,
+  with a report's ``memory_bytes`` (the memory account, which a change to
+  what the tape holds moves on purpose) hashed under its own name;
 - ``gradcheck``: ``gradcheck_suite``'s error.
 
 The manifest maps each name to a sha256, sorted, so two runs, of one
@@ -56,25 +61,30 @@ def _sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def desk_config(blocks=None) -> SeparationConfig:
+def desk_config(blocks=None, sub_scales=3) -> SeparationConfig:
     """The README desk model: one block of 2 sub-blocks x 4 iterations."""
     return SeparationConfig(enc_bases=64, enc_kernel=16, enc_stride=8, latent_channels=32,
                             num_sources=3, blocks=blocks or [BlockSpec(2, 4)],
-                            sub_scales=3, sub_kernel=5)
+                            sub_scales=sub_scales, sub_kernel=5)
 
 
 def step_hashes(name: str, config: SeparationConfig, T: int, stage=None, gated=False) -> dict:
     """One batch-2 training step of ``config`` on T-sample items as regime
-    ``stage`` (gated: with a gate in train mode), from seed 0."""
+    ``stage`` (gated: with a gate in train mode), from seed 0.  The
+    projections, which start at zero, are drawn, so the sweep's rebuilds
+    reach every gradient."""
     rng = np.random.default_rng(0)
     params = init_params(config, rng, stages=config.head_pairs(stage))
+    for block in params.blocks:
+        for sb in block:
+            sb.proj.w.data = rng.normal(size=sb.proj.w.shape) * 0.3
     named = named_parameters(params)
     gate = None
     if gated:
         gate = init_gate(config.latent_channels, config.latent_length(T), rng)
         named += gate_named_parameters(gate)
     trainable, _ = apply_freeze(named, stage_freeze_mask(config, stage))
-    items = make_dataset(MixtureSpec(duration=0.25, seed=0), 2)
+    items = make_dataset(MixtureSpec(duration=max(0.25, T / 8000), seed=0), 2)
     out = {}
     with Tape() as tape:
         acc = None
@@ -96,14 +106,24 @@ def step_hashes(name: str, config: SeparationConfig, T: int, stage=None, gated=F
     return out
 
 
+# (sub-blocks, scales) of the one-block end-to-end steps
+MATRIX = tuple((k, scales) for k in (1, 2, 3, 4) for scales in (1, 2, 4, 5))
+
+
 def all_step_hashes() -> dict:
     split = desk_config([BlockSpec(2, 2), BlockSpec(2, 2)])
     out = {}
     out.update(step_hashes("step/e2e/T2000", desk_config(), 2000))
     out.update(step_hashes("step/e2e/T1999", desk_config(), 1999))
+    out.update(step_hashes("step/e2e/T8000", desk_config(), 8000))
     out.update(step_hashes("step/stage0/T2000", split, 2000, stage=0))
     out.update(step_hashes("step/stage1/T2000", split, 2000, stage=1))
+    out.update(step_hashes("step/stage2of3/T2000", desk_config([BlockSpec(2, 2) for _ in range(3)]),
+                           2000, stage=2))
     out.update(step_hashes("step/gated/T2000", desk_config(), 2000, gated=True))
+    for k, scales in MATRIX:
+        out.update(step_hashes(f"step/e2e/k{k}s{scales}/T2000",
+                               desk_config([BlockSpec(k, 2)], scales), 2000))
     return out
 
 
@@ -140,7 +160,12 @@ def cli_hashes(mode: str, task: str, root: Path) -> dict:
         out[f"{name}/exit"] = _sha(str(code))
         out[f"{name}/stdout"] = _sha(stdout.getvalue())
         for f in sorted(out_dir.iterdir()):
-            out[f"{name}/{f.name}"] = _sha(f.read_bytes())
+            data = f.read_bytes()
+            if f.name == "report.json":
+                report = json.loads(data)
+                out[f"{name}/report.json/memory_bytes"] = _sha(str(report["row"].pop("memory_bytes")))
+                data = json.dumps(report, sort_keys=True)
+            out[f"{name}/{f.name}"] = _sha(data)
     return out
 
 

@@ -1007,6 +1007,27 @@ def test_passthrough_counts_the_model_before_making_the_test_split(tmp_path, mon
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("bases, cause", [(10**12, "allocate"), (10**400, "dimension")],
+                         ids=["1e12", "1e400"])
+@pytest.mark.parametrize("mode", ["end_to_end", "progressive", "adaptive"])
+def test_train_counts_the_model_before_building_the_splits(tmp_path, monkeypatch, capsys,
+                                                            mode, bases, cause):
+    # the parameter count of an encoder too large to build fails before any split is made
+    m = tiny_mapping(tmp_path, mode=mode)
+    m["model"]["enc_bases"] = bases
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build_splits(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_splits", counted)
+    assert main(["train", "--config", write_config(tmp_path, m)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err, err
+    assert calls == [] and not (tmp_path / "out" / "history.jsonl").exists()
+
+
 def test_unknown_tensors_message_lists_eight_names_and_counts_the_rest(tmp_path, capsys):
     extras = {f"typo{i:04d}.w": np.zeros(1) for i in range(1000)}
     path = _write_checkpoint(tmp_path, "end_to_end", {"mode": "end_to_end"}, extras)

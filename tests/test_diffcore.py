@@ -446,6 +446,26 @@ class TestFusedOps:
         bound = (S * B * L + 2 * B * L + C * L) * 8
         assert peak <= 1.1 * bound, f"vjp transient {peak / bound:.3f}x"
 
+    def test_masked_decode_forward_transient_at_desk_shape(self):
+        # The forward makes the (S * B) x L masks, decodes each source into
+        # its own Cout x T array (through the transposed conv's Cout x K x L
+        # products) and joins them only after dropping the masks, so no
+        # Cout x T array is alive beside the masks and the S decoded sources.
+        S, B, L, K, stride, out_length = DESK_DECODE
+        Cout = 1
+        ts = [Tensor(a) for a in self.decode_inputs(*DESK_DECODE, C=32)]
+        masked_decode(*ts, stride, out_length)  # memoises the geometries
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = masked_decode(*ts, stride, out_length)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (S * Cout, out_length)
+        bound = (S * B * L + S * Cout * out_length + Cout * K * L) * 8
+        assert peak - bound < Cout * out_length * 8 // 2, f"forward transient {peak / bound:.3f}x"
+
     def test_masked_decode_rejects_partial_source_block(self):
         with pytest.raises(ValueError, match="source blocks"):
             masked_decode(Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 2, 1))),
@@ -513,45 +533,59 @@ class TestFusedOps:
         assert made(tape, total).build().tobytes() == total.data.tobytes()
         assert tape.held_output_elems() == 0  # the norms' inputs are leaves
 
-    def test_residual_sum_is_a_recipe(self):
+    def test_residual_sum_is_a_recipe(self, monkeypatch):
         # residual's sum v + conv1d(u, w) carries a recipe when u carries one
         # and v is an array the tape keeps (saved, or a leaf), never when v
         # is rebuilt itself; a conv saves the recipe in the sum's place, and
-        # it rebuilds the sum bit for bit.
+        # it rebuilds the sum bit for bit.  A conv of a held array carries a
+        # flat recipe, so a sum over one carries a recipe too; with that
+        # rule off the conv and that sum are held.
         rng = np.random.default_rng(48)
         x = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norm = [Tensor(a, requires_grad=True) for a in
                 (rng.uniform(-0.5, 0.5, size=3), rng.normal(size=3) + 1.0, rng.normal(size=3))]
         w, proj = (Tensor(rng.normal(size=shape), requires_grad=True)
                    for shape in ((3, 3, 5), (3, 3, 1)))
-        with Tape() as tape:
-            v = conv1d(x, w)
-            c = conv1d(v, w)  # holds v
-            u = prelu_norm(c, *norm)
-            once = dc.residual(v, u, proj)
-            conv1d(once, w)
-            twice = dc.residual(once, u, proj)  # once is rebuilt: twice is held
-            conv1d(twice, w)
-            thrice = dc.residual(twice, u, proj)
-            conv1d(thrice, w)
-            of_leaf = dc.residual(x, u, proj)
-            of_unheld = dc.residual(add(x, 0.0), u, proj)  # no node saves that sum
-            of_plain = dc.residual(v, c, proj)  # c carries no recipe
+
+        def taped():
+            with Tape() as tape:
+                v = conv1d(x, w)
+                c = conv1d(v, w)  # holds v, so c is rebuilt from it
+                u = prelu_norm(c, *norm)
+                once = dc.residual(v, u, proj)
+                conv1d(once, w)
+                twice = dc.residual(once, u, proj)  # once is rebuilt: twice is held
+                after = conv1d(twice, w)  # holds twice, so it is rebuilt from it
+                thrice = dc.residual(twice, u, proj)
+                conv1d(thrice, w)
+                of_leaf = dc.residual(x, u, proj)
+                of_unheld = dc.residual(add(x, 0.0), u, proj)  # no node saves that sum
+                of_conv = dc.residual(v, c, proj)  # c carries a flat recipe
+                of_plain = dc.residual(v, x, proj)  # a leaf u carries none
+            return tape, (v, c, once, twice, after, thrice, of_leaf, of_unheld, of_conv, of_plain)
+
+        tape, (v, c, once, twice, after, thrice, of_leaf, of_unheld, of_conv, of_plain) = taped()
         assert made(tape, once).fn is dc._rebuild_residual and made(tape, once).args[0] is v.data
         assert tape._nodes[5][2][0] is made(tape, once) and made(tape, twice) is None
         assert made(tape, thrice).args[0] is twice.data and tape._nodes[11][2][0] is made(tape, thrice)
         assert made(tape, of_unheld) is None and made(tape, of_plain) is None
-        for r in (once, thrice, of_leaf):
+        assert made(tape, c).args[1] is v.data and made(tape, after).args[1] is twice.data
+        assert made(tape, of_conv).args[:2] == (v.data, made(tape, c))
+        for r in (c, once, after, thrice, of_leaf, of_conv):
             assert made(tape, r).build().tobytes() == r.data.tobytes()
+        assert tape.held_output_elems() == v.size + twice.size
+        monkeypatch.setattr(dc, "_flat_recipe", lambda out, *args: out)
+        tape, (v, c, *_, of_conv, _) = taped()
+        assert made(tape, c) is None and made(tape, of_conv) is None
         assert tape.held_output_elems() == v.size + c.size + twice.size
 
     def test_pointwise_conv_of_held_array_is_a_flat_recipe(self, monkeypatch):
-        # A 1-tap, stride-1 conv of an output the tape holds carries its own
-        # forward on that array, a recipe with no recipe among its arguments,
-        # which a node saves in the output's place.  A residual sum over it
-        # carries a recipe that builds it; a sum over that sum is held.  A
-        # wider or strided conv, or a conv of a leaf, carries none.  Every
-        # rebuild equals its output, and the gradients those with the rule off.
+        # A conv of an output the tape holds, pointwise, wider or strided,
+        # carries its own forward on that array, a recipe with no recipe
+        # among its arguments, which a node saves in the output's place.  A
+        # residual sum over it carries a recipe that builds it; a sum over
+        # that sum is held.  A conv of a leaf carries none.  Every rebuild
+        # equals its output, and the gradients those with the rule off.
         rng = np.random.default_rng(50)
         x = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norm = [Tensor(a, requires_grad=True) for a in
@@ -569,37 +603,41 @@ class TestFusedOps:
                 u = prelu_norm(c, *norm)
                 once = dc.residual(p, u, proj)
                 twice = dc.residual(once, u, proj)  # once is rebuilt from p's rebuild: held
-                loss = sum_all(mul(conv1d(twice, w), Tensor(g)))
-                others = (conv1d(r, w), conv1d(r, pw, stride=2), conv1d(x, pw))
-            return tape, (r, p, c, once, twice), others, loss
+                wide = conv1d(r, w, stride=2)  # the product below saves its recipe twice
+                loss = add(sum_all(mul(conv1d(twice, w), Tensor(g))), sum_all(mul(wide, wide)))
+                others = (conv1d(r, pw, stride=2), conv1d(x, pw))
+            return tape, (r, p, c, once, twice, wide), others, loss
 
-        tape, (r, p, c, once, twice), others, loss = taped()
+        tape, (r, p, c, once, twice, wide), others, loss = taped()
         rp = made(tape, p)
         assert rp.fn is dc._rebuild_conv and rp.args[1] is r.data
         assert not any(isinstance(a, dc._Recipe) for a in rp.args)
         assert tape._nodes[2][2][0] is rp and made(tape, once).args[0] is rp
-        assert made(tape, twice) is None and all(made(tape, t) is None for t in others)
-        for t in (p, once):
+        assert made(tape, twice) is None and made(tape, others[1]) is None
+        assert tape._nodes[12][2] == (made(tape, wide),) * 2
+        assert made(tape, wide).args[1] is made(tape, others[0]).args[1] is r.data
+        for t in (p, once, wide, others[0]):
             assert made(tape, t).build().tobytes() == t.data.tobytes()
         assert tape.held_output_elems() == r.size + c.size + twice.size
         leaves = [x, pw, b, w, proj, *norm]
         tape, _, _, loss = taped()
         backward(tape, loss)
         rebuilt = [t.grad.tobytes() for t in leaves]
-        monkeypatch.setattr(dc, "_pointwise_recipe", lambda out, *args: out)
-        tape, (r, p, c, once, twice), _, loss = taped()
-        assert made(tape, p) is None and made(tape, once).args[0] is p.data
-        assert tape.held_output_elems() == r.size + p.size + c.size + twice.size
+        monkeypatch.setattr(dc, "_flat_recipe", lambda out, *args: out)
+        tape, (r, p, c, once, twice, wide), _, loss = taped()
+        assert made(tape, p) is None and made(tape, wide) is None and made(tape, once).args[0] is p.data
+        assert tape.held_output_elems() == r.size + p.size + c.size + twice.size + wide.size
         backward(tape, loss)
         assert [t.grad.tobytes() for t in leaves] == rebuilt
 
     def test_conv_over_norm_of_held_input_is_a_recipe(self, monkeypatch):
-        # A conv or upsample conv over a norm of a held array carries a
-        # recipe, which the norm over it saves in the conv output's place and
-        # which rebuilds the output bit for bit; a conv over that norm (of a
-        # rebuilt input) carries none.  The sweep runs each rebuild's op
-        # once: the norm over the output and that norm's rebuilds share its
-        # memo, which is gone once the sweep has passed the conv's node.
+        # A conv or upsample conv over a norm output carries a recipe, which
+        # the norm over it saves in the conv output's place and which
+        # rebuilds the output bit for bit; so does a conv over that norm (of
+        # a rebuilt input), whose rebuild reaches down through two convs and
+        # two norms to a held array.  The sweep runs each rebuild's op once:
+        # the norm over the output and that norm's rebuilds share its memo,
+        # which is gone once the sweep has passed the conv's node.
         rng = np.random.default_rng(49)
         x0 = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norms = [[Tensor(a, requires_grad=True) for a in
@@ -617,32 +655,32 @@ class TestFusedOps:
                 up = upsample_conv1d(h, w, b, 79)
                 h2 = prelu_norm(c, *norms[1])
                 h3 = prelu_norm(up, *norms[2])
-                blocked = conv1d(h2, w)
-                loss = sum_all(mul(add(blocked, conv1d(h3, w, stride=4)), Tensor(g)))
-            return tape, (x, h, c, up, h2, blocked), loss, leaves
+                deep = conv1d(h2, w)  # the conv below saves its recipe
+                loss = sum_all(mul(add(conv1d(deep, w), conv1d(h3, w, stride=4)), Tensor(g)))
+            return tape, (x, h, c, up, h2, deep), loss, leaves
 
-        tape, (x, h, c, up, h2, blocked), loss, leaves = grads()
+        tape, (x, h, c, up, h2, deep), loss, leaves = grads()
         assert made(tape, c).fn is dc._rebuild_conv and made(tape, up).fn is dc._rebuild_conv
         assert made(tape, c).args[1] is made(tape, h) and made(tape, h2).args[0] is made(tape, c)
-        assert made(tape, blocked) is None
+        assert made(tape, deep).args[1] is made(tape, h2) and tape._nodes[7][2][0] is made(tape, deep)
         assert tape._nodes[4][2][0] is made(tape, c) and tape._made[2] is made(tape, c)
-        for t in (c, up, h2):
+        for t in (c, up, h2, deep):
             assert made(tape, t).build().tobytes() == t.data.tobytes()
         assert tape.held_output_elems() == x.size
         # A fresh tape, so no build above leaves a memo the sweep would use.
-        tape, (x, h, c, up, h2, blocked), loss, leaves = grads()
-        recipes = [made(tape, t) for t in (h, c, up, h2)]
+        tape, (x, h, c, up, h2, deep), loss, leaves = grads()
+        recipes = [made(tape, t) for t in (h, c, up, h2, deep)]
         calls = []
-        for r in recipes[1:3]:
+        for r in (recipes[1], recipes[2], recipes[4]):
             op, *args = r.args
             r.args = (lambda *a, op=op: calls.append(op) or op(*a), *args)
         backward(tape, loss)
-        assert len(calls) == 2 and set(calls) == {conv1d, upsample_conv1d}  # each op once
+        assert sorted(op.__name__ for op in calls) == ["conv1d", "conv1d", "upsample_conv1d"]
         assert all(r.memo is None for r in recipes) and tape._made == {}
         rebuilt = [t.grad for t in leaves]
         monkeypatch.setattr(dc, "_conv_recipe", lambda out, *args: out)
-        tape, (x, h, c, up, *_), loss, leaves = grads()
-        assert tape.held_output_elems() == x.size + c.size + up.size
+        tape, (x, h, c, up, h2, deep), loss, leaves = grads()
+        assert tape.held_output_elems() == x.size + c.size + up.size + deep.size
         backward(tape, loss)
         for got, t in zip(rebuilt, leaves):
             assert got.tobytes() == t.grad.tobytes()

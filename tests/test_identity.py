@@ -7,24 +7,33 @@ from latref.sepmodel import BlockSpec, _ZeroDraws, init_params, named_parameters
 from latref.training import stage_freeze_mask
 
 
-def test_manifest_covers_its_cases_and_compare_names_a_changed_hash(tmp_path, capsys):
+def test_manifest_covers_its_cases_and_compare_names_a_changed_hash(tmp_path, monkeypatch, capsys):
+    # the smallest and the largest block of the sub-block x scale matrix keep this test short
+    monkeypatch.setattr(identity, "MATRIX", ((1, 1), (4, 5)))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert identity.run([str(a)]) == 0
     m = json.loads(a.read_text())
     assert all(len(h) == 64 for h in m.values()) and list(m) == sorted(m)
-    desk = named_parameters(init_params(identity.desk_config(), _ZeroDraws()))
-    for case in ("e2e/T2000", "e2e/T1999", "gated/T2000"):
+    cases = {case: identity.desk_config() for case in ("e2e/T2000", "e2e/T1999", "e2e/T8000",
+                                                       "gated/T2000")}
+    cases.update({f"e2e/k{k}s{s}/T2000": identity.desk_config([BlockSpec(k, 2)], s)
+                  for k, s in identity.MATRIX})
+    for case, config in cases.items():
         assert {f"step/{case}/{x}" for x in ("ests0", "ests1", "loss")} <= m.keys()
         grads = {k for k in m if k.startswith(f"step/{case}/grad/")}
-        assert {f"step/{case}/grad/{n}" for n, _ in desk} <= grads
+        assert {f"step/{case}/grad/{n}" for n, _ in
+                named_parameters(init_params(config, _ZeroDraws()))} <= grads
     # stage 1 hashes the gradients of its own block and head pair only
     frozen = stage_freeze_mask(identity.desk_config([BlockSpec(2, 2)] * 2), 1)
     tops = {k.split("/")[4].split(".")[0] for k in m if k.startswith("step/stage1/T2000/grad/")}
     assert tops == {"block1", "mask1", "dec1"} and not tops & frozen
+    tops = {k.split("/")[4].split(".")[0] for k in m if k.startswith("step/stage2of3/T2000/grad/")}
+    assert tops == {"block2", "mask2", "dec2"}
     for mode in ("end_to_end", "progressive", "adaptive"):
         for task in ("separation", "enhancement"):
             name = f"cli/{mode}/{task}"
             assert {f"{name}/train/model.ckpt", f"{name}/eval/report.json",
+                    f"{name}/eval/report.json/memory_bytes",
                     f"{name}/passthrough/stdout", f"{name}/passthrough/exit"} <= m.keys()
     assert "gradcheck" in m
 

@@ -156,10 +156,11 @@ def desk_block(sub_blocks, seed):
 
 
 class TestSubBlockTape:
-    """A taped sub-block holds its input and four of its six conv outputs:
-    each norm output, each skip sum and each conv output over a norm of a
-    held array (``down1`` and ``up0`` at three scales) is kept as a recipe
-    and rebuilt in backward."""
+    """A taped sub-block over a held input holds that input and two of its
+    six conv outputs: each norm output, each skip sum, each conv output
+    over a norm (``down1``, ``down2`` and ``up0`` at three scales) and the
+    conv of the held input (``down0``) is kept as a recipe and rebuilt in
+    backward.  The up convs over the skip sums stay held."""
 
     @staticmethod
     def taped_grads(sb, x, y):
@@ -174,11 +175,12 @@ class TestSubBlockTape:
         return held, [t.grad for t in [x, sb.proj.w] + params]
 
     def test_holds_input_and_conv_outputs_only(self):
-        # desk L = 1000: v 32k, down convs 16k + 4k, up convs 16k + 32k; down1
-        # (8k) and up0 (8k) are convs over a norm of a held conv output
+        # desk L = 1000: v 32k and the up convs over the skip sums 16k + 32k;
+        # down0 (16k) is a conv of v, down1 (8k), down2 (4k) and up0 (8k)
+        # are convs over a norm output
         (sb,), x, y = desk_block(1, 0)
         held, _ = self.taped_grads(sb, x, y)
-        assert held == 32 * (1000 + 500 + 125 + 500 + 1000) == 100_000
+        assert held == 32 * (1000 + 500 + 1000) == 80_000
 
     def test_gradients_equal_those_with_skip_sums_held(self, monkeypatch):
         (sb,), x, y = desk_block(1, 1)
@@ -194,12 +196,14 @@ class TestSubBlockTape:
     def test_gradients_equal_those_with_rebuilt_convs_held(self, monkeypatch):
         (sb,), x, y = desk_block(1, 4)
         held, rebuilt = self.taped_grads(sb, x, y)
-        # With no conv output given a recipe, down1 and up0 are held.
-        monkeypatch.setattr(dc, "_conv_recipe", lambda out, *args: out)
-        held_convs, kept = self.taped_grads(sb, x, y)
-        assert held_convs - held == 32 * (250 + 250)
-        for got, want in zip(rebuilt, kept):
-            assert got.tobytes() == want.tobytes()
+        # With no conv of a held array given a recipe, down0 is held; with no
+        # conv over a norm given one either, down1, down2 and up0 are too.
+        for rule, more in (("_flat_recipe", 500), ("_conv_recipe", 500 + 250 + 125 + 250)):
+            monkeypatch.setattr(dc, rule, lambda out, *args: out)
+            held_convs, kept = self.taped_grads(sb, x, y)
+            assert held_convs - held == 32 * more
+            for got, want in zip(rebuilt, kept):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestBlockTape:
@@ -208,7 +212,8 @@ class TestBlockTape:
     one: an input built from a held one is kept as a recipe (that input
     and the recipe of the sub-block's last norm output) and rebuilt in
     backward, and one built from a rebuilt one is held, so no rebuild
-    builds another."""
+    builds another.  A sub-block over a held input rebuilds its first
+    down conv from it; one over a rebuilt input holds that conv's output."""
 
     @staticmethod
     def taped_grads(block, x, y, held_inputs=False):
@@ -230,19 +235,22 @@ class TestBlockTape:
 
     @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
     def test_holds_input_and_conv_outputs_only(self, sub_blocks):
-        # desk L = 1000: the input 32k, four of each sub-block's six conv
-        # outputs 68k and the third sub-block's input 32k; two sub-blocks hold
-        # 168k, 200k with the inner input held
+        # desk L = 1000: each held input 32k (the block's own and every second
+        # later one), each sub-block's two up convs over its skip sums 48k,
+        # and the first down conv of each sub-block over a rebuilt input 16k;
+        # two sub-blocks hold 144k, 160k with the inner input held
         block, x, y = desk_block(sub_blocks, 2)
         held, _ = self.taped_grads(block, x, y)
-        assert held == 32_000 * (1 + (sub_blocks - 1) // 2) + sub_blocks * 68_000
+        held_inputs = 1 + (sub_blocks - 1) // 2
+        assert held == 32_000 * held_inputs + 48_000 * sub_blocks + 16_000 * (sub_blocks - held_inputs)
 
     @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
     def test_gradients_equal_those_with_inner_inputs_held(self, sub_blocks):
         block, x, y = desk_block(sub_blocks, 3)
         held, rebuilt = self.taped_grads(block, x, y)
         held_inputs, kept = self.taped_grads(block, x, y, held_inputs=True)
-        assert held_inputs - held == sub_blocks // 2 * 32_000
+        # each inner input held (32k) lets its sub-block rebuild its first down conv (16k)
+        assert held_inputs - held == sub_blocks // 2 * (32_000 - 16_000)
         assert len(rebuilt) == len(kept) == 1 + 31 * sub_blocks
         for got, want in zip(rebuilt, kept):
             assert np.array_equal(got, want)

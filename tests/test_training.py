@@ -593,10 +593,15 @@ def test_sweep_standardises_each_norm_once(monkeypatch):
 
 
 def test_end_to_end_item_rebuilds_the_bottleneck_output(monkeypatch):
-    """A desk end-to-end item holds C x L fewer elements than with the
-    pointwise conv rule switched off: the bottleneck's output, the first
-    block application's input, is rebuilt by its own conv at the end of the
-    sweep instead of held.  Every gradient is the same to the bit."""
+    """A desk end-to-end item at T = 2000 (L = 250) holds C x L + 3 C x L / 2
+    fewer elements than with the rule for convs of held arrays switched
+    off: the bottleneck's output, the first block application's input, is
+    rebuilt by its own conv at the end of the sweep instead of held, and so
+    is the first down conv of each later application, from that
+    application's held input.  With the rule for convs over a norm switched
+    off instead, each of the 8 sub-blocks holds its second and third down
+    convs and its first up conv (63, 32 and 63 columns).  Every gradient is
+    the same to the bit either way."""
     config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
     sources = np.random.default_rng(1).normal(size=(3, 2000))
 
@@ -613,26 +618,37 @@ def test_end_to_end_item_rebuilds_the_bottleneck_output(monkeypatch):
         return held, [t.grad.tobytes() for _, t in named_parameters(params)]
 
     held, rebuilt = item()
-    monkeypatch.setattr(dc, "_pointwise_recipe", lambda out, *args: out)
-    held_off, kept = item()
-    assert held_off - held == 32 * 250
-    assert len(rebuilt) == 70 and rebuilt == kept
+    for rule, more in (("_flat_recipe", 32 * 250 + 3 * 32 * 125),
+                       ("_conv_recipe", 8 * 32 * (63 + 32 + 63))):
+        with monkeypatch.context() as m:
+            m.setattr(dc, rule, lambda out, *args: out)
+            held_off, kept = item()
+        assert held_off - held == more
+        assert len(rebuilt) == 70 and rebuilt == kept
 
 
-@pytest.mark.parametrize("stage, on, off", [(None, 760_000, 792_000), (0, 424_000, 456_000),
-                                            (1, 456_000, 456_000)], ids=["e2e", "stage0", "stage1"])
+@pytest.mark.parametrize("stage, on, flat_off, conv_off",
+                         [(None, 680_000, 760_000, 840_000), (0, 392_000, 440_000, 472_000),
+                          (1, 424_000, 440_000, 504_000)], ids=["e2e", "stage0", "stage1"])
 def test_memory_account_drops_the_bottleneck_output_where_the_encoder_trains(
-        monkeypatch, stage, on, off):
-    """At desk T = 8000 the account drops C x L = 32,000 elements per item
-    against the pointwise conv rule switched off, end to end and at stage 0.
-    At stage 1 the frozen prefix hands its latent over untaped, so nothing
-    changes."""
+        monkeypatch, stage, on, flat_off, conv_off):
+    """At desk T = 8000 (L = 1000) the account drops C x L = 32,000 elements
+    per item against the rule for convs of held arrays switched off, end to
+    end and at stage 0, for the bottleneck's output; and C x L / 2 = 16,000
+    for the first down conv of each taped block application after the
+    first, three end to end and one per stage.  At stage 1 the frozen
+    prefix hands its latent over untaped, so its first application holds
+    that conv.  Against the rule for convs over a norm switched off, each
+    taped sub-block drops its second and third down convs and first up
+    conv, 20,000 elements."""
     blocks = [BlockSpec(sub_blocks=2, iterations=4)] if stage is None else \
         [BlockSpec(sub_blocks=2, iterations=2), BlockSpec(sub_blocks=2, iterations=2)]
     config = desk_config(blocks)
     assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == on
-    monkeypatch.setattr(dc, "_pointwise_recipe", lambda out, *args: out)
-    assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == off
+    for rule, off in (("_flat_recipe", flat_off), ("_conv_recipe", conv_off)):
+        with monkeypatch.context() as m:
+            m.setattr(dc, rule, lambda out, *args: out)
+            assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == off
 
 
 def _inputs_needing_no_gradient(regime):
