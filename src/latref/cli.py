@@ -280,15 +280,20 @@ def _model_row(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
     gate's 2C + 4L + 6 scalars, and the account the B(v) a gated step holds.
 
     Passthrough (``model`` None) describes the config file's model, a
-    progressive one at its last stage.
+    progressive one at its last stage.  A model numpy cannot build (a size
+    past its largest dimension or its memory) fails naming the ``model``
+    section and numpy's cause.
     """
     if model is None:
         config, mode = cfg.model, cfg.mode
         stage = len(config.blocks) - 1 if mode == "progressive" else None
     else:
         config, mode, stage = model.params.config, model.mode, model.stage
-    params = count_params(config, stages=config.head_pairs(stage))
-    mem = memory_account(config, batch_size=1, T=cfg.dataset.num_samples, stage=stage)
+    try:
+        params = count_params(config, stages=config.head_pairs(stage))
+        mem = memory_account(config, batch_size=1, T=cfg.dataset.num_samples, stage=stage)
+    except (ValueError, MemoryError) as e:
+        raise ValueError(f"config section 'model' cannot be built: {e}") from e
     return {
         "blocks": len(config.blocks),
         "sub_blocks": config.blocks[0].sub_blocks,

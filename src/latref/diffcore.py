@@ -46,49 +46,40 @@ from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d`` and
 ``prelu_norm`` keep their input, ``relu`` its output, ``mul`` the other
 operand of each gradient it needs, ``masked_decode`` the latent and the
 encoding (never the S x B x L logits), and the summing and adding ops
-nothing.  An op output that can be rebuilt exactly from arrays the tape
-holds anyway carries a recipe: a :class:`_Recipe`, ``fn(*args)``, whose
-``fn`` is the op's own forward (building any recipe among ``args`` first)
-and whose ``args`` are that op's arrays, or an input's recipe in place of
-its array.  The tape notes it under the output's node, the only place a
-recipe is kept, and a node of that tape that would save the output saves
-the recipe instead; a tensor from another tape carries none here.  Five
-outputs carry one:
+nothing.  An op output that can be rebuilt carries a recipe: a
+:class:`_Recipe`, ``fn(*args)``, whose ``fn`` is the op's own forward and
+whose ``args`` are the op's arguments, each Tensor among them entering as
+its recipe (built first) or as its array.  The tape notes it under the
+output's node, the only place a recipe is kept, and a node of that tape
+that would save the output saves the recipe instead; a tensor from
+another tape carries none here.  One rule decides which outputs carry
+one (:func:`_remake`): ``conv1d``, ``upsample_conv1d`` and ``residual``
+(v + conv1d(u, w)) remake their output exactly when every argument this
+tape produced is held or carries a recipe that is not a sum's (``add``'s
+or ``residual``'s), so no rebuild builds a sum.  Two ops keep rules of
+their own:
 
-- a ``prelu_norm`` output (:class:`_Normalised`, the one subclass): the
-  norm's own input (or its recipe) and parameters and its C x 1
-  statistics;
-- an ``add`` of two ``prelu_norm`` outputs (a U-Net skip sum): their
-  recipes.  No other sum carries one, so a block's output, v + proj(u),
-  stays held;
-- a ``conv1d`` or ``upsample_conv1d`` output over a ``prelu_norm`` output:
-  the op, the norm's recipe and the op's other arguments.  The norm's own
-  input may be rebuilt too, so in a sub-block the rule picks every down
-  conv after ``down0``, every up conv over a norm (``up0``) and the
-  projection (whose sum saves nothing); an up conv over a skip sum is held;
-- a ``conv1d`` output over an output the tape holds: the conv, that array
-  and the conv's other arguments, a flat recipe (no recipe among its
-  arguments).  In the model the rule picks the bottleneck's output, the
-  first block application's input, whose readers come last in an item's
-  sweep, and ``down0`` of a sub-block over a held input: the first
-  sub-block of every later block application, and every second one
-  after it in a block of three or more;
-- a ``residual`` sum over a ``u`` with a recipe: ``v`` (an array the tape
-  keeps anyway, or a flat recipe), ``u``'s recipe and the weight.  The
-  model makes every sub-block input after a block's first one a
-  ``residual`` sum, and those whose ``v`` is held or flatly rebuilt carry
-  this recipe: a block application of k sub-blocks holds (k - 1) // 2 of
-  the k - 1 inputs after its own input, none at the desk's two, and the
-  first application does not hold its input either.
+- ``prelu_norm`` always notes its recipe (:class:`_Normalised`, the one
+  subclass): the norm's own input (or its recipe) and parameters and its
+  C x 1 statistics;
+- ``add`` remakes only a sum of two ``prelu_norm`` outputs (a U-Net skip
+  sum), so a block's output, v + proj(u), stays a plain held sum.
 
-So a rebuild can reach down a sub-block's whole down path, each conv on
-the build of the norm before it, and through the norms of its up path, to
-a held array: the sub-block's input, its ``down0`` output or an up conv
-over a skip sum.  It never crosses a block boundary: a block's output is
-a plain sum and stays held, and the next application's ``down0`` is
-rebuilt from it alone.
+In the model the rule rebuilds the bottleneck's output, every conv over a
+norm output (every down conv after a sub-block's first, the first up conv
+and the projection) and the first down conv of a sub-block over a held
+input, over the bottleneck's rebuilt output or over the latent a frozen
+prefix hands over.  It holds the up convs over skip sums, the first down
+conv over a rebuilt sub-block input, and every second sub-block input
+after a block's first one: a sub-block input after the first is a
+``residual`` sum, rebuilt from the input before it unless that input is a
+rebuilt sum itself.  So a rebuild can reach down a
+sub-block's whole down path, each conv on the build of the norm before
+it, and through the norms of its up path, to a held array; it never
+crosses a block boundary, since a block's output stays held and the next
+application's first down conv is rebuilt from it alone.
 
-One rule governs the rebuilds.  The sweep builds a recipe bit for bit when
+The sweep builds a recipe bit for bit when
 a vjp first reads it and keeps that build (its memo); every later read
 takes the memo, and the sweep drops it on reaching the node that produced
 the output, which comes after every node that reads it.  A norm's memo is
@@ -164,12 +155,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 class Tape:
@@ -353,9 +340,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
-    """a + b.  A taped sum of two same-shaped ``prelu_norm`` outputs (a U-Net
-    skip sum) carries the sum of their recipes.  No other sum does, so a
-    block's output, v + proj(u), stays held."""
+    """a + b.  A taped sum of two ``prelu_norm`` outputs (a U-Net skip sum)
+    is remade (:func:`_remake`).  No other sum is, so a block's output,
+    v + proj(u), stays held."""
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = _operand_shapes(a, b)
     out = a.data + b.data
@@ -364,9 +351,8 @@ def add(a, b) -> Tensor:
         return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     out = _finish(out, (a, b), vjp)
-    ra, rb = _recipe_of(a), _recipe_of(b)
-    if sa == sb and isinstance(ra, _Normalised) and isinstance(rb, _Normalised):
-        _give(out, _Recipe(_rebuild_sum, ra, rb))
+    if isinstance(_recipe_of(a), _Normalised) and isinstance(_recipe_of(b), _Normalised):
+        _remake(out, add, a, b)
     return out
 
 
@@ -458,7 +444,7 @@ def prelu_norm(x, slope, gamma, beta) -> Tensor:
     # takes both means from the affine's row sums:
     #   mean(gh) = gamma * gbeta / T, mean(gh * xhat) = gamma * ggamma / T.
     T = x.data.shape[1]
-    recipe = _Normalised(_recipe_of(x) or x.data, slope.data, gamma.data, beta.data, mu, inv)
+    recipe = _Normalised(_recipe_of(x) or x.data, s, gamma.data, beta.data, mu, inv)
 
     def vjp(g, x_data, slope_data, gamma_data, take_xhat):
         xhat = take_xhat()
@@ -474,7 +460,9 @@ def prelu_norm(x, slope, gamma, beta) -> Tensor:
         return (gh, gs, ggamma, gbeta)
 
     out = _finish(h, (x, slope, gamma, beta), vjp, (x.data, slope.data, gamma.data, recipe.take))
-    return out if out._key is None else _give(out, recipe)
+    if out._key is not None:
+        _active()._made[out._key[1]] = recipe
+    return out
 
 
 def _standardised(x, s, mu, inv):
@@ -495,9 +483,9 @@ def _affine(xhat, gamma, beta, out):
 
 
 class _Recipe:
-    """Rebuilds a taped op output exactly from arrays the tape already holds,
-    as ``fn(*args)``: the op's own forward, which builds any recipe among
-    its arguments itself.
+    """Rebuilds a taped op output exactly as ``fn(*args)``: ``fn`` is the
+    op's own forward and ``args`` its arguments, each Tensor among them
+    entering as its array or as its recipe, which is built first.
 
     A node saves an input that carries a recipe as the recipe (see
     :func:`_finish`), and :func:`backward` builds it just before that node's
@@ -512,16 +500,40 @@ class _Recipe:
     def __init__(self, fn, *args):
         self.fn, self.args, self.memo = fn, args, None
 
-    def build(self):
+    def make(self):
+        """``fn`` on the built arguments, once per sweep (the memo)."""
         if self.memo is None:
-            self.memo = self.fn(*self.args)
+            self.memo = self.fn(*[_built(a) for a in self.args])
         return self.memo
 
+    def build(self):
+        return self.make().data
 
-def _give(out: Tensor, recipe: _Recipe) -> Tensor:
-    """Note ``recipe`` on the active tape under the taped output ``out``'s
-    node, where readers find it and the sweep drops its memo."""
-    _active()._made[out._key[1]] = recipe
+
+def _remake(out: Tensor, op, *args) -> Tensor:
+    """Note ``op(*args)`` as the recipe of ``out``, the output ``op`` just
+    taped, if every argument this tape produced is held or carries a recipe
+    that is not a sum's (``add``'s or ``residual``'s).  Each Tensor argument
+    enters the recipe as its recipe, or as its array if it carries none:
+    one held here, or one no node of the tape made (a leaf, an untaped
+    output), which the recipe keeps.  So no rebuild builds a sum, and none
+    reads an array the tape would otherwise free."""
+    if out._key is None:
+        return out
+    tape = _active()
+    entries = []
+    for a in args:
+        if isinstance(a, Tensor):
+            r = _recipe_of(a)
+            if r is None:
+                if a._key is not None and a._key[0] is tape._token and id(a.data) not in tape._held:
+                    return out  # made here and freed once the forward drops it
+                r = a.data
+            elif r.fn in (add, residual):
+                return out  # a sum
+            a = r
+        entries.append(a)
+    tape._made[out._key[1]] = _Recipe(op, *entries)
     return out
 
 
@@ -530,80 +542,31 @@ class _Normalised(_Recipe):
     input's recipe), slope and affine and the C x 1 statistics, every one
     an array its node or a parameter already holds.
 
-    Its memo is the standardised values, not the output: each build returns
-    their affine out of place, and the norm's own vjp takes them to write
-    over (:meth:`take`), so a sweep standardises each norm once.
+    Its ``fn`` is :func:`_standardised`, so its memo is the standardised
+    values, not the output: each build returns their affine out of place,
+    and the norm's own vjp takes them to write over (:meth:`take`), so a
+    sweep standardises each norm once.
     """
 
     __slots__ = ("gamma", "beta")
 
-    def __init__(self, x, slope, gamma, beta, mu, inv):
-        super().__init__(_rebuild_norm, x, slope, mu, inv)
+    def __init__(self, x, s, gamma, beta, mu, inv):
+        super().__init__(_standardised, x, s, mu, inv)
         self.gamma, self.beta = gamma, beta
 
     def build(self):
-        return _affine(super().build(), self.gamma, self.beta, out=None)
+        return _affine(self.make(), self.gamma, self.beta, out=None)
 
     def take(self):
         """The standardised values, made now if no build made them, handed
         over with the memo dropped."""
-        xhat, self.memo = super().build(), None
+        xhat, self.memo = self.make(), None
         return xhat
 
 
 def _built(x):
     """``x`` itself if it is an array, its build if it is a recipe."""
     return x.build() if isinstance(x, _Recipe) else x
-
-
-def _rebuild_norm(x, slope, mu, inv):
-    """A norm's standardised values from its input, built first if it is
-    the input's recipe."""
-    return _standardised(_built(x), slope[:, None], mu, inv)
-
-
-def _rebuild_sum(a: _Recipe, b: _Recipe):
-    """A skip sum's forward on two norms' builds, each a new array (not a
-    memo), so the second is added in place of the first."""
-    out = a.build()
-    out += b.build()
-    return out
-
-
-def _rebuild_conv(op, u, *args):
-    """A conv's forward ``op`` on ``u``: a held array, or the build of a
-    norm recipe."""
-    return op(_built(u), *args).data
-
-
-def _rebuild_residual(v, u: _Recipe, w):
-    """``residual``'s forward: the conv by ``w`` of ``u``'s build, then ``v``
-    (an array, or the build of a flat recipe) added in place, which rounds
-    as the forward's new array did."""
-    out = conv1d(u.build(), w).data
-    out += _built(v)
-    return out
-
-
-def _conv_recipe(out: Tensor, x: Tensor, op, *args) -> Tensor:
-    """Give a taped conv output ``out`` a recipe if its input ``x`` is a
-    ``prelu_norm`` output: the op on the norm's build, which may build the
-    norm's own input first.  Its memo serves both the norm over the output
-    and that norm's rebuilds, so a sweep runs the op once."""
-    u = _recipe_of(x)
-    if isinstance(u, _Normalised):
-        _give(out, _Recipe(_rebuild_conv, op, u, *args))
-    return out
-
-
-def _flat_recipe(out: Tensor, x: Tensor, *args) -> Tensor:
-    """Give a taped conv output ``out`` a flat recipe, the conv of ``x``'s
-    array by ``args``, if the tape holds that array: one conv rebuilds the
-    output, and the array stays held until the sweep has passed every
-    reader."""
-    if out._key is not None and id(x.data) in _active()._held:
-        _give(out, _Recipe(_rebuild_conv, conv1d, x.data, *args))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +633,8 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     ``x`` is Cin x T, ``w`` is Cout x Cin x K, optional ``b`` is Cout.
     padding "same" zero-pads symmetrically so the output length is
     ceil(T / stride); "valid" uses no padding and requires T >= K.
-    Taped, a conv of an output the tape holds carries a flat recipe, its
-    own forward on that array, and a conv over a norm output carries one
-    built on the norm's recipe; either is rebuilt in backward rather than
-    held.
+    Taped, its output is remade (:func:`_remake`) unless its input is a
+    rebuilt sum.
     """
     x, w, b = _conv_operands("conv1d", x, w, b, stride, 1)
     Cout, _, K = w.data.shape
@@ -698,28 +659,17 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     # and the first conv after a freeze line, need none.
     saved = (x.data, w.data if x.requires_grad else None)
     out = _finish(out, (x, w, b) if biased else (x, w), vjp, saved)
-    args = (w.data, None if b is None else b.data, stride, padding)
-    _flat_recipe(out, x, *args)
-    return _conv_recipe(out, x, conv1d, *args)
+    return _remake(out, conv1d, x, w, b, stride, padding)
 
 
 def residual(v, u, w) -> Tensor:
     """``v + conv1d(u, w)``, a residual update, as two taped nodes whose sum
-    carries a recipe when it can: ``v`` and ``u``'s recipe, if ``u`` carries
-    one and ``v`` is an array kept anyway (one a node of this tape saves, or
-    one no tape produced: a leaf, or a frozen prefix's output) or is rebuilt
-    by a flat recipe, one with no recipe among its arguments (a conv of a
-    held array).  So the next node that reads the sum holds no array
-    for it.  A ``v`` rebuilt from another rebuild gives no recipe, so no
-    sum's rebuild builds another sum's."""
-    v, u, w = _as_tensor(v), _as_tensor(u), _as_tensor(w)
-    out = add(v, conv1d(u, w))
-    ru, rv = _recipe_of(u), _recipe_of(v)
-    flat = rv is not None and not any(isinstance(a, _Recipe) for a in rv.args)
-    # A rebuilt v is saved as its recipe, so it is never held.
-    if ru is not None and (flat or v._key is None or id(v.data) in _active()._held):
-        _give(out, _Recipe(_rebuild_residual, rv if flat else v.data, ru, w.data))
-    return out
+    is remade by ``residual`` itself (:func:`_remake`) when ``v`` and ``u``
+    are each held, untaped or rebuilt by a recipe that is not a sum's.  So
+    the next node that reads the sum holds no array for it, and a ``v``
+    that is itself a rebuilt sum leaves this sum held: no sum's rebuild
+    builds another sum's."""
+    return _remake(add(v, conv1d(u, w)), residual, v, u, w)
 
 
 @lru_cache(maxsize=256)
@@ -899,7 +849,7 @@ def upsample_conv1d(u, w, b, length: int) -> Tensor:
         return (gu, gw, g.sum(axis=1))
 
     out = _finish(out, (u, w, b), vjp, (u.data, w.data))
-    return _conv_recipe(out, u, upsample_conv1d, w.data, b.data, length)
+    return _remake(out, upsample_conv1d, u, w, b, length)
 
 
 def _accumulate(acc, term):

@@ -302,13 +302,15 @@ def apply_sub_block(v: Tensor, sb: SubBlockParams) -> Tensor:
 
 def apply_block(v: Tensor, block: list[SubBlockParams]) -> Tensor:
     """Apply the sub-blocks in turn.  Each later sub-block's input is a
-    ``residual`` sum, which the sweep rebuilds from the input before it and
-    the recipe of that sub-block's last norm output when that input is held
-    or is the bottleneck's output, which the sweep rebuilds by its own
-    conv.  Taped, an application of two sub-blocks holds only its input of
-    the block's residual stream (one over the bottleneck's output not even
-    that), and one of k holds every second input after it.  The block's
-    output is a plain sum, so no rebuild reaches across a block boundary."""
+    ``residual`` sum, which the sweep rebuilds by ``residual`` itself from
+    the input before it and the recipe of that sub-block's last norm
+    output, unless that input is a rebuilt sum: by ``diffcore``'s one
+    recipe rule, no rebuild builds a sum.  Taped, an application of two
+    sub-blocks holds only its input of the block's residual stream (one
+    over the bottleneck's output not even that), and one of k holds every
+    second input after it.  The block's output is a plain sum, which
+    ``add`` never remakes, so no rebuild reaches across a block
+    boundary."""
     if not block:
         raise ValueError("block has no sub-blocks")
     C = block[0].down[0].conv.w.shape[1]

@@ -11,14 +11,21 @@ thread.  Its cases:
   (estimates of each item, the loss and every trainable leaf's gradient):
   end to end at T = 2000, 1999 and 8000, at progressive stages 0 and 1 of
   a two-block split and stage 2 of a three-block one, gated, with the
-  gate's gradients, and end to end at T = 2000 for one block of 1-4
+  gate's gradients, end to end with a second block that shares the
+  first's parameters, and end to end at T = 2000 for one block of 1-4
   sub-blocks x 2 iterations at 1, 2, 4 and 5 scales;
+- ``memory/...``: ``memory_account(...).activation_elems`` of one desk item
+  at T = 2000, end to end and at stages 0 and 1 of two blocks of 1-4
+  sub-blocks x 1-3 iterations at 1 and 3 scales, so a change to what the
+  tape holds shows case by case;
 - ``cli/<mode>/<task>/<command>/...``: ``latref train``, ``eval`` and
   ``eval --passthrough`` of a toy config in every mode and task: every file
   the command leaves in the output directory, its stdout and its exit code,
   with a report's ``memory_bytes`` (the memory account, which a change to
   what the tape holds moves on purpose) hashed under its own name;
-- ``gradcheck``: ``gradcheck_suite``'s error.
+- ``gradcheck``: ``gradcheck_suite``'s error;
+- ``env/...``: the BLAS library numpy runs and its thread count, on which
+  the bits of a sum over time can depend.
 
 The manifest maps each name to a sha256, sorted, so two runs, of one
 commit or of two, compare name by name.  Every API it calls is one a
@@ -37,6 +44,7 @@ if __name__ == "__main__":  # before numpy loads its BLAS
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -50,7 +58,7 @@ from latref.diffcore import Tape, backward
 from latref.gating import gate_named_parameters, gate_penalty, init_gate
 from latref.losses import pit_loss
 from latref.sepmodel import BlockSpec, SeparationConfig, init_params, named_parameters
-from latref.training import apply_freeze, run_model, stage_freeze_mask
+from latref.training import apply_freeze, memory_account, run_model, stage_freeze_mask
 
 
 def _sha(data) -> str:
@@ -121,10 +129,44 @@ def all_step_hashes() -> dict:
     out.update(step_hashes("step/stage2of3/T2000", desk_config([BlockSpec(2, 2) for _ in range(3)]),
                            2000, stage=2))
     out.update(step_hashes("step/gated/T2000", desk_config(), 2000, gated=True))
+    shared = desk_config([BlockSpec(2, 2), BlockSpec(2, 2, shares_params_with=0)])
+    out.update(step_hashes("step/shared/T2000", shared, 2000))
     for k, scales in MATRIX:
         out.update(step_hashes(f"step/e2e/k{k}s{scales}/T2000",
                                desk_config([BlockSpec(k, 2)], scales), 2000))
     return out
+
+
+# (sub-blocks, iterations, scales) of the two-block memory accounts
+MEMORY_MATRIX = tuple((k, n, scales) for k in (1, 2, 3, 4) for n in (1, 2, 3) for scales in (1, 3))
+
+
+def memory_hashes() -> dict:
+    out = {}
+    for k, n, scales in MEMORY_MATRIX:
+        config = desk_config([BlockSpec(k, n), BlockSpec(k, n)], scales)
+        for stage in (None, 0, 1):
+            regime = "e2e" if stage is None else f"stage{stage}"
+            report = memory_account(config, batch_size=1, T=2000, stage=stage)
+            out[f"memory/k{k}n{n}s{scales}/{regime}"] = _sha(str(report.activation_elems))
+    return out
+
+
+def blas_hashes() -> dict:
+    """numpy's BLAS library and the thread count it runs at, read from the
+    bundled OpenBLAS where numpy ships one, else "unknown"."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = "unknown"
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        cdll = ctypes.CDLL(str(lib))  # numpy's own copy, already loaded
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(cdll, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                threads = str(get())
+                break
+    return {"env/blas": _sha(f"{blas['name']} {blas['version']}"), "env/blas_threads": _sha(threads)}
 
 
 def toy_mapping(mode: str, task: str, out: Path) -> dict:
@@ -179,7 +221,8 @@ def all_cli_hashes() -> dict:
 
 
 def manifest() -> dict:
-    out = {**all_step_hashes(), **all_cli_hashes(), "gradcheck": _sha(repr(gradcheck_suite()))}
+    out = {**all_step_hashes(), **memory_hashes(), **all_cli_hashes(), **blas_hashes(),
+           "gradcheck": _sha(repr(gradcheck_suite()))}
     return dict(sorted(out.items()))
 
 

@@ -1028,6 +1028,29 @@ def test_train_counts_the_model_before_building_the_splits(tmp_path, monkeypatch
     assert calls == [] and not (tmp_path / "out" / "history.jsonl").exists()
 
 
+@pytest.mark.parametrize("bases, cause", [(10**12, "Unable to allocate"),
+                                          (10**400, "Maximum allowed dimension exceeded")],
+                         ids=["1e12", "1e400"])
+@pytest.mark.parametrize("argv", [["train"], ["eval", "--passthrough"]], ids=["train", "passthrough"])
+def test_a_model_too_large_to_build_names_the_model_section(tmp_path, monkeypatch, capsys,
+                                                            argv, bases, cause):
+    # numpy's refusal reaches the user with the config section it comes from,
+    # before any data is made
+    m = tiny_mapping(tmp_path)
+    m["model"]["enc_bases"] = bases
+    calls = []
+
+    def counted(make):
+        return lambda *args, **kwargs: calls.append(make.__name__) or make(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_splits", counted(cli.build_splits))
+    monkeypatch.setattr(cli, "make_dataset", counted(cli.make_dataset))
+    assert main([*argv, "--config", write_config(tmp_path, m)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config section 'model' cannot be built: ") and cause in err, err
+    assert calls == []
+
+
 def test_unknown_tensors_message_lists_eight_names_and_counts_the_rest(tmp_path, capsys):
     extras = {f"typo{i:04d}.w": np.zeros(1) for i in range(1000)}
     path = _write_checkpoint(tmp_path, "end_to_end", {"mode": "end_to_end"}, extras)

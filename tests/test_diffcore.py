@@ -475,7 +475,9 @@ class TestFusedOps:
     def test_conv_over_prelu_norm_holds_its_input_only(self):
         # The conv keeps the norm's recipe, not its C x T output, and its
         # vjp reads the output rebuilt bit for bit: the weight gradient
-        # equals that of the same conv over a leaf holding the output.
+        # equals that of the same conv over a leaf holding the output.  The
+        # norm's input, a conv of a leaf, is remade from the leaf's array,
+        # so the tape holds no op output.
         rng = np.random.default_rng(44)
         x0 = Tensor(rng.normal(size=(2, 17)), requires_grad=True)
         w0 = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
@@ -492,7 +494,9 @@ class TestFusedOps:
             x = conv1d(x0, w0)
             h = prelu_norm(x, s, gamma, beta)
             loss = sum_all(mul(conv1d(h, w, stride=2), Tensor(g)))
-        assert tape.held_output_elems() == x.size == 3 * 17
+        assert tape.held_output_elems() == 0 and made(tape, x).args[0] is x0.data
+        assert made(tape, h).args[0] is made(tape, x)
+        assert made(tape, x).build().tobytes() == x.data.tobytes()
         assert tape._nodes[2][2][0] is made(tape, h) and made(tape, h).build().tobytes() == h.data.tobytes()
         backward(tape, loss)
         # conv1d's gradients by the textbook loops, then prelu_norm's oracle
@@ -515,8 +519,9 @@ class TestFusedOps:
         assert grad_check(f, [x0, w0, s, gamma, beta, w]) < 1e-4
 
     def test_sum_of_recipes_is_a_recipe(self):
-        # A skip sum of two norm outputs carries the sum of their recipes,
-        # which a conv saves in its place and which rebuilds the sum bit for bit.
+        # A skip sum of two norm outputs is remade by add on their recipes,
+        # which a conv saves in its place and which rebuilds the sum bit for
+        # bit.  A conv over that sum is not remade: no rebuild builds a sum.
         rng = np.random.default_rng(45)
         xs = [Tensor(rng.normal(size=(3, 40)), requires_grad=True) for _ in range(2)]
         norms = [[Tensor(a, requires_grad=True) for a in
@@ -526,20 +531,22 @@ class TestFusedOps:
         with Tape() as tape:
             a, b = (prelu_norm(x, *ps) for x, ps in zip(xs, norms))
             total = add(a, b)
-            conv1d(total, w)
+            over = conv1d(total, w)
             plain = add(a, xs[0])  # a leaf carries no recipe, so neither does this sum
-        assert made(tape, total).fn is dc._rebuild_sum and made(tape, plain) is None
+        assert made(tape, total).fn is add and made(tape, plain) is None
+        assert made(tape, total).args == (made(tape, a), made(tape, b)) and made(tape, over) is None
         assert tape._nodes[3][2][0] is made(tape, total)
         assert made(tape, total).build().tobytes() == total.data.tobytes()
         assert tape.held_output_elems() == 0  # the norms' inputs are leaves
 
-    def test_residual_sum_is_a_recipe(self, monkeypatch):
-        # residual's sum v + conv1d(u, w) carries a recipe when u carries one
-        # and v is an array the tape keeps (saved, or a leaf), never when v
-        # is rebuilt itself; a conv saves the recipe in the sum's place, and
-        # it rebuilds the sum bit for bit.  A conv of a held array carries a
-        # flat recipe, so a sum over one carries a recipe too; with that
-        # rule off the conv and that sum are held.
+    def test_residual_sum_is_a_recipe(self, decline):
+        # residual's sum v + conv1d(u, w) is remade by residual when v and u
+        # are each held, a leaf's array or a recipe that is not a sum's;
+        # never when v is a sum's recipe.  A conv saves the recipe in the
+        # sum's place, and it rebuilds the sum bit for bit.  A conv of a
+        # held array is remade, so a sum over one is remade from its
+        # recipe; with conv1d declined that conv is held, and a sum over it
+        # is remade from its array.
         rng = np.random.default_rng(48)
         x = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norm = [Tensor(a, requires_grad=True) for a in
@@ -549,43 +556,47 @@ class TestFusedOps:
 
         def taped():
             with Tape() as tape:
-                v = conv1d(x, w)
-                c = conv1d(v, w)  # holds v, so c is rebuilt from it
+                v = relu(x)  # holds its output
+                c = conv1d(v, w)  # a conv of the held v, rebuilt from it
                 u = prelu_norm(c, *norm)
                 once = dc.residual(v, u, proj)
                 conv1d(once, w)
-                twice = dc.residual(once, u, proj)  # once is rebuilt: twice is held
+                twice = dc.residual(once, u, proj)  # once is a sum's recipe: twice is held
                 after = conv1d(twice, w)  # holds twice, so it is rebuilt from it
                 thrice = dc.residual(twice, u, proj)
                 conv1d(thrice, w)
                 of_leaf = dc.residual(x, u, proj)
                 of_unheld = dc.residual(add(x, 0.0), u, proj)  # no node saves that sum
-                of_conv = dc.residual(v, c, proj)  # c carries a flat recipe
-                of_plain = dc.residual(v, x, proj)  # a leaf u carries none
+                of_conv = dc.residual(v, c, proj)  # c is remade
+                of_plain = dc.residual(v, x, proj)  # a leaf u enters as its array
             return tape, (v, c, once, twice, after, thrice, of_leaf, of_unheld, of_conv, of_plain)
 
         tape, (v, c, once, twice, after, thrice, of_leaf, of_unheld, of_conv, of_plain) = taped()
-        assert made(tape, once).fn is dc._rebuild_residual and made(tape, once).args[0] is v.data
+        assert made(tape, once).fn is dc.residual and made(tape, once).args[0] is v.data
+        assert isinstance(made(tape, once).args[1], dc._Normalised)
+        assert made(tape, once).args[2] is proj.data
         assert tape._nodes[5][2][0] is made(tape, once) and made(tape, twice) is None
         assert made(tape, thrice).args[0] is twice.data and tape._nodes[11][2][0] is made(tape, thrice)
-        assert made(tape, of_unheld) is None and made(tape, of_plain) is None
-        assert made(tape, c).args[1] is v.data and made(tape, after).args[1] is twice.data
+        assert made(tape, of_unheld) is None and made(tape, of_plain).args[1] is x.data
+        assert made(tape, c).args[0] is v.data and made(tape, after).args[0] is twice.data
         assert made(tape, of_conv).args[:2] == (v.data, made(tape, c))
-        for r in (c, once, after, thrice, of_leaf, of_conv):
+        for r in (c, once, after, thrice, of_leaf, of_conv, of_plain):
             assert made(tape, r).build().tobytes() == r.data.tobytes()
         assert tape.held_output_elems() == v.size + twice.size
-        monkeypatch.setattr(dc, "_flat_recipe", lambda out, *args: out)
+        decline(conv1d)
         tape, (v, c, *_, of_conv, _) = taped()
-        assert made(tape, c) is None and made(tape, of_conv) is None
+        assert made(tape, c) is None and made(tape, of_conv).args[1] is c.data
         assert tape.held_output_elems() == v.size + c.size + twice.size
 
-    def test_pointwise_conv_of_held_array_is_a_flat_recipe(self, monkeypatch):
+    def test_conv_of_held_array_is_remade_from_it(self, decline):
         # A conv of an output the tape holds, pointwise, wider or strided,
-        # carries its own forward on that array, a recipe with no recipe
-        # among its arguments, which a node saves in the output's place.  A
-        # residual sum over it carries a recipe that builds it; a sum over
-        # that sum is held.  A conv of a leaf carries none.  Every rebuild
-        # equals its output, and the gradients those with the rule off.
+        # is remade by its own forward on that array, a recipe with no
+        # recipe among its arguments, which a node saves in the output's
+        # place; a conv of that conv is remade from its recipe.  A residual
+        # sum over it is remade by a recipe that builds it; a sum over that
+        # sum is held.  A conv of a leaf is remade from the leaf's array.
+        # Every rebuild equals its output, and the gradients those with
+        # conv1d declined.
         rng = np.random.default_rng(50)
         x = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norm = [Tensor(a, requires_grad=True) for a in
@@ -602,7 +613,7 @@ class TestFusedOps:
                 c = conv1d(p, w)  # saves p's recipe
                 u = prelu_norm(c, *norm)
                 once = dc.residual(p, u, proj)
-                twice = dc.residual(once, u, proj)  # once is rebuilt from p's rebuild: held
+                twice = dc.residual(once, u, proj)  # once is a sum's recipe: held
                 wide = conv1d(r, w, stride=2)  # the product below saves its recipe twice
                 loss = add(sum_all(mul(conv1d(twice, w), Tensor(g))), sum_all(mul(wide, wide)))
                 others = (conv1d(r, pw, stride=2), conv1d(x, pw))
@@ -610,34 +621,36 @@ class TestFusedOps:
 
         tape, (r, p, c, once, twice, wide), others, loss = taped()
         rp = made(tape, p)
-        assert rp.fn is dc._rebuild_conv and rp.args[1] is r.data
+        assert rp.fn is conv1d and rp.args[0] is r.data
         assert not any(isinstance(a, dc._Recipe) for a in rp.args)
         assert tape._nodes[2][2][0] is rp and made(tape, once).args[0] is rp
-        assert made(tape, twice) is None and made(tape, others[1]) is None
+        assert made(tape, c).args[0] is rp and made(tape, twice) is None
+        assert made(tape, others[1]).args[0] is x.data
         assert tape._nodes[12][2] == (made(tape, wide),) * 2
-        assert made(tape, wide).args[1] is made(tape, others[0]).args[1] is r.data
-        for t in (p, once, wide, others[0]):
+        assert made(tape, wide).args[0] is made(tape, others[0]).args[0] is r.data
+        for t in (p, c, once, wide, *others):
             assert made(tape, t).build().tobytes() == t.data.tobytes()
-        assert tape.held_output_elems() == r.size + c.size + twice.size
+        assert tape.held_output_elems() == r.size + twice.size
         leaves = [x, pw, b, w, proj, *norm]
         tape, _, _, loss = taped()
         backward(tape, loss)
         rebuilt = [t.grad.tobytes() for t in leaves]
-        monkeypatch.setattr(dc, "_flat_recipe", lambda out, *args: out)
+        decline(conv1d)
         tape, (r, p, c, once, twice, wide), _, loss = taped()
         assert made(tape, p) is None and made(tape, wide) is None and made(tape, once).args[0] is p.data
         assert tape.held_output_elems() == r.size + p.size + c.size + twice.size + wide.size
         backward(tape, loss)
         assert [t.grad.tobytes() for t in leaves] == rebuilt
 
-    def test_conv_over_norm_of_held_input_is_a_recipe(self, monkeypatch):
-        # A conv or upsample conv over a norm output carries a recipe, which
-        # the norm over it saves in the conv output's place and which
-        # rebuilds the output bit for bit; so does a conv over that norm (of
-        # a rebuilt input), whose rebuild reaches down through two convs and
-        # two norms to a held array.  The sweep runs each rebuild's op once:
-        # the norm over the output and that norm's rebuilds share its memo,
-        # which is gone once the sweep has passed the conv's node.
+    def test_conv_over_norm_of_held_input_is_a_recipe(self, decline):
+        # A conv or upsample conv over a norm output is remade by its own
+        # forward on the norm's recipe, which the norm over it saves in the
+        # conv output's place and which rebuilds the output bit for bit; so
+        # is a conv over that norm (of a rebuilt input), whose rebuild
+        # reaches down through three convs and two norms to a leaf's array.
+        # The sweep runs each rebuild's op once: the norm over the output
+        # and that norm's rebuilds share its memo, which is gone once the
+        # sweep has passed the conv's node.
         rng = np.random.default_rng(49)
         x0 = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norms = [[Tensor(a, requires_grad=True) for a in
@@ -660,25 +673,25 @@ class TestFusedOps:
             return tape, (x, h, c, up, h2, deep), loss, leaves
 
         tape, (x, h, c, up, h2, deep), loss, leaves = grads()
-        assert made(tape, c).fn is dc._rebuild_conv and made(tape, up).fn is dc._rebuild_conv
-        assert made(tape, c).args[1] is made(tape, h) and made(tape, h2).args[0] is made(tape, c)
-        assert made(tape, deep).args[1] is made(tape, h2) and tape._nodes[7][2][0] is made(tape, deep)
+        assert made(tape, c).fn is conv1d and made(tape, up).fn is upsample_conv1d
+        assert made(tape, c).args[0] is made(tape, h) and made(tape, h2).args[0] is made(tape, c)
+        assert made(tape, deep).args[0] is made(tape, h2) and tape._nodes[7][2][0] is made(tape, deep)
         assert tape._nodes[4][2][0] is made(tape, c) and tape._made[2] is made(tape, c)
-        for t in (c, up, h2, deep):
+        assert made(tape, h).args[0] is made(tape, x) and made(tape, x).args[0] is x0.data
+        for t in (x, c, up, h2, deep):
             assert made(tape, t).build().tobytes() == t.data.tobytes()
-        assert tape.held_output_elems() == x.size
+        assert tape.held_output_elems() == 0
         # A fresh tape, so no build above leaves a memo the sweep would use.
         tape, (x, h, c, up, h2, deep), loss, leaves = grads()
-        recipes = [made(tape, t) for t in (h, c, up, h2, deep)]
+        recipes = [made(tape, t) for t in (x, h, c, up, h2, deep)]
         calls = []
-        for r in (recipes[1], recipes[2], recipes[4]):
-            op, *args = r.args
-            r.args = (lambda *a, op=op: calls.append(op) or op(*a), *args)
+        for r in (recipes[0], recipes[2], recipes[3], recipes[5]):
+            r.fn = lambda *a, op=r.fn: calls.append(op) or op(*a)
         backward(tape, loss)
-        assert sorted(op.__name__ for op in calls) == ["conv1d", "conv1d", "upsample_conv1d"]
+        assert sorted(op.__name__ for op in calls) == ["conv1d"] * 3 + ["upsample_conv1d"]
         assert all(r.memo is None for r in recipes) and tape._made == {}
         rebuilt = [t.grad for t in leaves]
-        monkeypatch.setattr(dc, "_conv_recipe", lambda out, *args: out)
+        decline(conv1d, upsample_conv1d)
         tape, (x, h, c, up, h2, deep), loss, leaves = grads()
         assert tape.held_output_elems() == x.size + c.size + up.size + deep.size
         backward(tape, loss)

@@ -8,14 +8,17 @@ from latref.training import stage_freeze_mask
 
 
 def test_manifest_covers_its_cases_and_compare_names_a_changed_hash(tmp_path, monkeypatch, capsys):
-    # the smallest and the largest block of the sub-block x scale matrix keep this test short
+    # the smallest and the largest block of each matrix keep this test short
     monkeypatch.setattr(identity, "MATRIX", ((1, 1), (4, 5)))
+    monkeypatch.setattr(identity, "MEMORY_MATRIX", ((1, 1, 1), (4, 3, 3)))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert identity.run([str(a)]) == 0
     m = json.loads(a.read_text())
     assert all(len(h) == 64 for h in m.values()) and list(m) == sorted(m)
     cases = {case: identity.desk_config() for case in ("e2e/T2000", "e2e/T1999", "e2e/T8000",
                                                        "gated/T2000")}
+    cases["shared/T2000"] = identity.desk_config([BlockSpec(2, 2),
+                                                  BlockSpec(2, 2, shares_params_with=0)])
     cases.update({f"e2e/k{k}s{s}/T2000": identity.desk_config([BlockSpec(k, 2)], s)
                   for k, s in identity.MATRIX})
     for case, config in cases.items():
@@ -35,7 +38,9 @@ def test_manifest_covers_its_cases_and_compare_names_a_changed_hash(tmp_path, mo
             assert {f"{name}/train/model.ckpt", f"{name}/eval/report.json",
                     f"{name}/eval/report.json/memory_bytes",
                     f"{name}/passthrough/stdout", f"{name}/passthrough/exit"} <= m.keys()
-    assert "gradcheck" in m
+    assert {f"memory/k{k}n{n}s{s}/{regime}" for k, n, s in identity.MEMORY_MATRIX
+            for regime in ("e2e", "stage0", "stage1")} == {k for k in m if k.startswith("memory/")}
+    assert {"gradcheck", "env/blas", "env/blas_threads"} <= m.keys()
 
     assert identity.run(["--compare", str(a), str(a)]) == 0
     b.write_text(json.dumps({**m, "gradcheck": "0" * 64, "new": "1" * 64}))

@@ -160,7 +160,8 @@ class TestSubBlockTape:
     six conv outputs: each norm output, each skip sum, each conv output
     over a norm (``down1``, ``down2`` and ``up0`` at three scales) and the
     conv of the held input (``down0``) is kept as a recipe and rebuilt in
-    backward.  The up convs over the skip sums stay held."""
+    backward.  The up convs over the skip sums stay held, since no rebuild
+    builds a sum."""
 
     @staticmethod
     def taped_grads(sb, x, y):
@@ -182,24 +183,29 @@ class TestSubBlockTape:
         held, _ = self.taped_grads(sb, x, y)
         assert held == 32 * (1000 + 500 + 1000) == 80_000
 
-    def test_gradients_equal_those_with_skip_sums_held(self, monkeypatch):
+    def test_gradients_equal_those_with_skip_sums_held(self, decline):
         (sb,), x, y = desk_block(1, 1)
         held, rebuilt = self.taped_grads(sb, x, y)
-        # Each addition's second operand is fed through a zero leaf first, so
-        # no sum carries a recipe and the conv after a skip sum holds it.
-        monkeypatch.setattr(Tensor, "__add__", lambda a, b: add(a, add(b, Tensor(np.zeros(b.shape)))))
-        held_sums, kept = self.taped_grads(sb, x, y)
-        assert held_sums - held == 32 * (250 + 500)  # the two skip sums
-        for got, want in zip(rebuilt, kept):
-            assert np.array_equal(got, want)
+        # With add declined the two skip sums are held, so the up convs over
+        # them (500 and 1000 columns) are rebuilt from them; with the up
+        # convs declined too, those and up0 (250) are held.
+        for ops, more in (((add,), (250 + 500) - (500 + 1000)),
+                          ((add, dc.upsample_conv1d), (250 + 500) + 250)):
+            decline(*ops)
+            held_sums, kept = self.taped_grads(sb, x, y)
+            assert held_sums - held == 32 * more
+            for got, want in zip(rebuilt, kept):
+                assert got.tobytes() == want.tobytes()
 
-    def test_gradients_equal_those_with_rebuilt_convs_held(self, monkeypatch):
+    def test_gradients_equal_those_with_rebuilt_convs_held(self, decline):
         (sb,), x, y = desk_block(1, 4)
         held, rebuilt = self.taped_grads(sb, x, y)
-        # With no conv of a held array given a recipe, down0 is held; with no
-        # conv over a norm given one either, down1, down2 and up0 are too.
-        for rule, more in (("_flat_recipe", 500), ("_conv_recipe", 500 + 250 + 125 + 250)):
-            monkeypatch.setattr(dc, rule, lambda out, *args: out)
+        # With conv1d declined, down0, down1 and down2 are held (the
+        # projection's output only feeds a sum); with upsample_conv1d
+        # declined too, so is up0.
+        for ops, more in (((dc.conv1d,), 500 + 250 + 125),
+                          ((dc.conv1d, dc.upsample_conv1d), 500 + 250 + 125 + 250)):
+            decline(*ops)
             held_convs, kept = self.taped_grads(sb, x, y)
             assert held_convs - held == 32 * more
             for got, want in zip(rebuilt, kept):

@@ -579,29 +579,31 @@ def test_sweep_standardises_each_norm_once(monkeypatch):
     config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
     params = init_params(config, np.random.default_rng(0))
     sources = np.random.default_rng(1).normal(size=(3, 2000))
+    calls = []
+    standardised = dc._standardised
+    # a norm's recipe takes the function it calls when the norm is taped
+    monkeypatch.setattr(dc, "_standardised", lambda *a: calls.append(1) or standardised(*a))
     with Tape() as tape:
         ests, _ = run_model(sources.sum(axis=0), params)
         loss = pit_loss(ests, sources, 2).loss
     norms = sum(vjp.__qualname__.startswith("prelu_norm.") for *_, vjp in tape._nodes)
     recipes = list(tape._made.values())
-    calls = []
-    standardised = dc._standardised
-    monkeypatch.setattr(dc, "_standardised", lambda *a: calls.append(1) or standardised(*a))
     backward(tape, loss)
     assert (norms, len(calls)) == (48, 48)
     assert recipes and all(r.memo is None for r in recipes)
 
 
-def test_end_to_end_item_rebuilds_the_bottleneck_output(monkeypatch):
-    """A desk end-to-end item at T = 2000 (L = 250) holds C x L + 3 C x L / 2
-    fewer elements than with the rule for convs of held arrays switched
-    off: the bottleneck's output, the first block application's input, is
-    rebuilt by its own conv at the end of the sweep instead of held, and so
-    is the first down conv of each later application, from that
-    application's held input.  With the rule for convs over a norm switched
-    off instead, each of the 8 sub-blocks holds its second and third down
-    convs and its first up conv (63, 32 and 63 columns).  Every gradient is
-    the same to the bit either way."""
+def test_end_to_end_item_rebuilds_the_bottleneck_output(decline):
+    """A desk end-to-end item at T = 2000 (L = 250) holds C x L + 4 C x L / 2
+    + 8 C x (63 + 32) fewer elements than with conv1d declined: the
+    bottleneck's output, the first block application's input, is rebuilt
+    by its own conv at the end of the sweep instead of held; so is the
+    first down conv of each application, the first from the bottleneck's
+    recipe and each later one from that application's held input; and so
+    are each of the 8 sub-blocks' second and third down convs (63 and 32
+    columns), from their norms' recipes.  With upsample_conv1d declined
+    instead, each sub-block holds its first up conv (63 columns).  Every
+    gradient is the same to the bit either way."""
     config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
     sources = np.random.default_rng(1).normal(size=(3, 2000))
 
@@ -618,44 +620,39 @@ def test_end_to_end_item_rebuilds_the_bottleneck_output(monkeypatch):
         return held, [t.grad.tobytes() for _, t in named_parameters(params)]
 
     held, rebuilt = item()
-    for rule, more in (("_flat_recipe", 32 * 250 + 3 * 32 * 125),
-                       ("_conv_recipe", 8 * 32 * (63 + 32 + 63))):
-        with monkeypatch.context() as m:
-            m.setattr(dc, rule, lambda out, *args: out)
-            held_off, kept = item()
+    for op, more in ((dc.conv1d, 32 * 250 + 4 * 32 * 125 + 8 * 32 * (63 + 32)),
+                     (dc.upsample_conv1d, 8 * 32 * 63)):
+        decline(op)
+        held_off, kept = item()
         assert held_off - held == more
         assert len(rebuilt) == 70 and rebuilt == kept
 
 
-@pytest.mark.parametrize("stage, on, flat_off, conv_off",
-                         [(None, 680_000, 760_000, 840_000), (0, 392_000, 440_000, 472_000),
-                          (1, 424_000, 440_000, 504_000)], ids=["e2e", "stage0", "stage1"])
+@pytest.mark.parametrize("stage, on, conv_off, up_off",
+                         [(None, 664_000, 856_000, 728_000), (0, 376_000, 488_000, 408_000),
+                          (1, 408_000, 488_000, 440_000)], ids=["e2e", "stage0", "stage1"])
 def test_memory_account_drops_the_bottleneck_output_where_the_encoder_trains(
-        monkeypatch, stage, on, flat_off, conv_off):
-    """At desk T = 8000 (L = 1000) the account drops C x L = 32,000 elements
-    per item against the rule for convs of held arrays switched off, end to
-    end and at stage 0, for the bottleneck's output; and C x L / 2 = 16,000
-    for the first down conv of each taped block application after the
-    first, three end to end and one per stage.  At stage 1 the frozen
-    prefix hands its latent over untaped, so its first application holds
-    that conv.  Against the rule for convs over a norm switched off, each
-    taped sub-block drops its second and third down convs and first up
-    conv, 20,000 elements."""
+        decline, stage, on, conv_off, up_off):
+    """At desk T = 8000 (L = 1000) the account drops, per item against
+    conv1d declined, C x L = 32,000 elements for the bottleneck's output
+    end to end and at stage 0; C x L / 2 = 16,000 for the first down conv
+    of each taped block application, four end to end and two per stage
+    (at stage 1 the first is rebuilt from the latent the frozen prefix
+    hands over untaped); and 12,000 for each taped sub-block's second and
+    third down convs.  Against upsample_conv1d declined, each taped
+    sub-block drops its first up conv, 8,000 elements."""
     blocks = [BlockSpec(sub_blocks=2, iterations=4)] if stage is None else \
         [BlockSpec(sub_blocks=2, iterations=2), BlockSpec(sub_blocks=2, iterations=2)]
     config = desk_config(blocks)
     assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == on
-    for rule, off in (("_flat_recipe", flat_off), ("_conv_recipe", conv_off)):
-        with monkeypatch.context() as m:
-            m.setattr(dc, rule, lambda out, *args: out)
-            assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == off
+    for op, off in ((dc.conv1d, conv_off), (dc.upsample_conv1d, up_off)):
+        decline(op)
+        assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == off
 
 
-def _inputs_needing_no_gradient(regime):
-    """Tape one T = 2000 training item of the desk model in ``regime`` and
-    return (the ops taped, {op: positions of its inputs that need no
-    gradient}), an op named by its vjp's function and such an input by the
-    None its node keeps as the input's ref."""
+def _desk_item_tape(regime):
+    """The tape of one T = 2000 training item of the desk model in
+    ``regime``: "e2e", "stage1" or "gated", its forward and loss, unswept."""
     from latref.gating import gate_penalty, init_gate
 
     T, head, depth, gate, rng = 2000, 0, None, None, None
@@ -679,8 +676,15 @@ def _inputs_needing_no_gradient(regime):
         loss = pit_loss(ests, sources, 2).loss
         if gate is not None:
             gate_penalty(g)
+    return tape
+
+
+def _inputs_needing_no_gradient(regime):
+    """(the ops ``_desk_item_tape(regime)`` tapes, {op: positions of its
+    inputs that need no gradient}), an op named by its vjp's function and
+    such an input by the None its node keeps as the input's ref."""
     ops, none = set(), {}
-    for _, refs, _, vjp in tape._nodes:
+    for _, refs, _, vjp in _desk_item_tape(regime)._nodes:
         op = vjp.__qualname__.split(".")[0]
         ops.add(op)
         none.setdefault(op, set()).update(i for i, ref in enumerate(refs) if ref is None)
@@ -702,6 +706,29 @@ def test_taped_inputs_needing_no_gradient(regime):
     assert none.get("conv1d", {0}) == {0}
     assert none.get("masked_decode") == ({3} if regime == "stage1" else None)
     assert set(none) <= {"conv1d", "masked_decode", "add", "mul"}
+
+
+@pytest.mark.parametrize("regime", ["e2e", "stage1", "gated"])
+def test_recipes_read_held_or_untaped_arrays_and_build_no_sum(monkeypatch, regime):
+    """The one recipe rule on a desk training item: every array a noted
+    recipe keeps is one the tape holds or one none of its nodes made (a
+    leaf's, a parameter's, the latent a frozen prefix hands over, a norm's
+    statistics), and every recipe among a recipe's arguments is one the
+    tape notes and not a sum's (``add``'s or ``residual``'s), though the
+    tape notes both kinds of sum."""
+    tensors = []
+    init = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__", lambda t, *a, **k: init(t, *a, **k) or tensors.append(t))
+    tape = _desk_item_tape(regime)
+    outputs = {id(t.data) for t in tensors if t._key is not None and t._key[0] is tape._token}
+    recipes = list(tape._made.values())
+    args = [a for r in recipes for a in r.args]
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    built = [a for a in args if isinstance(a, dc._Recipe)]
+    assert any(id(a) in tape._held for a in arrays) and any(id(a) not in outputs for a in arrays)
+    assert all(id(a) in tape._held or id(a) not in outputs for a in arrays)
+    assert {r.fn for r in recipes} >= {dc.add, dc.residual} and built
+    assert all(a in recipes and a.fn not in (dc.add, dc.residual) for a in built)
 
 
 def test_every_taped_training_op_is_gradchecked(monkeypatch):
