@@ -55,48 +55,47 @@ that would save the output saves the recipe instead; a tensor from
 another tape carries none here.  One rule decides which outputs carry
 one (:func:`_remake`): ``conv1d``, ``upsample_conv1d`` and ``residual``
 (v + conv1d(u, w)) remake their output exactly when every argument this
-tape produced is held or carries a recipe that is not a sum's (``add``'s
-or ``residual``'s), so no rebuild builds a sum.  Two ops keep rules of
-their own:
-
-- ``prelu_norm`` always notes its recipe (:class:`_Normalised`, the one
-  subclass): the norm's own input (or its recipe) and parameters and its
-  C x 1 statistics;
-- ``add`` remakes only a sum of two ``prelu_norm`` outputs (a U-Net skip
-  sum), so a block's output, v + proj(u), stays a plain held sum.
+tape produced is held or carries a recipe that is not a sum's
+(``residual``'s), so no rebuild builds a sum.  One op keeps a rule of its
+own: ``prelu_norm`` always notes its recipe (:class:`_Normalised`, the
+one subclass), the norm's own input (or its recipe) and parameters and
+its C x 1 statistics.  ``add`` notes none, so a sum it tapes, a U-Net
+skip sum or a block's output v + proj(u), is held where a node reads it.
 
 In the model the rule rebuilds the bottleneck's output, every conv over a
 norm output (every down conv after a sub-block's first, the first up conv
-and the projection) and the first down conv of a sub-block over a held
-input, over the bottleneck's rebuilt output or over the latent a frozen
-prefix hands over.  It holds the up convs over skip sums, the first down
-conv over a rebuilt sub-block input, and every second sub-block input
-after a block's first one: a sub-block input after the first is a
-``residual`` sum, rebuilt from the input before it unless that input is a
-rebuilt sum itself.  So a rebuild can reach down a
-sub-block's whole down path, each conv on the build of the norm before
-it, and through the norms of its up path, to a held array; it never
-crosses a block boundary, since a block's output stays held and the next
-application's first down conv is rebuilt from it alone.
+and the projection), every up conv over a skip sum, from that held sum,
+and the first down conv of a sub-block over a held input, over the
+bottleneck's rebuilt output or over the latent a frozen prefix hands
+over.  It holds the skip sums, the first down conv over a rebuilt
+sub-block input, and every second sub-block input after a block's first
+one: a sub-block input after the first is a ``residual`` sum, rebuilt
+from the input before it unless that input is a rebuilt sum itself.  So
+a rebuild can reach down a sub-block's whole down path, each conv on the
+build of the norm before it, to a held array, and up its up path only to
+the skip sum or deepest norm under the up conv; it never crosses a block
+boundary, since a block's output stays held and the next application's
+first down conv is rebuilt from it alone.
 
-The sweep builds a recipe bit for bit when
-a vjp first reads it and keeps that build (its memo); every later read
-takes the memo, and the sweep drops it on reaching the node that produced
-the output, which comes after every node that reads it.  A norm's memo is
-its standardised values, from which each build makes the output out of
-place and which the norm's own vjp takes, so a sweep standardises each
-norm and runs each rebuilt conv once.  Masks, normalised values and the
-fused ops' inner results are recomputed from the saved arrays, and
-closures capture only shapes, flags and C x 1 statistics, never a
-:class:`Tensor`.  So an op output that no vjp reads is freed as soon as
-the forward drops it, and the tape's held count
-(:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
+The sweep builds a recipe bit for bit when a vjp first reads it and keeps
+that build (its memo); every later read takes the memo, and the sweep
+drops it on reaching the node that produced the output, which comes after
+every node that reads it.  A norm's memo is its standardised values, from
+which each build makes the output out of place and which the norm's own
+vjp takes, so a sweep standardises each norm and runs each rebuilt conv
+once.  Masks, normalised values and the fused ops' inner results are
+recomputed from the saved arrays, and closures capture only shapes, flags
+and C x 1 statistics, never a :class:`Tensor`.  So an op output that no
+vjp reads is freed as soon as the forward drops it, and the tape's held
+count (:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
 reverse sweep frees each output's gradient as soon as its node's vjp has
 consumed it and each node's saved arrays as soon as it reaches the node,
-and ``.grad`` is set on leaves only.  A vjp masks by multiplying with the
-comparison (``g * (out > 0)``), never with ``np.where``: a select branches
-on every element, which on mixed-sign activations costs several times the
-multiply.
+and ``.grad`` is set on leaves only.  So what a sweep keeps alive at a
+node can be read off the tape, and :func:`alive_elems` reads it: the
+held arrays not yet passed, the gradients, memos and builds alive.  A
+vjp masks by multiplying with the comparison (``g * (out > 0)``), never
+with ``np.where``: a select branches on every element, which on mixed-sign
+activations costs several times the multiply.
 
 Everything is float64 and single-threaded numpy, so repeated evaluation of
 the same graph on the same inputs is bit-identical.
@@ -104,7 +103,9 @@ the same graph on the same inputs is bit-identical.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -299,6 +300,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
     vjp runs; so a tape is swept once, and its node and element counts stay
     as recorded.
     """
+    deque(_sweep(tape, loss), maxlen=0)  # keeps none of what the sweep yields
+
+
+def _sweep(tape: Tape, loss: Tensor):
+    """:func:`backward`'s sweep, one step per node whose vjp runs.  Just
+    after the vjp returns, before its terms are summed, it yields (node
+    position, the node's gradient, the arguments its vjp read after it,
+    the vjp's terms, the gradients pending by key); it keeps none of them
+    once the terms are summed."""
     if not isinstance(loss, Tensor):
         raise ValueError("backward expects a Tensor loss")
     if loss.data.size != 1:
@@ -315,7 +325,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
         nodes[pos] = (n, refs, None, vjp)  # no later node reads the saved arrays
         g = grads.pop(pos, None)
         if g is not None:
-            terms = vjp(g, *[_built(a) for a in saved])
+            built = [_built(a) for a in saved]
+            terms = vjp(g, *built)
+            yield pos, g, built, terms, grads
+            built = None
             for ref, gt in zip(refs, terms):
                 if ref is None or gt is None:
                     continue
@@ -327,6 +340,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 else:
                     grads[ref] = acc + gt
                     owned.add(ref)
+            g = terms = gt = acc = None  # the next node's peak holds none of them
         if pos in made:  # every node that reads the output came before
             made.pop(pos).memo = None
     leaves = {ref: None for _, refs, _, _ in nodes for ref in refs if isinstance(ref, Tensor)}
@@ -335,14 +349,50 @@ def backward(tape: Tape, loss: Tensor) -> None:
         leaf.grad = g if g is not None else np.zeros_like(leaf.data)
 
 
+def alive_elems(tape: Tape, loss: Tensor):
+    """Sweep ``tape`` as :func:`backward` does, yielding the elements alive
+    at each node whose vjp runs, just after it returns, as the tape's own
+    nodes, refs, saved arrays and recipes give them.  Each array counts
+    once among: the held arrays a node not yet reached still saves; the op
+    outputs' gradients, pending, the node's own and the vjp's terms; the
+    memos of the recipes the tape still notes; and the arrays the node's
+    saved recipes built.  Leaves' gradients, which do not grow with the
+    activations, and what a vjp or a rebuild allocates and drops inside
+    itself are not counted."""
+    nodes, made, held = tape._nodes, tape._made, tape._held
+    # A held array is freed where the sweep passes the lowest node that
+    # saves it: a recipe keeps only arrays an earlier node saves.
+    freed = {}
+    for pos, (_, _, saved, _) in enumerate(nodes):
+        for a in saved:
+            if id(a) in held:
+                freed.setdefault(id(a), pos)
+    held_alive = [0] * len(nodes)  # freed at each position, then summed up to it
+    for key, pos in freed.items():
+        held_alive[pos] += held[key][1]
+    held_alive = list(accumulate(held_alive))
+    rebuilt = [[i for i, a in enumerate(saved) if isinstance(a, _Recipe)]
+               for _, _, saved, _ in nodes]
+    for pos, g, built, terms, grads in _sweep(tape, loss):
+        alive = {id(a): a.size for key, a in grads.items() if type(key) is int}
+        alive[id(g)] = g.size
+        alive.update((id(t), t.size) for ref, t in zip(nodes[pos][1], terms)
+                     if type(ref) is int and t is not None)
+        alive.update((id(built[i]), built[i].size) for i in rebuilt[pos])
+        for r in made.values():
+            memo = r.memo.data if isinstance(r.memo, Tensor) else r.memo
+            if memo is not None:
+                alive[id(memo)] = memo.size
+        yield held_alive[pos] + sum(alive.values())
+
+
 # ---------------------------------------------------------------------------
 # Elementwise and reduction ops
 
 
 def add(a, b) -> Tensor:
-    """a + b.  A taped sum of two ``prelu_norm`` outputs (a U-Net skip sum)
-    is remade (:func:`_remake`).  No other sum is, so a block's output,
-    v + proj(u), stays held."""
+    """a + b, a plain sum: no recipe rebuilds one, so a taped sum that a
+    later node reads is held (a U-Net skip sum, a block's output)."""
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = _operand_shapes(a, b)
     out = a.data + b.data
@@ -350,10 +400,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
-    out = _finish(out, (a, b), vjp)
-    if isinstance(_recipe_of(a), _Normalised) and isinstance(_recipe_of(b), _Normalised):
-        _remake(out, add, a, b)
-    return out
+    return _finish(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -513,11 +560,11 @@ class _Recipe:
 def _remake(out: Tensor, op, *args) -> Tensor:
     """Note ``op(*args)`` as the recipe of ``out``, the output ``op`` just
     taped, if every argument this tape produced is held or carries a recipe
-    that is not a sum's (``add``'s or ``residual``'s).  Each Tensor argument
-    enters the recipe as its recipe, or as its array if it carries none:
-    one held here, or one no node of the tape made (a leaf, an untaped
-    output), which the recipe keeps.  So no rebuild builds a sum, and none
-    reads an array the tape would otherwise free."""
+    that is not a sum's (``residual``'s).  Each Tensor argument enters the
+    recipe as its recipe, or as its array if it carries none: one held
+    here, or one no node of the tape made (a leaf, an untaped output),
+    which the recipe keeps.  So no rebuild builds a sum, and none reads an
+    array the tape would otherwise free."""
     if out._key is None:
         return out
     tape = _active()
@@ -529,7 +576,7 @@ def _remake(out: Tensor, op, *args) -> Tensor:
                 if a._key is not None and a._key[0] is tape._token and id(a.data) not in tape._held:
                     return out  # made here and freed once the forward drops it
                 r = a.data
-            elif r.fn in (add, residual):
+            elif r.fn is residual:
                 return out  # a sum
             a = r
         entries.append(a)

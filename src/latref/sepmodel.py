@@ -136,13 +136,22 @@ def _uniform(rng, shape, fan_in) -> np.ndarray:
 
 
 class _ZeroDraws:
-    """Generator stand-in for ``init_params``: every draw is a read-only zero
-    view, so the tree has a real tree's names, shapes and aliasing but no
-    weights are drawn or stored.  Counting and tracing use it as it is;
-    clones and checkpoint loads give each of its tensors new ``data``."""
+    """Generator stand-in for ``init_params``: every draw, and every
+    constant (:func:`_constant`), is a read-only view of one scalar, so the
+    tree has a real tree's names, shapes and aliasing but stores no array
+    of a parameter's size.  Counting and tracing use it as it is; clones
+    and checkpoint loads give each of its tensors new ``data``."""
 
     def uniform(self, low, high, size):
         return np.broadcast_to(0.0, size)
+
+
+def _constant(rng, shape, value: float) -> np.ndarray:
+    """An initial bias, slope, gain or projection: ``value`` at ``shape``,
+    a new array for a drawn tree and a read-only view for a zero-draw one."""
+    if isinstance(rng, _ZeroDraws):
+        return np.broadcast_to(value, shape)
+    return np.full(shape, value)
 
 
 def _param(data) -> Tensor:
@@ -151,9 +160,10 @@ def _param(data) -> Tensor:
 
 def _init_scale(rng, C: int, ks: int) -> ScaleParams:
     return ScaleParams(
-        conv=ConvParams(w=_param(_uniform(rng, (C, C, ks), C * ks)), b=_param(np.zeros(C))),
-        slope=_param(np.full(C, 0.25)),
-        norm=NormParams(gamma=_param(np.ones(C)), beta=_param(np.zeros(C))),
+        conv=ConvParams(w=_param(_uniform(rng, (C, C, ks), C * ks)),
+                        b=_param(_constant(rng, C, 0.0))),
+        slope=_param(_constant(rng, C, 0.25)),
+        norm=NormParams(gamma=_param(_constant(rng, C, 1.0)), beta=_param(_constant(rng, C, 0.0))),
     )
 
 
@@ -162,7 +172,7 @@ def _init_sub_block(rng, config: SeparationConfig) -> SubBlockParams:
     return SubBlockParams(
         down=[_init_scale(rng, C, ks) for _ in range(S)],
         up=[_init_scale(rng, C, ks) for _ in range(S)],
-        proj=ConvParams(w=_param(np.zeros((C, C, 1)))),
+        proj=ConvParams(w=_param(_constant(rng, (C, C, 1), 0.0))),
     )
 
 
@@ -175,8 +185,8 @@ def init_params(config: SeparationConfig, rng, stages: int = 1) -> ModelParams:
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
     B, K, C, S = config.enc_bases, config.enc_kernel, config.latent_channels, config.num_sources
-    encoder = ConvParams(w=_param(_uniform(rng, (B, 1, K), K)), b=_param(np.zeros(B)))
-    bottleneck = ConvParams(w=_param(_uniform(rng, (C, B, 1), B)), b=_param(np.zeros(C)))
+    encoder = ConvParams(w=_param(_uniform(rng, (B, 1, K), K)), b=_param(_constant(rng, B, 0.0)))
+    bottleneck = ConvParams(w=_param(_uniform(rng, (C, B, 1), B)), b=_param(_constant(rng, C, 0.0)))
     blocks: list[list[SubBlockParams]] = []
     for bs in config.blocks:
         if bs.shares_params_with is not None:
@@ -184,11 +194,11 @@ def init_params(config: SeparationConfig, rng, stages: int = 1) -> ModelParams:
         else:
             blocks.append([_init_sub_block(rng, config) for _ in range(bs.sub_blocks)])
     mask_nets = [
-        ConvParams(w=_param(_uniform(rng, (S * B, C, 1), C)), b=_param(np.zeros(S * B)))
+        ConvParams(w=_param(_uniform(rng, (S * B, C, 1), C)), b=_param(_constant(rng, S * B, 0.0)))
         for _ in range(stages)
     ]
     decoders = [
-        ConvParams(w=_param(_uniform(rng, (B, 1, K), B * K)), b=_param(np.zeros(1)))
+        ConvParams(w=_param(_uniform(rng, (B, 1, K), B * K)), b=_param(_constant(rng, 1, 0.0)))
         for _ in range(stages)
     ]
     return ModelParams(config, encoder, bottleneck, blocks, mask_nets, decoders)
@@ -308,9 +318,10 @@ def apply_block(v: Tensor, block: list[SubBlockParams]) -> Tensor:
     recipe rule, no rebuild builds a sum.  Taped, an application of two
     sub-blocks holds only its input of the block's residual stream (one
     over the bottleneck's output not even that), and one of k holds every
-    second input after it.  The block's output is a plain sum, which
-    ``add`` never remakes, so no rebuild reaches across a block
-    boundary."""
+    second input after it; each sub-block holds its U-Net skip sums,
+    ``add``'s plain sums, and rebuilds the up convs over them from them.
+    The block's output is a plain sum too, held, so no rebuild reaches
+    across a block boundary."""
     if not block:
         raise ValueError("block has no sub-blocks")
     C = block[0].down[0].conv.w.shape[1]

@@ -9,16 +9,20 @@ head is ``stage or 0``.  Freezing is by top-level name (``encoder``,
 ``block1``, ``mask1``, ...) and works through ``requires_grad``: frozen
 tensors never cause ops to be taped, so a frozen prefix costs no activation
 memory and its parameters are bit-identical after any number of steps.
-``memory_account`` counts the activations a backward pass holds from one
-taped trace of the regime's own step (the model at its head and depth under
-its frozen set, and the PIT loss), so it follows any change to what a
-training step keeps; a test pins it against a real training forward and its
-loss.  It traces no gate, so for gated fine-tuning it is the ungated step's
-account: the blend's held block output B(v), C x L floats per gated step
-and item, is not in it.  Its trainable/frozen split, like parameter counts
-and stage snapshots (``clone_params``), comes from ``named_parameters`` of
-a real tree and the stage's frozen set, never from a hand-kept copy of the
-tree.
+``memory_account`` reads one taped trace of the regime's own step (the
+model at its head and depth under its frozen set, and the PIT loss) twice:
+the activations the tape holds for backward, and the peak of that tape's
+reverse sweep, the most its held arrays, gradients, memos and rebuilds keep
+alive at one node.  A batch's account is that peak per item times the
+batch, an upper bound for a training step's whole-batch tape.  So it
+follows any change to what a training step keeps; tests pin the held set
+against a real training forward and the peak against a real sweep counted
+by weak references.  It traces no gate, so for gated fine-tuning it is the
+ungated step's account: the blend's held block output B(v), C x L floats
+per gated step and item, is not in it.  Its trainable/frozen split, like
+parameter counts and stage snapshots (``clone_params``), comes from
+``named_parameters`` of a real tree and the stage's frozen set, never from
+a hand-kept copy of the tree.
 
 Determinism contract: one generator drives shuffling, chunk offsets,
 augmentation, and Gumbel draws in a fixed order, so a seed reproduces
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Count, Positive, Size, check_fields, chunk_or_pad
-from .diffcore import Tape, backward
+from .diffcore import Tape, alive_elems, backward
 from .gating import PENALTY_COEF, PENALTY_TARGET, GateParams, adaptive_separate, gate_named_parameters
 from .gating import gate_penalty
 from .losses import eval_speech_sisdri, pit_loss
@@ -361,9 +365,9 @@ class MemoryReport:
     trainable_param_bytes: int
     frozen_param_bytes: int
     optimizer_state_bytes: int
-    activation_bytes_backward: int
+    activation_bytes_backward: int  # the sweep's peak per item, with the boundary, x batch
     boundary_elems: int  # frozen-prefix outputs retained at the freeze line
-    activation_elems: int  # per batch item, including the boundary
+    activation_elems: int  # held per batch item, including the boundary
 
     @property
     def total_bytes(self) -> int:
@@ -384,9 +388,13 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     ``pit_loss``, taped on a fresh tree whose weights are zero views, never
     drawn, with zero-valued inputs (the loss against all-ones references,
     since it rejects a zero one) and ``num_sources - 1`` speech sources as
-    both tasks have.  Activations are the op outputs that tape holds for
-    backward (:meth:`Tape.held_output_elems`), each array once; a frozen
-    prefix tapes nothing, so a later stage adds the two arrays it hands
+    both tasks have.  ``activation_elems`` is the op outputs that tape holds
+    for backward (:meth:`Tape.held_output_elems`), each array once;
+    ``activation_bytes_backward`` is the peak of its sweep
+    (:func:`alive_elems`) per item, times the batch.  That is an upper
+    bound for a training step's whole-batch tape, whose sweep of one item
+    keeps the other items' held sets, each below its peak.  A frozen prefix
+    tapes nothing, so a later stage adds to both the two arrays it hands
     over.  Parameter scalars are that tree's ``named_parameters``, split by
     the same frozen set.
     """
@@ -398,15 +406,16 @@ def memory_account(config: SeparationConfig, batch_size: int, T: int,
     with Tape() as tape:
         ests, _ = run_model(np.zeros(T), params, stage=stage or 0,
                             depth=config.stage_depth(stage))
-        pit_loss(ests, np.ones((S, T)), S - 1)
+        loss = pit_loss(ests, np.ones((S, T)), S - 1).loss
     boundary = (config.enc_bases + config.latent_channels) * config.latent_length(T) if stage else 0
     act = tape.held_output_elems() + boundary
+    peak = max(alive_elems(tape, loss)) + boundary
     trainable_scalars = sum(t.size for _, t in trainable)
     return MemoryReport(
         trainable_param_bytes=8 * trainable_scalars,
         frozen_param_bytes=8 * sum(t.size for _, t in frozen),
         optimizer_state_bytes=16 * trainable_scalars,
-        activation_bytes_backward=8 * act * batch_size,
+        activation_bytes_backward=8 * peak * batch_size,
         boundary_elems=boundary,
         activation_elems=act,
     )

@@ -610,7 +610,9 @@ def test_eval_row_of_a_stage_snapshot_accounts_its_own_stage(tmp_path):
     cfg = load_config(path)
     T = cfg.dataset.num_samples
     assert row["memory_bytes"] == memory_account(cfg.model, 1, T, stage=0).total_bytes
-    assert row["memory_bytes"] < memory_account(cfg.model, 1, T, stage=1).total_bytes
+    # stage 0 trains the encoder too: its optimizer state outweighs stage 1's
+    # higher sweep peak, which carries the two arrays a frozen prefix hands over
+    assert row["memory_bytes"] > memory_account(cfg.model, 1, T, stage=1).total_bytes
 
 
 def test_train_on_progressive_config_trains_every_stage(tmp_path):

@@ -518,10 +518,10 @@ class TestFusedOps:
         assert w.grad.tobytes() == w_grad.tobytes()
         assert grad_check(f, [x0, w0, s, gamma, beta, w]) < 1e-4
 
-    def test_sum_of_recipes_is_a_recipe(self):
-        # A skip sum of two norm outputs is remade by add on their recipes,
-        # which a conv saves in its place and which rebuilds the sum bit for
-        # bit.  A conv over that sum is not remade: no rebuild builds a sum.
+    def test_skip_sum_is_held_and_a_conv_over_it_is_remade(self):
+        # A skip sum of two norm outputs is a plain sum: it carries no
+        # recipe, so a conv that reads it holds it, and that conv's output
+        # is remade from the held sum, bit for bit.  No rebuild builds a sum.
         rng = np.random.default_rng(45)
         xs = [Tensor(rng.normal(size=(3, 40)), requires_grad=True) for _ in range(2)]
         norms = [[Tensor(a, requires_grad=True) for a in
@@ -532,12 +532,12 @@ class TestFusedOps:
             a, b = (prelu_norm(x, *ps) for x, ps in zip(xs, norms))
             total = add(a, b)
             over = conv1d(total, w)
-            plain = add(a, xs[0])  # a leaf carries no recipe, so neither does this sum
-        assert made(tape, total).fn is add and made(tape, plain) is None
-        assert made(tape, total).args == (made(tape, a), made(tape, b)) and made(tape, over) is None
-        assert tape._nodes[3][2][0] is made(tape, total)
-        assert made(tape, total).build().tobytes() == total.data.tobytes()
-        assert tape.held_output_elems() == 0  # the norms' inputs are leaves
+            plain = add(a, xs[0])
+        assert made(tape, total) is None and made(tape, plain) is None
+        assert made(tape, over).fn is conv1d and made(tape, over).args[0] is total.data
+        assert tape._nodes[3][2][0] is total.data
+        assert made(tape, over).build().tobytes() == over.data.tobytes()
+        assert tape.held_output_elems() == total.size == 120  # the norms' inputs are leaves
 
     def test_residual_sum_is_a_recipe(self, decline):
         # residual's sum v + conv1d(u, w) is remade by residual when v and u

@@ -156,12 +156,12 @@ def desk_block(sub_blocks, seed):
 
 
 class TestSubBlockTape:
-    """A taped sub-block over a held input holds that input and two of its
-    six conv outputs: each norm output, each skip sum, each conv output
-    over a norm (``down1``, ``down2`` and ``up0`` at three scales) and the
-    conv of the held input (``down0``) is kept as a recipe and rebuilt in
-    backward.  The up convs over the skip sums stay held, since no rebuild
-    builds a sum."""
+    """A taped sub-block over a held input holds that input and its two
+    skip sums: each norm output and each conv output (the conv of the
+    held input, ``down0``, the convs over a norm output, ``down1``,
+    ``down2`` and ``up0``, and the up convs over the skip sums) is kept as
+    a recipe and rebuilt in backward.  A skip sum is a plain sum, held
+    where a conv reads it, since no rebuild builds a sum."""
 
     @staticmethod
     def taped_grads(sb, x, y):
@@ -176,24 +176,25 @@ class TestSubBlockTape:
         return held, [t.grad for t in [x, sb.proj.w] + params]
 
     def test_holds_input_and_conv_outputs_only(self):
-        # desk L = 1000: v 32k and the up convs over the skip sums 16k + 32k;
-        # down0 (16k) is a conv of v, down1 (8k), down2 (4k) and up0 (8k)
-        # are convs over a norm output
+        # desk L = 1000: v 32k and the skip sums 8k + 16k; down0 (16k) is a
+        # conv of v, down1 (8k), down2 (4k) and up0 (8k) are convs over a
+        # norm output, and up1 (16k) and up2 (32k) convs over a skip sum
         (sb,), x, y = desk_block(1, 0)
         held, _ = self.taped_grads(sb, x, y)
-        assert held == 32 * (1000 + 500 + 1000) == 80_000
+        assert held == 32 * (1000 + 250 + 500) == 56_000
 
     def test_gradients_equal_those_with_skip_sums_held(self, decline):
         (sb,), x, y = desk_block(1, 1)
         held, rebuilt = self.taped_grads(sb, x, y)
-        # With add declined the two skip sums are held, so the up convs over
-        # them (500 and 1000 columns) are rebuilt from them; with the up
-        # convs declined too, those and up0 (250) are held.
-        for ops, more in (((add,), (250 + 500) - (500 + 1000)),
-                          ((add, dc.upsample_conv1d), (250 + 500) + 250)):
+        # The skip sums are held and the up convs over them (500 and 1000
+        # columns) rebuilt from them; with upsample_conv1d declined those
+        # and up0 (250) are held beside the sums, and with conv1d declined
+        # too, so are down0, down1 and down2 (500, 250, 125).
+        for ops, more in (((dc.upsample_conv1d,), 250 + 500 + 1000),
+                          ((dc.upsample_conv1d, dc.conv1d), 250 + 500 + 1000 + 500 + 250 + 125)):
             decline(*ops)
-            held_sums, kept = self.taped_grads(sb, x, y)
-            assert held_sums - held == 32 * more
+            held_convs, kept = self.taped_grads(sb, x, y)
+            assert held_convs - held == 32 * more
             for got, want in zip(rebuilt, kept):
                 assert got.tobytes() == want.tobytes()
 
@@ -202,9 +203,9 @@ class TestSubBlockTape:
         held, rebuilt = self.taped_grads(sb, x, y)
         # With conv1d declined, down0, down1 and down2 are held (the
         # projection's output only feeds a sum); with upsample_conv1d
-        # declined too, so is up0.
+        # declined too, so are up0 and the up convs over the skip sums.
         for ops, more in (((dc.conv1d,), 500 + 250 + 125),
-                          ((dc.conv1d, dc.upsample_conv1d), 500 + 250 + 125 + 250)):
+                          ((dc.conv1d, dc.upsample_conv1d), 500 + 250 + 125 + 250 + 500 + 1000)):
             decline(*ops)
             held_convs, kept = self.taped_grads(sb, x, y)
             assert held_convs - held == 32 * more
@@ -213,12 +214,12 @@ class TestSubBlockTape:
 
 
 class TestBlockTape:
-    """A taped block application holds its input and its sub-blocks' held
-    conv outputs, and of the later sub-blocks' inputs only every second
-    one: an input built from a held one is kept as a recipe (that input
-    and the recipe of the sub-block's last norm output) and rebuilt in
-    backward, and one built from a rebuilt one is held, so no rebuild
-    builds another.  A sub-block over a held input rebuilds its first
+    """A taped block application holds its input and its sub-blocks' skip
+    sums, and of the later sub-blocks' inputs only every second one: an
+    input built from a held one is kept as a recipe (that input and the
+    recipe of the sub-block's last norm output) and rebuilt in backward,
+    and one built from a rebuilt one is held, so no rebuild builds
+    another.  A sub-block over a held input rebuilds its first
     down conv from it; one over a rebuilt input holds that conv's output."""
 
     @staticmethod
@@ -242,13 +243,13 @@ class TestBlockTape:
     @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
     def test_holds_input_and_conv_outputs_only(self, sub_blocks):
         # desk L = 1000: each held input 32k (the block's own and every second
-        # later one), each sub-block's two up convs over its skip sums 48k,
-        # and the first down conv of each sub-block over a rebuilt input 16k;
-        # two sub-blocks hold 144k, 160k with the inner input held
+        # later one), each sub-block's two skip sums 24k, and the first down
+        # conv of each sub-block over a rebuilt input 16k; two sub-blocks
+        # hold 96k, 112k with the inner input held
         block, x, y = desk_block(sub_blocks, 2)
         held, _ = self.taped_grads(block, x, y)
         held_inputs = 1 + (sub_blocks - 1) // 2
-        assert held == 32_000 * held_inputs + 48_000 * sub_blocks + 16_000 * (sub_blocks - held_inputs)
+        assert held == 32_000 * held_inputs + 24_000 * sub_blocks + 16_000 * (sub_blocks - held_inputs)
 
     @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
     def test_gradients_equal_those_with_inner_inputs_held(self, sub_blocks):
@@ -418,6 +419,21 @@ class TestCountParams:
             tracemalloc.stop()
         assert count == 13_737_089
         assert peak <= 10e6, peak
+
+    def test_counts_a_model_past_memory_without_storing_it(self):
+        # 10**12 bases: every drawn weight, bias, slope, gain and projection
+        # of a zero-draw tree is a view of one scalar.  Each basis adds 558
+        # scalars: encoder 21 + 1, bottleneck 128, mask net 3 x (128 + 1)
+        # and decoder 21.
+        cfg = SeparationConfig(enc_bases=10**12)
+        tracemalloc.start()
+        try:
+            count = count_params(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == count_params(SeparationConfig()) + 558 * (10**12 - 512) == 558_000_000_840_833
+        assert peak < 1e6, peak
 
     def test_iterations_do_not_change_counts(self):
         for n in (1, 2, 4, 8):

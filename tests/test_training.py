@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -533,24 +534,24 @@ def desk_config(blocks):
                             num_sources=3, blocks=blocks, sub_scales=3, sub_kernel=5)
 
 
-@pytest.mark.parametrize("stage", [None, 1], ids=["e2e", "stage1"])
+@pytest.mark.parametrize("stage", [None, 0, 1], ids=["e2e", "stage0", "stage1"])
 def test_training_item_peak_memory_tracks_account(stage):
-    """One training item's forward and backward peaks near the held activations.
+    """One training item's forward and backward peaks near the account.
 
     The tape holds only what backward closures read, gradients of op outputs
     are freed as the reverse sweep consumes them, and closures keep no
     input-sized copies.  The leaves' gradients, one array per trainable
-    parameter, do not shrink with the held activations, so they are taken
-    off the peak; what stays above the account is the sweep's gradient
-    frontier and a vjp's temporaries.
+    parameter, do not shrink with the activations, so they are taken off
+    the peak; the account is the sweep's own peak, so what stays above it
+    is what a vjp or a rebuild allocates inside itself and the sum a
+    gradient's second term makes.
     """
     if stage is None:
         config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
-        head, depth = 0, None
     else:
         config = desk_config([BlockSpec(sub_blocks=2, iterations=2),
                               BlockSpec(sub_blocks=2, iterations=2)])
-        head, depth = stage, 4
+    head, depth = stage or 0, config.stage_depth(stage)
     T = 2000
     params = init_params(config, np.random.default_rng(0), stages=1 if stage is None else 2)
     if stage is not None:
@@ -569,6 +570,87 @@ def test_training_item_peak_memory_tracks_account(stage):
         tracemalloc.stop()
     above = peak - report.trainable_param_bytes
     assert above <= 1.25 * account, f"peak less leaf gradients {above / account:.2f}x the account"
+
+
+def _alive_at_each_node(tape, loss):
+    """The elements alive just after each vjp of a real sweep of ``tape``
+    returns, counted by weak references to every array the sweep could
+    still keep: the held op outputs (found in the nodes' saved arrays and
+    the recipes' arguments), each memo from when a recipe makes it, and
+    each gradient of an op output and each recipe build from when the
+    sweep first shows it.  A leaf's gradient is not counted."""
+    tracked = {}  # id -> (weak reference, elements)
+
+    def track(a):
+        if id(a) not in tracked or tracked[id(a)][0]() is None:
+            tracked[id(a)] = (weakref.ref(a), a.size)
+
+    def track_held(arrays):
+        for a in arrays:
+            if id(a) in tape._held:
+                track(a)
+
+    for _, _, saved, _ in tape._nodes:
+        track_held(saved)
+    for r in tape._made.values():
+        track_held(r.args)
+    saved = r = None
+    rebuilt = [[isinstance(a, dc._Recipe) for a in saved] for _, _, saved, _ in tape._nodes]
+    make = dc._Recipe.make
+
+    def tracked_make(recipe):
+        memo = make(recipe)
+        track(memo.data if isinstance(memo, Tensor) else memo)
+        return memo
+
+    def alive(pos, g, built, terms, grads):
+        shown = [g, *(b for b, made in zip(built, rebuilt[pos]) if made)]
+        shown += [t for ref, t in zip(tape._nodes[pos][1], terms) if type(ref) is int]
+        shown += [a for key, a in grads.items() if type(key) is int]
+        for a in shown:
+            if a is not None:
+                track(a)
+        return sum(n for ref, n in tracked.values() if ref() is not None)
+
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc._Recipe, "make", tracked_make)
+        for step in dc._sweep(tape, loss):
+            counts.append(alive(*step))
+            del step  # keeps nothing into the next node
+    return counts
+
+
+@pytest.mark.parametrize("blocks, stage", [
+    pytest.param([BlockSpec(2, 4)], None, id="e2e"),
+    pytest.param([BlockSpec(2, 2), BlockSpec(2, 2)], 0, id="stage0"),
+    pytest.param([BlockSpec(2, 2), BlockSpec(2, 2)], 1, id="stage1"),
+    pytest.param([BlockSpec(2, 2), BlockSpec(2, 2, shares_params_with=0)], None, id="shared"),
+])
+def test_memory_account_is_the_peak_a_real_sweep_keeps_alive(blocks, stage):
+    """At every node of a real sweep of a desk item at T = 2000 on drawn
+    weights, the elements the account reads off the tape's structure are
+    those alive by weak references; so the account's per-item peak, less
+    the arrays a frozen prefix hands over, is the most alive at one node."""
+    config, T = desk_config(blocks), 2000
+    params = init_params(config, np.random.default_rng(0), stages=config.head_pairs(stage))
+    apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
+    sources = np.random.default_rng(1).normal(size=(3, T))
+
+    def item_tape():
+        with Tape() as tape:
+            ests, _ = run_model(sources.sum(axis=0), params, stage=stage or 0,
+                                depth=config.stage_depth(stage))
+            loss = pit_loss(ests, sources, 2).loss
+        return tape, loss  # the sweep alone keeps what it reads
+
+    tape, loss = item_tape()
+    held, nodes = tape.held_output_elems(), len(tape)
+    counts = _alive_at_each_node(tape, loss)
+    assert list(dc.alive_elems(*item_tape())) == counts and len(counts) == nodes
+    report = memory_account(config, batch_size=1, T=T, stage=stage)
+    assert report.activation_elems - report.boundary_elems == held < max(counts)
+    assert report.activation_bytes_backward == 8 * (max(counts) + report.boundary_elems)
 
 
 def test_sweep_standardises_each_norm_once(monkeypatch):
@@ -602,8 +684,10 @@ def test_end_to_end_item_rebuilds_the_bottleneck_output(decline):
     recipe and each later one from that application's held input; and so
     are each of the 8 sub-blocks' second and third down convs (63 and 32
     columns), from their norms' recipes.  With upsample_conv1d declined
-    instead, each sub-block holds its first up conv (63 columns).  Every
-    gradient is the same to the bit either way."""
+    instead, each sub-block holds its three up convs (63, 125 and 250
+    columns): the first is rebuilt from a norm's recipe, the two over the
+    skip sums from those held sums.  Every gradient is the same to the bit
+    either way."""
     config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
     sources = np.random.default_rng(1).normal(size=(3, 2000))
 
@@ -621,7 +705,7 @@ def test_end_to_end_item_rebuilds_the_bottleneck_output(decline):
 
     held, rebuilt = item()
     for op, more in ((dc.conv1d, 32 * 250 + 4 * 32 * 125 + 8 * 32 * (63 + 32)),
-                     (dc.upsample_conv1d, 8 * 32 * 63)):
+                     (dc.upsample_conv1d, 8 * 32 * (63 + 125 + 250))):
         decline(op)
         held_off, kept = item()
         assert held_off - held == more
@@ -629,8 +713,8 @@ def test_end_to_end_item_rebuilds_the_bottleneck_output(decline):
 
 
 @pytest.mark.parametrize("stage, on, conv_off, up_off",
-                         [(None, 664_000, 856_000, 728_000), (0, 376_000, 488_000, 408_000),
-                          (1, 408_000, 488_000, 440_000)], ids=["e2e", "stage0", "stage1"])
+                         [(None, 472_000, 664_000, 920_000), (0, 280_000, 392_000, 504_000),
+                          (1, 312_000, 392_000, 536_000)], ids=["e2e", "stage0", "stage1"])
 def test_memory_account_drops_the_bottleneck_output_where_the_encoder_trains(
         decline, stage, on, conv_off, up_off):
     """At desk T = 8000 (L = 1000) the account drops, per item against
@@ -640,7 +724,8 @@ def test_memory_account_drops_the_bottleneck_output_where_the_encoder_trains(
     (at stage 1 the first is rebuilt from the latent the frozen prefix
     hands over untaped); and 12,000 for each taped sub-block's second and
     third down convs.  Against upsample_conv1d declined, each taped
-    sub-block drops its first up conv, 8,000 elements."""
+    sub-block drops its three up convs, 8,000 + 16,000 + 32,000 elements,
+    and holds the two skip sums the last two are rebuilt from either way."""
     blocks = [BlockSpec(sub_blocks=2, iterations=4)] if stage is None else \
         [BlockSpec(sub_blocks=2, iterations=2), BlockSpec(sub_blocks=2, iterations=2)]
     config = desk_config(blocks)
@@ -714,8 +799,8 @@ def test_recipes_read_held_or_untaped_arrays_and_build_no_sum(monkeypatch, regim
     recipe keeps is one the tape holds or one none of its nodes made (a
     leaf's, a parameter's, the latent a frozen prefix hands over, a norm's
     statistics), and every recipe among a recipe's arguments is one the
-    tape notes and not a sum's (``add``'s or ``residual``'s), though the
-    tape notes both kinds of sum."""
+    tape notes and not a sum's (``residual``'s), though the tape notes such
+    sums.  No ``add`` output carries a recipe: a skip sum is held."""
     tensors = []
     init = Tensor.__init__
     monkeypatch.setattr(Tensor, "__init__", lambda t, *a, **k: init(t, *a, **k) or tensors.append(t))
@@ -727,8 +812,9 @@ def test_recipes_read_held_or_untaped_arrays_and_build_no_sum(monkeypatch, regim
     built = [a for a in args if isinstance(a, dc._Recipe)]
     assert any(id(a) in tape._held for a in arrays) and any(id(a) not in outputs for a in arrays)
     assert all(id(a) in tape._held or id(a) not in outputs for a in arrays)
-    assert {r.fn for r in recipes} >= {dc.add, dc.residual} and built
-    assert all(a in recipes and a.fn not in (dc.add, dc.residual) for a in built)
+    fns = {r.fn for r in recipes}
+    assert dc.residual in fns and dc.add not in fns and built
+    assert all(a in recipes and a.fn is not dc.residual for a in built)
 
 
 def test_every_taped_training_op_is_gradchecked(monkeypatch):
