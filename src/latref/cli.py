@@ -274,14 +274,15 @@ def quartile_analysis(results):
 
 def _model_row(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
     """Report row of the model that runs, before its scores: its config,
-    its parameter count with its head pairs, its mode, and the memory
-    account of its regime (a progressive model's at its own stage).  An
-    adaptive model's row is its ungated model's: ``params`` leaves out the
-    gate's 2C + 4L + 6 scalars, and the account the B(v) a gated step holds.
+    its parameter count with its head pairs and an adaptive model's gate
+    (2C + 4L + 6 scalars), its mode, and the memory account of its regime
+    (a progressive model's at its own stage).  The account traces no gate,
+    so an adaptive row's leaves out the B(v) a gated step holds.
 
     Passthrough (``model`` None) describes the config file's model, a
-    progressive one at its last stage.  A model numpy cannot build (a size
-    past its largest dimension or its memory) fails naming the ``model``
+    progressive one at its last stage and an adaptive one with a gate at
+    the dataset's latent length.  A model numpy cannot build (a size past
+    its largest dimension or its memory) fails naming the ``model``
     section and numpy's cause.
     """
     if model is None:
@@ -291,6 +292,10 @@ def _model_row(cfg: ExperimentConfig, model: TrainedModel | None) -> dict:
         config, mode, stage = model.params.config, model.mode, model.stage
     try:
         params = count_params(config, stages=config.head_pairs(stage))
+        if mode == "adaptive":
+            gate = model.gate if model is not None else \
+                init_gate(config.latent_channels, _gate_latent_len(cfg), _ZeroDraws())
+            params += sum(t.size for _, t in gate_named_parameters(gate))
         mem = memory_account(config, batch_size=1, T=cfg.dataset.num_samples, stage=stage)
     except (ValueError, MemoryError) as e:
         raise ValueError(f"config section 'model' cannot be built: {e}") from e

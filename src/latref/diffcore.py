@@ -55,27 +55,29 @@ that would save the output saves the recipe instead; a tensor from
 another tape carries none here.  One rule decides which outputs carry
 one (:func:`_remake`): ``conv1d``, ``upsample_conv1d`` and ``residual``
 (v + conv1d(u, w)) remake their output exactly when every argument this
-tape produced is held or carries a recipe that is not a sum's
-(``residual``'s), so no rebuild builds a sum.  One op keeps a rule of its
-own: ``prelu_norm`` always notes its recipe (:class:`_Normalised`, the
-one subclass), the norm's own input (or its recipe) and parameters and
-its C x 1 statistics.  ``add`` notes none, so a sum it tapes, a U-Net
-skip sum or a block's output v + proj(u), is held where a node reads it.
+tape produced is held or carries a recipe, except that a ``residual``
+sum over a rebuilt ``residual`` sum is held: no sum's rebuild builds
+another sum.  One op keeps a rule of its own: ``prelu_norm`` always notes
+its recipe (:class:`_Normalised`, the one subclass), the norm's own input
+(or its recipe) and parameters and its C x 1 statistics.  ``add`` notes
+none, so a sum it tapes, a U-Net skip sum or a block's output
+v + proj(u), is held where a node reads it.
 
 In the model the rule rebuilds the bottleneck's output, every conv over a
 norm output (every down conv after a sub-block's first, the first up conv
 and the projection), every up conv over a skip sum, from that held sum,
-and the first down conv of a sub-block over a held input, over the
-bottleneck's rebuilt output or over the latent a frozen prefix hands
-over.  It holds the skip sums, the first down conv over a rebuilt
-sub-block input, and every second sub-block input after a block's first
-one: a sub-block input after the first is a ``residual`` sum, rebuilt
-from the input before it unless that input is a rebuilt sum itself.  So
-a rebuild can reach down a sub-block's whole down path, each conv on the
-build of the norm before it, to a held array, and up its up path only to
-the skip sum or deepest norm under the up conv; it never crosses a block
-boundary, since a block's output stays held and the next application's
-first down conv is rebuilt from it alone.
+and the first down conv of every sub-block: over a held input, over the
+bottleneck's rebuilt output, over the latent a frozen prefix hands over
+or over a rebuilt ``residual`` sum.  It holds the skip sums and every
+second sub-block input after a block's first one: a sub-block input
+after the first is a ``residual`` sum, rebuilt from the input before it
+unless that input is a rebuilt sum itself.  So a rebuild can reach down
+a sub-block's whole down path, each conv on the build of the norm before
+it, through at most one rebuilt sum under the first down conv (whose own
+rebuild stops at held arrays), and up its up path only to the skip sum
+or deepest norm under the up conv; it never crosses a block boundary,
+since a block's output stays held and the next application's first down
+conv is rebuilt from it alone.
 
 The sweep builds a recipe bit for bit when a vjp first reads it and keeps
 that build (its memo); every later read takes the memo, and the sweep
@@ -559,12 +561,14 @@ class _Recipe:
 
 def _remake(out: Tensor, op, *args) -> Tensor:
     """Note ``op(*args)`` as the recipe of ``out``, the output ``op`` just
-    taped, if every argument this tape produced is held or carries a recipe
-    that is not a sum's (``residual``'s).  Each Tensor argument enters the
-    recipe as its recipe, or as its array if it carries none: one held
-    here, or one no node of the tape made (a leaf, an untaped output),
-    which the recipe keeps.  So no rebuild builds a sum, and none reads an
-    array the tape would otherwise free."""
+    taped, if every argument this tape produced is held or carries a
+    recipe, and, for ``residual``'s own sum, if none carries a sum's
+    (``residual``'s).  Each Tensor argument enters the recipe as its
+    recipe, or as its array if it carries none: one held here, or one no
+    node of the tape made (a leaf, an untaped output), which the recipe
+    keeps.  So a conv's rebuild may build a sum, but no sum's rebuild
+    builds another, and no rebuild reads an array the tape would
+    otherwise free."""
     if out._key is None:
         return out
     tape = _active()
@@ -576,8 +580,8 @@ def _remake(out: Tensor, op, *args) -> Tensor:
                 if a._key is not None and a._key[0] is tape._token and id(a.data) not in tape._held:
                     return out  # made here and freed once the forward drops it
                 r = a.data
-            elif r.fn is residual:
-                return out  # a sum
+            elif r.fn is residual and op is residual:
+                return out  # a sum over a rebuilt sum
             a = r
         entries.append(a)
     tape._made[out._key[1]] = _Recipe(op, *entries)
@@ -680,8 +684,8 @@ def conv1d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     ``x`` is Cin x T, ``w`` is Cout x Cin x K, optional ``b`` is Cout.
     padding "same" zero-pads symmetrically so the output length is
     ceil(T / stride); "valid" uses no padding and requires T >= K.
-    Taped, its output is remade (:func:`_remake`) unless its input is a
-    rebuilt sum.
+    Taped, its output is remade (:func:`_remake`) from its input or the
+    input's recipe.
     """
     x, w, b = _conv_operands("conv1d", x, w, b, stride, 1)
     Cout, _, K = w.data.shape
@@ -713,9 +717,9 @@ def residual(v, u, w) -> Tensor:
     """``v + conv1d(u, w)``, a residual update, as two taped nodes whose sum
     is remade by ``residual`` itself (:func:`_remake`) when ``v`` and ``u``
     are each held, untaped or rebuilt by a recipe that is not a sum's.  So
-    the next node that reads the sum holds no array for it, and a ``v``
-    that is itself a rebuilt sum leaves this sum held: no sum's rebuild
-    builds another sum's."""
+    the next node that reads the sum holds no array for it, and a conv
+    over it is rebuilt from its recipe; a ``v`` that is itself a rebuilt
+    sum leaves this sum held, so no sum's rebuild builds another sum's."""
     return _remake(add(v, conv1d(u, w)), residual, v, u, w)
 
 

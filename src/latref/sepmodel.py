@@ -315,13 +315,14 @@ def apply_block(v: Tensor, block: list[SubBlockParams]) -> Tensor:
     ``residual`` sum, which the sweep rebuilds by ``residual`` itself from
     the input before it and the recipe of that sub-block's last norm
     output, unless that input is a rebuilt sum: by ``diffcore``'s one
-    recipe rule, no rebuild builds a sum.  Taped, an application of two
-    sub-blocks holds only its input of the block's residual stream (one
-    over the bottleneck's output not even that), and one of k holds every
-    second input after it; each sub-block holds its U-Net skip sums,
-    ``add``'s plain sums, and rebuilds the up convs over them from them.
-    The block's output is a plain sum too, held, so no rebuild reaches
-    across a block boundary."""
+    recipe rule, no sum's rebuild builds another sum.  Taped, an
+    application of two sub-blocks holds only its input of the block's
+    residual stream (one over the bottleneck's output not even that), and
+    one of k holds every second input after it; every sub-block rebuilds
+    its first down conv from its input, held or rebuilt.  Each sub-block
+    holds its U-Net skip sums, ``add``'s plain sums, and rebuilds the up
+    convs over them from them.  The block's output is a plain sum too,
+    held, so no rebuild reaches across a block boundary."""
     if not block:
         raise ValueError("block has no sub-blocks")
     C = block[0].down[0].conv.w.shape[1]

@@ -17,7 +17,13 @@ thread.  Its cases:
 - ``memory/...``: ``memory_account(...).activation_elems`` of one desk item
   at T = 2000, end to end and at stages 0 and 1 of two blocks of 1-4
   sub-blocks x 1-3 iterations at 1 and 3 scales, so a change to what the
-  tape holds shows case by case;
+  tape holds shows case by case; ``memory_peak/...``, the same cases'
+  ``activation_bytes_backward``, so does a change to the sweep's peak;
+- ``op/...``: the output and every input gradient of one op under a drawn
+  output gradient: ``conv1d`` and ``transposed_conv1d`` (its adjoint
+  geometry) at odd and even lengths and kernels, strides above the
+  kernel, "valid" padding and outputs shorter than the kernel, and
+  ``masked_decode`` with and without ``v_enc`` needing a gradient;
 - ``cli/<mode>/<task>/<command>/...``: ``latref train``, ``eval`` and
   ``eval --passthrough`` of a toy config in every mode and task: every file
   the command leaves in the output directory, its stdout and its exit code,
@@ -54,7 +60,8 @@ import numpy as np
 
 from latref.cli import gradcheck_suite, main
 from latref.data import MixtureSpec, make_dataset
-from latref.diffcore import Tape, backward
+from latref.diffcore import Tape, Tensor, backward, conv1d, masked_decode, mul, sum_all
+from latref.diffcore import transposed_conv1d
 from latref.gating import gate_named_parameters, gate_penalty, init_gate
 from latref.losses import pit_loss
 from latref.sepmodel import BlockSpec, SeparationConfig, init_params, named_parameters
@@ -149,6 +156,59 @@ def memory_hashes() -> dict:
             regime = "e2e" if stage is None else f"stage{stage}"
             report = memory_account(config, batch_size=1, T=2000, stage=stage)
             out[f"memory/k{k}n{n}s{scales}/{regime}"] = _sha(str(report.activation_elems))
+            out[f"memory_peak/k{k}n{n}s{scales}/{regime}"] = _sha(
+                str(report.activation_bytes_backward))
+    return out
+
+
+# (T, K, stride, padding) of a conv over T samples; the transposed conv
+# maps that conv's output length back to T
+CONV_CASES = (
+    (37, 5, 1, "same"), (38, 5, 2, "same"), (37, 4, 2, "same"), (38, 4, 3, "same"),
+    (38, 3, 5, "same"), (37, 2, 3, "same"),  # strides above K
+    (37, 5, 2, "valid"), (38, 4, 1, "valid"), (37, 3, 4, "valid"),  # the last strides above K
+    (5, 7, 2, "same"), (4, 6, 1, "same"), (9, 7, 1, "valid"),  # outputs shorter than K
+)
+
+
+def op_hashes(name: str, op, inputs: dict) -> dict:
+    """``op`` on ``inputs``, each name's (array, whether it needs a
+    gradient), then a sweep under a drawn output gradient: the hashes of
+    the output and of each gradient."""
+    tensors = {k: Tensor(a, requires_grad=grad) for k, (a, grad) in inputs.items()}
+    with Tape() as tape:
+        out = op(**tensors)
+        g = np.random.default_rng(1).normal(size=out.shape)
+        backward(tape, sum_all(mul(out, Tensor(g))))
+    hashes = {f"{name}/out": _sha(out.data)}
+    hashes.update((f"{name}/grad/{k}", _sha(t.grad)) for k, t in tensors.items() if t.requires_grad)
+    return hashes
+
+
+def all_op_hashes() -> dict:
+    rng = np.random.default_rng(0)
+    out = {}
+    for T, K, stride, padding in CONV_CASES:
+        case = f"T{T}K{K}s{stride}{padding}"
+        x, w, b = rng.normal(size=(3, T)), rng.normal(size=(2, 3, K)), rng.normal(size=2)
+        out.update(op_hashes(f"op/conv1d/{case}",
+                             lambda x, w, b: conv1d(x, w, b, stride=stride, padding=padding),
+                             {"x": (x, True), "w": (w, True), "b": (b, True)}))
+        L = conv1d(x, w, stride=stride, padding=padding).shape[1]
+        v, w = rng.normal(size=(3, L)), rng.normal(size=(3, 2, K))
+        out.update(op_hashes(f"op/transposed_conv1d/{case}",
+                             lambda v, w, b: transposed_conv1d(v, w, b, stride=stride,
+                                                               padding=padding, out_length=T),
+                             {"v": (v, True), "w": (w, True), "b": (b, True)}))
+    # 3 sources of 5 bases over 20 columns, decoded at stride 3 (> K = 2) to
+    # 59 samples, one short of 20 whole strides
+    arrays = {"latent": rng.normal(size=(4, 20)), "mask_w": rng.normal(size=(15, 4, 3)),
+              "mask_b": rng.normal(size=15), "v_enc": np.abs(rng.normal(size=(5, 20))),
+              "w": rng.normal(size=(5, 2, 2)), "b": rng.normal(size=2)}
+    for case, v_grad in (("v_enc_trains", True), ("v_enc_frozen", False)):
+        inputs = {k: (a, k != "v_enc" or v_grad) for k, a in arrays.items()}
+        out.update(op_hashes(f"op/masked_decode/{case}",
+                             lambda **t: masked_decode(stride=3, out_length=59, **t), inputs))
     return out
 
 
@@ -221,8 +281,8 @@ def all_cli_hashes() -> dict:
 
 
 def manifest() -> dict:
-    out = {**all_step_hashes(), **memory_hashes(), **all_cli_hashes(), **blas_hashes(),
-           "gradcheck": _sha(repr(gradcheck_suite()))}
+    out = {**all_step_hashes(), **memory_hashes(), **all_op_hashes(), **all_cli_hashes(),
+           **blas_hashes(), "gradcheck": _sha(repr(gradcheck_suite()))}
     return dict(sorted(out.items()))
 
 

@@ -914,6 +914,56 @@ def test_read_model_loads_or_names_the_file_for_any_header_edit(toy_checkpoints,
                 assert str(ckpt) in str(e), e
 
 
+@pytest.fixture(scope="module")
+def toy_eval_runs(tmp_path_factory):
+    """Per mode, the config path of a toy two-block model and the bytes of
+    its checkpoint, which ``eval`` reads from the config's output_dir."""
+    out = {}
+    for mode in cli.MODES:
+        root = tmp_path_factory.mktemp(f"eval_{mode}")
+        cfg, _, ckpt = _write_toy_model(root, mode, [
+            {"sub_blocks": 1, "iterations": 1}, {"sub_blocks": 1, "iterations": 2}], seed=7)
+        Path(cfg.output_dir).mkdir()
+        out[mode] = root / "config.json", Path(cfg.output_dir) / "model.ckpt", ckpt.read_bytes()
+    return out
+
+
+@given(mode=st.sampled_from(cli.MODES), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_exits_0_or_names_the_file_for_any_byte_flip_or_cut(toy_eval_runs, mode, data):
+    # one byte of a saved checkpoint flipped, or the file cut short: `latref
+    # eval` either scores it or exits 2 naming the file, and no MemoryError,
+    # TypeError or KeyError reaches main
+    path, ckpt, raw = toy_eval_runs[mode]
+    # the magic and header length, the JSON header and the tensor bytes are
+    # drawn from alike, though the tensors fill most of the file
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    start, stop = data.draw(st.sampled_from([(0, 16), (16, end), (end, len(raw))]), label="part")
+    at = data.draw(st.integers(start, stop - 1), label="at")
+    if data.draw(st.booleans(), label="flip"):
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="bits")]) + raw[at + 1:]
+    else:
+        raw = raw[:at]
+    ckpt.write_bytes(raw)
+    raised = []
+
+    def recording_run(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        except Exception as e:
+            raised.append(e)
+            raise
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), _time_budget(2.0):
+        mp.setattr(cli, "run", recording_run)
+        code = main(["eval", "--config", str(path)])
+    assert not any(isinstance(e, (MemoryError, TypeError, KeyError)) for e in raised), raised
+    assert code == 0 or (code == 2 and err.getvalue().startswith("error: ")
+                         and str(ckpt) in err.getvalue()), (code, err.getvalue())
+
+
 # every key of every section given, so each one can be replaced or dropped
 _FULL_ADAPTIVE = {
     "task": "separation", "mode": "adaptive",
@@ -1079,6 +1129,21 @@ def test_finetune_gate_command(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["row"]["mean_g"] is not None
     assert all(r["g"] is not None for r in report["per_sample"])
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--passthrough"]], ids=["model", "passthrough"])
+def test_adaptive_row_counts_the_gate(tmp_path, argv):
+    # the gate's 2C + 4L + 6 scalars at the dataset's latent length, drawn
+    # or (passthrough) of a zero-draw gate, join the model's count
+    m = tiny_mapping(tmp_path, mode="adaptive")
+    path = write_config(tmp_path, m)
+    assert run("train", path) == 0
+    assert main([*argv, "--config", path]) == 0
+    row = json.loads((tmp_path / "out" / "report.json").read_text())["row"]
+    cfg = load_config(path)
+    C, L = cfg.model.latent_channels, cfg.model.latent_length(cfg.dataset.num_samples)
+    assert row["mode"] == "adaptive"
+    assert row["params"] == count_params(cfg.model) + 2 * C + 4 * L + 6
 
 
 def test_report_renders_rows(tmp_path):

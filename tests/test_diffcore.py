@@ -543,7 +543,8 @@ class TestFusedOps:
         # residual's sum v + conv1d(u, w) is remade by residual when v and u
         # are each held, a leaf's array or a recipe that is not a sum's;
         # never when v is a sum's recipe.  A conv saves the recipe in the
-        # sum's place, and it rebuilds the sum bit for bit.  A conv of a
+        # sum's place, and it rebuilds the sum bit for bit; the conv itself
+        # is remade from that recipe.  A conv of a
         # held array is remade, so a sum over one is remade from its
         # recipe; with conv1d declined that conv is held, and a sum over it
         # is remade from its array.
@@ -560,7 +561,7 @@ class TestFusedOps:
                 c = conv1d(v, w)  # a conv of the held v, rebuilt from it
                 u = prelu_norm(c, *norm)
                 once = dc.residual(v, u, proj)
-                conv1d(once, w)
+                over = conv1d(once, w)  # rebuilt from once's recipe
                 twice = dc.residual(once, u, proj)  # once is a sum's recipe: twice is held
                 after = conv1d(twice, w)  # holds twice, so it is rebuilt from it
                 thrice = dc.residual(twice, u, proj)
@@ -569,18 +570,21 @@ class TestFusedOps:
                 of_unheld = dc.residual(add(x, 0.0), u, proj)  # no node saves that sum
                 of_conv = dc.residual(v, c, proj)  # c is remade
                 of_plain = dc.residual(v, x, proj)  # a leaf u enters as its array
-            return tape, (v, c, once, twice, after, thrice, of_leaf, of_unheld, of_conv, of_plain)
+            return tape, (v, c, once, over, twice, after, thrice, of_leaf, of_unheld, of_conv,
+                          of_plain)
 
-        tape, (v, c, once, twice, after, thrice, of_leaf, of_unheld, of_conv, of_plain) = taped()
+        tape, (v, c, once, over, twice, after, thrice, of_leaf, of_unheld, of_conv,
+               of_plain) = taped()
         assert made(tape, once).fn is dc.residual and made(tape, once).args[0] is v.data
         assert isinstance(made(tape, once).args[1], dc._Normalised)
         assert made(tape, once).args[2] is proj.data
         assert tape._nodes[5][2][0] is made(tape, once) and made(tape, twice) is None
+        assert made(tape, over).fn is conv1d and made(tape, over).args[0] is made(tape, once)
         assert made(tape, thrice).args[0] is twice.data and tape._nodes[11][2][0] is made(tape, thrice)
         assert made(tape, of_unheld) is None and made(tape, of_plain).args[1] is x.data
         assert made(tape, c).args[0] is v.data and made(tape, after).args[0] is twice.data
         assert made(tape, of_conv).args[:2] == (v.data, made(tape, c))
-        for r in (c, once, after, thrice, of_leaf, of_conv, of_plain):
+        for r in (c, once, over, after, thrice, of_leaf, of_conv, of_plain):
             assert made(tape, r).build().tobytes() == r.data.tobytes()
         assert tape.held_output_elems() == v.size + twice.size
         decline(conv1d)

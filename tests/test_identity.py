@@ -40,6 +40,18 @@ def test_manifest_covers_its_cases_and_compare_names_a_changed_hash(tmp_path, mo
                     f"{name}/passthrough/stdout", f"{name}/passthrough/exit"} <= m.keys()
     assert {f"memory/k{k}n{n}s{s}/{regime}" for k, n, s in identity.MEMORY_MATRIX
             for regime in ("e2e", "stage0", "stage1")} == {k for k in m if k.startswith("memory/")}
+    assert {f"memory_peak/k{k}n{n}s{s}/{regime}" for k, n, s in identity.MEMORY_MATRIX
+            for regime in ("e2e", "stage0", "stage1")} == {k for k in m if k.startswith("memory_peak/")}
+    for T, K, stride, padding in identity.CONV_CASES:
+        case = f"T{T}K{K}s{stride}{padding}"
+        assert {f"op/conv1d/{case}/{x}" for x in ("out", "grad/x", "grad/w", "grad/b")} <= m.keys()
+        assert {f"op/transposed_conv1d/{case}/{x}" for x in ("out", "grad/v", "grad/w", "grad/b")} \
+            <= m.keys()
+    # a frozen encoder's v_enc has no gradient to hash
+    decode = {k for k in m if k.startswith("op/masked_decode/")}
+    assert "op/masked_decode/v_enc_trains/grad/v_enc" in decode
+    assert {k.replace("v_enc_trains", "v_enc_frozen") for k in decode if "v_enc_trains" in k} \
+        - {"op/masked_decode/v_enc_frozen/grad/v_enc"} == {k for k in decode if "v_enc_frozen" in k}
     assert {"gradcheck", "env/blas", "env/blas_threads"} <= m.keys()
 
     assert identity.run(["--compare", str(a), str(a)]) == 0

@@ -161,7 +161,7 @@ class TestSubBlockTape:
     held input, ``down0``, the convs over a norm output, ``down1``,
     ``down2`` and ``up0``, and the up convs over the skip sums) is kept as
     a recipe and rebuilt in backward.  A skip sum is a plain sum, held
-    where a conv reads it, since no rebuild builds a sum."""
+    where a conv reads it, since ``add`` notes no recipe."""
 
     @staticmethod
     def taped_grads(sb, x, y):
@@ -218,9 +218,9 @@ class TestBlockTape:
     sums, and of the later sub-blocks' inputs only every second one: an
     input built from a held one is kept as a recipe (that input and the
     recipe of the sub-block's last norm output) and rebuilt in backward,
-    and one built from a rebuilt one is held, so no rebuild builds
-    another.  A sub-block over a held input rebuilds its first
-    down conv from it; one over a rebuilt input holds that conv's output."""
+    and one built from a rebuilt one is held, so no sum's rebuild builds
+    another.  Every sub-block rebuilds its first down conv, from its
+    input or from that input's recipe."""
 
     @staticmethod
     def taped_grads(block, x, y, held_inputs=False):
@@ -243,21 +243,20 @@ class TestBlockTape:
     @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
     def test_holds_input_and_conv_outputs_only(self, sub_blocks):
         # desk L = 1000: each held input 32k (the block's own and every second
-        # later one), each sub-block's two skip sums 24k, and the first down
-        # conv of each sub-block over a rebuilt input 16k; two sub-blocks
-        # hold 96k, 112k with the inner input held
+        # later one) and each sub-block's two skip sums 24k; two sub-blocks
+        # hold 80k, 112k with the inner input held
         block, x, y = desk_block(sub_blocks, 2)
         held, _ = self.taped_grads(block, x, y)
         held_inputs = 1 + (sub_blocks - 1) // 2
-        assert held == 32_000 * held_inputs + 24_000 * sub_blocks + 16_000 * (sub_blocks - held_inputs)
+        assert held == 32_000 * held_inputs + 24_000 * sub_blocks
 
     @pytest.mark.parametrize("sub_blocks", [1, 2, 3, 4])
     def test_gradients_equal_those_with_inner_inputs_held(self, sub_blocks):
         block, x, y = desk_block(sub_blocks, 3)
         held, rebuilt = self.taped_grads(block, x, y)
         held_inputs, kept = self.taped_grads(block, x, y, held_inputs=True)
-        # each inner input held (32k) lets its sub-block rebuild its first down conv (16k)
-        assert held_inputs - held == sub_blocks // 2 * (32_000 - 16_000)
+        # each inner input rebuilt here (every second one) is held there (32k)
+        assert held_inputs - held == sub_blocks // 2 * 32_000
         assert len(rebuilt) == len(kept) == 1 + 31 * sub_blocks
         for got, want in zip(rebuilt, kept):
             assert np.array_equal(got, want)
