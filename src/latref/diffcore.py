@@ -43,61 +43,66 @@ gradient only when it needs one (a frozen encoder's does not).
 Memory follows what the backward closures (vjps) read.  A node holds the
 arrays its vjp reads (its saved arrays) and nothing it can rebuild exactly
 from them: ``conv1d``, ``upsample_conv1d``, ``transposed_conv1d`` and
-``prelu_norm`` keep their input, ``relu`` its output, ``mul`` the other
-operand of each gradient it needs, ``masked_decode`` the latent and the
-encoding (never the S x B x L logits), and the summing and adding ops
-nothing.  An op output that can be rebuilt carries a recipe: a
-:class:`_Recipe`, ``fn(*args)``, whose ``fn`` is the op's own forward and
-whose ``args`` are the op's arguments, each Tensor among them entering as
-its recipe (built first) or as its array.  The tape notes it under the
-output's node, the only place a recipe is kept, and a node of that tape
-that would save the output saves the recipe instead; a tensor from
-another tape carries none here.  One rule decides which outputs carry
-one (:func:`_remake`): ``conv1d``, ``upsample_conv1d`` and ``residual``
-(v + conv1d(u, w)) remake their output exactly when every argument this
-tape produced is held or carries a recipe, except that a ``residual``
-sum over a rebuilt ``residual`` sum is held: no sum's rebuild builds
-another sum.  One op keeps a rule of its own: ``prelu_norm`` always notes
-its recipe (:class:`_Normalised`, the one subclass), the norm's own input
-(or its recipe) and parameters and its C x 1 statistics.  ``add`` notes
-none, so a sum it tapes, a U-Net skip sum or a block's output
+``prelu_norm`` keep their input, ``relu`` its output's recipe (its output
+if it carries none), ``mul`` the other operand of each gradient it needs,
+``masked_decode`` the latent and the encoding (never the S x B x L
+logits), and the summing and adding ops nothing.  An op output that can be
+rebuilt carries a recipe: a :class:`_Recipe`, ``fn(*args)``, whose ``fn``
+is the op's own forward and whose ``args`` are the op's arguments, each
+Tensor among them entering as its recipe (built first) or as its array.
+The tape notes it under the output's node, the only place a recipe is
+kept, and a node of that tape that would save the output, the output's own
+node included, saves the recipe instead; a tensor from another tape
+carries none here.  One rule decides which outputs carry one
+(:func:`_remake`): ``conv1d``, ``upsample_conv1d``, ``relu`` and
+``residual`` (v + conv1d(u, w)) remake their output exactly when every
+argument this tape produced is held or carries a recipe, except that a
+``residual`` sum over a rebuilt ``residual`` sum is held: no sum's rebuild
+builds another sum.  One op keeps a rule of its own: ``prelu_norm`` always
+notes its recipe (:class:`_Normalised`, the one subclass), the norm's own
+input (or its recipe) and parameters and its C x 1 statistics.  ``add``
+notes none, so a sum it tapes, a U-Net skip sum or a block's output
 v + proj(u), is held where a node reads it.
 
-In the model the rule rebuilds the bottleneck's output, every conv over a
-norm output (every down conv after a sub-block's first, the first up conv
-and the projection), every up conv over a skip sum, from that held sum,
-and the first down conv of every sub-block: over a held input, over the
-bottleneck's rebuilt output, over the latent a frozen prefix hands over
-or over a rebuilt ``residual`` sum.  It holds the skip sums and every
-second sub-block input after a block's first one: a sub-block input
-after the first is a ``residual`` sum, rebuilt from the input before it
-unless that input is a rebuilt sum itself.  So a rebuild can reach down
-a sub-block's whole down path, each conv on the build of the norm before
-it, through at most one rebuilt sum under the first down conv (whose own
-rebuild stops at held arrays), and up its up path only to the skip sum
-or deepest norm under the up conv; it never crosses a block boundary,
-since a block's output stays held and the next application's first down
-conv is rebuilt from it alone.
+In the model the rule rebuilds the encoding v_enc, relu of the encoder
+conv's recipe, from the mixture wherever the encoder trains (a frozen
+encoder hands v_enc over untaped), the bottleneck's output, every conv
+over a norm output (every down conv after a sub-block's first, the first
+up conv and the projection), every up conv over a skip sum, from that held
+sum, and the first down conv of every sub-block: over a held input, over
+the bottleneck's rebuilt output, over the latent a frozen prefix hands
+over or over a rebuilt ``residual`` sum.  It holds the skip sums and every
+second sub-block input after a block's first one: a sub-block input after
+the first is a ``residual`` sum, rebuilt from the input before it unless
+that input is a rebuilt sum itself.  So a rebuild can reach down a
+sub-block's whole down path, each conv on the build of the norm before it,
+through at most one rebuilt sum under the first down conv (whose own
+rebuild stops at held arrays), and up its up path only to the skip sum or
+deepest norm under the up conv; it never crosses a block boundary, since a
+block's output stays held and the next application's first down conv is
+rebuilt from it alone.
 
 The sweep builds a recipe bit for bit when a vjp first reads it and keeps
 that build (its memo); every later read takes the memo, and the sweep
 drops it on reaching the node that produced the output, which comes after
-every node that reads it.  A norm's memo is its standardised values, from
-which each build makes the output out of place and which the norm's own
-vjp takes, so a sweep standardises each norm and runs each rebuilt conv
-once.  Masks, normalised values and the fused ops' inner results are
-recomputed from the saved arrays, and closures capture only shapes, flags
-and C x 1 statistics, never a :class:`Tensor`.  So an op output that no
-vjp reads is freed as soon as the forward drops it, and the tape's held
-count (:meth:`Tape.held_output_elems`) is what a backward pass keeps.  The
-reverse sweep frees each output's gradient as soon as its node's vjp has
-consumed it and each node's saved arrays as soon as it reaches the node,
-and ``.grad`` is set on leaves only.  So what a sweep keeps alive at a
-node can be read off the tape, and :func:`alive_elems` reads it: the
-held arrays not yet passed, the gradients, memos and builds alive.  A
-vjp masks by multiplying with the comparison (``g * (out > 0)``), never
-with ``np.where``: a select branches on every element, which on mixed-sign
-activations costs several times the multiply.
+every node that reads it.  A recipe that no node saves keeps no memo: it
+is read only inside another recipe's build (the encoder conv's, inside
+relu's), which drops it as soon as it has read it.  A norm's memo is its
+standardised values, from which each build makes the output out of place
+and which the norm's own vjp takes, so a sweep standardises each norm and
+runs each rebuilt conv once.  Masks, normalised values and the fused ops'
+inner results are recomputed from the saved arrays, and closures capture
+only shapes, flags and C x 1 statistics, never a :class:`Tensor`.  So an
+op output that no vjp reads is freed as soon as the forward drops it, and
+the tape's held count (:meth:`Tape.held_output_elems`) is what a backward
+pass keeps.  The reverse sweep frees each output's gradient as soon as its
+node's vjp has consumed it and each node's saved arrays as soon as it
+reaches the node, and ``.grad`` is set on leaves only.  So what a sweep
+keeps alive at a node can be read off the tape, and :func:`alive_elems`
+reads it: the held arrays not yet passed, the gradients, memos and builds
+alive.  A vjp masks by multiplying with the comparison
+(``g * (out > 0)``), never with ``np.where``: a select branches on every
+element, which on mixed-sign activations costs several times the multiply.
 
 Everything is float64 and single-threaded numpy, so repeated evaluation of
 the same graph on the same inputs is bit-identical.
@@ -179,8 +184,8 @@ class Tape:
     the recipe (:class:`_Recipe`) of each output that can be rebuilt under
     its node's position; that map is the only place an output's recipe is
     kept, and the sweep drops the recipe's memo there.  A node saves such an
-    input as its recipe, which the sweep builds into the array when the vjp
-    runs.
+    input, or such an output of its own, as its recipe, which the sweep
+    builds into the array when the vjp runs.
     """
 
     def __init__(self):
@@ -263,6 +268,8 @@ def _finish(out_data, inputs, vjp, saved=()):
                     a = tape._made.get(ref, a)  # the input's recipe if the tape notes one
                     if a is t.data:  # none: the array is held
                         tape._held[id(a)] = (ref, a.size)
+                    else:
+                        a.saved = True
                     break
         kept.append(a)
     tape._nodes.append((out_data.size, refs, tuple(kept), vjp))
@@ -422,13 +429,17 @@ def mul(a, b) -> Tensor:
 
 
 def relu(x) -> Tensor:
+    """max(x, 0).  Its vjp reads its output, which is remade by ``relu``
+    itself (:func:`_remake`) from ``x`` or ``x``'s recipe; its node then
+    saves that recipe, not the output, so a ReLU of a rebuilt conv (the
+    encoder's v_enc) is held by no node."""
     x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
 
     def vjp(g, out):  # out > 0 exactly where x > 0
         return (g * (out > 0),)
 
-    return _finish(out, (x,), vjp, (out,))
+    return _remake(_finish(out, (x,), vjp, (out,)), relu, x)
 
 
 def _prelu_into(h, x, s):
@@ -537,23 +548,32 @@ class _Recipe:
     entering as its array or as its recipe, which is built first.
 
     A node saves an input that carries a recipe as the recipe (see
-    :func:`_finish`), and :func:`backward` builds it just before that node's
-    vjp reads it.  The first build in a sweep is kept as ``memo`` and every
-    later one returns it, so the readers share one array and none writes
-    into it.  The sweep drops the memo on reaching the node that produced
-    the output, which it reaches after every node that reads it.
+    :func:`_finish`), as ``relu``'s node does its own output (see
+    :func:`_remake`), and marks it ``saved``; :func:`backward` builds it
+    just before that node's vjp reads it.  The first build in a sweep of a
+    saved recipe is kept as ``memo`` and every later one returns it, so
+    the readers share one array and none writes into it.  The sweep drops
+    the memo on reaching the node that produced the output, which it
+    reaches after every node that reads it.  A recipe no node saves is read
+    only by the builds of others, each of which builds it afresh and drops
+    it once read, so it never keeps a memo.
     """
 
-    __slots__ = ("fn", "args", "memo")
+    __slots__ = ("fn", "args", "memo", "saved")
 
     def __init__(self, fn, *args):
         self.fn, self.args, self.memo = fn, args, None
+        self.saved = False  # set once a node saves the recipe
 
     def make(self):
-        """``fn`` on the built arguments, once per sweep (the memo)."""
-        if self.memo is None:
-            self.memo = self.fn(*[_built(a) for a in self.args])
-        return self.memo
+        """``fn`` on the built arguments: once per sweep (the memo) if a
+        node saves the recipe, else on every build and kept by no one."""
+        memo = self.memo
+        if memo is None:
+            memo = self.fn(*[_built(a) for a in self.args])
+            if self.saved:
+                self.memo = memo
+        return memo
 
     def build(self):
         return self.make().data
@@ -568,7 +588,8 @@ def _remake(out: Tensor, op, *args) -> Tensor:
     node of the tape made (a leaf, an untaped output), which the recipe
     keeps.  So a conv's rebuild may build a sum, but no sum's rebuild
     builds another, and no rebuild reads an array the tape would
-    otherwise free."""
+    otherwise free.  A node that saves its own output (``relu``'s) saves
+    the recipe in its place, so the tape no longer holds the output."""
     if out._key is None:
         return out
     tape = _active()
@@ -584,7 +605,13 @@ def _remake(out: Tensor, op, *args) -> Tensor:
                 return out  # a sum over a rebuilt sum
             a = r
         entries.append(a)
-    tape._made[out._key[1]] = _Recipe(op, *entries)
+    pos = out._key[1]
+    recipe = tape._made[pos] = _Recipe(op, *entries)
+    n, refs, saved, vjp = tape._nodes[pos]
+    if any(a is out.data for a in saved):  # relu's node reads its own output: save the recipe
+        del tape._held[id(out.data)]
+        recipe.saved = True
+        tape._nodes[pos] = (n, refs, tuple(recipe if a is out.data else a for a in saved), vjp)
     return out
 
 

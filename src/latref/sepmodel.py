@@ -271,7 +271,12 @@ def clone_params(params: ModelParams) -> ModelParams:
 
 
 def encode(x, params: ModelParams):
-    """Mixture 1 x T -> (maskable v_enc enc_bases x L, latent v C x L)."""
+    """Mixture 1 x T -> (maskable v_enc enc_bases x L, latent v C x L).
+
+    Taped, neither is held: v_enc, the ReLU of the encoder conv, carries
+    relu's recipe over that conv's, so the bottleneck conv and the mask +
+    decode node save the recipe and the backward sweep rebuilds v_enc from
+    the mixture; the latent is rebuilt by the bottleneck conv from it."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.size == 0:
         raise ValueError("empty input signal")
@@ -430,7 +435,8 @@ class LoadedCheckpoint:
 def load_checkpoint(path) -> LoadedCheckpoint:
     """Read a checkpoint, checking every declared length against the bytes
     left in the file before reading, so a malformed file fails by name
-    before any large allocation.  No tree is built: the header's config
+    before any large allocation, and every tensor value for inf and NaN,
+    which no trained model holds.  No tree is built: the header's config
     and ``stages`` are returned unchecked against the tensors."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -473,6 +479,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
                 raise ValueError(f"truncated checkpoint {path}: tensor entry {entry!r} declares "
                                  f"{n_bytes} bytes, {size - fh.tell()} are left")
             arrays[name] = np.frombuffer(fh.read(n_bytes), dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"checkpoint {path} tensor {name!r} holds inf or NaN")
         if fh.read(1):
             raise ValueError(f"checkpoint {path} has trailing bytes after the last tensor")
     meta, stages = header.get("meta", {}), header.get("stages", 1)

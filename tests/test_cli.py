@@ -964,6 +964,28 @@ def test_eval_exits_0_or_names_the_file_for_any_byte_flip_or_cut(toy_eval_runs, 
                          and str(ckpt) in err.getvalue()), (code, err.getvalue())
 
 
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_eval_rejects_non_finite_tensors_before_building_data(tmp_path, monkeypatch, capsys, mode):
+    # every seventh tensor float of a saved toy model gets all its exponent
+    # bits set, which makes it inf or NaN: eval exits 2 naming the file and
+    # the first tensor, which holds the first float, before any data is built
+    cfg, _, ckpt = _write_toy_model(tmp_path, mode, [
+        {"sub_blocks": 1, "iterations": 1}, {"sub_blocks": 1, "iterations": 2}], seed=7)
+    raw = ckpt.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    first = json.loads(raw[16:end])["tensors"][0]["name"]
+    floats = np.frombuffer(raw[end:], dtype="<u8").copy()
+    floats[::7] |= np.uint64(0x7FF << 52)
+    Path(cfg.output_dir).mkdir()
+    (Path(cfg.output_dir) / "model.ckpt").write_bytes(raw[:end] + floats.tobytes())
+    monkeypatch.setattr(cli, "make_dataset", _no_data)
+    assert main(["eval", "--config", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: checkpoint \S*model\.ckpt tensor '{re.escape(first)}' holds inf or NaN",
+                    err), err
+    assert not (Path(cfg.output_dir) / "report.json").exists()
+
+
 # every key of every section given, so each one can be replaced or dropped
 _FULL_ADAPTIVE = {
     "task": "separation", "mode": "adaptive",

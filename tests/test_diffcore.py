@@ -547,7 +547,8 @@ class TestFusedOps:
         # is remade from that recipe.  A conv of a
         # held array is remade, so a sum over one is remade from its
         # recipe; with conv1d declined that conv is held, and a sum over it
-        # is remade from its array.
+        # is remade from its array.  v is a plain sum, held since a conv
+        # reads it.
         rng = np.random.default_rng(48)
         x = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norm = [Tensor(a, requires_grad=True) for a in
@@ -557,7 +558,7 @@ class TestFusedOps:
 
         def taped():
             with Tape() as tape:
-                v = relu(x)  # holds its output
+                v = add(x, x)  # a plain sum, held: the conv below saves it
                 c = conv1d(v, w)  # a conv of the held v, rebuilt from it
                 u = prelu_norm(c, *norm)
                 once = dc.residual(v, u, proj)
@@ -600,7 +601,8 @@ class TestFusedOps:
         # sum over it is remade by a recipe that builds it; a sum over that
         # sum is held.  A conv of a leaf is remade from the leaf's array.
         # Every rebuild equals its output, and the gradients those with
-        # conv1d declined.
+        # conv1d declined.  The held output is a plain sum, which no recipe
+        # rebuilds.
         rng = np.random.default_rng(50)
         x = Tensor(rng.normal(size=(3, 40)), requires_grad=True)
         norm = [Tensor(a, requires_grad=True) for a in
@@ -612,7 +614,7 @@ class TestFusedOps:
 
         def taped():
             with Tape() as tape:
-                r = relu(x)  # holds its output
+                r = add(x, x)  # a plain sum, held: the convs below save it
                 p = conv1d(r, pw, b)
                 c = conv1d(p, w)  # saves p's recipe
                 u = prelu_norm(c, *norm)
@@ -645,6 +647,59 @@ class TestFusedOps:
         assert tape.held_output_elems() == r.size + p.size + c.size + twice.size + wide.size
         backward(tape, loss)
         assert [t.grad.tobytes() for t in leaves] == rebuilt
+
+    @staticmethod
+    def relu_of_conv():
+        """(tape, conv output, its ReLU, loss) of relu over a strided conv of
+        an untaped array, as the encoder's v_enc, read by a conv and by a
+        product with itself."""
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=(1, 80))
+        w, b = Tensor(rng.normal(size=(6, 1, 8)), requires_grad=True), Tensor(rng.normal(size=6))
+        w2 = Tensor(rng.normal(size=(3, 6, 3)), requires_grad=True)
+        g = Tensor(rng.normal(size=(3, 20)))
+        with Tape() as tape:
+            c = conv1d(x, w, b, stride=4)
+            v = relu(c)
+            loss = add(sum_all(mul(conv1d(v, w2), g)), sum_all(mul(v, v)))
+        return tape, c, v, loss, (w, w2)
+
+    def test_relu_of_a_rebuilt_conv_is_remade(self, decline):
+        # relu notes its own recipe, here relu of the conv's recipe, and its
+        # node saves that recipe in its own output's place, as do the nodes
+        # that read the output, so the tape holds nothing.  The gradients
+        # equal those with relu's recipe declined, which holds the output.
+        tape, c, v, loss, leaves = self.relu_of_conv()
+        rv = made(tape, v)
+        assert rv.fn is relu and rv.args == (made(tape, c),)
+        assert made(tape, c).fn is conv1d and not made(tape, c).saved
+        assert [tape._nodes[pos][2] for pos in (1, 2, 5)] == [(rv,), (rv, leaves[1].data), (rv, rv)]
+        assert rv.saved and tape.held_output_elems() == 0 and tape._held == {}
+        assert rv.build().tobytes() == v.data.tobytes()
+        backward(tape, loss)
+        rebuilt = [t.grad.tobytes() for t in leaves]
+        decline(relu)
+        tape, c, v, loss, leaves = self.relu_of_conv()
+        assert made(tape, v) is None and tape._nodes[1][2] == (v.data,)
+        assert tape.held_output_elems() == v.size
+        backward(tape, loss)
+        assert [t.grad.tobytes() for t in leaves] == rebuilt
+
+    def test_only_a_saved_recipe_keeps_its_memo(self):
+        # The conv's recipe, which only relu's recipe reads, is saved by no
+        # node: each build makes it afresh and keeps nothing, so alive_elems
+        # never counts it.  relu's recipe, which nodes save, keeps its first
+        # build from the first node that reads it (the product, node 5)
+        # until its own node.  So at relu's node the output's gradient, the
+        # memo and the conv's gradient are alive, and at the conv's node
+        # only the conv's gradient.
+        tape, c, v, loss, _ = self.relu_of_conv()
+        rc, rv = made(tape, c), made(tape, v)
+        kept = [(pos, rv.memo is not None, rc.memo is None) for pos, *_ in dc._sweep(tape, loss)]
+        assert kept == [(7, False, True), (6, False, True), *((pos, True, True) for pos in range(5, 0, -1)),
+                        (0, False, True)]
+        tape, c, v, loss, _ = self.relu_of_conv()
+        assert list(dc.alive_elems(tape, loss))[-2:] == [3 * v.size, c.size]
 
     def test_conv_over_norm_of_held_input_is_a_recipe(self, decline):
         # A conv or upsample conv over a norm output is remade by its own
@@ -1326,7 +1381,7 @@ class TestTapeHoldsWhatBackwardReads:
         tracemalloc.start()
         try:
             with Tape() as tape:
-                h = relu(conv1d(x, w))  # relu keeps its output h, the second conv its input h
+                h = add(conv1d(x, w), ones)  # a plain sum, which the second conv keeps
                 loss = sum_all(mul(conv1d(h, w), ones))
             nbytes = h.data.nbytes
             del h
@@ -1346,15 +1401,15 @@ class TestTapeHoldsWhatBackwardReads:
         x = Tensor(rng.normal(size=(2, 10)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
         with Tape() as tape:
-            r = relu(x)  # keeps its output ...
-            h = conv1d(r, w)  # ... which the conv keeps as its input: counted once
-            s = relu(h)  # keeps its output
-            loss = sum_all(mul(s, s))  # mul(s, s) keeps s once more; sum_all nothing
+            r = add(x, x)  # a plain sum, which add does not keep ...
+            h = conv1d(r, w)  # ... and the conv keeps as its input
+            s = add(h, h)  # keeps nothing
+            loss = sum_all(mul(s, s))  # mul(s, s) keeps s twice: counted once; sum_all nothing
         backward(tape, loss)
         assert len(tape) == 5
         assert tape.held_output_elems() == r.size + s.size
         # (producing node, elements) of each held array: node 1, the conv, is
-        # absent, since only relu reads h and relu keeps its own output
+        # absent, since only add reads h and add keeps nothing
         assert sorted(tape._held.values()) == [(0, r.size), (2, s.size)]
 
     def test_accumulation_never_writes_into_a_passed_through_gradient(self):

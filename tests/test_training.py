@@ -534,6 +534,20 @@ def desk_config(blocks):
                             num_sources=3, blocks=blocks, sub_scales=3, sub_kernel=5)
 
 
+def _desk_regime(stage):
+    """(config, params, head, depth) of the desk model trained end to end
+    (``stage`` None, one block of 2 sub-blocks x 4) or at progressive
+    stage ``stage`` of two blocks of 2 sub-blocks x 2, under its frozen set."""
+    if stage is None:
+        config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
+    else:
+        config = desk_config([BlockSpec(sub_blocks=2, iterations=2),
+                              BlockSpec(sub_blocks=2, iterations=2)])
+    params = init_params(config, np.random.default_rng(0), stages=config.head_pairs(stage))
+    apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
+    return config, params, stage or 0, config.stage_depth(stage)
+
+
 @pytest.mark.parametrize("stage", [None, 0, 1], ids=["e2e", "stage0", "stage1"])
 def test_training_item_peak_memory_tracks_account(stage):
     """One training item's forward and backward peaks near the account, at
@@ -547,15 +561,7 @@ def test_training_item_peak_memory_tracks_account(stage):
     is what a vjp or a rebuild allocates inside itself and the sum a
     gradient's second term makes.
     """
-    if stage is None:
-        config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
-    else:
-        config = desk_config([BlockSpec(sub_blocks=2, iterations=2),
-                              BlockSpec(sub_blocks=2, iterations=2)])
-    head, depth = stage or 0, config.stage_depth(stage)
-    params = init_params(config, np.random.default_rng(0), stages=1 if stage is None else 2)
-    if stage is not None:
-        apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
+    config, params, head, depth = _desk_regime(stage)
     for T in (2000, 8000):
         sources = np.random.default_rng(1).normal(size=(3, T))
         report = memory_account(config, batch_size=1, T=T, stage=stage)
@@ -572,6 +578,36 @@ def test_training_item_peak_memory_tracks_account(stage):
         above = peak - report.trainable_param_bytes
         assert above <= 1.25 * account, \
             f"T = {T}: peak less leaf gradients {above / account:.4f}x the account"
+
+
+@pytest.mark.parametrize("stage", [None, 0, 1], ids=["e2e", "stage0", "stage1"])
+def test_training_batch_peak_memory_tracks_waiting_items_and_one_sweep(stage):
+    """A batch-2 desk step at T = 2000, taped and swept as ``_train_loop``
+    tapes and sweeps it, peaks in one item's sweep while the other item
+    keeps its held set: its peak less leaf gradients is at most 1.25 x
+    ((B - 1) x the held bytes of an item + the per-item account)."""
+    config, params, head, depth = _desk_regime(stage)
+    B, T = 2, 2000
+    rng = np.random.default_rng(1)
+    batch = [rng.normal(size=(3, T)) for _ in range(B)]
+    report = memory_account(config, batch_size=1, T=T, stage=stage)
+    account = (B - 1) * 8 * report.activation_elems + report.activation_bytes_backward
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            acc = None
+            for sources in batch:
+                ests, _ = run_model(sources.sum(axis=0), params, stage=head, depth=depth)
+                item_loss = pit_loss(ests, sources, 2).loss
+                acc = item_loss if acc is None else acc + item_loss
+            loss = acc * (1.0 / B)
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    above = peak - report.trainable_param_bytes
+    assert above <= 1.25 * account, \
+        f"peak less leaf gradients {above / account:.4f}x the account"
 
 
 def _alive_at_each_node(tape, loss):
@@ -678,8 +714,10 @@ def test_sweep_standardises_each_norm_once(monkeypatch):
 
 
 def test_end_to_end_item_rebuilds_the_bottleneck_output(decline):
-    """A desk end-to-end item at T = 2000 (L = 250) holds C x L + 8 C x L / 2
-    + 8 C x (63 + 32) fewer elements than with conv1d declined: the
+    """A desk end-to-end item at T = 2000 (L = 250) holds 64 x L + C x L
+    + 8 C x L / 2 + 8 C x (63 + 32) fewer elements than with conv1d
+    declined: the encoding v_enc (64 bases), whose ReLU is rebuilt from
+    the encoder conv's recipe, which a declined conv1d does not note; the
     bottleneck's output, the first block application's input, is rebuilt
     by its own conv at the end of the sweep instead of held; so is the
     first down conv of each of the 8 sub-blocks, the first from the
@@ -707,7 +745,7 @@ def test_end_to_end_item_rebuilds_the_bottleneck_output(decline):
         return held, [t.grad.tobytes() for _, t in named_parameters(params)]
 
     held, rebuilt = item()
-    for op, more in ((dc.conv1d, 32 * 250 + 8 * 32 * 125 + 8 * 32 * (63 + 32)),
+    for op, more in ((dc.conv1d, 64 * 250 + 32 * 250 + 8 * 32 * 125 + 8 * 32 * (63 + 32)),
                      (dc.upsample_conv1d, 8 * 32 * (63 + 125 + 250))):
         decline(op)
         held_off, kept = item()
@@ -716,19 +754,22 @@ def test_end_to_end_item_rebuilds_the_bottleneck_output(decline):
 
 
 @pytest.mark.parametrize("stage, on, conv_off, up_off",
-                         [(None, 408_000, 664_000, 856_000), (0, 248_000, 392_000, 472_000),
+                         [(None, 344_000, 664_000, 792_000), (0, 184_000, 392_000, 408_000),
                           (1, 280_000, 392_000, 504_000)], ids=["e2e", "stage0", "stage1"])
 def test_memory_account_drops_the_bottleneck_output_where_the_encoder_trains(
         decline, stage, on, conv_off, up_off):
     """At desk T = 8000 (L = 1000) the account drops, per item against
-    conv1d declined, C x L = 32,000 elements for the bottleneck's output
-    end to end and at stage 0; C x L / 2 = 16,000 for the first down conv
+    conv1d declined, 64 x L = 64,000 elements for the encoding v_enc (its
+    ReLU is rebuilt from the encoder conv's recipe) and C x L = 32,000 for
+    the bottleneck's output end to end and at stage 0, where the encoder
+    trains; C x L / 2 = 16,000 for the first down conv
     of each taped sub-block, eight end to end and four per stage (at
     stage 1 the first is rebuilt from the latent the frozen prefix hands
     over untaped, and each second one from the residual sum's recipe);
-    and 12,000 for each taped sub-block's second and third down convs.  Against upsample_conv1d declined, each taped
-    sub-block drops its three up convs, 8,000 + 16,000 + 32,000 elements,
-    and holds the two skip sums the last two are rebuilt from either way."""
+    and 12,000 for each taped sub-block's second and third down convs.
+    Against upsample_conv1d declined, each taped sub-block drops its three
+    up convs, 8,000 + 16,000 + 32,000 elements, and holds the two skip sums
+    the last two are rebuilt from either way; v_enc is rebuilt either way."""
     blocks = [BlockSpec(sub_blocks=2, iterations=4)] if stage is None else \
         [BlockSpec(sub_blocks=2, iterations=2), BlockSpec(sub_blocks=2, iterations=2)]
     config = desk_config(blocks)
@@ -738,18 +779,20 @@ def test_memory_account_drops_the_bottleneck_output_where_the_encoder_trains(
         assert memory_account(config, batch_size=1, T=8000, stage=stage).activation_elems == off
 
 
-def _desk_item_tape(regime):
-    """The tape of one T = 2000 training item of the desk model in
-    ``regime``: "e2e", "stage1" or "gated", its forward and loss, unswept."""
+def _desk_item_tape(regime, T=2000):
+    """The tape of one training item of T samples of the desk model in
+    ``regime``: "e2e", "stage0", "stage1" or "gated", its forward and
+    loss, unswept."""
     from latref.gating import gate_penalty, init_gate
 
-    T, head, depth, gate, rng = 2000, 0, None, None, None
-    if regime == "stage1":
+    head, depth, gate, rng = 0, None, None, None
+    if regime.startswith("stage"):
+        stage = int(regime[5:])
         config = desk_config([BlockSpec(sub_blocks=2, iterations=2),
                               BlockSpec(sub_blocks=2, iterations=2)])
         params = init_params(config, np.random.default_rng(0), stages=2)
-        apply_freeze(named_parameters(params), stage_freeze_mask(config, 1))
-        head, depth = 1, 4
+        apply_freeze(named_parameters(params), stage_freeze_mask(config, stage))
+        head, depth = stage, config.stage_depth(stage)
     else:
         config = desk_config([BlockSpec(sub_blocks=2, iterations=4)])
         params = init_params(config, np.random.default_rng(0))
@@ -765,6 +808,22 @@ def _desk_item_tape(regime):
         if gate is not None:
             gate_penalty(g)
     return tape
+
+
+@pytest.mark.parametrize("regime", ["e2e", "stage0", "gated"])
+def test_trained_encoding_is_rebuilt_not_held(regime):
+    """Where the encoder trains, a desk item at T = 8000 holds no
+    enc_bases x L array: the encoding v_enc is relu's output, which the
+    bottleneck conv and masked_decode save as relu's recipe over the
+    encoder conv's, and which the sweep rebuilds from the mixture."""
+    tape = _desk_item_tape(regime, T=8000)
+    held = [a for _, _, saved, _ in tape._nodes for a in saved
+            if isinstance(a, np.ndarray) and id(a) in tape._held]
+    assert held and all(a.shape != (64, 1000) for a in held)
+    decode = next(saved for *_, saved, vjp in tape._nodes if vjp.__qualname__.startswith("masked_decode."))
+    v_enc = decode[3]
+    assert v_enc.fn is dc.relu and v_enc.saved and v_enc.args[0].fn is dc.conv1d
+    assert not v_enc.args[0].saved
 
 
 def _inputs_needing_no_gradient(regime):
